@@ -33,6 +33,12 @@ image = geom.transform(blown_up, t)
 print("\ndeterminant-2 image volume:", geom.volume(image),
       "=", t.determinant, "x", geom.volume(blown_up))
 
-# Round trip: vertices -> half-spaces -> vertices is the identity.
+# Each polytope value carries its facets next to its vertices: the cut
+# added one facet, the map moved the normals by the inverse transpose, and
+# going back to half-spaces reads them off without hulling the vertices.
+print("\nfacets before and after the cut:", len(verts.facets), len(blown_up.facets))
+print("facets of the determinant-2 image:")
+for f in image.facets:
+    print("    <%s, x> >= %s" % (f.normal, -f.offset))
 again = geom.enumerate_vertices(geom.to_hpolytope(blown_up))
-print("H/V round trip stable:", again.vertices == blown_up.vertices)
+print("H/V round trip stable:", again == blown_up)

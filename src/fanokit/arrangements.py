@@ -96,13 +96,16 @@ class StabilityPolytope:
 
 def _nth_root_exact(x: Fraction, n: int) -> Fraction | None:
     def iroot(v: int) -> int | None:
+        # integer Newton iteration from above: floor(v^(1/n)), no floats
         if v == 0:
             return 0
-        k = round(v ** (1.0 / n))
-        for cand in (k - 1, k, k + 1):
-            if cand >= 0 and cand**n == v:
-                return cand
-        return None
+        r = 1 << -(-v.bit_length() // n)
+        while r > 1:
+            s = ((n - 1) * r + v // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+        return r if r**n == v else None
 
     p, q = iroot(x.numerator), iroot(x.denominator)
     if p is None or q is None:

@@ -57,8 +57,13 @@ def _load_input(args) -> dict | None:
     return data
 
 
-def _policy(args) -> zeta.PrecisionPolicy:
+def _policy(args, data=None) -> zeta.PrecisionPolicy:
     eps = getattr(args, "precision", None)
+    if data is not None and "precision" in data:
+        try:
+            eps = float(data["precision"])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad precision value {data['precision']!r}") from exc
     if eps is None:
         env = os.environ.get("FANOKIT_PRECISION")
         if env is not None:
@@ -122,9 +127,9 @@ def _cmd_volume(args, data) -> dict:
             raise InputError("--cut-normal and --cut-offset go together")
         try:
             normal = tuple(int(x) for x in args.cut_normal.split(","))
-            cutoff = Fraction(args.cut_offset)
         except ValueError as exc:
-            raise InputError(f"bad cut arguments: {exc}") from exc
+            raise InputError(f"bad cut normal: {exc}") from exc
+        cutoff = jsonio.frac_from_json(args.cut_offset)
         if len(normal) != h.dim:
             raise InputError("cut normal has wrong dimension")
         v = geom.intersect_halfspace(v, normal, cutoff)
@@ -180,7 +185,7 @@ def _cmd_pn_height(args, data) -> dict:
 def _cmd_scaled_height(args, data) -> dict:
     if args.n is None or args.t is None:
         raise InputError("scaled-height needs --n and --t")
-    rep = toric.scaled_divisor_height(args.n, Fraction(args.t))
+    rep = toric.scaled_divisor_height(args.n, jsonio.frac_from_json(args.t))
     out = rep.to_json()
     out["n"] = args.n
     out["t"] = args.t
@@ -190,7 +195,7 @@ def _cmd_scaled_height(args, data) -> dict:
 def _cmd_universal_bound(args, data) -> dict:
     if args.n is None or args.volume is None:
         raise InputError("universal-bound needs --n and --volume (poly-volume, 'p/q')")
-    v = Fraction(args.volume)
+    v = jsonio.frac_from_json(args.volume)
     pair = toric.VolumePair.from_poly_volume(args.n, v)
     rep = toric.universal_height_bound(pair, args.n)
     out = rep.to_json()
@@ -225,7 +230,7 @@ def _cmd_gap_check(args, data) -> dict:
 def _cmd_stability_polytope(args, data) -> dict:
     if args.n is None or args.m is None or args.degree is None:
         raise InputError("stability-polytope needs --n, --m and --degree")
-    sp = arr.stability_polytope(args.n, args.m, Fraction(args.degree))
+    sp = arr.stability_polytope(args.n, args.m, jsonio.frac_from_json(args.degree))
     c = jsonio.frac_to_str(sp.c_value) if sp.c_exact else float(sp.c_value)
     return {
         "n": sp.n,
@@ -300,10 +305,7 @@ def _cmd_p1_zeta_height(args, data) -> dict:
     if not isinstance(ws, list) or len(ws) != 3:
         raise InputError("'weights' must be a list of three rationals")
     inp = zeta.ZetaHeightInput(*(jsonio.frac_from_json(w) for w in ws))
-    policy = _policy(args)
-    if "precision" in data:
-        policy = zeta.PrecisionPolicy(target_abs_error=float(data["precision"]))
-    rep = zeta.p1_canonical_height(inp, policy)
+    rep = zeta.p1_canonical_height(inp, _policy(args, data))
     out = rep.to_json()
     out["V"] = float(inp.v)
     out["branch"] = "fano" if inp.v > 0 else "continuation"
@@ -430,10 +432,10 @@ def _emit(payload: dict, fmt: str) -> str:
     rows = payload.get("rows")
     if isinstance(rows, list) and rows and isinstance(rows[0], dict):
         headers = list(rows[0])
-        table = [[str(jsonio._round_floats(r[h])) for h in headers] for r in rows]
+        table = [[str(jsonio.round_floats(r[h])) for h in headers] for r in rows]
     else:
         flat: list[tuple[str, str]] = []
-        _flatten("", jsonio._round_floats(payload), flat)
+        _flatten("", jsonio.round_floats(payload), flat)
         headers = ["key", "value"]
         table = [[k, v] for k, v in flat]
     if fmt == "csv":

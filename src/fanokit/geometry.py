@@ -10,6 +10,13 @@ integer vectors.  A half-space representation stores inequalities
 so that for a moment polytope of a toric log Fano pair the offset is the
 log discrepancy coefficient of the corresponding facet divisor.
 
+A ``VPolytope`` carries its vertices and its facets together.  Facets are
+found once, by ``facets_from_points`` for a point cloud or by
+``enumerate_vertices`` for an H-polytope, and every later operation
+(transforms, translations, half-space cuts, the volume recursion) carries
+them along instead of hulling the vertices again.  All Gaussian
+elimination goes through one routine, ``_eliminate``.
+
 Every operation is a pure function on immutable values; nothing here
 touches floating point.
 """
@@ -70,96 +77,49 @@ def primitive_int_vector(v: Sequence) -> tuple[int, ...]:
     return tuple(a // g for a in ints)
 
 
-# -- small exact linear algebra ----------------------------------------------
+# -- exact elimination ------------------------------------------------------------
 
-def mat_rank(rows: Sequence[Sequence]) -> int:
-    m = [[_frac(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col] / inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan reduction over Q: (reduced rows, pivot columns, determinant).
 
-
-def mat_det(rows: Sequence[Sequence]) -> Fraction:
-    m = [[_frac(x) for x in r] for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def mat_solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """Solve the square system rows * x = rhs; None when singular."""
-    n = len(rows)
-    m = [[_frac(x) for x in r] + [_frac(b)] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [a / inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
-
-
-def nullspace_vector(rows: Sequence[Sequence], ncols: int) -> Vec | None:
-    """A spanning vector of the kernel when the nullity is exactly 1."""
+    The rows come back in reduced row echelon form with unit pivots, zero
+    rows last.  The determinant is that of a square input, 0 when singular.
+    """
     m = [[_frac(x) for x in r] for r in rows]
     pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
+    det = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
+        if row == len(m):
+            break
         piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            det = -det
         inv = m[row][col]
-        m[row] = [a / inv for a in m[row]]
+        det *= inv
+        # entries left of col are zero in the pivot row: update from col on
+        pr = m[row][col:] = [a / inv for a in m[row][col:]]
         for r in range(len(m)):
             if r != row and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+                m[r][col:] = [a - f * b for a, b in zip(m[r][col:], pr)]
         pivots.append(col)
-        row += 1
+    return m, pivots, det if len(pivots) == len(m) else Fraction(0)
+
+
+def _kernel_vector(rows: Sequence[Sequence], ncols: int) -> Vec | None:
+    """A spanning vector of the kernel when the nullity is exactly 1."""
+    m, pivots, _ = _eliminate(rows)
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) != 1:
         return None
-    fc = free[0]
     x = [Fraction(0)] * ncols
-    x[fc] = Fraction(1)
+    x[free[0]] = Fraction(1)
     for r, pc in enumerate(pivots):
-        x[pc] = -m[r][fc]
+        x[pc] = -m[r][free[0]]
     return tuple(x)
 
 
@@ -210,10 +170,16 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VPolytope:
-    """Vertex representation: the exact list of extreme points, sorted."""
+    """Both representations of one polytope: its extreme points and its
+    facets, each sorted and free of repeats.
+
+    Every constructor below keeps ``facets == facets_from_points(dim,
+    vertices)``, so no operation has to hull the vertices again.
+    """
 
     dim: int
     vertices: tuple[Vec, ...]
+    facets: tuple[Facet, ...]
 
     def __post_init__(self):
         vs = tuple(sorted({vec(v) for v in self.vertices}))
@@ -221,6 +187,7 @@ class VPolytope:
             if len(v) != self.dim:
                 raise ValueError("vertex has wrong dimension")
         object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "facets", tuple(sorted(set(self.facets))))
 
     @classmethod
     def from_points(cls, dim: int, points: Iterable[Sequence]) -> "VPolytope":
@@ -230,21 +197,20 @@ class VPolytope:
             raise DegeneratePolytope("no points given")
         if _affine_rank(pts) < dim:
             raise DegeneratePolytope("points do not span the ambient space")
-        h = HPolytope(dim, facets_from_points(dim, pts))
-        return enumerate_vertices(h)
+        return enumerate_vertices(HPolytope(dim, facets_from_points(dim, pts)))
 
 
 def _affine_rank(points: Sequence[Vec]) -> int:
     if len(points) <= 1:
         return 0
     base = points[0]
-    return mat_rank([vsub(p, base) for p in points[1:]])
+    return len(_eliminate([vsub(p, base) for p in points[1:]])[1])
 
 
 # -- H <-> V conversion --------------------------------------------------------
 
 def facets_from_points(dim: int, points: Sequence[Sequence]) -> tuple[Facet, ...]:
-    """Supporting half-spaces of conv(points), irredundant and canonical.
+    """Supporting half-spaces of conv(points), irredundant, canonical, sorted.
 
     Brute force over dim-subsets spanning a hyperplane; a candidate is kept
     when every point lies weakly on one side.
@@ -252,12 +218,11 @@ def facets_from_points(dim: int, points: Sequence[Sequence]) -> tuple[Facet, ...
     pts = [vec(p) for p in points]
     if dim == 1:
         xs = [p[0] for p in pts]
-        return (make_facet((1,), -min(xs)), make_facet((-1,), max(xs)))
+        return tuple(sorted((make_facet((1,), -min(xs)), make_facet((-1,), max(xs)))))
     seen: dict[tuple, Facet] = {}
     for comb in itertools.combinations(pts, dim):
         base = comb[0]
-        rows = [vsub(p, base) for p in comb[1:]]
-        normal = nullspace_vector(rows, dim)
+        normal = _kernel_vector([vsub(p, base) for p in comb[1:]], dim)
         if normal is None:
             continue
         prim = primitive_int_vector(normal)
@@ -287,42 +252,56 @@ def facets_from_points(dim: int, points: Sequence[Sequence]) -> tuple[Facet, ...
 def to_hpolytope(v: VPolytope) -> HPolytope:
     if _affine_rank(v.vertices) < v.dim:
         raise DegeneratePolytope("vertex set is not full-dimensional")
-    return HPolytope(v.dim, facets_from_points(v.dim, v.vertices))
+    return HPolytope(v.dim, v.facets)
 
 
 @lru_cache(maxsize=512)
-def _vertices_of(h: HPolytope) -> tuple[Vec, ...]:
+def _vertices_of(h: HPolytope) -> VPolytope:
     n = h.dim
     normals = [f.normal for f in h.facets]
-    if mat_rank(normals) < n:
+    if len(_eliminate(normals)[1]) < n:
         raise UnboundedPolytope("facet normals do not span the space")
     # recession direction: kernel vector of n-1 linearly independent normals
     # that satisfies every inequality (extreme ray of the recession cone)
     for comb in itertools.combinations(normals, n - 1):
-        d = nullspace_vector(comb, n) if comb else (Fraction(1),)
+        d = _kernel_vector(comb, n)
         if d is None:
             continue
         for cand in (d, tuple(-x for x in d)):
             if all(dot(f.normal, cand) >= 0 for f in h.facets):
                 raise UnboundedPolytope("recession direction exists")
-    verts: set[Vec] = set()
-    for comb in itertools.combinations(range(len(h.facets)), n):
-        rows = [h.facets[i].normal for i in comb]
-        rhs = [-h.facets[i].offset for i in comb]
-        p = mat_solve(rows, rhs)
-        if p is not None and h.contains(p):
-            verts.add(p)
-    if not verts:
+    incidence: dict[Vec, set[int]] = {}   # vertex -> inequalities tight on it
+    for comb in itertools.combinations(h.facets, n):
+        m, pivots, _ = _eliminate([f.normal + (-f.offset,) for f in comb])
+        if pivots != list(range(n)):
+            continue
+        p = tuple(row[n] for row in m)
+        tight = set()
+        for i, f in enumerate(h.facets):
+            slack = dot(f.normal, p) + f.offset
+            if slack < 0:
+                break
+            if slack == 0:
+                tight.add(i)
+        else:
+            incidence[p] = tight
+    if not incidence:
         raise DegeneratePolytope("empty feasible set")
-    out = tuple(sorted(verts))
+    out = tuple(sorted(incidence))
     if _affine_rank(out) < n:
         raise DegeneratePolytope("feasible set has empty interior")
-    return out
+    # an inequality is a facet iff no other one is tight on more vertices
+    # containing all of its own: a lower face lies in some facet
+    tight_at = [incidence[p] for p in out]
+    on = [frozenset(k for k, t in enumerate(tight_at) if i in t) for i in range(len(h.facets))]
+    facets = [f for f, t in zip(h.facets, on) if t and not any(t < u for u in on)]
+    return VPolytope(n, out, tuple(facets))
 
 
 def enumerate_vertices(h: HPolytope) -> VPolytope:
-    """Exact extreme points of a bounded full-dimensional H-polytope."""
-    return VPolytope(h.dim, _vertices_of(h))
+    """Exact extreme points of a bounded full-dimensional H-polytope, with
+    the inequalities of h that are facets."""
+    return _vertices_of(h)
 
 
 # -- volume and first moment ---------------------------------------------------
@@ -363,16 +342,37 @@ def _vol_mom_2d(points: Sequence[Vec]) -> tuple[Fraction, Vec]:
     return area2 / 2, (mx6 / 6, my6 / 6)
 
 
+def _face_facets(facet: Facet, j: int, facets: Iterable[Facet]) -> tuple[Facet, ...]:
+    """Inequalities of the face <l, x> = -a in the coordinates without x_j.
+
+    Substitutes x_j = (-a - sum_{i != j} l_i x_i) / l_j into every other
+    inequality; those parallel to the face drop out.  The result holds every
+    facet of the face once, plus valid inequalities tight on lower faces.
+    """
+    l, a = facet
+    out: dict[Facet, None] = {}
+    for g, b in facets:
+        r = Fraction(g[j], l[j])
+        normal = [g[i] - r * l[i] for i in range(len(l)) if i != j]
+        if any(normal):
+            out[make_facet(normal, b - r * a)] = None
+    return tuple(out)
+
+
 def _vol_mom(points: Sequence[Vec], dim: int,
-             facets: tuple[Facet, ...] | None = None) -> tuple[Fraction, Vec]:
+             facets: Sequence[Facet]) -> tuple[Fraction, Vec]:
     """Exact (volume, integral of x dlambda) of conv(points).
 
-    Pyramid decomposition from the vertex centroid over each facet; facet
-    data is recomputed per level unless supplied.  Projections along a
-    coordinate axis keep everything rational: for a facet with primitive
-    integer normal l and apex c on <l,x> = -a,
+    ``facets`` must hold every facet of conv(points) once; valid inequalities
+    that are tight only on a lower face may ride along and add nothing.
+    Pyramid decomposition from the vertex centroid over each facet; the
+    facets of each facet come from ``_face_facets``, so no level hulls its
+    points.  Projections along a coordinate axis keep everything rational:
+    for a facet with primitive integer normal l and apex c on <l,x> = -a,
 
         vol(pyramid) = |<l,c> + a| * vol_{n-1}(proj_j facet) / (n |l_j|).
+
+    Dimensions 2 and 1 use closed forms.
     """
     if dim == 1:
         xs = [p[0] for p in points]
@@ -380,20 +380,19 @@ def _vol_mom(points: Sequence[Vec], dim: int,
         return hi - lo, ((hi * hi - lo * lo) / 2,)
     if dim == 2:
         return _vol_mom_2d(points)
-    if facets is None:
-        facets = facets_from_points(dim, points)
-    facets = tuple(dict.fromkeys(facets))
     k = len(points)
     c = tuple(sum(p[i] for p in points) / k for i in range(dim))
     vol = Fraction(0)
     mom = [Fraction(0)] * dim
-    for normal, offset in facets:
+    for facet in facets:
+        normal, offset = facet
         tight = [p for p in points if dot(normal, p) == -offset]
         if len(tight) < dim:
             continue
         j = next(i for i in range(dim) if normal[i] != 0)
         proj = [tuple(p[i] for i in range(dim) if i != j) for p in tight]
-        fvol, fmom = _vol_mom(proj, dim - 1)
+        sub = _face_facets(facet, j, facets) if dim > 3 else ()
+        fvol, fmom = _vol_mom(proj, dim - 1, sub)
         if fvol == 0:
             continue
         height = dot(normal, c) + offset  # > 0 for interior apex
@@ -412,7 +411,7 @@ def _vol_mom(points: Sequence[Vec], dim: int,
 def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
     if _affine_rank(v.vertices) < v.dim:
         raise DegeneratePolytope("polytope is not full-dimensional")
-    return _vol_mom(v.vertices, v.dim)
+    return _vol_mom(v.vertices, v.dim, v.facets)
 
 
 def volume(v: VPolytope) -> Fraction:
@@ -441,7 +440,7 @@ class LinearMap:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "determinant", mat_det(rows))
+        object.__setattr__(self, "determinant", _eliminate(rows)[2])
 
     def apply(self, p: Sequence) -> Vec:
         return tuple(dot(row, p) for row in self.matrix)
@@ -450,59 +449,41 @@ class LinearMap:
 def transform(v: VPolytope, t: LinearMap) -> VPolytope:
     """Image polytope under an invertible linear map.
 
-    Volumes scale by |det t|; the caller reads the factor off the map.
+    Normals move by the inverse transpose; offsets stay.  Volumes scale by
+    |det t|; the caller reads the factor off the map.
     """
     if t.determinant == 0:
         raise SingularMap("linear map is not invertible")
-    return VPolytope(v.dim, tuple(t.apply(p) for p in v.vertices))
+    n = v.dim
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    inv = [row[n:] for row in _eliminate([r + e for r, e in zip(t.matrix, unit)])[0]]
+    # the image normal is t^{-T} l: entry i is <l, column i of t^{-1}>
+    facets = tuple(make_facet([dot(l, col) for col in zip(*inv)], a) for l, a in v.facets)
+    return VPolytope(n, tuple(t.apply(p) for p in v.vertices), facets)
 
 
 def translate(v: VPolytope, shift: Sequence) -> VPolytope:
     s = vec(shift)
-    return VPolytope(v.dim, tuple(vadd(p, s) for p in v.vertices))
-
-
-def transform_hpolytope(h: HPolytope, u: LinearMap) -> HPolytope:
-    """Image of an H-polytope under x -> u x (normals move by inverse transpose)."""
-    if u.determinant == 0:
-        raise SingularMap("linear map is not invertible")
-    n = h.dim
-    cols = [mat_solve([row for row in u.matrix],
-                      [Fraction(1) if i == j else Fraction(0) for i in range(n)])
-            for j in range(n)]
-    # rows of u^{-T} are the columns of u^{-1}
-    new_facets = []
-    for normal, offset in h.facets:
-        img = tuple(dot(normal, col) for col in cols)
-        new_facets.append((img, offset))
-    return HPolytope(n, tuple(make_facet(nrm, off) for nrm, off in new_facets))
+    facets = tuple(Facet(l, a - dot(l, s)) for l, a in v.facets)
+    return VPolytope(v.dim, tuple(vadd(p, s) for p in v.vertices), facets)
 
 
 # -- clipping -------------------------------------------------------------------
 
 def intersect_halfspace(v: VPolytope, normal: Sequence, cutoff) -> VPolytope:
-    """Exact vertices of v cut by {x : <normal, x> <= cutoff}."""
-    base = facets_from_points(v.dim, v.vertices)
+    """Exact vertices and facets of v cut by {x : <normal, x> <= cutoff}."""
     cut = make_facet(tuple(-_frac(x) for x in normal), _frac(cutoff))
     try:
-        return enumerate_vertices(HPolytope(v.dim, base + (cut,)))
+        return enumerate_vertices(HPolytope(v.dim, v.facets + (cut,)))
     except (DegeneratePolytope, UnboundedPolytope):
         raise EmptyIntersection("cut removed the polytope interior")
 
 
-def clip_volume_and_moment(base: HPolytope, normal: Sequence,
+def clip_volume_and_moment(base: VPolytope, normal: Sequence,
                            cutoff) -> tuple[Fraction, Vec]:
-    """(volume, moment) of base cut by <normal, x> <= cutoff.
-
-    Fast path for repeated cuts of one polytope: the top-level facet list is
-    known, so only vertex enumeration and the facet pyramids are recomputed.
-    """
-    cut = make_facet(tuple(-_frac(x) for x in normal), _frac(cutoff))
-    h = HPolytope(base.dim, base.facets + (cut,))
+    """(volume, moment) of base cut by <normal, x> <= cutoff; zero when the
+    cut leaves no interior."""
     try:
-        pts = _vertices_of(h)
-    except DegeneratePolytope:
+        return volume_and_moment(intersect_halfspace(base, normal, cutoff))
+    except EmptyIntersection:
         return Fraction(0), tuple([Fraction(0)] * base.dim)
-    if _affine_rank(pts) < base.dim:
-        return Fraction(0), tuple([Fraction(0)] * base.dim)
-    return _vol_mom(pts, base.dim, facets=h.facets)

@@ -33,21 +33,6 @@ def frac_from_json(x: Any) -> Fraction:
     raise InputError(f"expected a rational (int or 'p/q' string), got {x!r}")
 
 
-def polytope_to_json(p: HPolytope | VPolytope) -> dict:
-    if isinstance(p, HPolytope):
-        return {
-            "dim": p.dim,
-            "facets": [
-                {"normal": list(f.normal), "offset": frac_to_str(f.offset)}
-                for f in p.facets
-            ],
-        }
-    return {
-        "dim": p.dim,
-        "vertices": [[frac_to_str(x) for x in v] for v in p.vertices],
-    }
-
-
 def polytope_from_json(data: Any) -> HPolytope | VPolytope:
     if not isinstance(data, dict):
         raise InputError("polytope JSON must be an object")
@@ -56,6 +41,9 @@ def polytope_from_json(data: Any) -> HPolytope | VPolytope:
     dim = data["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise InputError("'dim' must be a positive integer")
+    for key in ("facets", "vertices"):
+        if key in data and not isinstance(data[key], list):
+            raise InputError(f"'{key}' must be a list")
     if "facets" in data:
         facets = []
         for f in data["facets"]:
@@ -97,15 +85,16 @@ def round_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _round_floats(obj):
+def round_floats(obj):
+    """Every float in a JSON-like value rounded by ``round_float``."""
     if isinstance(obj, float):
         return round_float(obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2)
+    return json.dumps(round_floats(payload), sort_keys=True, indent=2)

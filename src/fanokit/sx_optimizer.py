@@ -168,7 +168,7 @@ def sx_invariant(obj, det_correction=None, tol: float = 1e-9) -> SxResult:
     lo, hi = Fraction(0), Fraction(cmax)
 
     def moment_along(c: Fraction) -> tuple[Fraction, Fraction]:
-        cvol, cmom = geom.clip_volume_and_moment(h, u, c)
+        cvol, cmom = geom.clip_volume_and_moment(verts, u, c)
         return cvol, geom.dot(u, cmom)
 
     _, m_lo = moment_along(lo)
@@ -182,7 +182,7 @@ def sx_invariant(obj, det_correction=None, tol: float = 1e-9) -> SxResult:
         else:
             hi = mid
     c = (lo + hi) / 2
-    cvol, cmom = geom.clip_volume_and_moment(h, u, c)
+    cvol, cmom = geom.clip_volume_and_moment(verts, u, c)
     bary = [x / cvol for x in cmom]
     residual = max(abs(float(x)) for x in bary)
     return SxResult(

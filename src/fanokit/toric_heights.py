@@ -31,6 +31,14 @@ from .geometry import HPolytope, Vec
 _EPS = sys.float_info.epsilon
 
 
+def _to_float(x: Fraction) -> float:
+    """float(x); OutOfRange when x lies beyond the double range."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise OutOfRange("result exceeds the double-precision range") from exc
+
+
 def _ulp_error(scale: float, ops: int = 8) -> float:
     """Crude but safe rounding bound: ops half-ulps at the given magnitude."""
     return abs(scale) * ops * _EPS
@@ -129,7 +137,7 @@ def vertex_singularity_report(t: ToricLogFano) -> tuple[VertexSingularity, ...]:
     for p in geom.enumerate_vertices(h).vertices:
         tight = h.tight_indices(p)
         if len(tight) == h.dim:
-            d = abs(geom.mat_det([h.facets[i].normal for i in tight]))
+            d = abs(geom.LinearMap([h.facets[i].normal for i in tight]).determinant)
             out.append(VertexSingularity(p, tight, True, int(d)))
         else:
             out.append(VertexSingularity(p, tight, False, None))
@@ -160,7 +168,7 @@ def is_pn_polytope(h: HPolytope) -> bool:
     normals = [f.normal for f in h.facets]
     if any(sum(l[i] for l in normals) != 0 for i in range(n)):
         return False
-    return abs(geom.mat_det(normals[:n])) == 1
+    return abs(geom.LinearMap(normals[:n]).determinant) == 1
 
 
 # -- closed-form heights -------------------------------------------------------
@@ -177,8 +185,9 @@ def pn_height(n: int) -> HeightReport:
     lead = Fraction((n + 1) ** (n + 1), 2)
     rational_part = (n + 1) * harmonic - n
     log_part = n * math.log(math.pi) - math.log(math.factorial(n))
-    value = float(lead) * (float(rational_part) + log_part)
-    err = _ulp_error(float(lead) * (abs(float(rational_part)) + abs(log_part)))
+    lead_f = _to_float(lead)
+    value = lead_f * (float(rational_part) + log_part)
+    err = _ulp_error(lead_f * (abs(float(rational_part)) + abs(log_part)))
     return HeightReport(value, Convention.RAW_HEIGHT, "pn_fubini_study", err)
 
 
@@ -197,8 +206,9 @@ def universal_height_bound(vol: VolumePair, n: int) -> HeightReport:
         raise NonpositiveVolume("volume must be positive")
     lead = Fraction(math.factorial(n + 1), 2) * v
     log_part = n * math.log(2 * math.pi**2) - _log_fraction(v)
-    value = float(lead) * log_part
-    err = _ulp_error(float(lead) * abs(log_part))
+    lead_f = _to_float(lead)
+    value = lead_f * log_part
+    err = _ulp_error(lead_f * abs(log_part))
     return HeightReport(value, Convention.BOUND_ON_HEIGHT, "universal_toric_bound", err)
 
 
@@ -269,10 +279,10 @@ def gap_check(t: ToricLogFano) -> GapReport:
     >= 2) the stronger certificate poly_volume <= (1/2)(n+1)^n / n! is
     reported alongside.
     """
-    if not is_k_semistable(t):
+    vol, mom = geom.volume_and_moment(geom.enumerate_vertices(t.polytope))
+    if any(mom):
         raise NotSemistable("gap check requires barycenter zero")
     n = t.dim
-    vol = log_fano_volume(t).poly_volume
     threshold = Fraction(2 * n**n, math.factorial(n))
     report = vertex_singularity_report(t)
     singular = any((not r.simple) or (r.det is not None and r.det >= 2)

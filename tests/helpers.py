@@ -73,7 +73,7 @@ def polytope_edges(v: geom.VPolytope) -> list[tuple[int, int]]:
         if len(common) < v.dim - 1:
             continue
         rows = [h.facets[k].normal for k in common]
-        if geom.mat_rank(rows) == v.dim - 1:
+        if np.linalg.matrix_rank(np.array(rows, dtype=float)) == v.dim - 1:
             edges.append((i, j))
     return edges
 

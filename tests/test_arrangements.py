@@ -237,3 +237,22 @@ class TestConvexity:
             )
             assert arr.is_arrangement_semistable(mix)
             assert arr.arrangement_degree(mix) == degree
+
+
+class TestExactRoot:
+    @pytest.mark.parametrize("x,n,root", [
+        ((3**40 + 1) ** 3, 3, 3**40 + 1),     # a float cube root misses it
+        (10**400, 2, 10**200),                # beyond the double range
+        (F(8, 27), 3, F(2, 3)),
+        (0, 4, 0),
+        (2, 2, None),
+        ((3**40 + 1) ** 3 + 1, 3, None),
+    ])
+    def test_nth_root_exact(self, x, n, root):
+        assert arr._nth_root_exact(F(x), n) == root
+
+    def test_huge_exact_cube_degree_is_exact(self):
+        # the degree lies in (0, 4^3]; its cube root is rational, with a
+        # numerator and denominator beyond double precision
+        sp = arr.stability_polytope(3, 4, F((3**40 + 1) ** 3, 3**120))
+        assert sp.c_exact

@@ -181,6 +181,45 @@ class TestErrorHandling:
             ["semistable", "--json", '{"n": 1, "weights": ["3/2"]}'], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["volume", "--json", '{"dim": 2, "facets": 5}'],
+        ["volume", "--json", '{"dim": 2, "vertices": "01"}'],
+        ["scaled-height", "--n", "2", "--t", "abc"],
+        ["universal-bound", "--n", "2", "--volume", "abc"],
+        ["universal-bound", "--n", "2", "--volume", "1/0"],
+        ["stability-polytope", "--n", "1", "--m", "3", "--degree", "abc"],
+        ["volume", "--preset", "p3", "--cut-normal", "1,1,1", "--cut-offset", "1/0"],
+        ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"], "precision": "x"}'],
+        ["pn-height", "--n", "400"],
+        ["universal-bound", "--n", "400", "--volume", "1"],
+    ], ids=["facets-not-list", "vertices-not-list", "t-abc", "volume-abc", "volume-1/0",
+            "degree-abc", "cut-offset-1/0", "precision-x", "pn-height-400",
+            "universal-bound-400"])
+    def test_malformed_argument_is_an_input_error(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("fanokit: input error:")
+
+
+class TestPointCloudInput:
+    def test_volume_hulls_the_cloud_once(self, capsys, monkeypatch):
+        from fanokit import geometry
+
+        original = geometry.facets_from_points
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "facets_from_points", spy)
+        cloud = [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)] + [[1, 1, 1]]
+        code, out, _ = run_cli(["volume", "--json", json.dumps({"dim": 3, "vertices": cloud})],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["poly_volume"] == "8"
+        assert len(calls) == 1
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):

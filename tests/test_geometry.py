@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanokit import geometry as geom
 from fanokit.errors import (
@@ -10,6 +12,7 @@ from fanokit.errors import (
     SingularMap,
     UnboundedPolytope,
 )
+from fanokit import presets
 from fanokit.geometry import HPolytope, LinearMap, VPolytope
 
 from helpers import mc_volume_estimate, random_rational_polytope, random_unimodular
@@ -116,7 +119,7 @@ class TestVolume:
         assert geom.volume(geom.enumerate_vertices(P3_POLYTOPE)) == F(32, 3)
 
     def test_degenerate_rejected(self):
-        flat = VPolytope(2, ((F(0), F(0)), (F(1), F(0)), (F(2), F(0))))
+        flat = VPolytope(2, ((F(0), F(0)), (F(1), F(0)), (F(2), F(0))), ())
         with pytest.raises(DegeneratePolytope):
             geom.volume(flat)
 
@@ -262,3 +265,70 @@ class TestMonteCarloOracle:
             exact = float(geom.volume(v))
             est, sigma = mc_volume_estimate(v, 200_000, seed=9000 + trial)
             assert abs(exact - est) <= 3 * sigma + 1e-12
+
+
+def assert_facets_invariant(v):
+    assert v.facets == geom.facets_from_points(v.dim, v.vertices)
+
+
+@st.composite
+def point_clouds(draw):
+    dim = draw(st.integers(2, 3))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 4))
+    return dim, pts
+
+
+class TestFacetsCarried:
+    """Every constructor keeps v.facets equal to a fresh hull of v.vertices."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_clouds(), st.data())
+    def test_invariant_through_every_constructor(self, cloud, data):
+        dim, pts = cloud
+        try:
+            v = VPolytope.from_points(dim, pts)
+        except DegeneratePolytope:
+            return
+        assert_facets_invariant(v)
+        # a redundant inequality and a repeated one must not become facets
+        loose = geom.Facet(v.facets[0].normal, v.facets[0].offset + 1)
+        h = HPolytope(dim, v.facets + (loose, v.facets[-1]))
+        again = geom.enumerate_vertices(h)
+        assert again == v
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                                  min_size=dim, max_size=dim))
+        t = LinearMap(tuple(tuple(r) for r in rows))
+        if t.determinant != 0:
+            assert_facets_invariant(geom.transform(v, t))
+        shift = data.draw(st.lists(st.fractions(-2, 2, max_denominator=4),
+                                   min_size=dim, max_size=dim))
+        assert_facets_invariant(geom.translate(v, shift))
+        normal = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+                           .filter(any))
+        vals = sorted(geom.dot(normal, p) for p in v.vertices)
+        if vals[0] < vals[-1]:
+            share = data.draw(st.fractions(0, 1, max_denominator=4).filter(bool))
+            cut = vals[0] + share * (vals[-1] - vals[0])
+            assert_facets_invariant(geom.intersect_halfspace(v, normal, cut))
+
+
+class TestFiveDimensional:
+    """The facet-substitution recursion at dimensions 5 and 4."""
+
+    def test_centered_five_cube(self):
+        v = geom.enumerate_vertices(centered_cube(5))
+        assert geom.volume_and_moment(v) == (32, (0,) * 5)
+
+    @pytest.mark.parametrize("h,vol", [(unit_cube(5), F(1)),
+                                       (presets.pn_polytope(5), F(6**5, 120))])
+    def test_unimodular_images(self, h, vol):
+        rng = random.Random(59)
+        v = geom.enumerate_vertices(h)
+        bary = geom.barycenter(v)
+        for _ in range(2):
+            t = random_unimodular(rng, 5)
+            shift = tuple(F(rng.randint(-3, 3), 2) for _ in range(5))
+            moved = geom.translate(geom.transform(v, t), shift)
+            assert geom.volume(moved) == vol
+            assert geom.barycenter(moved) == geom.vadd(t.apply(bary), shift)

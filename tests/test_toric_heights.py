@@ -48,7 +48,8 @@ class TestSemistability:
         vol = th.log_fano_volume(t)
         for _ in range(5):
             u = random_unimodular(rng, 3)
-            moved = ToricLogFano(geom.transform_hpolytope(t.polytope, u))
+            moved = ToricLogFano(geom.to_hpolytope(
+                geom.transform(geom.enumerate_vertices(t.polytope), u)))
             assert th.is_k_semistable(moved) == th.is_k_semistable(t)
             assert th.log_fano_volume(moved) == vol
             dets = sorted(r.det for r in th.vertex_singularity_report(moved))
@@ -255,7 +256,8 @@ class TestGapCheck:
     def test_pn_detected_after_unimodular_change(self):
         rng = random.Random(17)
         u = random_unimodular(rng, 3)
-        moved = geom.transform_hpolytope(presets.pn_polytope(3), u)
+        moved = geom.to_hpolytope(
+            geom.transform(geom.enumerate_vertices(presets.pn_polytope(3)), u))
         assert th.gap_check(ToricLogFano(moved)).verdict is GapVerdict.IS_PN
 
     def test_products_satisfy_gap(self):
