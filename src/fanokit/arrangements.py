@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidDegree, InvalidWeight, NotFano, NotSemistable
+from .errors import (
+    InvalidDegree,
+    InvalidWeight,
+    NotFano,
+    NotSemistable,
+    NumericalError,
+    OutOfRange,
+)
 from .toric_heights import (
     Convention,
     HeightReport,
@@ -122,7 +129,9 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
         c: Fraction | float = Fraction(n + 1) - root
         exact = True
     else:
-        c = (n + 1) - float(d) ** (1.0 / n)
+        # through logarithms, since float(d) overflows past the double range;
+        # C > 0 exactly, so a rounding below zero is clamped
+        c = max(0.0, (n + 1) - math.exp(_log_fraction(d) / n))
         exact = False
     if m < n + 1:
         return StabilityPolytope(n, m, d, c, exact, ())
@@ -132,14 +141,14 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
         weights = tuple(level if i in subset else Fraction(0) for i in range(m))
         if exact:
             wv = WeightVector(n, weights)
-            assert is_arrangement_semistable(wv)
-            assert arrangement_degree(wv) == d
-            verts.append(wv)
+            if not (is_arrangement_semistable(wv) and arrangement_degree(wv) == d):
+                raise NumericalError(f"vertex {subset} misses degree {d} or semistability")
         else:
-            # irrational C: carried in floats, degree verified numerically
-            got = ((n + 1) - sum(weights)) ** n
-            assert abs(got - float(d)) <= 1e-12 * max(1.0, float(d))
-            verts.append(WeightVector(n, tuple(Fraction(x) for x in weights)))
+            # irrational C: carried in floats, degree verified numerically in logarithms
+            wv = WeightVector(n, tuple(Fraction(x) for x in weights))
+            if abs(n * math.log((n + 1) - sum(weights)) - _log_fraction(d)) > 1e-12:
+                raise NumericalError(f"vertex {subset} misses degree {d}")
+        verts.append(wv)
     return StabilityPolytope(n, m, d, c, exact, tuple(verts))
 
 
@@ -184,7 +193,8 @@ def hypersimplex_decomposition(
     convex combination of 0/1 vectors with k ones (greedy peeling)."""
     mu = [Fraction(x) for x in mu]
     m = len(mu)
-    assert sum(mu) == k
+    if sum(mu) != k or not all(0 <= x <= 1 for x in mu):
+        raise OutOfRange(f"{[str(x) for x in mu]} is not in the hypersimplex of sum {k}")
     parts: list[tuple[tuple[int, ...], Fraction]] = []
     remaining = Fraction(1)
     for _ in range(m + 1):
@@ -198,14 +208,15 @@ def hypersimplex_decomposition(
         theta = min(mu[i] for i in support)
         if m > k:
             theta = min(theta, 1 - max(mu[i] for i in order[k:]))
-        assert 0 < theta < 1
+        if not 0 < theta < 1:
+            raise NumericalError(f"peeling weight {theta} outside (0, 1)")
         parts.append((support, theta * remaining))
         mu = [
             (mu[i] - theta) / (1 - theta) if i in support else mu[i] / (1 - theta)
             for i in range(m)
         ]
         remaining *= 1 - theta
-    raise AssertionError("hypersimplex peeling failed to terminate")
+    raise NumericalError("hypersimplex peeling failed to terminate")
 
 
 def reduce_to_toric(w: WeightVector) -> ToricReduction:

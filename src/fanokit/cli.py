@@ -110,12 +110,10 @@ def _cmd_semistable(args, data) -> dict:
             "full_criterion": arr.full_weight_condition(w),
         }
     t = _toric_from(data, args)
-    v = geom.enumerate_vertices(t.polytope)
-    bary = geom.barycenter(v)
     return {
         "kind": "toric",
         "semistable": toric.is_k_semistable(t),
-        "barycenter": [jsonio.frac_to_str(x) for x in bary],
+        "barycenter": [jsonio.frac_to_str(x) for x in t.barycenter],
     }
 
 
@@ -133,16 +131,12 @@ def _cmd_volume(args, data) -> dict:
         if len(normal) != h.dim:
             raise InputError("cut normal has wrong dimension")
         v = geom.intersect_halfspace(v, normal, cutoff)
-    out = {"vertex_count": len(v.vertices)}
-    if all(0 < f.offset <= 1 for f in h.facets) and args.cut_normal is None:
-        pair = toric.log_fano_volume(toric.ToricLogFano(h))
-        out["poly_volume"] = jsonio.frac_to_str(pair.poly_volume)
-        out["degree"] = jsonio.frac_to_str(pair.degree)
-    else:
-        vol = geom.volume(v)
-        out["poly_volume"] = jsonio.frac_to_str(vol)
-        out["degree"] = jsonio.frac_to_str(math.factorial(h.dim) * vol)
-    return out
+    vol = geom.volume(v)
+    return {
+        "vertex_count": len(v.vertices),
+        "poly_volume": jsonio.frac_to_str(vol),
+        "degree": jsonio.frac_to_str(math.factorial(h.dim) * vol),
+    }
 
 
 def _cmd_barycenter(args, data) -> dict:
@@ -345,7 +339,7 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
     row("cut weight w, P(O+O(2))", w2, sx.solve_cut_weight(sd2), 1e-10)
 
     def degree_of(h):
-        return math.factorial(h.dim) * geom.volume(geom.enumerate_vertices(h))
+        return toric.log_fano_volume(toric.ToricLogFano(h)).degree
 
     row("degree, P3 blown up in one point", 56,
         float(math.factorial(3) * geom.volume(

@@ -46,7 +46,7 @@ class NonpositiveVolume(InputError):
 
 
 class OutOfRange(InputError):
-    """Scalar argument outside its admissible interval."""
+    """Argument outside its admissible range."""
 
 
 # -- S(X) optimizer ---------------------------------------------------------

@@ -1,8 +1,7 @@
 """Exact rational convex-polytope kernel.
 
-Polytopes are full-dimensional and bounded, in dimension small enough
-(n <= ~6) that brute-force facet/vertex enumeration is the right tool.
-All coordinates are ``fractions.Fraction``; facet normals are primitive
+Polytopes are full-dimensional and bounded, in small dimension.  All
+coordinates are ``fractions.Fraction``; facet normals are primitive
 integer vectors.  A half-space representation stores inequalities
 
     <normal, p> >= -offset
@@ -14,15 +13,16 @@ A ``VPolytope`` carries its vertices and its facets together.  Facets are
 found once, by ``facets_from_points`` for a point cloud or by
 ``enumerate_vertices`` for an H-polytope, and every later operation
 (transforms, translations, half-space cuts, the volume recursion) carries
-them along instead of hulling the vertices again.  All Gaussian
-elimination goes through one routine, ``_eliminate``.
+them along instead of hulling the vertices again.  Both conversions are
+one integer double-description routine, ``_extreme_rays``, run on the
+homogenized inequalities or points; all Gaussian elimination goes through
+one routine, ``_eliminate``.
 
 Every operation is a pure function on immutable values; nothing here
 touches floating point.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -110,17 +110,44 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
     return m, pivots, det if len(pivots) == len(m) else Fraction(0)
 
 
-def _kernel_vector(rows: Sequence[Sequence], ncols: int) -> Vec | None:
-    """A spanning vector of the kernel when the nullity is exactly 1."""
-    m, pivots, _ = _eliminate(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    if len(free) != 1:
-        return None
-    x = [Fraction(0)] * ncols
-    x[free[0]] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        x[pc] = -m[r][free[0]]
-    return tuple(x)
+def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the pointed cone {y in R^d : <r, y> >= 0 for every row r}.
+
+    Integer double description (Motzkin-Raiffa-Thompson-Thrall 1953;
+    Fukuda-Prodon 1996): start from the simplicial cone of the first d
+    independent rows, then add the other rows one at a time, keeping the
+    rays on the feasible side and joining each adjacent pair on opposite
+    sides.  Two rays are adjacent iff no third ray is tight on every row
+    both are tight on.  Each ray comes back as a primitive integer vector
+    with the bit mask of the rows tight on it.
+    """
+    basis = _eliminate(list(zip(*rows)))[1]   # pivot columns of the transpose
+    if len(basis) < d:
+        raise DegeneratePolytope("inequalities or points do not span the space")
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    inv = [r[d:] for r in _eliminate([tuple(rows[b]) + e for b, e in zip(basis, unit)])[0]]
+    # column j of the inverse is tight on every basis row but the j-th
+    start = sum(1 << b for b in basis)
+    rays = [(primitive_int_vector(col), start & ~(1 << b)) for col, b in zip(zip(*inv), basis)]
+    for k, row in enumerate(rows):
+        if start >> k & 1:
+            continue
+        s = [sum(a * b for a, b in zip(row, y)) for y, _ in rays]
+        new = [(y, t | 1 << k if x == 0 else t) for (y, t), x in zip(rays, s) if x >= 0]
+        for i, (yp, tp) in enumerate(rays):
+            if s[i] <= 0:
+                continue
+            for j, (ym, tm) in enumerate(rays):
+                common = tp & tm
+                if (s[j] >= 0 or common.bit_count() < d - 2
+                        or any(t & common == common for c, (_, t) in enumerate(rays)
+                               if c != i and c != j)):
+                    continue
+                y = [s[i] * b - s[j] * a for a, b in zip(yp, ym)]
+                g = gcd(*y)
+                new.append((tuple(a // g for a in y), common | 1 << k))
+        rays = new
+    return rays
 
 
 # -- representations ----------------------------------------------------------
@@ -197,7 +224,12 @@ class VPolytope:
             raise DegeneratePolytope("no points given")
         if _affine_rank(pts) < dim:
             raise DegeneratePolytope("points do not span the ambient space")
-        return enumerate_vertices(HPolytope(dim, facets_from_points(dim, pts)))
+        facets = facets_from_points(dim, pts)
+        tight = [{f for f in facets if dot(f.normal, p) == -f.offset} for p in pts]
+        # a point is a vertex iff no other point is tight on all of its facets
+        return cls(dim, tuple(p for i, p in enumerate(pts)
+                              if not any(j != i and tight[i] <= u for j, u in enumerate(tight))),
+                   facets)
 
 
 def _affine_rank(points: Sequence[Vec]) -> int:
@@ -212,41 +244,11 @@ def _affine_rank(points: Sequence[Vec]) -> int:
 def facets_from_points(dim: int, points: Sequence[Sequence]) -> tuple[Facet, ...]:
     """Supporting half-spaces of conv(points), irredundant, canonical, sorted.
 
-    Brute force over dim-subsets spanning a hyperplane; a candidate is kept
-    when every point lies weakly on one side.
+    The facets are the extreme rays (l, a) of the cone of inequalities
+    <l, p> + a >= 0 that hold at every point.
     """
-    pts = [vec(p) for p in points]
-    if dim == 1:
-        xs = [p[0] for p in pts]
-        return tuple(sorted((make_facet((1,), -min(xs)), make_facet((-1,), max(xs)))))
-    seen: dict[tuple, Facet] = {}
-    for comb in itertools.combinations(pts, dim):
-        base = comb[0]
-        normal = _kernel_vector([vsub(p, base) for p in comb[1:]], dim)
-        if normal is None:
-            continue
-        prim = primitive_int_vector(normal)
-        b = dot(prim, base)
-        lo = hi = False
-        ok = True
-        for p in pts:
-            s = dot(prim, p)
-            if s > b:
-                hi = True
-            elif s < b:
-                lo = True
-            if hi and lo:
-                ok = False
-                break
-        if not ok:
-            continue
-        # orient inward: keep <l, p> >= -offset with all points feasible
-        if hi:
-            facet = Facet(prim, -b)
-        else:
-            facet = Facet(tuple(-a for a in prim), b)
-        seen.setdefault((facet.normal, facet.offset), facet)
-    return tuple(seen[k] for k in sorted(seen))
+    rows = [primitive_int_vector(vec(p) + (Fraction(1),)) for p in points]
+    return tuple(sorted(make_facet(y[:dim], y[dim]) for y, _ in _extreme_rays(rows, dim + 1)))
 
 
 def to_hpolytope(v: VPolytope) -> HPolytope:
@@ -258,33 +260,16 @@ def to_hpolytope(v: VPolytope) -> HPolytope:
 @lru_cache(maxsize=512)
 def _vertices_of(h: HPolytope) -> VPolytope:
     n = h.dim
-    normals = [f.normal for f in h.facets]
-    if len(_eliminate(normals)[1]) < n:
+    if len(_eliminate([f.normal for f in h.facets])[1]) < n:
         raise UnboundedPolytope("facet normals do not span the space")
-    # recession direction: kernel vector of n-1 linearly independent normals
-    # that satisfies every inequality (extreme ray of the recession cone)
-    for comb in itertools.combinations(normals, n - 1):
-        d = _kernel_vector(comb, n)
-        if d is None:
-            continue
-        for cand in (d, tuple(-x for x in d)):
-            if all(dot(f.normal, cand) >= 0 for f in h.facets):
-                raise UnboundedPolytope("recession direction exists")
-    incidence: dict[Vec, set[int]] = {}   # vertex -> inequalities tight on it
-    for comb in itertools.combinations(h.facets, n):
-        m, pivots, _ = _eliminate([f.normal + (-f.offset,) for f in comb])
-        if pivots != list(range(n)):
-            continue
-        p = tuple(row[n] for row in m)
-        tight = set()
-        for i, f in enumerate(h.facets):
-            slack = dot(f.normal, p) + f.offset
-            if slack < 0:
-                break
-            if slack == 0:
-                tight.add(i)
-        else:
-            incidence[p] = tight
+    # a vertex p is the ray (p, 1) of the cone {(y, t) : <l, y> + a t >= 0, t >= 0};
+    # a ray with t = 0 is a recession direction
+    rows = [primitive_int_vector(f.normal + (f.offset,)) for f in h.facets]
+    incidence: dict[Vec, int] = {}   # vertex -> mask of inequalities tight on it
+    for y, tight in _extreme_rays(rows + [(0,) * n + (1,)], n + 1):
+        if y[n] == 0:
+            raise UnboundedPolytope("recession direction exists")
+        incidence[tuple(Fraction(x, y[n]) for x in y[:n])] = tight
     if not incidence:
         raise DegeneratePolytope("empty feasible set")
     out = tuple(sorted(incidence))
@@ -293,7 +278,7 @@ def _vertices_of(h: HPolytope) -> VPolytope:
     # an inequality is a facet iff no other one is tight on more vertices
     # containing all of its own: a lower face lies in some facet
     tight_at = [incidence[p] for p in out]
-    on = [frozenset(k for k, t in enumerate(tight_at) if i in t) for i in range(len(h.facets))]
+    on = [frozenset(k for k, t in enumerate(tight_at) if t >> i & 1) for i in range(len(h.facets))]
     facets = [f for f, t in zip(h.facets, on) if t and not any(t < u for u in on)]
     return VPolytope(n, out, tuple(facets))
 

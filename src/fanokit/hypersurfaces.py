@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangements import WeightVector, is_arrangement_semistable
-from .errors import InputError, OutOfRange
+from .errors import InputError, NumericalError, OutOfRange
 from .toric_heights import (
     Convention,
     HeightReport,
@@ -96,7 +96,8 @@ def branch_arrangement(spec: DiagonalHypersurfaceSpec | BranchDivisorSpec) -> We
     """The hyperplane arrangement on P^n induced by the branch divisor;
     always K-semistable (n+2 equal weights 1 - 1/d)."""
     w = WeightVector(spec.n, BranchDivisorSpec(spec.n, spec.d).weights)
-    assert is_arrangement_semistable(w)
+    if not is_arrangement_semistable(w):
+        raise NumericalError(f"branch arrangement {w.weights} is not semistable")
     return w
 
 

@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from . import geometry as geom
@@ -106,11 +107,15 @@ class ToricLogFano:
     def dim(self) -> int:
         return self.polytope.dim
 
+    @cached_property
+    def barycenter(self) -> Vec:
+        """Exact barycenter of the moment polytope, integrated once per pair."""
+        return geom.barycenter(geom.enumerate_vertices(self.polytope))
+
 
 def is_k_semistable(t: ToricLogFano) -> bool:
     """True iff the barycenter of the moment polytope is exactly the origin."""
-    v = geom.enumerate_vertices(t.polytope)
-    return all(x == 0 for x in geom.barycenter(v))
+    return all(x == 0 for x in t.barycenter)
 
 
 def log_fano_volume(t: ToricLogFano) -> VolumePair:

@@ -1,6 +1,7 @@
-"""Shared test oracles: Monte Carlo volume estimation, random polytope and
-unimodular-matrix generation, and a floating-point half-space clipper used
-to sample candidate cuts independently of the exact kernel."""
+"""Shared test oracles: brute-force exact H->V and V->H conversion, Monte
+Carlo volume estimation, random polytope and unimodular-matrix generation,
+and a floating-point half-space clipper used to sample candidate cuts
+independently of the exact kernel."""
 from __future__ import annotations
 
 import itertools
@@ -12,6 +13,72 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from fanokit import geometry as geom
+from fanokit.errors import DegeneratePolytope, UnboundedPolytope
+
+
+def _kernel_vector(rows, ncols):
+    """A spanning vector of the kernel when the nullity is exactly 1."""
+    m, pivots, _ = geom._eliminate(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    if len(free) != 1:
+        return None
+    x = [Fraction(0)] * ncols
+    x[free[0]] = Fraction(1)
+    for r, pc in enumerate(pivots):
+        x[pc] = -m[r][free[0]]
+    return tuple(x)
+
+
+def brute_force_facets(dim, points):
+    """Reference V->H: every dim-subset of points spanning a hyperplane with
+    all points weakly on one side gives a facet; canonical and sorted."""
+    pts = [geom.vec(p) for p in points]
+    if dim == 1:
+        xs = [p[0] for p in pts]
+        return tuple(sorted((geom.make_facet((1,), -min(xs)), geom.make_facet((-1,), max(xs)))))
+    seen = set()
+    for comb in itertools.combinations(pts, dim):
+        normal = _kernel_vector([geom.vsub(p, comb[0]) for p in comb[1:]], dim)
+        if normal is None:
+            continue
+        prim = geom.primitive_int_vector(normal)
+        b = geom.dot(prim, comb[0])
+        sides = {(geom.dot(prim, p) > b) - (geom.dot(prim, p) < b) for p in pts}
+        if sides >= {1, -1}:
+            continue
+        # orient inward: <l, p> >= -offset at every point
+        seen.add(geom.Facet(prim, -b) if 1 in sides else geom.Facet(tuple(-a for a in prim), b))
+    return tuple(sorted(seen))
+
+
+def brute_force_vertices(h):
+    """Reference H->V: recession search over (n-1)-subsets of normals, then
+    every nonsingular n-subset of inequalities solved and kept when
+    feasible.  Returns (sorted vertices, sorted facets of h)."""
+    n = h.dim
+    normals = [f.normal for f in h.facets]
+    if len(geom._eliminate(normals)[1]) < n:
+        raise UnboundedPolytope("facet normals do not span the space")
+    for comb in itertools.combinations(normals, n - 1):
+        d = _kernel_vector(comb, n)
+        if d is None:
+            continue
+        for cand in (d, tuple(-x for x in d)):
+            if all(geom.dot(f.normal, cand) >= 0 for f in h.facets):
+                raise UnboundedPolytope("recession direction exists")
+    verts = set()
+    for comb in itertools.combinations(h.facets, n):
+        m, pivots, _ = geom._eliminate([f.normal + (-f.offset,) for f in comb])
+        if pivots == list(range(n)):
+            p = tuple(row[n] for row in m)
+            if h.contains(p):
+                verts.add(p)
+    if not verts:
+        raise DegeneratePolytope("empty feasible set")
+    out = tuple(sorted(verts))
+    if len(geom._eliminate([geom.vsub(p, out[0]) for p in out])[1]) < n:
+        raise DegeneratePolytope("feasible set has empty interior")
+    return out, brute_force_facets(n, out)
 
 
 def random_rational_polytope(rng: random.Random, dim: int,

@@ -8,7 +8,7 @@ import pytest
 from fanokit import arrangements as arr
 from fanokit import toric_heights as th
 from fanokit.arrangements import WeightVector
-from fanokit.errors import InvalidDegree, InvalidWeight, NotFano, NotSemistable
+from fanokit.errors import InvalidDegree, InvalidWeight, NotFano, NotSemistable, OutOfRange
 
 
 def rational_degree(rng: random.Random, n: int) -> F:
@@ -130,6 +130,12 @@ class TestStabilityPolytope:
         assert sp.c_value == pytest.approx(3 - math.sqrt(2), abs=1e-12)
         assert len(sp.vertices) == 4
 
+    def test_degree_beyond_double_range(self):
+        # 151^150 - 1 is no perfect 150th power and overflows float()
+        sp = arr.stability_polytope(150, 2, 151**150 - 1)
+        assert not sp.c_exact
+        assert abs(sp.c_value) <= 1e-12
+
     def test_invalid_degree(self):
         with pytest.raises(InvalidDegree):
             arr.stability_polytope(2, 4, 0)
@@ -205,6 +211,13 @@ class TestReduceToToric:
                 for i in support:
                     rebuilt[i] += coef * level
             assert tuple(rebuilt) == w.weights
+
+
+    def test_decomposition_outside_the_hypersimplex(self):
+        with pytest.raises(OutOfRange):
+            arr.hypersimplex_decomposition([F(1, 2), F(1, 2)], 2)
+        with pytest.raises(OutOfRange):
+            arr.hypersimplex_decomposition([F(3, 2), F(1, 2), F(0)], 2)
 
 
 class TestConvexity:

@@ -71,6 +71,22 @@ class TestSubcommands:
         payload = json.loads(out)
         assert code == 0 and payload["semistable"] is True
 
+    def test_semistable_integrates_once(self, capsys, monkeypatch):
+        from fanokit import geometry
+
+        original = geometry.volume_and_moment
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "volume_and_moment", spy)
+        code, out, _ = run_cli(["semistable", "--preset", "p3"], capsys)
+        assert code == 0
+        assert json.loads(out)["semistable"] is True
+        assert len(calls) == 1
+
     def test_semistable_weights(self, capsys):
         code, out, _ = run_cli(
             ["semistable", "--json",
@@ -110,6 +126,14 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["vertex_count"] == 3
         assert ["1/2", "1/2", "0"] in payload["vertices"]
+
+    def test_stability_polytope_degree_beyond_double_range(self, capsys):
+        code, out, _ = run_cli(["stability-polytope", "--n", "150", "--m", "2",
+                                "--degree", str(151**150 - 1)], capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["c_exact"] is False
+        assert abs(payload["c"]) <= 1e-12
 
     def test_arrangement_bound(self, capsys):
         code, out, _ = run_cli(
@@ -306,7 +330,7 @@ OPERATION_COVERAGE = [
     ("fanokit.geometry", "transform", ["reproduce-paper"]),
     ("fanokit.geometry", "clip_volume_and_moment", ["sx", "--preset", "p3-blowup"]),
     ("fanokit.toric_heights", "is_k_semistable", ["semistable", "--json", P3_JSON]),
-    ("fanokit.toric_heights", "log_fano_volume", ["volume", "--json", P3_JSON]),
+    ("fanokit.toric_heights", "log_fano_volume", ["reproduce-paper"]),
     ("fanokit.hypersurfaces", "toric_family_height",
      ["diagonal", "--json", '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}']),
     ("fanokit.toric_heights", "pn_height", ["pn-height", "--n", "2"]),

@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from fanokit import geometry as geom
 from fanokit.errors import (
@@ -15,7 +18,13 @@ from fanokit.errors import (
 from fanokit import presets
 from fanokit.geometry import HPolytope, LinearMap, VPolytope
 
-from helpers import mc_volume_estimate, random_rational_polytope, random_unimodular
+from helpers import (
+    brute_force_facets,
+    brute_force_vertices,
+    mc_volume_estimate,
+    random_rational_polytope,
+    random_unimodular,
+)
 
 
 def unit_cube(n):
@@ -268,7 +277,7 @@ class TestMonteCarloOracle:
 
 
 def assert_facets_invariant(v):
-    assert v.facets == geom.facets_from_points(v.dim, v.vertices)
+    assert v.facets == brute_force_facets(v.dim, v.vertices)
 
 
 @st.composite
@@ -332,3 +341,86 @@ class TestFiveDimensional:
             moved = geom.translate(geom.transform(v, t), shift)
             assert geom.volume(moved) == vol
             assert geom.barycenter(moved) == geom.vadd(t.apply(bary), shift)
+
+
+def cross_polytope(n):
+    """|x_1| + ... + |x_n| <= 1: every vertex lies on 2^(n-1) facets."""
+    signs = itertools.product((1, -1), repeat=n)
+    return HPolytope(n, tuple((s, 1) for s in signs))
+
+
+SQUARE_PYRAMID = HPolytope(3, (((0, 0, 1), 0), ((1, 0, -1), 1), ((-1, 0, -1), 1),
+                               ((0, 1, -1), 1), ((0, -1, -1), 1)))
+
+
+def four_cube_images():
+    rng = random.Random(61)
+    cube = geom.enumerate_vertices(unit_cube(4))
+    return [geom.to_hpolytope(geom.transform(cube, random_unimodular(rng, 4)))
+            for _ in range(3)]
+
+
+def repeated_and_redundant():
+    cube = unit_cube(3).facets
+    # a repeat of z >= 0, a loose copy of x <= 1, x + y + z >= 0 tight at the
+    # origin only, and x + y <= 3/2: the two copies of z >= 0 are tight on the
+    # diagonal (0, 0, 0), (1, 1, 0), which the cut separates but which are no edge
+    return HPolytope(3, cube + (cube[4], (cube[1].normal, cube[1].offset + 1),
+                                ((1, 1, 1), 0), ((-1, -1, 0), F(3, 2))))
+
+
+HALF = F(1, 2)
+CUBE_3 = list(itertools.product((0, 1), repeat=3))
+
+
+class TestDoubleDescription:
+    """The double-description conversions against brute-force oracles, on
+    non-simple and degenerate inputs."""
+
+    @pytest.mark.parametrize("h", [cross_polytope(3), SQUARE_PYRAMID, *four_cube_images(),
+                                   repeated_and_redundant()],
+                             ids=["cross-3", "square-pyramid", "cube-4-a", "cube-4-b",
+                                  "cube-4-c", "repeated-redundant"])
+    def test_h_to_v_matches_oracle(self, h):
+        vertices, facets = brute_force_vertices(h)
+        v = geom.enumerate_vertices(h)
+        assert (v.vertices, v.facets) == (vertices, facets)
+        assert VPolytope.from_points(h.dim, vertices) == v
+
+    @pytest.mark.parametrize("pts", [
+        # the apex, twice, is tight on two opposite side faces that share no edge
+        [(0, 0, 1), (0, 0, 1), (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (2, 0, 0)],
+        [tuple(HALF if j != i else s for j in range(3)) for i in range(3) for s in (0, 1)]
+        + [(HALF,) * 3] + CUBE_3 + CUBE_3[:3],
+    ], ids=["repeated-apex", "cube-with-centers"])
+    def test_v_to_h_matches_oracle(self, pts):
+        facets = brute_force_facets(3, pts)
+        assert geom.facets_from_points(3, pts) == facets
+        v = VPolytope.from_points(3, pts)
+        assert (v.vertices, v.facets) == brute_force_vertices(HPolytope(3, facets))
+
+    def test_empty_with_recession_direction_is_unbounded(self):
+        # x >= 1 and x <= 0 is empty; y >= 0 leaves the recession direction (0, 1)
+        h = HPolytope(2, (((1, 0), -1), ((-1, 0), 0), ((0, 1), 0)))
+        with pytest.raises(UnboundedPolytope):
+            brute_force_vertices(h)
+        with pytest.raises(UnboundedPolytope):
+            geom.enumerate_vertices(h)
+
+    def test_from_points_does_not_enumerate_vertices(self, monkeypatch):
+        def spy(h):
+            raise AssertionError("from_points called enumerate_vertices")
+
+        monkeypatch.setattr(geom, "enumerate_vertices", spy)
+        monkeypatch.setattr(geom, "_vertices_of", spy)
+        v = VPolytope.from_points(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])
+        assert len(v.vertices) == 4 and len(v.facets) == 4
+
+    def test_ten_points_in_r5(self):
+        rng = random.Random(5)
+        pts = [tuple(F(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(5))
+               for _ in range(10)]
+        v = VPolytope.from_points(5, pts)
+        assert v.facets == brute_force_facets(5, pts)
+        hull = ConvexHull(np.array([[float(x) for x in p] for p in pts]))
+        assert set(v.vertices) == {geom.vec(pts[i]) for i in hull.vertices}
