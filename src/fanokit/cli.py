@@ -78,7 +78,7 @@ def _policy(args, data=None) -> zeta.PrecisionPolicy:
     return zeta.PrecisionPolicy(target_abs_error=eps)
 
 
-def _need_polytope(data, args=None) -> geom.HPolytope:
+def _need_polytope(data, args=None) -> geom.HPolytope | geom.VPolytope:
     preset = getattr(args, "preset", None) if args is not None else None
     if preset:
         if data is not None:
@@ -89,14 +89,22 @@ def _need_polytope(data, args=None) -> geom.HPolytope:
         return presets.POLYTOPE_PRESETS[preset]()
     if data is None:
         raise InputError("missing input: give --input, --json or --preset")
-    p = jsonio.polytope_from_json(data)
-    if isinstance(p, geom.VPolytope):
-        return geom.to_hpolytope(p)
-    return p
+    return jsonio.polytope_from_json(data)
+
+
+def _need_vertices(data, args=None) -> geom.VPolytope:
+    """The input polytope with its vertices; a point cloud is already hulled."""
+    p = _need_polytope(data, args)
+    return p if isinstance(p, geom.VPolytope) else geom.enumerate_vertices(p)
+
+
+def _need_facets(data, args=None) -> geom.HPolytope:
+    p = _need_polytope(data, args)
+    return geom.to_hpolytope(p) if isinstance(p, geom.VPolytope) else p
 
 
 def _toric_from(data, args=None) -> toric.ToricLogFano:
-    return toric.ToricLogFano(_need_polytope(data, args))
+    return toric.ToricLogFano(_need_facets(data, args))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -118,8 +126,7 @@ def _cmd_semistable(args, data) -> dict:
 
 
 def _cmd_volume(args, data) -> dict:
-    h = _need_polytope(data, args)
-    v = geom.enumerate_vertices(h)
+    v = _need_vertices(data, args)
     if args.cut_normal is not None or args.cut_offset is not None:
         if args.cut_normal is None or args.cut_offset is None:
             raise InputError("--cut-normal and --cut-offset go together")
@@ -128,20 +135,19 @@ def _cmd_volume(args, data) -> dict:
         except ValueError as exc:
             raise InputError(f"bad cut normal: {exc}") from exc
         cutoff = jsonio.frac_from_json(args.cut_offset)
-        if len(normal) != h.dim:
+        if len(normal) != v.dim:
             raise InputError("cut normal has wrong dimension")
         v = geom.intersect_halfspace(v, normal, cutoff)
     vol = geom.volume(v)
     return {
         "vertex_count": len(v.vertices),
         "poly_volume": jsonio.frac_to_str(vol),
-        "degree": jsonio.frac_to_str(math.factorial(h.dim) * vol),
+        "degree": jsonio.frac_to_str(math.factorial(v.dim) * vol),
     }
 
 
 def _cmd_barycenter(args, data) -> dict:
-    h = _need_polytope(data, args)
-    bary = geom.barycenter(geom.enumerate_vertices(h))
+    bary = geom.barycenter(_need_vertices(data, args))
     return {
         "barycenter": [jsonio.frac_to_str(x) for x in bary],
         "is_origin": all(x == 0 for x in bary),
@@ -162,7 +168,7 @@ def _cmd_sx(args, data) -> dict:
         return payload
     if data is None:
         raise InputError("sx needs --preset or a polytope JSON input")
-    result = sx.sx_invariant(_need_polytope(data))
+    result = sx.sx_invariant(_need_facets(data))
     return result.to_json()
 
 
@@ -201,7 +207,7 @@ def _cmd_universal_bound(args, data) -> dict:
 def _cmd_gap_check(args, data) -> dict:
     t = _toric_from(data, args)
     report = toric.gap_check(t)
-    sing = toric.vertex_singularity_report(t)
+    sing = report.singularities
     gorenstein = None
     if all(f.offset == 1 for f in t.polytope.facets):
         gorenstein = toric.is_gorenstein(t)
@@ -390,23 +396,6 @@ def _cmd_reproduce_paper(args, data) -> dict:
     return payload
 
 
-_HANDLERS = {
-    "semistable": _cmd_semistable,
-    "volume": _cmd_volume,
-    "barycenter": _cmd_barycenter,
-    "sx": _cmd_sx,
-    "pn-height": _cmd_pn_height,
-    "scaled-height": _cmd_scaled_height,
-    "universal-bound": _cmd_universal_bound,
-    "gap-check": _cmd_gap_check,
-    "stability-polytope": _cmd_stability_polytope,
-    "arrangement-bound": _cmd_arrangement_bound,
-    "diagonal": _cmd_diagonal,
-    "p1-zeta-height": _cmd_p1_zeta_height,
-    "reproduce-paper": _cmd_reproduce_paper,
-}
-
-
 # -- output ---------------------------------------------------------------------
 
 def _flatten(prefix: str, obj, out: list[tuple[str, str]]):
@@ -449,13 +438,46 @@ def _emit(payload: dict, fmt: str) -> str:
 
 # -- argument parsing -------------------------------------------------------------
 
+_POLYTOPE_PRESET = (("--preset",), {"choices": sorted(presets.POLYTOPE_PRESETS)})
+_N = (("--n",), {"type": int})
+
+# subcommand -> (handler, the options it adds to the shared ones)
+_COMMANDS = {
+    "semistable": (_cmd_semistable, [_POLYTOPE_PRESET]),
+    "volume": (_cmd_volume, [
+        _POLYTOPE_PRESET,
+        (("--cut-normal",), {"help": "integer vector 'a,b,...' to clip by before measuring"}),
+        (("--cut-offset",), {"help": "rational cutoff c for <normal, x> <= c"}),
+    ]),
+    "barycenter": (_cmd_barycenter, [_POLYTOPE_PRESET]),
+    "sx": (_cmd_sx, [(("--preset",), {"choices": sorted(presets.SX_PRESETS)})]),
+    "pn-height": (_cmd_pn_height, [_N]),
+    "scaled-height": (_cmd_scaled_height, [
+        _N, (("--t",), {"help": "rational in (0,1], e.g. '1/2'"})]),
+    "universal-bound": (_cmd_universal_bound, [
+        _N, (("--volume",), {"help": "poly-volume as 'p/q'"})]),
+    "gap-check": (_cmd_gap_check, [_POLYTOPE_PRESET]),
+    "stability-polytope": (_cmd_stability_polytope, [
+        _N, (("--m",), {"type": int}),
+        (("--degree",), {"help": "target degree as 'p/q'"})]),
+    "arrangement-bound": (_cmd_arrangement_bound, []),
+    "diagonal": (_cmd_diagonal, [
+        (("--det-t",), {"type": float,
+                        "help": "|det T| for the general linear height delta"})]),
+    "p1-zeta-height": (_cmd_p1_zeta_height, []),
+    "reproduce-paper": (_cmd_reproduce_paper, [
+        (("--perturb",), {"action": "store_true",
+                          "help": "negative control: perturb one preset and expect a mismatch"})]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanokit",
         description="K-semistability tests and height bounds for toric log Fano data",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", help="path to a JSON input file")
         p.add_argument("--json", help="inline JSON input")
@@ -464,43 +486,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for batch inputs")
-        if name == "sx":
-            p.add_argument("--preset", choices=sorted(presets.SX_PRESETS))
-        if name in ("volume", "barycenter", "semistable", "gap-check"):
-            p.add_argument("--preset",
-                           choices=sorted(presets.POLYTOPE_PRESETS))
-        if name == "volume":
-            p.add_argument("--cut-normal", dest="cut_normal",
-                           help="integer vector 'a,b,...' to clip by before measuring")
-            p.add_argument("--cut-offset", dest="cut_offset",
-                           help="rational cutoff c for <normal, x> <= c")
-        if name in ("pn-height", "scaled-height", "universal-bound",
-                    "stability-polytope"):
-            p.add_argument("--n", type=int)
-        if name == "scaled-height":
-            p.add_argument("--t", help="rational in (0,1], e.g. '1/2'")
-        if name == "universal-bound":
-            p.add_argument("--volume", help="poly-volume as 'p/q'")
-        if name == "stability-polytope":
-            p.add_argument("--m", type=int)
-            p.add_argument("--degree", help="target degree as 'p/q'")
-        if name == "diagonal":
-            p.add_argument("--det-t", dest="det_t", type=float,
-                           help="|det T| for the general linear height delta")
-        if name == "reproduce-paper":
-            p.add_argument("--perturb", action="store_true",
-                           help="negative control: perturb one preset and expect a mismatch")
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
     return parser
+
+
+# parse_args fills a fresh namespace on every call, so one parser serves all runs
+_PARSER = _build_parser()
 
 
 def run(argv: list[str]) -> int:
     """Parse argv, dispatch, print the report; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    handler = _HANDLERS[args.subcommand]
+    handler = _COMMANDS[args.subcommand][0]
     try:
         data = _load_input(args)
         if data is not None and "batch" in data:

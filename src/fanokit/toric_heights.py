@@ -274,6 +274,7 @@ class GapReport:
     singular: bool
     certificate_bound: Fraction | None   # (1/2)(n+1)^n / n! when singular
     certificate_holds: bool | None
+    singularities: tuple[VertexSingularity, ...]
 
 
 def gap_check(t: ToricLogFano) -> GapReport:
@@ -300,4 +301,4 @@ def gap_check(t: ToricLogFano) -> GapReport:
         verdict = GapVerdict.SATISFIES_GAP
     else:
         verdict = GapVerdict.VIOLATES_GAP
-    return GapReport(verdict, vol, threshold, singular, cert_bound, cert_holds)
+    return GapReport(verdict, vol, threshold, singular, cert_bound, cert_holds, report)

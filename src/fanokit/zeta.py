@@ -1,13 +1,14 @@
 """Hurwitz zeta machinery and the closed-form canonical height of the
 projective line with three weighted marked points.
 
-zeta(s, x) and its s-derivative are evaluated by Euler-Maclaurin summation
-with an explicit Bernoulli tail bound; the reported ``abs_error`` is the
-certified truncation remainder plus an accumulated rounding estimate.  The
-height formula needs F(x) = zeta(-1, x) + zeta'(-1, x); for weight sums
-above the Fano range the formula continues real-analytically, which is
-realized here with a one-step complex shift whose imaginary part cancels
-against the complex logarithm of the (negative) degree.
+``hurwitz_zeta`` is the one Euler-Maclaurin routine: a single pass gives
+zeta(s, x), its s-derivative and an error bound on each, the certified
+Bernoulli tail remainder plus an accumulated rounding estimate.  The height
+formula needs F(x) = zeta(-1, x) + zeta'(-1, x), evaluated once per distinct
+argument of a height.  For weight sums above the Fano range the formula
+continues real-analytically, which is realized here with a one-step complex
+shift whose imaginary part cancels against the complex logarithm of the
+(negative) degree.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arrangements import WeightVector, is_arrangement_semistable
 from .errors import (
@@ -79,9 +81,24 @@ def _rising_with_derivative(s: float, m: int) -> tuple[float, float]:
     return p, dp
 
 
-def _em_pair(s: float, x: float, policy: PrecisionPolicy
-             ) -> tuple[float, float, float, float]:
-    """Euler-Maclaurin (zeta(s,x), d/ds zeta(s,x), err, err_deriv), x > 0."""
+class ZetaValue(NamedTuple):
+    """zeta(s, x), its s-derivative, and a certified bound on the error of each."""
+
+    value: float
+    derivative: float
+    error: float
+    derivative_error: float
+
+
+def hurwitz_zeta(s: float, x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> ZetaValue:
+    """zeta(s, x) and d/ds zeta(s, x) for real s != 1 and x >= 0 (x = 0 via
+    zeta(s, 1), the continuation value used throughout), from one
+    Euler-Maclaurin pass differentiated term by term."""
+    if x < 0:
+        raise DomainError("x must be nonnegative")
+    if x == 0:
+        x = 1.0
+    s, x = float(s), float(x)
     if s == 1:
         raise PoleAtOne("zeta(s, x) has its pole at s = 1")
     m = policy.bernoulli_terms
@@ -125,52 +142,13 @@ def _em_pair(s: float, x: float, policy: PrecisionPolicy
         coeff = float(bernoulli_number(2 * j)) / math.factorial(2 * j)
         pw = a ** (-s - 2 * j + 1)
         add(coeff * p * pw, coeff * pw * (dp - p * la))
-    round_z = 8 * _EPS * mag_z
-    round_dz = 8 * _EPS * mag_dz
-    return z, dz, err_z + round_z, err_dz + round_dz
-
-
-def hurwitz_zeta(s: float, x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """zeta(s, x) for real s != 1 and x >= 0 (x = 0 via zeta(s, 1), the
-    continuation value used throughout)."""
-    if x < 0:
-        raise DomainError("x must be nonnegative")
-    if x == 0:
-        x = 1.0
-    return _em_pair(float(s), float(x), policy)[0]
-
-
-def hurwitz_zeta_with_error(s: float, x: float,
-                            policy: PrecisionPolicy = DEFAULT_POLICY
-                            ) -> tuple[float, float]:
-    if x < 0:
-        raise DomainError("x must be nonnegative")
-    if x == 0:
-        x = 1.0
-    z, _, err, _ = _em_pair(float(s), float(x), policy)
-    return z, err
-
-
-def hurwitz_zeta_s_derivative(s: float, x: float,
-                              policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """d/ds zeta(s, x), term-wise differentiated Euler-Maclaurin."""
-    if x < 0:
-        raise DomainError("x must be nonnegative")
-    if x == 0:
-        x = 1.0
-    return _em_pair(float(s), float(x), policy)[1]
-
-
-def hurwitz_zeta_s_derivative_at_minus1(
-    x: float, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> float:
-    return hurwitz_zeta_s_derivative(-1.0, x, policy)
+    return ZetaValue(z, dz, err_z + 8 * _EPS * mag_z, err_dz + 8 * _EPS * mag_dz)
 
 
 def f_value(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
     """F(x) = zeta(-1, x) + zeta'(-1, x) for x >= 0; F(0) = F(1)."""
-    return (hurwitz_zeta(-1.0, x, policy)
-            + hurwitz_zeta_s_derivative_at_minus1(x, policy))
+    z = hurwitz_zeta(-1.0, x, policy)
+    return z.value + z.derivative
 
 
 def _f_error_estimate(policy: PrecisionPolicy) -> float:
@@ -251,24 +229,22 @@ def p1_canonical_height(inp: ZetaHeightInput,
         raise ZeroVolume("V = 2 - sum(w) must be nonzero")
     h = v / 2
 
-    def gamma_c(a: float, b: float) -> tuple[complex, float]:
-        if min(a, b, 1 - a, 1 - b) >= 0:
-            return complex(gamma_ab(a, b, policy)), 4 * _f_error_estimate(policy)
-        fb, e1 = _f_complex(b, policy)
-        f1b, e2 = _f_complex(1 - b, policy)
-        fa, e3 = _f_complex(a, policy)
-        f1a, e4 = _f_complex(1 - a, policy)
-        return (fb - fa) + (f1b - f1a), e1 + e2 + e3 + e4
+    memo: dict[float, tuple[complex, float]] = {}
+
+    def f_at(x: float) -> tuple[complex, float]:
+        if x == 0:
+            x = 1.0     # F(0) = F(1)
+        if x not in memo:
+            memo[x] = _f_complex(x, policy)
+        return memo[x]
 
     total = complex(0)
     err = 0.0
-    g, e = gamma_c(0.0, h)
-    total += g
-    err += e
-    for w in inp.weights:
-        g, e = gamma_c(float(w), float(w) + h)
-        total += g
-        err += e
+    for a, b in [(0.0, h)] + [(float(w), float(w) + h) for w in inp.weights]:
+        (fb, e1), (f1b, e2), (fa, e3), (f1a, e4) = map(f_at, (b, 1 - b, a, 1 - a))
+        # gamma(a, b), in paired differences so that gamma(a, a) cancels exactly
+        total += (fb - fa) + (f1b - f1a)
+        err += e1 + e2 + e3 + e4
     bracket = 0.5 * (1 + math.log(math.pi) - cmath.log(complex(h))) - total / v
     value_c = 2 * v * bracket
     abs_err = 2 * abs(v) * (err / abs(v) + 16 * _EPS * abs(bracket)) + 8 * _EPS * abs(value_c)

@@ -97,8 +97,8 @@ def test_criterion_6_hurwitz_oracle():
     for _ in range(50):
         x = rng.uniform(1e-6, 2.0)
         bern = -(x * x - x + 1 / 6) / 2
-        assert abs(zeta.hurwitz_zeta(-1, x) - bern) <= 1e-10
-    dz = zeta.hurwitz_zeta_s_derivative_at_minus1(1.0)
+        assert abs(zeta.hurwitz_zeta(-1, x).value - bern) <= 1e-10
+    dz = zeta.hurwitz_zeta(-1, 1.0).derivative
     assert abs(dz - ZETA_PRIME_MINUS1_AT_1) <= 1e-8
     _report(6, "zeta(-1,x) matches -B2(x)/2 on 50 samples to 1e-10; "
                "zeta'(-1,1) matches the Glaisher value to 1e-8")

@@ -245,6 +245,128 @@ class TestPointCloudInput:
         assert len(calls) == 1
 
 
+    @pytest.mark.parametrize("command, expected", [
+        ("volume", "8"),
+        ("barycenter", ["1", "1", "1"]),
+    ])
+    def test_cloud_runs_double_description_once(self, command, expected, capsys,
+                                                monkeypatch):
+        from fanokit import geometry
+
+        geometry._vertices_of.cache_clear()
+        original = geometry._extreme_rays
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "_extreme_rays", spy)
+        cloud = [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)] + [[1, 1, 1]]
+        code, out, _ = run_cli([command, "--json", json.dumps({"dim": 3, "vertices": cloud})],
+                               capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["poly_volume" if command == "volume" else "barycenter"] == expected
+        assert len(calls) == 1
+
+
+class TestParserReuse:
+    def test_no_option_leaks_into_the_next_run(self, capsys):
+        cut = ["volume", "--preset", "p3", "--cut-normal=1,1,1", "--cut-offset", "0"]
+        code, out, _ = run_cli(cut, capsys)
+        assert code == 0
+        assert json.loads(out)["poly_volume"] == "9/2"
+        code, out, _ = run_cli(["volume", "--preset", "p3"], capsys)
+        assert code == 0
+        assert json.loads(out)["poly_volume"] == "32/3"
+
+    def test_gap_check_reports_singularities_once(self, capsys, monkeypatch):
+        from fanokit import toric_heights
+
+        original = toric_heights.vertex_singularity_report
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(toric_heights, "vertex_singularity_report", spy)
+        code, out, _ = run_cli(["gap-check", "--preset", "p3"], capsys)
+        assert code == 0
+        assert json.loads(out)["vertex_dets"] == [1, 1, 1, 1]
+        assert len(calls) == 1
+
+
+ZETA_FANO_OUT = """{
+  "V": 0.966666666667,
+  "abs_error": 6.58332667943e-11,
+  "branch": "fano",
+  "convention": "raw_height",
+  "formula": "p1_three_points_zeta[fano]",
+  "semistable_advisory": true,
+  "value": 2.67915216032
+}
+"""
+ZETA_CONTINUATION_OUT = """{
+  "V": -0.7,
+  "abs_error": 6.58393173032e-11,
+  "branch": "continuation",
+  "convention": "raw_height",
+  "formula": "p1_three_points_zeta[continuation]",
+  "semistable_advisory": true,
+  "value": -2.80831264085
+}
+"""
+ZETA_PRECISION_OUT = """{
+  "V": 0.916666666667,
+  "abs_error": 6.40001832347e-07,
+  "branch": "fano",
+  "convention": "raw_height",
+  "formula": "p1_three_points_zeta[fano]",
+  "semistable_advisory": true,
+  "value": 2.50658698582
+}
+"""
+ZETA_BATCH_OUT = """{
+  "results": [
+    {
+      "V": 1.0,
+      "abs_error": 6.58341126506e-11,
+      "branch": "fano",
+      "convention": "raw_height",
+      "formula": "p1_three_points_zeta[fano]",
+      "semistable_advisory": true,
+      "value": 2.83787706641
+    },
+    {
+      "V": -0.25,
+      "abs_error": 6.58257470938e-11,
+      "branch": "continuation",
+      "convention": "raw_height",
+      "formula": "p1_three_points_zeta[continuation]",
+      "semistable_advisory": true,
+      "value": -0.87079294894
+    }
+  ]
+}
+"""
+
+
+class TestP1ZetaHeightOutput:
+    # exact stdout, each F argument evaluated once per height
+    @pytest.mark.parametrize("data, expected", [
+        ({"weights": ["1/2", "1/3", "1/5"]}, ZETA_FANO_OUT),
+        ({"weights": ["9/10", "9/10", "9/10"]}, ZETA_CONTINUATION_OUT),
+        ({"weights": ["1/4", "1/3", "1/2"], "precision": 1e-8}, ZETA_PRECISION_OUT),
+        ({"batch": [{"weights": ["1/2", "1/2", "0"]}, {"weights": ["3/4", "2/3", "5/6"]}]},
+         ZETA_BATCH_OUT),
+    ], ids=["fano", "continuation", "precision", "batch"])
+    def test_pinned_stdout(self, data, expected, capsys):
+        code, out, err = run_cli(["p1-zeta-height", "--json", json.dumps(data)], capsys)
+        assert (code, out, err) == (0, expected, "")
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):
         argv = ["sx", "--preset", "p3-blowup"]
@@ -373,10 +495,6 @@ OPERATION_COVERAGE = [
     ("fanokit.zeta", "p1_canonical_height",
      ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),
     ("fanokit.zeta", "hurwitz_zeta",
-     ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),
-    ("fanokit.zeta", "gamma_ab",
-     ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),
-    ("fanokit.zeta", "hurwitz_zeta_s_derivative_at_minus1",
      ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),
     ("fanokit.zeta", "f_value",
      ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),

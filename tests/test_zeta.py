@@ -31,19 +31,19 @@ def bernoulli2(x: float) -> float:
 class TestHurwitzZeta:
     def test_bernoulli_closed_form_at_negative_one(self):
         for x in (0.25, 0.5, 1.0, 1.5):
-            assert zeta.hurwitz_zeta(-1, x) == pytest.approx(
+            assert zeta.hurwitz_zeta(-1, x).value == pytest.approx(
                 -bernoulli2(x) / 2, abs=1e-12)
 
     def test_random_points_against_bernoulli_oracle(self):
         rng = random.Random(7)
         for _ in range(50):
             x = rng.uniform(1e-3, 2.0)
-            assert zeta.hurwitz_zeta(-1, x) == pytest.approx(
+            assert zeta.hurwitz_zeta(-1, x).value == pytest.approx(
                 -bernoulli2(x) / 2, abs=1e-10)
 
     def test_riemann_values(self):
-        assert zeta.hurwitz_zeta(-1, 1.0) == pytest.approx(-1 / 12, abs=1e-13)
-        assert zeta.hurwitz_zeta(2, 1.0) == pytest.approx(math.pi**2 / 6, abs=1e-12)
+        assert zeta.hurwitz_zeta(-1, 1.0).value == pytest.approx(-1 / 12, abs=1e-13)
+        assert zeta.hurwitz_zeta(2, 1.0).value == pytest.approx(math.pi**2 / 6, abs=1e-12)
 
     def test_pole(self):
         with pytest.raises(PoleAtOne):
@@ -57,32 +57,37 @@ class TestHurwitzZeta:
         for s in (-1.0, 2.0):
             for k in range(1, 11):
                 x = k / 10
-                lhs = zeta.hurwitz_zeta(s, x, TIGHT)
-                rhs = zeta.hurwitz_zeta(s, x + 1, TIGHT) + x ** (-s)
+                lhs = zeta.hurwitz_zeta(s, x, TIGHT).value
+                rhs = zeta.hurwitz_zeta(s, x + 1, TIGHT).value + x ** (-s)
                 assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_reported_error_is_honest(self):
         for x in (0.25, 0.7, 1.3):
-            val, err = zeta.hurwitz_zeta_with_error(-1, x)
-            assert abs(val - (-bernoulli2(x) / 2)) <= err
+            z = zeta.hurwitz_zeta(-1, x)
+            assert abs(z.value - (-bernoulli2(x) / 2)) <= z.error
 
 
 class TestDerivative:
     def test_glaisher_value(self):
-        got = zeta.hurwitz_zeta_s_derivative_at_minus1(1.0)
+        got = zeta.hurwitz_zeta(-1, 1.0).derivative
         assert got == pytest.approx(ZETA_PRIME_MINUS1_AT_1, abs=1e-8)
 
     def test_spot_references(self):
         for x, ref in ZETA_PRIME_REF.items():
-            assert zeta.hurwitz_zeta_s_derivative_at_minus1(x) == pytest.approx(
+            assert zeta.hurwitz_zeta(-1, x).derivative == pytest.approx(
                 ref, abs=1e-10)
+
+    def test_reported_error_is_honest(self):
+        for x, ref in ZETA_PRIME_REF.items():
+            z = zeta.hurwitz_zeta(-1, x)
+            assert abs(z.derivative - ref) <= z.derivative_error
 
     def test_central_finite_difference(self):
         h = 1e-5
         for x in (0.4, 1.0, 1.7):
-            fd = (zeta.hurwitz_zeta(-1 + h, x, TIGHT)
-                  - zeta.hurwitz_zeta(-1 - h, x, TIGHT)) / (2 * h)
-            assert zeta.hurwitz_zeta_s_derivative(-1, x) == pytest.approx(
+            fd = (zeta.hurwitz_zeta(-1 + h, x, TIGHT).value
+                  - zeta.hurwitz_zeta(-1 - h, x, TIGHT).value) / (2 * h)
+            assert zeta.hurwitz_zeta(-1, x).derivative == pytest.approx(
                 fd, abs=1e-6)
 
 
@@ -107,9 +112,9 @@ class TestF:
             coarse = PrecisionPolicy(target_abs_error=10.0**-exp)
             fine = PrecisionPolicy(target_abs_error=10.0**-(exp + 1))
             for x in (0.3, 0.9, 1.4):
-                a, ea = zeta.hurwitz_zeta_with_error(-1, x, coarse)
-                b, _ = zeta.hurwitz_zeta_with_error(-1, x, fine)
-                assert abs(a - b) <= ea
+                a = zeta.hurwitz_zeta(-1, x, coarse)
+                b = zeta.hurwitz_zeta(-1, x, fine)
+                assert abs(a.value - b.value) <= a.error
 
     def test_policy_validation(self):
         with pytest.raises(OutOfRange):
@@ -177,6 +182,25 @@ class TestP1CanonicalHeight:
             ZetaHeightInput(F(9, 10), F(9, 10), F(9, 10)))
         assert rep.formula.endswith("[continuation]")
         assert math.isfinite(rep.value)
+
+    @pytest.mark.parametrize("weights, distinct", [
+        ((F(0), F(0), F(0)), 1),                  # F(1) only
+        ((F(1, 2), F(1, 2), F(0)), 2),            # F(1/2), F(1)
+        ((F(9, 10), F(9, 10), F(9, 10)), 7),      # continuation branch
+        ((F(1, 2), F(1, 3), F(1, 5)), 14),
+    ], ids=["unweighted", "half-half-zero", "continuation", "generic"])
+    def test_one_pass_per_distinct_argument(self, weights, distinct, monkeypatch):
+        # F(0) is folded onto F(1); each other F argument costs one pass
+        original = zeta.hurwitz_zeta
+        calls = []
+
+        def spy(s, x, policy=zeta.DEFAULT_POLICY):
+            calls.append((s, x))
+            return original(s, x, policy)
+
+        monkeypatch.setattr(zeta, "hurwitz_zeta", spy)
+        zeta.p1_canonical_height(ZetaHeightInput(*weights))
+        assert len(calls) == len(set(calls)) == distinct
 
     def test_zero_volume_rejected(self):
         with pytest.raises(ZeroVolume):
