@@ -40,5 +40,5 @@ print("\nfacets before and after the cut:", len(verts.facets), len(blown_up.face
 print("facets of the determinant-2 image:")
 for f in image.facets:
     print("    <%s, x> >= %s" % (f.normal, -f.offset))
-again = geom.enumerate_vertices(geom.to_hpolytope(blown_up))
+again = geom.enumerate_vertices(HPolytope(blown_up.dim, blown_up.facets))
 print("H/V round trip stable:", again == blown_up)

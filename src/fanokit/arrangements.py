@@ -63,13 +63,13 @@ def full_weight_condition(w: WeightVector) -> bool:
     """The redundant k-subset form of the criterion, kept for cross-checks:
 
         k sum_j w_j >= (n+1) sum_{j in S} w_j   for all k <= n, |S| = k.
+
+    The largest k-subset sum is that of the k largest weights, so one
+    descending sort and its prefix sums decide every k.
     """
     total = w.total()
-    for k in range(1, w.n + 1):
-        for subset in itertools.combinations(w.weights, k):
-            if k * total < (w.n + 1) * sum(subset):
-                return False
-    return True
+    top = itertools.accumulate(sorted(w.weights, reverse=True)[:w.n])
+    return all(k * total >= (w.n + 1) * s for k, s in enumerate(top, start=1))
 
 
 def arrangement_degree(w: WeightVector) -> Fraction:

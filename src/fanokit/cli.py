@@ -6,12 +6,12 @@ an aligned table.  Exit codes: 0 success, 1 invalid input, 2 numerical
 failure (non-convergence or a reproduction mismatch).
 
 A top-level {"batch": [item, ...]} input runs the subcommand over each item
-(optionally in parallel with --jobs; items are independent).
+in order (--jobs is accepted and ignored).  Every polytope input becomes one
+``VPolytope``: a preset or facet list is enumerated once, a cloud hulled once.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -78,7 +78,7 @@ def _policy(args, data=None) -> zeta.PrecisionPolicy:
     return zeta.PrecisionPolicy(target_abs_error=eps)
 
 
-def _need_polytope(data, args=None) -> geom.HPolytope | geom.VPolytope:
+def _read_polytope(data, args=None) -> geom.HPolytope | geom.VPolytope:
     preset = getattr(args, "preset", None) if args is not None else None
     if preset:
         if data is not None:
@@ -92,19 +92,15 @@ def _need_polytope(data, args=None) -> geom.HPolytope | geom.VPolytope:
     return jsonio.polytope_from_json(data)
 
 
-def _need_vertices(data, args=None) -> geom.VPolytope:
-    """The input polytope with its vertices; a point cloud is already hulled."""
-    p = _need_polytope(data, args)
+def _need_polytope(data, args=None) -> geom.VPolytope:
+    """The input polytope with its vertices and facets; a point cloud is already hulled."""
+    p = _read_polytope(data, args)
     return p if isinstance(p, geom.VPolytope) else geom.enumerate_vertices(p)
 
 
-def _need_facets(data, args=None) -> geom.HPolytope:
-    p = _need_polytope(data, args)
-    return geom.to_hpolytope(p) if isinstance(p, geom.VPolytope) else p
-
-
 def _toric_from(data, args=None) -> toric.ToricLogFano:
-    return toric.ToricLogFano(_need_facets(data, args))
+    # ToricLogFano checks every given offset before it enumerates the vertices
+    return toric.ToricLogFano(_read_polytope(data, args))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -126,7 +122,7 @@ def _cmd_semistable(args, data) -> dict:
 
 
 def _cmd_volume(args, data) -> dict:
-    v = _need_vertices(data, args)
+    v = _need_polytope(data, args)
     if args.cut_normal is not None or args.cut_offset is not None:
         if args.cut_normal is None or args.cut_offset is None:
             raise InputError("--cut-normal and --cut-offset go together")
@@ -147,7 +143,7 @@ def _cmd_volume(args, data) -> dict:
 
 
 def _cmd_barycenter(args, data) -> dict:
-    bary = geom.barycenter(_need_vertices(data, args))
+    bary = geom.barycenter(_need_polytope(data, args))
     return {
         "barycenter": [jsonio.frac_to_str(x) for x in bary],
         "is_origin": all(x == 0 for x in bary),
@@ -168,7 +164,7 @@ def _cmd_sx(args, data) -> dict:
         return payload
     if data is None:
         raise InputError("sx needs --preset or a polytope JSON input")
-    result = sx.sx_invariant(_need_facets(data))
+    result = sx.sx_invariant(_need_polytope(data))
     return result.to_json()
 
 
@@ -485,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="target absolute error (default: FANOKIT_PRECISION or 1e-12)")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for batch inputs")
+                       help="accepted for compatibility; batch items run in order")
         for flags, kwargs in options:
             p.add_argument(*flags, **kwargs)
     return parser
@@ -508,13 +504,7 @@ def run(argv: list[str]) -> int:
             items = data["batch"]
             if not isinstance(items, list):
                 raise InputError("'batch' must be a list of inputs")
-            jobs = max(1, args.jobs)
-            if jobs > 1:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(lambda it: handler(args, it), items))
-            else:
-                results = [handler(args, it) for it in items]
-            payload = {"results": results}
+            payload = {"results": [handler(args, it) for it in items]}
         else:
             payload = handler(args, data)
     except InputError as exc:

@@ -189,11 +189,6 @@ class HPolytope:
     def contains(self, p: Sequence) -> bool:
         return all(dot(f.normal, p) >= -f.offset for f in self.facets)
 
-    def tight_indices(self, p: Sequence) -> tuple[int, ...]:
-        return tuple(
-            i for i, f in enumerate(self.facets) if dot(f.normal, p) == -f.offset
-        )
-
 
 @dataclass(frozen=True)
 class VPolytope:
@@ -215,6 +210,10 @@ class VPolytope:
                 raise ValueError("vertex has wrong dimension")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "facets", tuple(sorted(set(self.facets))))
+
+    def tight_indices(self, p: Sequence) -> tuple[int, ...]:
+        """Indices of the facets through the point p."""
+        return tuple(i for i, f in enumerate(self.facets) if dot(f.normal, p) == -f.offset)
 
     @classmethod
     def from_points(cls, dim: int, points: Iterable[Sequence]) -> "VPolytope":
@@ -249,12 +248,6 @@ def facets_from_points(dim: int, points: Sequence[Sequence]) -> tuple[Facet, ...
     """
     rows = [primitive_int_vector(vec(p) + (Fraction(1),)) for p in points]
     return tuple(sorted(make_facet(y[:dim], y[dim]) for y, _ in _extreme_rays(rows, dim + 1)))
-
-
-def to_hpolytope(v: VPolytope) -> HPolytope:
-    if _affine_rank(v.vertices) < v.dim:
-        raise DegeneratePolytope("vertex set is not full-dimensional")
-    return HPolytope(v.dim, v.facets)
 
 
 @lru_cache(maxsize=512)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from .geometry import HPolytope
 from .sx_optimizer import SimplexDifference
-from .toric_heights import ToricLogFano
 
 
 def pn_polytope(n: int) -> HPolytope:
@@ -96,10 +95,6 @@ def po_o2_normal_form() -> SimplexDifference:
     """(5*Delta_3 - 1) \\ (Delta_3 - 1); reached by a determinant-2 map."""
     return SimplexDifference(a=Fraction(5), b=Fraction(1),
                              det_correction=Fraction(2))
-
-
-def toric(polytope: HPolytope, label: str | None = None) -> ToricLogFano:
-    return ToricLogFano(polytope, label)
 
 
 SX_PRESETS = {

@@ -21,10 +21,11 @@ from fractions import Fraction
 
 from . import geometry as geom
 from .errors import EmptyBody, NoRootInRange, NonConvergence
-from .geometry import HPolytope, Vec
+from .geometry import HPolytope, Vec, VPolytope
 from .toric_heights import ToricLogFano
 
 _WIDTH = Fraction(1, 2**50)
+_CERTIFY_TOL = 1e-9   # largest |barycenter coordinate| still counted as zero
 
 
 @dataclass(frozen=True)
@@ -137,29 +138,26 @@ def solve_cut_weight(sd: SimplexDifference) -> float:
     return a - u
 
 
-def _as_polytope(obj) -> tuple[HPolytope, Fraction]:
+def _as_polytope(obj) -> tuple[VPolytope, Fraction]:
     if isinstance(obj, SimplexDifference):
-        return obj.to_hpolytope(), obj.det_correction
+        return geom.enumerate_vertices(obj.to_hpolytope()), obj.det_correction
     if isinstance(obj, ToricLogFano):
         return obj.polytope, Fraction(1)
-    if isinstance(obj, HPolytope):
+    if isinstance(obj, VPolytope):
         return obj, Fraction(1)
     raise TypeError(f"cannot optimize over {type(obj).__name__}")
 
 
-def sx_invariant(obj, det_correction=None, tol: float = 1e-9) -> SxResult:
-    """n! S(X) for a moment polytope with the origin in its interior.
+def sx_invariant(obj) -> SxResult:
+    """n! S(X) for a moment polytope with the origin in its interior, given
+    as a ``ToricLogFano``, a ``VPolytope`` or a ``SimplexDifference``.
 
     Cuts perpendicular to the barycenter direction; the cutoff is bisected
     over rationals until the bracket is narrower than 2^-50, with the moment
     integral evaluated exactly at every step.
     """
-    h, det = _as_polytope(obj)
-    if det_correction is not None:
-        det = Fraction(det_correction)
-    n = h.dim
-    nf = math.factorial(n)
-    verts = geom.enumerate_vertices(h)
+    verts, det = _as_polytope(obj)
+    nf = math.factorial(verts.dim)
     vol, mom = geom.volume_and_moment(verts)
     if all(x == 0 for x in mom):
         return SxResult(0.0, float(nf * vol / det), True, 0.0, None, None)
@@ -188,7 +186,7 @@ def sx_invariant(obj, det_correction=None, tol: float = 1e-9) -> SxResult:
     return SxResult(
         cut_weight=float(cmax - c),
         s_value=float(nf * cvol / det),
-        certified=residual <= tol,
+        certified=residual <= _CERTIFY_TOL,
         residual=residual,
         cutoff=c,
         direction=u,

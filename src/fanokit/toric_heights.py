@@ -1,6 +1,9 @@
 """Toric log Fano models: K-semistability, singularity diagnostics and the
 closed-form height formulas and bounds attached to them.
 
+A pair is one moment polytope, a ``VPolytope`` enumerated once when the pair
+is built; every test below reads its vertices and facets.
+
 Volume conventions are carried explicitly throughout:
 
 * ``degree``       -- (-(K_X + Delta))^n,
@@ -27,7 +30,7 @@ from .errors import (
     NotSemistable,
     OutOfRange,
 )
-from .geometry import HPolytope, Vec
+from .geometry import HPolytope, Vec, VPolytope
 
 _EPS = sys.float_info.epsilon
 
@@ -90,10 +93,11 @@ class ToricLogFano:
     """Moment-polytope presentation of a toric log Fano pair.
 
     Facet inequalities <l_F, p> >= -a_F with primitive integer l_F and
-    a_F in (0, 1]; a_F = 1 for every facet is the anticanonical case.
+    a_F in (0, 1]; a_F = 1 for every facet is the anticanonical case.  An
+    ``HPolytope`` has every given offset checked, then is enumerated once.
     """
 
-    polytope: HPolytope
+    polytope: VPolytope
     label: str | None = None
 
     def __post_init__(self):
@@ -102,6 +106,8 @@ class ToricLogFano:
                 raise OutOfRange(
                     f"facet offset {f.offset} outside (0, 1]"
                 )
+        if isinstance(self.polytope, HPolytope):
+            object.__setattr__(self, "polytope", geom.enumerate_vertices(self.polytope))
 
     @property
     def dim(self) -> int:
@@ -110,7 +116,7 @@ class ToricLogFano:
     @cached_property
     def barycenter(self) -> Vec:
         """Exact barycenter of the moment polytope, integrated once per pair."""
-        return geom.barycenter(geom.enumerate_vertices(self.polytope))
+        return geom.barycenter(self.polytope)
 
 
 def is_k_semistable(t: ToricLogFano) -> bool:
@@ -119,8 +125,7 @@ def is_k_semistable(t: ToricLogFano) -> bool:
 
 
 def log_fano_volume(t: ToricLogFano) -> VolumePair:
-    vol = geom.volume(geom.enumerate_vertices(t.polytope))
-    return VolumePair.from_poly_volume(t.dim, vol)
+    return VolumePair.from_poly_volume(t.dim, geom.volume(t.polytope))
 
 
 class VertexSingularity(NamedTuple):
@@ -137,12 +142,12 @@ def vertex_singularity_report(t: ToricLogFano) -> tuple[VertexSingularity, ...]:
     vertex is simple (exactly n facets meet).  Non-simple vertices are
     flagged, not fatal.
     """
-    h = t.polytope
+    v = t.polytope
     out = []
-    for p in geom.enumerate_vertices(h).vertices:
-        tight = h.tight_indices(p)
-        if len(tight) == h.dim:
-            d = abs(geom.LinearMap([h.facets[i].normal for i in tight]).determinant)
+    for p in v.vertices:
+        tight = v.tight_indices(p)
+        if len(tight) == v.dim:
+            d = abs(geom.LinearMap([v.facets[i].normal for i in tight]).determinant)
             out.append(VertexSingularity(p, tight, True, int(d)))
         else:
             out.append(VertexSingularity(p, tight, False, None))
@@ -157,20 +162,19 @@ def is_gorenstein(t: ToricLogFano) -> bool:
     """Reflexivity test: all vertices integral.  Requires a_F = 1 throughout."""
     if any(f.offset != 1 for f in t.polytope.facets):
         raise NotAnticanonical("Gorenstein test applies to the a_F = 1 polytope")
-    verts = geom.enumerate_vertices(t.polytope).vertices
-    return all(x.denominator == 1 for p in verts for x in p)
+    return all(x.denominator == 1 for p in t.polytope.vertices for x in p)
 
 
-def is_pn_polytope(h: HPolytope) -> bool:
+def is_pn_polytope(v: VPolytope) -> bool:
     """Does the normal fan equal the fan of P^n up to GL_n(Z)?
 
     Equivalent to: n+1 facets, normals summing to zero, some n of them a
     basis of Z^n (then every n of them are, and the fan is the P^n fan).
     """
-    n = h.dim
-    if len(h.facets) != n + 1:
+    n = v.dim
+    if len(v.facets) != n + 1:
         return False
-    normals = [f.normal for f in h.facets]
+    normals = [f.normal for f in v.facets]
     if any(sum(l[i] for l in normals) != 0 for i in range(n)):
         return False
     return abs(geom.LinearMap(normals[:n]).determinant) == 1
@@ -285,7 +289,7 @@ def gap_check(t: ToricLogFano) -> GapReport:
     >= 2) the stronger certificate poly_volume <= (1/2)(n+1)^n / n! is
     reported alongside.
     """
-    vol, mom = geom.volume_and_moment(geom.enumerate_vertices(t.polytope))
+    vol, mom = geom.volume_and_moment(t.polytope)
     if any(mom):
         raise NotSemistable("gap check requires barycenter zero")
     n = t.dim

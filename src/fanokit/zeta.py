@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .arrangements import WeightVector, is_arrangement_semistable
 from .errors import (
@@ -156,15 +156,17 @@ def _f_error_estimate(policy: PrecisionPolicy) -> float:
     return 2 * policy.target_abs_error + 256 * _EPS
 
 
-def _f_complex(x: float, policy: PrecisionPolicy) -> tuple[complex, float]:
-    """F continued to x > -1 (complex principal branch below 0)."""
+def _f_complex(x: float, f: Callable[[float], float],
+               policy: PrecisionPolicy) -> tuple[complex, float]:
+    """F continued to x > -1 (complex principal branch below 0) from f, the
+    real F on [0, inf): a negative x reads f(x + 1)."""
     if x <= -1:
         raise DomainError("continuation implemented for x > -1 only")
     if x >= 0:
-        return complex(f_value(x, policy)), _f_error_estimate(policy)
+        return complex(f(x)), _f_error_estimate(policy)
     # zeta(s,x) = x^{-s} + zeta(s,x+1):   at s = -1,
     # zeta(-1,x) = x + zeta(-1,x+1),  zeta'(-1,x) = -x Log x + zeta'(-1,x+1)
-    val = complex(f_value(x + 1.0, policy)) + x - x * cmath.log(complex(x))
+    val = complex(f(x + 1.0)) + x - x * cmath.log(complex(x))
     err = (_f_error_estimate(policy)
            + 8 * _EPS * abs(x) * (1 + abs(cmath.log(complex(x)))))
     return val, err
@@ -229,19 +231,20 @@ def p1_canonical_height(inp: ZetaHeightInput,
         raise ZeroVolume("V = 2 - sum(w) must be nonzero")
     h = v / 2
 
-    memo: dict[float, tuple[complex, float]] = {}
+    # F on [0, inf), keyed on the argument hurwitz_zeta sees: one pass each
+    memo: dict[float, float] = {}
 
-    def f_at(x: float) -> tuple[complex, float]:
-        if x == 0:
-            x = 1.0     # F(0) = F(1)
+    def f(x: float) -> float:
+        x = x or 1.0    # F(0) = F(1)
         if x not in memo:
-            memo[x] = _f_complex(x, policy)
+            memo[x] = f_value(x, policy)
         return memo[x]
 
     total = complex(0)
     err = 0.0
     for a, b in [(0.0, h)] + [(float(w), float(w) + h) for w in inp.weights]:
-        (fb, e1), (f1b, e2), (fa, e3), (f1a, e4) = map(f_at, (b, 1 - b, a, 1 - a))
+        (fb, e1), (f1b, e2), (fa, e3), (f1a, e4) = (
+            _f_complex(x, f, policy) for x in (b, 1 - b, a, 1 - a))
         # gamma(a, b), in paired differences so that gamma(a, a) cancels exactly
         total += (fb - fa) + (f1b - f1a)
         err += e1 + e2 + e3 + e4

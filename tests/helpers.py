@@ -81,6 +81,15 @@ def brute_force_vertices(h):
     return out, brute_force_facets(n, out)
 
 
+def brute_force_full_weight_condition(w):
+    """Reference k-subset criterion: k sum_j w_j >= (n+1) sum_{j in S} w_j
+    for every subset S of k <= n weights."""
+    total = w.total()
+    return all(k * total >= (w.n + 1) * sum(subset)
+               for k in range(1, w.n + 1)
+               for subset in itertools.combinations(w.weights, k))
+
+
 def random_rational_polytope(rng: random.Random, dim: int,
                              lo: int = -12, hi: int = 12, den: int = 4):
     """Full-dimensional VPolytope with vertex coordinates in [lo/den, hi/den]."""
@@ -118,9 +127,8 @@ def mc_volume_estimate(v: geom.VPolytope, n_samples: int,
     pts = np.array([[float(x) for x in p] for p in v.vertices])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     box = float(np.prod(hi - lo))
-    h = geom.to_hpolytope(v)
-    a = np.array([[float(c) for c in f.normal] for f in h.facets])
-    b = np.array([float(f.offset) for f in h.facets])
+    a = np.array([[float(c) for c in f.normal] for f in v.facets])
+    b = np.array([float(f.offset) for f in v.facets])
     rng = np.random.default_rng(seed)
     samples = rng.uniform(lo, hi, size=(n_samples, v.dim))
     inside = np.all(samples @ a.T >= -b - 1e-12, axis=1)
@@ -132,14 +140,13 @@ def mc_volume_estimate(v: geom.VPolytope, n_samples: int,
 
 def polytope_edges(v: geom.VPolytope) -> list[tuple[int, int]]:
     """Vertex adjacency: an edge when the shared tight facets have rank n-1."""
-    h = geom.to_hpolytope(v)
-    tight = [set(h.tight_indices(p)) for p in v.vertices]
+    tight = [set(v.tight_indices(p)) for p in v.vertices]
     edges = []
     for i, j in itertools.combinations(range(len(v.vertices)), 2):
         common = tight[i] & tight[j]
         if len(common) < v.dim - 1:
             continue
-        rows = [h.facets[k].normal for k in common]
+        rows = [v.facets[k].normal for k in common]
         if np.linalg.matrix_rank(np.array(rows, dtype=float)) == v.dim - 1:
             edges.append((i, j))
     return edges

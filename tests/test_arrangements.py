@@ -4,11 +4,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanokit import arrangements as arr
 from fanokit import toric_heights as th
 from fanokit.arrangements import WeightVector
 from fanokit.errors import InvalidDegree, InvalidWeight, NotFano, NotSemistable, OutOfRange
+
+from helpers import brute_force_full_weight_condition
 
 
 def rational_degree(rng: random.Random, n: int) -> F:
@@ -59,6 +63,14 @@ class TestSemistabilityTest:
             w = WeightVector(
                 n, tuple(F(rng.randint(0, 9), 10) for _ in range(m)))
             assert arr.is_arrangement_semistable(w) == arr.full_weight_condition(w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5),
+           st.lists(st.fractions(min_value=0, max_value=F(11, 12), max_denominator=12),
+                    min_size=1, max_size=8))
+    def test_prefix_sums_agree_with_every_subset(self, n, ws):
+        w = WeightVector(n, tuple(ws))
+        assert arr.full_weight_condition(w) == brute_force_full_weight_condition(w)
 
     def test_permutation_invariance(self):
         rng = random.Random(59)

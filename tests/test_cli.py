@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -247,7 +249,10 @@ class TestPointCloudInput:
 
     @pytest.mark.parametrize("command, expected", [
         ("volume", "8"),
-        ("barycenter", ["1", "1", "1"]),
+        ("barycenter", ["0", "0", "0"]),
+        ("semistable", True),
+        ("gap-check", "SatisfiesGap"),
+        ("sx", 48.0),
     ])
     def test_cloud_runs_double_description_once(self, command, expected, capsys,
                                                 monkeypatch):
@@ -262,12 +267,14 @@ class TestPointCloudInput:
             return original(*args)
 
         monkeypatch.setattr(geometry, "_extreme_rays", spy)
-        cloud = [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)] + [[1, 1, 1]]
+        # the centred 3-cube: corners +-1 and the origin
+        cloud = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)] + [[0, 0, 0]]
         code, out, _ = run_cli([command, "--json", json.dumps({"dim": 3, "vertices": cloud})],
                                capsys)
         assert code == 0
-        payload = json.loads(out)
-        assert payload["poly_volume" if command == "volume" else "barycenter"] == expected
+        key = {"volume": "poly_volume", "barycenter": "barycenter", "semistable": "semistable",
+               "gap-check": "verdict", "sx": "n_factorial_S"}[command]
+        assert json.loads(out)[key] == expected
         assert len(calls) == 1
 
 
@@ -296,6 +303,31 @@ class TestParserReuse:
         assert code == 0
         assert json.loads(out)["vertex_dets"] == [1, 1, 1, 1]
         assert len(calls) == 1
+
+
+class TestGapCheckInput:
+    def test_repeated_facet_is_one_facet(self, capsys):
+        # P^3 with x_1 >= -1 listed twice; a repeated inequality is no extra facet
+        data = json.loads(P3_JSON)
+        data["facets"].append(data["facets"][0])
+        code, out, _ = run_cli(["gap-check", "--json", json.dumps(data)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "IsPn"
+        assert payload["singular"] is False
+        assert payload["vertex_dets"] == [1, 1, 1, 1]
+
+
+class TestArrangementInput:
+    def test_many_weights_decided_fast(self, capsys):
+        # 40 weights of 1/2 on P^20: every subset of size <= 20 would be C(40, 20)
+        data = json.dumps({"n": 20, "weights": ["1/2"] * 40})
+        start = time.perf_counter()
+        code, out, _ = run_cli(["semistable", "--json", data], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out) == {"kind": "arrangement", "semistable": True,
+                                   "full_criterion": True}
 
 
 ZETA_FANO_OUT = """{
@@ -415,6 +447,24 @@ class TestBatchAndEnv:
         assert len(results) == 2
         assert results[0]["value"] == pytest.approx(
             2 * (1 + math.log(math.pi)), abs=1e-9)
+
+    def test_batch_items_run_in_the_calling_thread(self, capsys, monkeypatch):
+        from fanokit import toric_heights
+
+        original = toric_heights.pn_height
+        seen = []
+
+        def spy(n):
+            seen.append(threading.get_ident())
+            return original(n)
+
+        monkeypatch.setattr(toric_heights, "pn_height", spy)
+        batch = json.dumps({"batch": [{}, {}, {}]})
+        code, out, _ = run_cli(["pn-height", "--n", "2", "--jobs", "4", "--json", batch],
+                               capsys)
+        assert code == 0
+        assert len(json.loads(out)["results"]) == 3
+        assert seen and set(seen) == {threading.get_ident()}
 
     def test_precision_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("FANOKIT_PRECISION", "1e-10")

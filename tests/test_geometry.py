@@ -92,7 +92,7 @@ class TestEnumerateVertices:
         rng = random.Random(7)
         for _ in range(10):
             v = random_rational_polytope(rng, rng.randint(2, 4))
-            h = geom.to_hpolytope(v)
+            h = HPolytope(v.dim, v.facets)
             for p in geom.enumerate_vertices(h).vertices:
                 assert h.contains(p)
 
@@ -107,9 +107,9 @@ class TestEnumerateVertices:
         rng = random.Random(11)
         for _ in range(10):
             v = random_rational_polytope(rng, rng.randint(2, 4))
-            again = geom.enumerate_vertices(geom.to_hpolytope(v))
+            again = geom.enumerate_vertices(HPolytope(v.dim, v.facets))
             assert again.vertices == v.vertices
-            third = geom.enumerate_vertices(geom.to_hpolytope(again))
+            third = geom.enumerate_vertices(HPolytope(again.dim, again.facets))
             assert third.vertices == v.vertices
 
 
@@ -356,8 +356,8 @@ SQUARE_PYRAMID = HPolytope(3, (((0, 0, 1), 0), ((1, 0, -1), 1), ((-1, 0, -1), 1)
 def four_cube_images():
     rng = random.Random(61)
     cube = geom.enumerate_vertices(unit_cube(4))
-    return [geom.to_hpolytope(geom.transform(cube, random_unimodular(rng, 4)))
-            for _ in range(3)]
+    images = [geom.transform(cube, random_unimodular(rng, 4)) for _ in range(3)]
+    return [HPolytope(v.dim, v.facets) for v in images]
 
 
 def repeated_and_redundant():

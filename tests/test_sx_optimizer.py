@@ -109,6 +109,13 @@ class TestSxInvariant:
         assert r.certified
         assert r.residual == 0.0
 
+    def test_vertex_polytope_input(self):
+        h = presets.po_o2_polytope()
+        assert (sx.sx_invariant(geom.enumerate_vertices(h))
+                == sx.sx_invariant(ToricLogFano(h)))
+        with pytest.raises(TypeError):
+            sx.sx_invariant(h)
+
     def test_s_value_bounded_by_degree(self):
         rng = random.Random(29)
         for _ in range(6):

@@ -48,8 +48,7 @@ class TestSemistability:
         vol = th.log_fano_volume(t)
         for _ in range(5):
             u = random_unimodular(rng, 3)
-            moved = ToricLogFano(geom.to_hpolytope(
-                geom.transform(geom.enumerate_vertices(t.polytope), u)))
+            moved = ToricLogFano(geom.transform(t.polytope, u))
             assert th.is_k_semistable(moved) == th.is_k_semistable(t)
             assert th.log_fano_volume(moved) == vol
             dets = sorted(r.det for r in th.vertex_singularity_report(moved))
@@ -105,8 +104,7 @@ class TestGorenstein:
     def test_weighted_p113_is_not(self):
         # vertex (-1, 2/3) is non-integral
         t = ToricLogFano(presets.weighted_p113_polytope())
-        verts = geom.enumerate_vertices(t.polytope).vertices
-        assert (F(-1), F(2, 3)) in verts
+        assert (F(-1), F(2, 3)) in t.polytope.vertices
         assert not th.is_gorenstein(t)
 
     def test_requires_anticanonical(self):
@@ -256,8 +254,7 @@ class TestGapCheck:
     def test_pn_detected_after_unimodular_change(self):
         rng = random.Random(17)
         u = random_unimodular(rng, 3)
-        moved = geom.to_hpolytope(
-            geom.transform(geom.enumerate_vertices(presets.pn_polytope(3)), u))
+        moved = geom.transform(geom.enumerate_vertices(presets.pn_polytope(3)), u)
         assert th.gap_check(ToricLogFano(moved)).verdict is GapVerdict.IS_PN
 
     def test_products_satisfy_gap(self):
@@ -292,6 +289,14 @@ class TestGapCheck:
         with pytest.raises(NotSemistable):
             th.gap_check(ToricLogFano(presets.p3_blowup_polytope()))
 
+    def test_repeated_facet_is_one_facet(self):
+        # x_1 >= -1 listed twice is still P^3: four facets, four smooth vertices
+        h = presets.pn_polytope(3)
+        rep = th.gap_check(ToricLogFano(HPolytope(3, h.facets + h.facets[:1])))
+        assert rep.verdict is GapVerdict.IS_PN
+        assert not rep.singular
+        assert [r.det for r in rep.singularities] == [1, 1, 1, 1]
+
 
 class TestToricLogFanoValidation:
     def test_offsets_must_lie_in_unit_interval(self):
@@ -299,3 +304,36 @@ class TestToricLogFanoValidation:
             ToricLogFano(HPolytope(2, (((1, 0), 2), ((0, 1), 1), ((-1, -1), 1))))
         with pytest.raises(OutOfRange):
             ToricLogFano(HPolytope(2, (((1, 0), 0), ((0, 1), 1), ((-1, -1), 1))))
+
+    def test_redundant_inequality_offset_is_checked(self):
+        # x + y >= -5 is no facet of the triangle, but it is still checked
+        with pytest.raises(OutOfRange):
+            ToricLogFano(HPolytope(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1),
+                                       ((1, 1), 5))))
+
+    def test_offsets_of_a_vertex_polytope_are_checked(self):
+        cloud = geom.VPolytope.from_points(2, [(-1, -1), (3, -1), (-1, 3)])
+        with pytest.raises(OutOfRange):
+            ToricLogFano(cloud)
+
+    def test_polytope_is_enumerated_once(self, monkeypatch):
+        original = geom.enumerate_vertices
+        calls = []
+
+        def spy(h):
+            calls.append(h)
+            return original(h)
+
+        monkeypatch.setattr(geom, "enumerate_vertices", spy)
+        t = ToricLogFano(presets.pn_polytope(3))
+        assert isinstance(t.polytope, geom.VPolytope)
+        th.is_k_semistable(t)
+        th.log_fano_volume(t)
+        th.is_smooth(t)
+        th.is_gorenstein(t)
+        th.gap_check(t)
+        assert len(calls) == 1
+
+    def test_vertex_polytope_is_kept(self):
+        v = geom.enumerate_vertices(presets.pn_polytope(2))
+        assert ToricLogFano(v).polytope is v

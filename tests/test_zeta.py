@@ -188,7 +188,9 @@ class TestP1CanonicalHeight:
         ((F(1, 2), F(1, 2), F(0)), 2),            # F(1/2), F(1)
         ((F(9, 10), F(9, 10), F(9, 10)), 7),      # continuation branch
         ((F(1, 2), F(1, 3), F(1, 5)), 14),
-    ], ids=["unweighted", "half-half-zero", "continuation", "generic"])
+        # F(-1/4) is evaluated through F(3/4), also an argument of its own
+        ((F(1, 2), F(1), F(1)), 5),
+    ], ids=["unweighted", "half-half-zero", "continuation", "generic", "shift-repeats"])
     def test_one_pass_per_distinct_argument(self, weights, distinct, monkeypatch):
         # F(0) is folded onto F(1); each other F argument costs one pass
         original = zeta.hurwitz_zeta
