@@ -10,7 +10,7 @@ import math
 
 from fanokit import presets
 from fanokit import sx_optimizer as sx
-from fanokit.toric_heights import ToricLogFano
+from fanokit.toric_heights import ToricLogFano, log_fano_volume
 
 for name in ("p3-blowup", "po-o2"):
     sd = presets.SX_PRESETS[name]()
@@ -40,8 +40,11 @@ upper = sx.sx_invariant(ToricLogFano(presets.po_o2_polytope()))
 print(f"unsymmetric coordinates: value {upper.s_value:.3f}, "
       f"certified: {upper.certified} -> upper bound only")
 
-# The n = 2 classification table: degrees 9 - m for blow-ups of P^2.
-print("\ntoric del Pezzo degrees:")
-for row in sx.n2_classification_check():
-    print(f"  {row.label:>8}: degree {row.degree}  "
-          f"(gap bound {row.gap_bound}: {'ok' if row.within_gap else 'FAIL'})")
+# The n = 2 classification table: P^2 blown up in m points has degree 9 - m,
+# and P^1 x P^1 sits exactly on the gap bound 8.
+print("\ntoric del Pezzo degrees (gap bound 8):")
+surfaces = [("P2", presets.p2_blowup_polytope(0))]
+surfaces += [(f"Bl_{m} P2", presets.p2_blowup_polytope(m)) for m in (1, 2, 3)]
+surfaces.append(("P1xP1", presets.p1xp1_polytope()))
+for label, h in surfaces:
+    print(f"  {label:>8}: degree {log_fano_volume(ToricLogFano(h)).degree}")

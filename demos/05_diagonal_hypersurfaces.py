@@ -16,7 +16,7 @@ for n, d, a in [(2, 1, (3, 1, 1, 1)),
                 (2, 3, (1, 1, 1, 8)),
                 (3, 2, (2, -1, 1, 1, 5))]:
     spec = DiagonalHypersurfaceSpec(n, d, a)
-    bound = hyp.diagonal_theorem_bound(spec, tighter=True)
+    bound = hyp.diagonal_theorem_bound(spec)
     print(f"n={n} d={d} a={a}:")
     print(f"   correction   {bound.correction:12.6f}"
           f"   (exact reduction delta {bound.fermat_delta:.6f})")

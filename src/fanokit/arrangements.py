@@ -120,7 +120,13 @@ def _nth_root_exact(x: Fraction, n: int) -> Fraction | None:
     return Fraction(p, q)
 
 
+# most vertices stability_polytope lists; all C(m, n+1) of them are held at once
+MAX_STABILITY_VERTICES = 10**5
+
+
 def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
+    """The stability polytope of degree D on m hyperplanes of P^n; raises
+    OutOfRange when it has more than MAX_STABILITY_VERTICES vertices."""
     d = Fraction(degree)
     if not 0 < d <= Fraction(n + 1) ** n:
         raise InvalidDegree("degree must lie in (0, (n+1)^n]")
@@ -135,21 +141,23 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
         exact = False
     if m < n + 1:
         return StabilityPolytope(n, m, d, c, exact, ())
+    count = math.comb(m, n + 1)
+    if count > MAX_STABILITY_VERTICES:
+        raise OutOfRange(f"the stability polytope has C({m}, {n + 1}) = {count} vertices, "
+                         f"more than the {MAX_STABILITY_VERTICES} this enumeration lists")
     level = c / (n + 1)
-    verts = []
-    for subset in itertools.combinations(range(m), n + 1):
-        weights = tuple(level if i in subset else Fraction(0) for i in range(m))
-        if exact:
-            wv = WeightVector(n, weights)
-            if not (is_arrangement_semistable(wv) and arrangement_degree(wv) == d):
-                raise NumericalError(f"vertex {subset} misses degree {d} or semistability")
-        else:
-            # irrational C: carried in floats, degree verified numerically in logarithms
-            wv = WeightVector(n, tuple(Fraction(x) for x in weights))
-            if abs(n * math.log((n + 1) - sum(weights)) - _log_fraction(d)) > 1e-12:
-                raise NumericalError(f"vertex {subset} misses degree {d}")
-        verts.append(wv)
-    return StabilityPolytope(n, m, d, c, exact, tuple(verts))
+    weight = Fraction(level)
+    # every vertex permutes the weights of the first one, so only it is checked
+    first = WeightVector(n, (weight,) * (n + 1) + (Fraction(0),) * (m - n - 1))
+    if exact:
+        if not (is_arrangement_semistable(first) and arrangement_degree(first) == d):
+            raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d} or semistability")
+    # irrational C: carried in floats, degree verified numerically in logarithms
+    elif abs(n * math.log((n + 1) - sum((level,) * (n + 1))) - _log_fraction(d)) > 1e-12:
+        raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d}")
+    verts = tuple(WeightVector(n, tuple(weight if i in subset else Fraction(0) for i in range(m)))
+                  for subset in itertools.combinations(range(m), n + 1))
+    return StabilityPolytope(n, m, d, c, exact, verts)
 
 
 def arrangement_height_bound(w: WeightVector) -> HeightReport:

@@ -269,7 +269,7 @@ def _cmd_diagonal(args, data) -> dict:
         spec = hyp.DiagonalHypersurfaceSpec(data["n"], data["d"], tuple(data["a"]))
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    bound = hyp.diagonal_theorem_bound(spec, tighter=True)
+    bound = hyp.diagonal_theorem_bound(spec)
     fermat = hyp.fermat_height_bound(spec.n, spec.d)
     branch = hyp.branch_arrangement(spec)
     ratio = hyp.cover_volume_ratio_check(spec.n, spec.d)
@@ -368,11 +368,12 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
     row("diagonal correction, (n,d,a)=(2,3,(1,1,1,8))",
         -2 * math.log(8), hyp.diagonal_height_correction(spec), 1e-9)
 
-    for dp in sx.n2_classification_check():
-        reference = {"P2": 9, "P1xP1": 8}.get(
-            dp.label, 9 - int(dp.label.split("_")[1].split(" ")[0])
-            if dp.label.startswith("Bl_") else None)
-        row(f"degree, {dp.label}", reference, float(dp.degree), 0)
+    # the n = 2 classification: P^2 blown up in m points has degree 9 - m
+    del_pezzo = [("P2", presets.p2_blowup_polytope(0), 9)]
+    del_pezzo += [(f"Bl_{m} P2", presets.p2_blowup_polytope(m), 9 - m) for m in (1, 2, 3)]
+    del_pezzo.append(("P1xP1", presets.p1xp1_polytope(), 8))
+    for label, h, reference in del_pezzo:
+        row(f"degree, {label}", reference, float(degree_of(h)), 0)
 
     det2 = geom.LinearMap(((1, 0, 0), (0, 1, 0), (-1, -1, 2)))
     po = geom.enumerate_vertices(presets.po_o2_polytope())

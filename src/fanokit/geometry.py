@@ -12,11 +12,12 @@ log discrepancy coefficient of the corresponding facet divisor.
 A ``VPolytope`` carries its vertices and its facets together.  Facets are
 found once, by ``facets_from_points`` for a point cloud or by
 ``enumerate_vertices`` for an H-polytope, and every later operation
-(transforms, translations, half-space cuts, the volume recursion) carries
-them along instead of hulling the vertices again.  Both conversions are
-one integer double-description routine, ``_extreme_rays``, run on the
-homogenized inequalities or points; all Gaussian elimination goes through
-one routine, ``_eliminate``.
+(transforms, translations, half-space cuts) carries them along instead of
+hulling the vertices again.  Both conversions are one integer
+double-description routine, ``_extreme_rays``, run on the homogenized
+inequalities or points.  Volume and moment come from one pulling
+triangulation, in every dimension, read off the vertex-facet incidence.
+All Gaussian elimination goes through one routine, ``_eliminate``.
 
 Every operation is a pure function on immutable values; nothing here
 touches floating point.
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from math import gcd
+from functools import lru_cache
+from math import factorial, gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -284,112 +285,46 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
 
 # -- volume and first moment ---------------------------------------------------
 
-def _polygon_cycle(points: Sequence[Vec]) -> list[Vec]:
-    """Order the extreme points of a planar convex set counterclockwise."""
-    cx = sum(p[0] for p in points) / len(points)
-    cy = sum(p[1] for p in points) / len(points)
+def _vol_mom(v: VPolytope) -> tuple[Fraction, Vec]:
+    """Exact (volume, integral of x dlambda) of a full-dimensional polytope.
 
-    def half(p) -> int:
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(p, q) -> int:
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=cmp_to_key(cmp))
-
-
-def _vol_mom_2d(points: Sequence[Vec]) -> tuple[Fraction, Vec]:
-    cyc = _polygon_cycle(points)
-    area2 = Fraction(0)
-    mx6 = Fraction(0)
-    my6 = Fraction(0)
-    for p, q in zip(cyc, cyc[1:] + cyc[:1]):
-        cross = p[0] * q[1] - q[0] * p[1]
-        area2 += cross
-        mx6 += (p[0] + q[0]) * cross
-        my6 += (p[1] + q[1]) * cross
-    return area2 / 2, (mx6 / 6, my6 / 6)
-
-
-def _face_facets(facet: Facet, j: int, facets: Iterable[Facet]) -> tuple[Facet, ...]:
-    """Inequalities of the face <l, x> = -a in the coordinates without x_j.
-
-    Substitutes x_j = (-a - sum_{i != j} l_i x_i) / l_j into every other
-    inequality; those parallel to the face drop out.  The result holds every
-    facet of the face once, plus valid inequalities tight on lower faces.
+    Pulling triangulation (Bueler-Enge-Fukuda 2000): a face, held as a bit
+    mask of ``v.vertices``, is the union of the cones from its lowest-index
+    vertex over those of its own facets that miss that vertex.  The facets
+    of a face are its largest proper intersections with the facet masks.
+    A simplex with vertices p_0..p_n adds |det(p_i - p_0)|/n! to the volume
+    and that times its vertex mean to the moment.
     """
-    l, a = facet
-    out: dict[Facet, None] = {}
-    for g, b in facets:
-        r = Fraction(g[j], l[j])
-        normal = [g[i] - r * l[i] for i in range(len(l)) if i != j]
-        if any(normal):
-            out[make_facet(normal, b - r * a)] = None
-    return tuple(out)
+    pts, n = v.vertices, v.dim
+    masks = {sum(1 << i for i, p in enumerate(pts) if dot(l, p) == -a) for l, a in v.facets}
+    memo: dict[int, list[tuple[int, ...]]] = {}
 
+    def simplices(face: int) -> list[tuple[int, ...]]:
+        apex = (face & -face).bit_length() - 1
+        if face == 1 << apex:
+            return [(apex,)]
+        if face not in memo:
+            subs = {face & m for m in masks} - {face}
+            memo[face] = [(apex,) + s for g in subs
+                          if not g >> apex & 1 and not any(g & h == g != h for h in subs)
+                          for s in simplices(g)]
+        return memo[face]
 
-def _vol_mom(points: Sequence[Vec], dim: int,
-             facets: Sequence[Facet]) -> tuple[Fraction, Vec]:
-    """Exact (volume, integral of x dlambda) of conv(points).
-
-    ``facets`` must hold every facet of conv(points) once; valid inequalities
-    that are tight only on a lower face may ride along and add nothing.
-    Pyramid decomposition from the vertex centroid over each facet; the
-    facets of each facet come from ``_face_facets``, so no level hulls its
-    points.  Projections along a coordinate axis keep everything rational:
-    for a facet with primitive integer normal l and apex c on <l,x> = -a,
-
-        vol(pyramid) = |<l,c> + a| * vol_{n-1}(proj_j facet) / (n |l_j|).
-
-    Dimensions 2 and 1 use closed forms.
-    """
-    if dim == 1:
-        xs = [p[0] for p in points]
-        lo, hi = min(xs), max(xs)
-        return hi - lo, ((hi * hi - lo * lo) / 2,)
-    if dim == 2:
-        return _vol_mom_2d(points)
-    k = len(points)
-    c = tuple(sum(p[i] for p in points) / k for i in range(dim))
     vol = Fraction(0)
-    mom = [Fraction(0)] * dim
-    for facet in facets:
-        normal, offset = facet
-        tight = [p for p in points if dot(normal, p) == -offset]
-        if len(tight) < dim:
-            continue
-        j = next(i for i in range(dim) if normal[i] != 0)
-        proj = [tuple(p[i] for i in range(dim) if i != j) for p in tight]
-        sub = _face_facets(facet, j, facets) if dim > 3 else ()
-        fvol, fmom = _vol_mom(proj, dim - 1, sub)
-        if fvol == 0:
-            continue
-        height = dot(normal, c) + offset  # > 0 for interior apex
-        pyr_vol = abs(height) * fvol / (dim * abs(normal[j]))
-        # facet centroid, lifted back onto the hyperplane
-        g = [x / fvol for x in fmom]
-        rest = sum(normal[i] * gi for i, gi in
-                   zip((i for i in range(dim) if i != j), g))
-        g.insert(j, (-offset - rest) / normal[j])
-        vol += pyr_vol
-        for i in range(dim):
-            mom[i] += pyr_vol * (c[i] + dim * g[i]) / (dim + 1)
-    return vol, tuple(mom)
+    mom = [Fraction(0)] * n
+    for s in simplices((1 << len(pts)) - 1):
+        w = abs(_eliminate([vsub(pts[i], pts[s[0]]) for i in s[1:]])[2])
+        vol += w
+        for j in range(n):
+            mom[j] += w * sum(pts[i][j] for i in s)
+    f = factorial(n)
+    return vol / f, tuple(m / ((n + 1) * f) for m in mom)
 
 
 def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
     if _affine_rank(v.vertices) < v.dim:
         raise DegeneratePolytope("polytope is not full-dimensional")
-    return _vol_mom(v.vertices, v.dim, v.facets)
+    return _vol_mom(v)
 
 
 def volume(v: VPolytope) -> Fraction:

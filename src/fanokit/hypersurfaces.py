@@ -149,14 +149,13 @@ class DiagonalBound:
     correction: float
     strict: bool
     fermat_delta: float
-    chain_value: float | None  # fermat_height_bound + fermat_reduction_delta
+    chain_value: float  # fermat_height_bound + fermat_reduction_delta
 
 
-def diagonal_theorem_bound(spec: DiagonalHypersurfaceSpec,
-                           tighter: bool = False) -> DiagonalBound:
+def diagonal_theorem_bound(spec: DiagonalHypersurfaceSpec) -> DiagonalBound:
     """Canonical-height bound pn_height(n) + diagonal_height_correction,
-    strict when d >= 2.  With ``tighter`` the sharper chain through the
-    Fermat cover bound is evaluated as well."""
+    strict when d >= 2, with the sharper chain through the Fermat cover
+    bound beside it."""
     base = pn_height(spec.n)
     corr = diagonal_height_correction(spec)
     delta = fermat_reduction_delta(spec)
@@ -164,7 +163,5 @@ def diagonal_theorem_bound(spec: DiagonalHypersurfaceSpec,
     err = base.abs_error + _ulp_error(abs(corr) + abs(value))
     report = HeightReport(value, Convention.BOUND_ON_HEIGHT,
                           "diagonal_hypersurface_bound", err)
-    chain = None
-    if tighter:
-        chain = fermat_height_bound(spec.n, spec.d).report.value + delta
+    chain = fermat_height_bound(spec.n, spec.d).report.value + delta
     return DiagonalBound(report, corr, spec.d >= 2, delta, chain)

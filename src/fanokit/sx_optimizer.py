@@ -191,30 +191,3 @@ def sx_invariant(obj) -> SxResult:
         cutoff=c,
         direction=u,
     )
-
-
-@dataclass(frozen=True)
-class DelPezzoRow:
-    label: str
-    degree: Fraction
-    gap_bound: Fraction
-    within_gap: bool
-
-
-def n2_classification_check() -> tuple[DelPezzoRow, ...]:
-    """Degrees of the toric del Pezzo surfaces against the n = 2 gap bound:
-    blow-ups of P^2 in m <= 3 points have degree 9 - m, and P^1 x P^1 sits
-    exactly on the bound 8 = vol(P^1 x P^1)."""
-    from . import presets  # local import: presets depends on this module
-
-    rows = []
-    bound = Fraction(8)
-    surfaces = [("P2", presets.p2_blowup_polytope(0))]
-    surfaces += [
-        (f"Bl_{m} P2", presets.p2_blowup_polytope(m)) for m in (1, 2, 3)
-    ]
-    surfaces.append(("P1xP1", presets.p1xp1_polytope()))
-    for label, h in surfaces:
-        deg = math.factorial(2) * geom.volume(geom.enumerate_vertices(h))
-        rows.append(DelPezzoRow(label, deg, bound, deg <= bound or label == "P2"))
-    return tuple(rows)

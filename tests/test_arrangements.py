@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -147,6 +148,13 @@ class TestStabilityPolytope:
         sp = arr.stability_polytope(150, 2, 151**150 - 1)
         assert not sp.c_exact
         assert abs(sp.c_value) <= 1e-12
+
+    def test_oversized_vertex_count_refused(self):
+        # C(40, 11) ~ 2.3e9 vertices; refused before any is built
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="C\\(40, 11\\)"):
+            arr.stability_polytope(10, 40, 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_invalid_degree(self):
         with pytest.raises(InvalidDegree):

@@ -137,6 +137,14 @@ class TestSubcommands:
         assert payload["c_exact"] is False
         assert abs(payload["c"]) <= 1e-12
 
+    def test_stability_polytope_over_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["stability-polytope", "--n", "10", "--m", "40",
+                                  "--degree", "1"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "C(40, 11)" in err and "Traceback" not in err
+
     def test_arrangement_bound(self, capsys):
         code, out, _ = run_cli(
             ["arrangement-bound", "--json",
@@ -550,7 +558,6 @@ OPERATION_COVERAGE = [
      ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),
     ("fanokit.zeta", "mabuchi_p1_constant", ["reproduce-paper"]),
     ("fanokit.sx_optimizer", "simplex_difference_barycenter", ["reproduce-paper"]),
-    ("fanokit.sx_optimizer", "n2_classification_check", ["reproduce-paper"]),
     ("fanokit.arrangements", "hypersimplex_decomposition",
      ["arrangement-bound", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}']),
     ("fanokit.hypersurfaces", "cover_volume_ratio_check",

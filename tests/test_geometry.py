@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, Delaunay
 
 from fanokit import geometry as geom
 from fanokit.errors import (
@@ -119,8 +120,6 @@ class TestVolume:
 
     @pytest.mark.parametrize("n,a", [(1, 3), (2, F(5, 2)), (3, 4), (4, 2)])
     def test_scaled_simplex(self, n, a):
-        import math
-
         v = scaled_simplex(n, a)
         assert geom.volume(v) == F(a) ** n / math.factorial(n)
 
@@ -323,7 +322,7 @@ class TestFacetsCarried:
 
 
 class TestFiveDimensional:
-    """The facet-substitution recursion at dimensions 5 and 4."""
+    """The pulling triangulation at dimension 5, through unimodular images."""
 
     def test_centered_five_cube(self):
         v = geom.enumerate_vertices(centered_cube(5))
@@ -424,3 +423,42 @@ class TestDoubleDescription:
         assert v.facets == brute_force_facets(5, pts)
         hull = ConvexHull(np.array([[float(x) for x in p] for p in pts]))
         assert set(v.vertices) == {geom.vec(pts[i]) for i in hull.vertices}
+
+
+def delaunay_volume_and_moment(v):
+    """Float oracle: summed volumes and volume-weighted centroids of the
+    Delaunay simplices of the vertices."""
+    pts = np.array([[float(x) for x in p] for p in v.vertices])
+    simplices = pts[Delaunay(pts).simplices]
+    vols = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1])) / math.factorial(v.dim)
+    return vols.sum(), (vols[:, None] * simplices.mean(axis=1)).sum(axis=0)
+
+
+def seeded_cloud(n):
+    rng = random.Random(70 + n)
+    return VPolytope.from_points(n, [tuple(F(rng.randint(-12, 12), rng.randint(1, 5))
+                                           for _ in range(n)) for _ in range(n + 6)])
+
+
+class TestPullingTriangulation:
+    """Exact volume and moment against a float oracle, on faces that are not
+    simplices and in dimensions 6 and 7."""
+
+    @pytest.mark.parametrize("v", [*(seeded_cloud(n) for n in (2, 3, 4, 5)),
+                                   *(geom.enumerate_vertices(cross_polytope(n)) for n in (4, 5)),
+                                   geom.enumerate_vertices(SQUARE_PYRAMID)],
+                             ids=["cloud-2", "cloud-3", "cloud-4", "cloud-5",
+                                  "cross-4", "cross-5", "square-pyramid"])
+    def test_matches_delaunay(self, v):
+        vol, mom = geom.volume_and_moment(v)
+        ref_vol, ref_mom = delaunay_volume_and_moment(v)
+        assert float(vol) == pytest.approx(ref_vol, rel=1e-9)
+        assert [float(m) for m in mom] == pytest.approx(ref_mom, rel=1e-9, abs=1e-9 * ref_vol)
+
+    def test_seven_simplex(self):
+        v = geom.enumerate_vertices(presets.pn_polytope(7))
+        assert geom.volume_and_moment(v) == (F(8**7, math.factorial(7)), (0,) * 7)
+
+    def test_centered_six_cube(self):
+        v = geom.enumerate_vertices(centered_cube(6))
+        assert geom.volume_and_moment(v) == (64, (0,) * 6)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from fanokit import cli
 from fanokit import geometry as geom
 from fanokit import presets
 from fanokit import sx_optimizer as sx
@@ -203,10 +205,11 @@ class TestSamplingLowerBound:
 
 
 class TestDelPezzoTable:
-    def test_degrees(self):
-        rows = {r.label: r for r in sx.n2_classification_check()}
-        assert rows["P2"].degree == 9
-        for m in (1, 2, 3):
-            assert rows[f"Bl_{m} P2"].degree == 9 - m
-        assert rows["P1xP1"].degree == 8
-        assert all(r.within_gap for r in rows.values())
+    def test_degrees(self, capsys):
+        # the n = 2 classification rows of reproduce-paper, all within the gap bound 8 but P^2
+        assert cli.run(["reproduce-paper"]) == 0
+        rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+        expect = {"P2": 9, "Bl_1 P2": 8, "Bl_2 P2": 7, "Bl_3 P2": 6, "P1xP1": 8}
+        for label, degree in expect.items():
+            row = rows[f"degree, {label}"]
+            assert row["computed"] == row["reference"] == degree and row["pass"]
