@@ -20,13 +20,7 @@ from .errors import (
     NumericalError,
     OutOfRange,
 )
-from .toric_heights import (
-    Convention,
-    HeightReport,
-    _log_fraction,
-    _ulp_error,
-    a_n_constant,
-)
+from .toric_heights import Convention, HeightReport, _log_fraction, pn_family_height
 
 
 @dataclass(frozen=True)
@@ -165,20 +159,13 @@ def arrangement_height_bound(w: WeightVector) -> HeightReport:
 
         h / (n+1)! <= (1/2) v log( (n+1)^n e^{2 a_n} / (n! v) ),
 
-    with v the polytope-volume convention arrangement_degree(w)/n!.  The
-    inner constant is pinned by equality with pn_height at w = 0.
+    with v the polytope-volume convention arrangement_degree(w)/n!: the P^n
+    divisor family at equal degree, so equal to pn_height at w = 0.
     """
     if not is_arrangement_semistable(w):
         raise NotSemistable("weights fail the semistability inequality")
-    n = w.n
-    v = arrangement_degree(w) / math.factorial(n)
-    a_n = a_n_constant(n)
-    lead = Fraction(math.factorial(n + 1), 2) * v
-    log_part = n * math.log(n + 1) + 2 * a_n - _log_fraction(math.factorial(n) * v)
-    value = float(lead) * log_part
-    err = _ulp_error(float(lead) * (abs(log_part) + 1))
-    return HeightReport(value, Convention.BOUND_ON_HEIGHT,
-                        "arrangement_bound", err)
+    return pn_family_height(w.n, arrangement_degree(w) / math.factorial(w.n),
+                            Convention.BOUND_ON_HEIGHT, "arrangement_bound")
 
 
 @dataclass(frozen=True)

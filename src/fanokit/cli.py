@@ -58,7 +58,7 @@ def _load_input(args) -> dict | None:
 
 
 def _policy(args, data=None) -> zeta.PrecisionPolicy:
-    eps = getattr(args, "precision", None)
+    eps = args.precision
     if data is not None and "precision" in data:
         try:
             eps = float(data["precision"])
@@ -270,7 +270,6 @@ def _cmd_diagonal(args, data) -> dict:
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     bound = hyp.diagonal_theorem_bound(spec)
-    fermat = hyp.fermat_height_bound(spec.n, spec.d)
     branch = hyp.branch_arrangement(spec)
     ratio = hyp.cover_volume_ratio_check(spec.n, spec.d)
     out = {
@@ -278,9 +277,9 @@ def _cmd_diagonal(args, data) -> dict:
         "correction": bound.correction,
         "fermat_delta": bound.fermat_delta,
         "chain_bound": bound.chain_value,
-        "lambda": float(fermat.lam),
+        "lambda": float(bound.fermat.lam),
         "strict": bound.strict,
-        "fermat_bound": fermat.report.to_json(),
+        "fermat_bound": bound.fermat.report.to_json(),
         "branch_weights": [jsonio.frac_to_str(x) for x in branch.weights],
         "cover_degree_check": {
             "topological": jsonio.frac_to_str(ratio[0]),
@@ -461,7 +460,9 @@ _COMMANDS = {
     "diagonal": (_cmd_diagonal, [
         (("--det-t",), {"type": float,
                         "help": "|det T| for the general linear height delta"})]),
-    "p1-zeta-height": (_cmd_p1_zeta_height, []),
+    "p1-zeta-height": (_cmd_p1_zeta_height, [
+        (("--precision",), {"type": float,
+                            "help": "target absolute error (default: FANOKIT_PRECISION or 1e-12)"})]),
     "reproduce-paper": (_cmd_reproduce_paper, [
         (("--perturb",), {"action": "store_true",
                           "help": "negative control: perturb one preset and expect a mismatch"})]),
@@ -478,8 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", help="path to a JSON input file")
         p.add_argument("--json", help="inline JSON input")
-        p.add_argument("--precision", type=float,
-                       help="target absolute error (default: FANOKIT_PRECISION or 1e-12)")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; batch items run in order")

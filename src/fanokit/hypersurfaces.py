@@ -5,7 +5,9 @@
 The absolute canonical height of such a hypersurface is never claimed;
 everything is expressed as a correction relative to the unit-coefficient
 (Fermat) case or as a bound relative to the P^n height, which is all the
-closed-form chain provides.
+closed-form chain provides.  The Fermat cover bound is the P^n divisor family
+of ``toric_heights`` at volume lambda * v_0, and the Fermat reduction delta is
+twice the diagonal correction.
 """
 from __future__ import annotations
 
@@ -15,14 +17,8 @@ from fractions import Fraction
 
 from .arrangements import WeightVector, is_arrangement_semistable
 from .errors import InputError, NumericalError, OutOfRange
-from .toric_heights import (
-    Convention,
-    HeightReport,
-    _ulp_error,
-    a_n_constant,
-    pn_height,
-    toric_family_height,
-)
+from .toric_heights import (Convention, HeightReport, _ulp_error, pn_family_height,
+                            pn_height, pn_poly_volume)
 
 
 @dataclass(frozen=True)
@@ -49,19 +45,6 @@ class DiagonalHypersurfaceSpec:
         return sum(math.log(abs(a)) for a in self.coefficients)
 
 
-@dataclass(frozen=True)
-class BranchDivisorSpec:
-    """Branch divisor of the degree-d cover of the degree-one model:
-    n+2 hyperplane components, each with weight 1 - 1/d."""
-
-    n: int
-    d: int
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(1 - Fraction(1, self.d) for _ in range(self.n + 2))
-
-
 def diagonal_height_correction(spec: DiagonalHypersurfaceSpec) -> float:
     """(1-d) (n+2-d)^n sum_i log|a_i|; always <= 0, zero iff d = 1 or all
     |a_i| = 1.  Added to pn_height(n), this bounds the canonical height."""
@@ -76,11 +59,9 @@ def fermat_reduction_delta(spec: DiagonalHypersurfaceSpec) -> float:
         h_can(X_a) - h_can(X_1)
           = (n+1)(n+2-d)^n d ((n+2-d)/(n+1) - 1) d^{-1} sum log|a_i|^2,
 
-    which simplifies to 2 (1-d) (n+2-d)^n sum log|a_i|."""
-    n, d = spec.n, spec.d
-    # the explicit d and d^{-1} cancel
-    factor = (n + 1) * (n + 2 - d) ** n * (Fraction(n + 2 - d, n + 1) - 1)
-    return float(factor) * 2 * spec.log_coefficient_sum()
+    which simplifies to 2 (1-d) (n+2-d)^n sum log|a_i|, twice the
+    diagonal_height_correction (doubling a float is exact)."""
+    return 2 * diagonal_height_correction(spec)
 
 
 def general_linear_height_delta(n: int, d: int, det_t_modulus: float) -> float:
@@ -88,14 +69,15 @@ def general_linear_height_delta(n: int, d: int, det_t_modulus: float) -> float:
     Fermat form: (n+1)(n+2-d)^n d ((n+2-d)/(n+1) - 1) log|det T|^2."""
     if det_t_modulus <= 0:
         raise OutOfRange("|det T| must be positive")
-    factor = (n + 1) * (n + 2 - d) ** n * d * (Fraction(n + 2 - d, n + 1) - 1)
-    return float(factor) * 2 * math.log(det_t_modulus)
+    # the factor is the integer d (1-d) (n+2-d)^n
+    return 2 * d * (1 - d) * (n + 2 - d) ** n * math.log(det_t_modulus)
 
 
-def branch_arrangement(spec: DiagonalHypersurfaceSpec | BranchDivisorSpec) -> WeightVector:
-    """The hyperplane arrangement on P^n induced by the branch divisor;
-    always K-semistable (n+2 equal weights 1 - 1/d)."""
-    w = WeightVector(spec.n, BranchDivisorSpec(spec.n, spec.d).weights)
+def branch_arrangement(spec: DiagonalHypersurfaceSpec) -> WeightVector:
+    """The hyperplane arrangement on P^n induced by the branch divisor of the
+    degree-d cover of the degree-one model: n+2 hyperplanes, each with weight
+    1 - 1/d; always K-semistable."""
+    w = WeightVector(spec.n, (1 - Fraction(1, spec.d),) * (spec.n + 2))
     if not is_arrangement_semistable(w):
         raise NumericalError(f"branch arrangement {w.weights} is not semistable")
     return w
@@ -121,16 +103,12 @@ def fermat_height_bound(n: int, d: int) -> FermatHeightBound:
         h_can(X) <= lambda pn_height(n) - (1/2) (n+1)! v_X log(lambda),
 
     with v_X = d (n+2-d)^n / n! in polytope-volume units; this is exactly
-    the one-parameter toric family value at volume lambda * v_0 and reduces
-    to pn_height at d = 1.  Strict iff lambda < 1 (the conic n = 1, d = 2
-    has lambda = 1: it is the line re-embedded)."""
+    the P^n divisor family at volume lambda * v_0 and reduces to pn_height
+    at d = 1.  Strict iff lambda < 1 (the conic n = 1, d = 2 has lambda = 1:
+    it is the line re-embedded)."""
     lam = lambda_ratio(n, d)
-    v0 = Fraction((n + 1) ** n, math.factorial(n))
-    family = toric_family_height(lam * v0, a_n_constant(n), v0)
-    value = math.factorial(n + 1) * family.value
-    err = math.factorial(n + 1) * family.abs_error + _ulp_error(value)
-    report = HeightReport(value, Convention.BOUND_ON_HEIGHT,
-                          "fermat_cover_bound", err)
+    report = pn_family_height(n, lam * pn_poly_volume(n), Convention.BOUND_ON_HEIGHT,
+                              "fermat_cover_bound")
     return FermatHeightBound(report, lam, strict=lam < 1)
 
 
@@ -149,13 +127,14 @@ class DiagonalBound:
     correction: float
     strict: bool
     fermat_delta: float
-    chain_value: float  # fermat_height_bound + fermat_reduction_delta
+    chain_value: float  # fermat.report.value + fermat_delta
+    fermat: FermatHeightBound
 
 
 def diagonal_theorem_bound(spec: DiagonalHypersurfaceSpec) -> DiagonalBound:
     """Canonical-height bound pn_height(n) + diagonal_height_correction,
-    strict when d >= 2, with the sharper chain through the Fermat cover
-    bound beside it."""
+    strict when d >= 2, with the Fermat cover bound and the sharper chain
+    through it beside it."""
     base = pn_height(spec.n)
     corr = diagonal_height_correction(spec)
     delta = fermat_reduction_delta(spec)
@@ -163,5 +142,5 @@ def diagonal_theorem_bound(spec: DiagonalHypersurfaceSpec) -> DiagonalBound:
     err = base.abs_error + _ulp_error(abs(corr) + abs(value))
     report = HeightReport(value, Convention.BOUND_ON_HEIGHT,
                           "diagonal_hypersurface_bound", err)
-    chain = fermat_height_bound(spec.n, spec.d).report.value + delta
-    return DiagonalBound(report, corr, spec.d >= 2, delta, chain)
+    fermat = fermat_height_bound(spec.n, spec.d)
+    return DiagonalBound(report, corr, spec.d >= 2, delta, fermat.report.value + delta, fermat)

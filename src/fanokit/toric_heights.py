@@ -11,7 +11,10 @@ Volume conventions are carried explicitly throughout:
 
 Heights are evaluated in double precision.  The rational part of each
 formula is computed exactly and only the final transcendental combination is
-floating point, so the reported ``abs_error`` is a few ulps.
+floating point, so the reported ``abs_error`` is a few ulps.  Every height of
+the toric family, (n+1)!/2 * v * log(C / v) at poly-volume v, is one
+evaluation with one error model: the scaled-divisor, universal, arrangement
+and Fermat bounds differ only in C and in their range checks.
 """
 from __future__ import annotations
 
@@ -208,58 +211,56 @@ def a_n_constant(n: int) -> float:
     return a
 
 
-def universal_height_bound(vol: VolumePair, n: int) -> HeightReport:
-    """Universal bound (n+1)!/2 * v * log((2 pi^2)^n / v), v = poly_volume."""
-    v = vol.poly_volume
+def _log_fraction(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _toric_height(n: int, v: Fraction, log_c: float, convention: Convention,
+                  formula: str) -> HeightReport:
+    """(n+1)!/2 * v * log(C / v) at poly-volume v; abs_error scales with
+    |log C| + |log v|, so it also covers a difference that cancels."""
     if v <= 0:
         raise NonpositiveVolume("volume must be positive")
-    lead = Fraction(math.factorial(n + 1), 2) * v
-    log_part = n * math.log(2 * math.pi**2) - _log_fraction(v)
-    lead_f = _to_float(lead)
-    value = lead_f * log_part
-    err = _ulp_error(lead_f * abs(log_part))
-    return HeightReport(value, Convention.BOUND_ON_HEIGHT, "universal_toric_bound", err)
+    lead = _to_float(Fraction(math.factorial(n + 1), 2) * v)
+    log_v = _log_fraction(v)
+    return HeightReport(lead * (log_c - log_v), convention, formula,
+                        _ulp_error(lead * (abs(log_c) + abs(log_v))))
 
 
-def _log_fraction(x: Fraction | float) -> float:
-    if isinstance(x, Fraction):
-        return math.log(x.numerator) - math.log(x.denominator)
-    return math.log(x)
+def universal_height_bound(vol: VolumePair, n: int) -> HeightReport:
+    """Universal bound (n+1)!/2 * v * log((2 pi^2)^n / v), v = poly_volume."""
+    return _toric_height(n, Fraction(vol.poly_volume), n * math.log(2 * math.pi**2),
+                         Convention.BOUND_ON_HEIGHT, "universal_toric_bound")
+
+
+def pn_poly_volume(n: int) -> Fraction:
+    """v_0 = (n+1)^n / n!, the poly-volume of P^n."""
+    if n < 1:
+        raise OutOfRange("n must be a positive integer")
+    return Fraction((n + 1) ** n, math.factorial(n))
+
+
+def pn_family_height(n: int, v: Fraction, convention: Convention, formula: str) -> HeightReport:
+    """The divisor family on P^n at poly-volume v, equal to pn_height(n) at v_0:
+
+        h / (n+1)! = (1/2) v log(v_0 e^{2 a_n} / v),  0 < v <= v_0 = pn_poly_volume(n).
+    """
+    v0 = pn_poly_volume(n)
+    if not 0 < v <= v0:
+        raise OutOfRange("volume must satisfy 0 < v <= (n+1)^n / n!")
+    return _toric_height(n, v, 2 * a_n_constant(n) + _log_fraction(v0), convention, formula)
 
 
 def scaled_divisor_height(n: int, t) -> HeightReport:
     """Height of (P^n_Z, (1-t) D_0) for the standard toric anticanonical D_0,
-    with the volume-normalized Kaehler-Einstein metric:
-
-        h_t / (n+1)! = v_t (a_n - (1/2) log(v_t / v_0)),  v_t = t^n (n+1)^n / n!.
+    with the volume-normalized Kaehler-Einstein metric: the P^n family at
+    v_t = t^n v_0.
     """
     t = Fraction(t)
     if not 0 < t <= 1:
         raise OutOfRange("t must lie in (0, 1]")
-    v_t = t**n * Fraction((n + 1) ** n, math.factorial(n))
-    lead = math.factorial(n + 1) * v_t
-    a_n = a_n_constant(n)
-    log_t = _log_fraction(t)
-    value = float(lead) * (a_n - Fraction(n, 2) * log_t)
-    err = _ulp_error(float(lead) * (a_n + abs(n * log_t)))
-    return HeightReport(value, Convention.RAW_HEIGHT, "scaled_divisor_family", err)
-
-
-def toric_family_height(v, a: float, b) -> HeightReport:
-    """Height of the one-parameter toric family, per (n+1)! units:
-
-        h / (n+1)! = (1/2) v log(b e^{2a} / v),  0 < v <= b (poly volumes).
-    """
-    v = Fraction(v)
-    b = Fraction(b)
-    if not 0 < v <= b:
-        raise OutOfRange("volume must satisfy 0 < v <= b")
-    log_part = _log_fraction(b) + 2 * a - _log_fraction(v)
-    value = 0.5 * float(v) * log_part
-    err = _ulp_error(0.5 * float(v) * (abs(log_part) + 1))
-    return HeightReport(
-        value, Convention.RAW_HEIGHT, "toric_family_per_(n+1)!", err
-    )
+    return pn_family_height(n, t**n * pn_poly_volume(n), Convention.RAW_HEIGHT,
+                            "scaled_divisor_family")
 
 
 # -- gap check -------------------------------------------------------------------

@@ -491,6 +491,75 @@ class TestBatchAndEnv:
         assert code == 1
 
 
+DIAGONAL_CUBIC = '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}'
+
+# printed value of every toric-family height, fixed when the four bounds came
+# to share one evaluation; only their abs_error moved
+FAMILY_VALUES = [
+    (["scaled-height", "--n", "1", "--t", "1/2"], None, "2.83787706641"),
+    (["scaled-height", "--n", "3", "--t", "7/11"], None, "241.842063316"),
+    (["scaled-height", "--n", "8", "--t", "1/12"], None, "15.7196715042"),
+    (["universal-bound", "--n", "1", "--volume", "79/4"], None, "-0.0107941469956"),
+    (["universal-bound", "--n", "3", "--volume", "5/2"], None, "240.945903747"),
+    (["universal-bound", "--n", "6", "--volume", "80/7"], None, "445234.326564"),
+    (["arrangement-bound", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}'],
+     None, "1.76551212348"),
+    (["arrangement-bound", "--json", '{"n": 2, "weights": ["0", "0", "0"]}'],
+     None, "55.3002199804"),
+    (["arrangement-bound", "--json",
+      '{"n": 4, "weights": ["1/2", "1/2", "1/2", "1/2", "1/2", "1/3"]}'], None, "614.993945937"),
+    (["diagonal", "--json", DIAGONAL_CUBIC], "fermat_bound", "23.3771619591"),
+    (["diagonal", "--json", '{"n": 4, "d": 3, "a": [2, -3, 1, 1, 5, 7]}'],
+     "fermat_bound", "5323.05022106"),
+    (["diagonal", "--json", '{"n": 6, "d": 7, "a": [1, 1, 1, 1, 1, 1, 1, 1]}'],
+     "fermat_bound", "518.632631785"),
+]
+
+
+class TestToricFamilyOutput:
+    @pytest.mark.parametrize("argv, field, value", FAMILY_VALUES,
+                             ids=[f"{a[0]}-{i}" for i, (a, _, _) in enumerate(FAMILY_VALUES)])
+    def test_pinned_value(self, argv, field, value, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        report = report[field] if field else report
+        assert json.dumps(report["value"]) == value
+
+    def test_diagonal_evaluates_the_fermat_bound_once(self, capsys, monkeypatch):
+        from fanokit import hypersurfaces as hyp
+        from fanokit import toric_heights as th
+
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        count(hyp, "fermat_height_bound")
+        count(hyp, "pn_height")
+        count(th, "pn_height")
+        code, _, _ = run_cli(["diagonal", "--json", DIAGONAL_CUBIC], capsys)
+        assert code == 0
+        # pn_height: once for the theorem bound, once for a_n in the Fermat bound
+        assert calls == {"fermat_height_bound": 1, "pn_height": 2}
+
+    @pytest.mark.parametrize("argv", [
+        ["pn-height", "--n", "2"],
+        ["diagonal", "--json", DIAGONAL_CUBIC],
+        ["volume", "--json", P3_JSON],
+    ])
+    def test_precision_belongs_to_p1_zeta_height(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--precision", "1e-9"], capsys)
+        assert code == 1 and out == ""
+        assert "--precision" in err
+
+
 class TestConsoleEntryPoint:
     def test_subprocess_smoke(self):
         proc = subprocess.run(
@@ -511,7 +580,7 @@ OPERATION_COVERAGE = [
     ("fanokit.geometry", "clip_volume_and_moment", ["sx", "--preset", "p3-blowup"]),
     ("fanokit.toric_heights", "is_k_semistable", ["semistable", "--json", P3_JSON]),
     ("fanokit.toric_heights", "log_fano_volume", ["reproduce-paper"]),
-    ("fanokit.hypersurfaces", "toric_family_height",
+    ("fanokit.hypersurfaces", "pn_family_height",
      ["diagonal", "--json", '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}']),
     ("fanokit.toric_heights", "pn_height", ["pn-height", "--n", "2"]),
     ("fanokit.toric_heights", "a_n_constant", ["pn-height", "--n", "2"]),

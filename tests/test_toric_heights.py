@@ -210,40 +210,48 @@ class TestScaledDivisorHeight:
 
 
 class TestToricFamilyHeight:
+    """The P^n divisor family, (n+1)!/2 v log(v_0 e^{2 a_n} / v)."""
+
+    RAW = th.Convention.RAW_HEIGHT
+
     def test_v_equals_b(self):
-        rep = th.toric_family_height(F(3), 0.7, F(3))
-        assert rep.value == pytest.approx(3 * 0.7, abs=1e-12)
+        # at v = v_0 the logarithm is 2 a_n alone
+        for n in range(1, 5):
+            v0 = th.pn_poly_volume(n)
+            rep = th.pn_family_height(n, v0, self.RAW, "family")
+            assert rep.value == pytest.approx(
+                math.factorial(n + 1) * float(v0) * th.a_n_constant(n), rel=1e-13)
+            assert rep.formula == "family" and rep.convention is self.RAW
 
     def test_matches_scaled_divisor(self):
         rng = random.Random(3)
         for n in (1, 2, 3):
-            v0 = F((n + 1) ** n, math.factorial(n))
-            a_n = th.a_n_constant(n)
+            v0 = th.pn_poly_volume(n)
             for _ in range(5):
                 t = F(rng.randint(1, 99), 100)
-                fam = th.toric_family_height(t**n * v0, a_n, v0)
-                direct = th.scaled_divisor_height(n, t)
-                assert math.factorial(n + 1) * fam.value == pytest.approx(
-                    direct.value, rel=1e-12)
+                fam = th.pn_family_height(n, t**n * v0, self.RAW, "scaled_divisor_family")
+                assert fam == th.scaled_divisor_height(n, t)
 
     def test_n1_example(self):
         a1 = th.a_n_constant(1)
-        rep = th.toric_family_height(F(1), a1, F(2))
-        assert rep.value == pytest.approx(0.5 * math.log(2 * math.exp(2 * a1)),
-                                          abs=1e-12)
-        assert 2 * rep.value == pytest.approx(
+        rep = th.pn_family_height(1, F(1), self.RAW, "family")
+        assert rep.value == pytest.approx(math.log(2 * math.exp(2 * a1)), abs=1e-12)
+        assert rep.value == pytest.approx(
             th.scaled_divisor_height(1, F(1, 2)).value, rel=1e-12)
 
     def test_anchor_identity(self):
         for n in range(1, 7):
-            v0 = F((n + 1) ** n, math.factorial(n))
-            fam = th.toric_family_height(v0, th.a_n_constant(n), v0)
-            assert math.factorial(n + 1) * fam.value == pytest.approx(
-                th.pn_height(n).value, rel=1e-10)
+            fam = th.pn_family_height(n, th.pn_poly_volume(n), self.RAW, "family")
+            assert fam.value == pytest.approx(th.pn_height(n).value, rel=1e-13)
 
     def test_range(self):
+        for n in (1, 2, 5):
+            v0 = th.pn_poly_volume(n)
+            for v in (v0 + F(1, 10**6), 2 * v0, F(0), -v0):
+                with pytest.raises(OutOfRange):
+                    th.pn_family_height(n, v, self.RAW, "family")
         with pytest.raises(OutOfRange):
-            th.toric_family_height(F(3), 0.5, F(2))
+            th.pn_family_height(0, F(1, 2), self.RAW, "family")
 
 
 class TestGapCheck:
