@@ -24,11 +24,12 @@ touches floating point.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -400,3 +401,45 @@ def clip_volume_and_moment(base: VPolytope, normal: Sequence,
         return volume_and_moment(intersect_halfspace(base, normal, cutoff))
     except EmptyIntersection:
         return Fraction(0), tuple([Fraction(0)] * base.dim)
+
+
+def clip_family(base: VPolytope, normal: Sequence) -> Callable[[Fraction], tuple[Fraction, Vec]]:
+    """c -> ``clip_volume_and_moment(base, normal, c)``, exactly, from at
+    most n + 2 clips per slab between consecutive vertex levels <normal, p>.
+
+    On a slab the cut keeps one combinatorial type, so the volume is a
+    polynomial in c of degree n and the moment one of degree n + 1, constant
+    outside the levels (Lawrence 1991).  A sample at a level counts for both
+    slabs that meet there; at n + 2 samples a slab fits Newton divided
+    differences once and answers by Horner's rule from then on.
+    """
+    levels = sorted({dot(normal, p) for p in base.vertices})
+    # slab i lies between levels[i - 1] and levels[i]
+    samples: list[dict[Fraction, tuple[Fraction, Vec]]] = [{} for _ in range(len(levels) + 1)]
+    fits: dict[int, tuple[list[Fraction], list[list[Fraction]]]] = {}
+
+    def at(c) -> tuple[Fraction, Vec]:
+        c = _frac(c)
+        i = bisect_right(levels, c)
+        slabs = (i - 1, i) if i and levels[i - 1] == c else (i,)
+        for s in slabs:
+            if s in fits:
+                xs, coef = fits[s]
+                y = coef[-1]
+                for x, a in zip(xs[-2::-1], coef[-2::-1]):
+                    y = [b + (c - x) * t for b, t in zip(a, y)]
+                return y[0], tuple(y[1:])
+            if c in samples[s]:
+                return samples[s][c]
+        sample = clip_volume_and_moment(base, normal, c)
+        for s in slabs:
+            samples[s][c] = sample
+            if len(samples[s]) == base.dim + 2:
+                xs, coef = list(samples[s]), [[v, *m] for v, m in samples[s].values()]
+                for k in range(1, len(xs)):
+                    coef[k:] = [[(a - b) / (x - w) for a, b in zip(p, q)]
+                                for p, q, x, w in zip(coef[k:], coef[k - 1:], xs[k:], xs)]
+                fits[s] = xs, coef
+        return sample
+
+    return at

@@ -7,7 +7,8 @@ solves the relaxed constraint
 
     integral over P cut at c of <v, x> dlambda = 0
 
-by bisection; the integrals are exact on clipped polytopes for rational c,
+by bisection over rational c.  The bisection reads exact slab polynomials
+(``geometry.clip_family``) and makes at most n + 2 clips per slab visited,
 so only the root itself is approximate.  The full barycenter of the
 optimizer is then checked: when it vanishes (always in the symmetric
 benchmark cases) the result is certified as S(X); otherwise it is an upper
@@ -93,7 +94,6 @@ def simplex_difference_barycenter(sd: SimplexDifference) -> Vec:
     a, b, n = sd.a, sd.b, sd.n
     if a <= b:
         raise EmptyBody("need a > b")
-    nf = math.factorial(n)
     num = a**n * (Fraction(a, n + 1) - 1) - b**n * (Fraction(b, n + 1) - 1)
     den = Fraction(a**n - b**n, 1)
     coord = (num / den)
@@ -153,8 +153,9 @@ def sx_invariant(obj) -> SxResult:
     as a ``ToricLogFano``, a ``VPolytope`` or a ``SimplexDifference``.
 
     Cuts perpendicular to the barycenter direction; the cutoff is bisected
-    over rationals until the bracket is narrower than 2^-50, with the moment
-    integral evaluated exactly at every step.
+    over rationals until the bracket is narrower than 2^-50, reading the
+    exact moment integral off slab polynomials that make at most n + 2
+    clips per slab visited.
     """
     verts, det = _as_polytope(obj)
     nf = math.factorial(verts.dim)
@@ -163,24 +164,18 @@ def sx_invariant(obj) -> SxResult:
         return SxResult(0.0, float(nf * vol / det), True, 0.0, None, None)
     u = geom.primitive_int_vector(mom)
     cmax = max(geom.dot(u, p) for p in verts.vertices)
+    clip = geom.clip_family(verts, u)
     lo, hi = Fraction(0), Fraction(cmax)
-
-    def moment_along(c: Fraction) -> tuple[Fraction, Fraction]:
-        cvol, cmom = geom.clip_volume_and_moment(verts, u, c)
-        return cvol, geom.dot(u, cmom)
-
-    _, m_lo = moment_along(lo)
-    if m_lo >= 0:
+    if geom.dot(u, clip(lo)[1]) >= 0:
         raise NonConvergence("objective not negative at zero cutoff")
     while hi - lo > _WIDTH:
         mid = (lo + hi) / 2
-        _, m_mid = moment_along(mid)
-        if m_mid < 0:
+        if geom.dot(u, clip(mid)[1]) < 0:
             lo = mid
         else:
             hi = mid
     c = (lo + hi) / 2
-    cvol, cmom = geom.clip_volume_and_moment(verts, u, c)
+    cvol, cmom = clip(c)
     bary = [x / cvol for x in cmom]
     residual = max(abs(float(x)) for x in bary)
     return SxResult(

@@ -88,6 +88,8 @@ class VolumePair:
 
     @classmethod
     def from_poly_volume(cls, n: int, poly_volume: Fraction) -> "VolumePair":
+        if n < 1:
+            raise OutOfRange("n must be a positive integer")
         return cls(math.factorial(n) * poly_volume, poly_volume)
 
 
@@ -203,9 +205,9 @@ def pn_height(n: int) -> HeightReport:
     return HeightReport(value, Convention.RAW_HEIGHT, "pn_fubini_study", err)
 
 
-def a_n_constant(n: int) -> float:
-    """Normalized P^n height: pn_height(n) / (n+1)^{n+1}.  Satisfies 2 a_n >= 1."""
-    a = pn_height(n).value / (n + 1) ** (n + 1)
+def a_n_constant(n: int, height: HeightReport | None = None) -> float:
+    """Normalized P^n height pn_height(n) / (n+1)^{n+1}, read off ``height`` if given."""
+    a = (height or pn_height(n)).value / (n + 1) ** (n + 1)
     if 2 * a < 1:
         raise ArithmeticError("normalized height dropped below 1/2")
     return a

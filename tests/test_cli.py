@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -549,6 +551,28 @@ class TestToricFamilyOutput:
         # pn_height: once for the theorem bound, once for a_n in the Fermat bound
         assert calls == {"fermat_height_bound": 1, "pn_height": 2}
 
+    def test_pn_height_evaluates_the_height_once(self, capsys, monkeypatch):
+        from fanokit import toric_heights as th
+
+        original = th.pn_height
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(th, "pn_height", spy)
+        code, out, _ = run_cli(["pn-height", "--n", "3"], capsys)
+        assert code == 0
+        assert calls == [3]
+        assert '"a_n": 2.98788176083,' in out
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_universal_bound_rejects_nonpositive_n(self, n, capsys):
+        code, out, err = run_cli(["universal-bound", "--n", n, "--volume", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert "n must be a positive integer" in err
+
     @pytest.mark.parametrize("argv", [
         ["pn-height", "--n", "2"],
         ["diagonal", "--json", DIAGONAL_CUBIC],
@@ -560,11 +584,73 @@ class TestToricFamilyOutput:
         assert "--precision" in err
 
 
+P3_BLOWUP_JSON = json.dumps({
+    "dim": 3,
+    "facets": [{"normal": l, "offset": "1"}
+               for l in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1])],
+})
+# po-o2 under the signed permutation x -> (-x_3, x_1, x_2)
+PO_O2_IMAGE_JSON = json.dumps({
+    "dim": 3,
+    "facets": [{"normal": l, "offset": "1"}
+               for l in ([0, 0, -1], [1, 0, 0], [0, 1, 0], [0, -1, 0], [-1, 2, 1])],
+})
+PO_O2_REAL_OUT = """{
+  "certified": false,
+  "n_factorial_S": 36.3057483268,
+  "residual": 0.149780385219,
+  "w": 5.88882123317
+}
+"""
+# stdout of sx on the real moment polytopes, fixed before the bisection
+# read its objective from slab polynomials instead of one clip per step
+SX_OUTPUTS = [
+    (P3_BLOWUP_JSON, """{
+  "certified": true,
+  "n_factorial_S": 41.778100185,
+  "residual": 2.27092248898e-17,
+  "w": 0.321426489572
+}
+"""),
+    (PO_O2_JSON, PO_O2_REAL_OUT),
+    (PO_O2_IMAGE_JSON, PO_O2_REAL_OUT),
+]
+
+
+class TestSxOutput:
+    @pytest.mark.parametrize("polytope, expected", SX_OUTPUTS,
+                             ids=["p3-blowup", "po-o2", "po-o2-image"])
+    def test_pinned_bytes(self, polytope, expected, capsys):
+        assert run_cli(["sx", "--json", polytope], capsys) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv", [["sx", "--preset", "p3-blowup"],
+                                      ["sx", "--json", PO_O2_JSON]],
+                             ids=["p3-blowup-preset", "po-o2-real"])
+    def test_at_most_n_plus_3_clips(self, argv, capsys, monkeypatch):
+        from fanokit import geometry
+
+        original = geometry.clip_volume_and_moment
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "clip_volume_and_moment", spy)
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(calls) <= 6
+
+
 class TestConsoleEntryPoint:
     def test_subprocess_smoke(self):
+        # the child imports fanokit from wherever this test run found it
+        package_root = str(Path(cli.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "fanokit.cli", "pn-height", "--n", "1"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0
         assert "4.2894597717" in proc.stdout
 

@@ -462,3 +462,45 @@ class TestPullingTriangulation:
     def test_centered_six_cube(self):
         v = geom.enumerate_vertices(centered_cube(6))
         assert geom.volume_and_moment(v) == (64, (0,) * 6)
+
+
+def clip_family_cases():
+    for n, seed in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+        rng = random.Random(100 * n + seed)
+        yield f"cloud-{n}-{seed}", random_rational_polytope(rng, n), rng
+    for name, preset in sorted(presets.SX_PRESETS.items()):
+        rng = random.Random(name)
+        yield name, geom.enumerate_vertices(preset().to_hpolytope()), rng
+
+
+CLIP_FAMILY_CASES = list(clip_family_cases())
+
+
+class TestClipFamily:
+    """The slab polynomials give exactly the clip's volume and moment, at
+    vertex levels, inside slabs and outside the polytope, in any order."""
+
+    @pytest.mark.parametrize("v, rng", [c[1:] for c in CLIP_FAMILY_CASES],
+                             ids=[c[0] for c in CLIP_FAMILY_CASES])
+    def test_equals_clip(self, v, rng, monkeypatch):
+        n = v.dim
+        while True:
+            u = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(u):
+                break
+        levels = sorted({geom.dot(u, p) for p in v.vertices})
+        bounds = [levels[0] - 3, *levels, levels[-1] + 3]
+        # n + 4 points strictly inside each slab, so that every slab answers
+        # some queries from its polynomial, and every level twice
+        cs = [lo + (hi - lo) * F(rng.randint(1, 999), 1000)
+              for lo, hi in zip(bounds, bounds[1:]) for _ in range(n + 4)]
+        cs += levels * 2
+        rng.shuffle(cs)
+        clip = geom.clip_volume_and_moment
+        clips = []
+        monkeypatch.setattr(geom, "clip_volume_and_moment",
+                            lambda *a: clips.append(a[2]) or clip(*a))
+        family = geom.clip_family(v, u)
+        for c in cs:
+            assert family(c) == clip(v, u, c)
+        assert len(clips) <= (n + 2) * (len(levels) + 1) < len(cs)
