@@ -16,7 +16,7 @@ for label, poly in [("P^3", presets.pn_polytope(3)),
                     ("Bl_pt P^3", presets.p3_blowup_polytope()),
                     ("P(O+O(2))", presets.po_o2_polytope()),
                     ("P^2 x P^1", presets.pn_times_p1_polytope(3))]:
-    t = ToricLogFano(poly, label)
+    t = ToricLogFano(poly)
     pair = th.log_fano_volume(t)
     print(f"{label:>10}: degree {pair.degree}, "
           f"K-semistable: {th.is_k_semistable(t)}")

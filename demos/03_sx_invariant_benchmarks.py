@@ -8,6 +8,7 @@ the exact optimizer reproduces.
 """
 import math
 
+from fanokit import geometry as geom
 from fanokit import presets
 from fanokit import sx_optimizer as sx
 from fanokit.toric_heights import ToricLogFano, log_fano_volume
@@ -19,8 +20,8 @@ for name in ("p3-blowup", "po-o2"):
     print(f"{name}:")
     print(f"  polytope normal form   ({sd.a}D - 1) \\ ({sd.b}D - 1), "
           f"det correction {sd.det_correction}")
-    print(f"  barycenter             {sx.simplex_difference_barycenter(sd)[0]} "
-          f"per coordinate")
+    bary = geom.barycenter(geom.enumerate_vertices(sd.to_hpolytope()))
+    print(f"  barycenter             {bary[0]} per coordinate (exact)")
     print(f"  quartic cut weight w   {w:.12f}")
     print(f"  n! S(X)                {result.s_value:.6f}   "
           f"certified: {result.certified} (residual {result.residual:.1e})")

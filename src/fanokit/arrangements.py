@@ -120,7 +120,12 @@ MAX_STABILITY_VERTICES = 10**5
 
 def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
     """The stability polytope of degree D on m hyperplanes of P^n; raises
-    OutOfRange when it has more than MAX_STABILITY_VERTICES vertices."""
+    OutOfRange when n < 1, m < 0 or it has more than MAX_STABILITY_VERTICES
+    vertices."""
+    if n < 1:
+        raise OutOfRange("n must be a positive integer")
+    if m < 0:
+        raise OutOfRange("m must be a nonnegative integer")
     d = Fraction(degree)
     if not 0 < d <= Fraction(n + 1) ** n:
         raise InvalidDegree("degree must lie in (0, (n+1)^n]")

@@ -25,7 +25,7 @@ touches floating point.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
@@ -346,7 +346,7 @@ class LinearMap:
     """Square rational matrix with its determinant cached at construction."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
-    determinant: Fraction = None  # type: ignore[assignment]
+    determinant: Fraction = field(init=False)
 
     def __post_init__(self):
         rows = tuple(vec(r) for r in self.matrix)

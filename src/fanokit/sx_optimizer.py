@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import geometry as geom
 from .errors import EmptyBody, NoRootInRange, NonConvergence
-from .geometry import HPolytope, Vec, VPolytope
+from .geometry import HPolytope, VPolytope
 from .toric_heights import ToricLogFano
 
 _WIDTH = Fraction(1, 2**50)
@@ -84,20 +84,6 @@ class SxResult:
             "certified": self.certified,
             "residual": self.residual,
         }
-
-
-def simplex_difference_barycenter(sd: SimplexDifference) -> Vec:
-    """Closed-form barycenter, proportional to the all-ones vector:
-
-        ( a^n/n! (a/(n+1) - 1) - b^n/n! (b/(n+1) - 1) ) / (a^n/n! - b^n/n!).
-    """
-    a, b, n = sd.a, sd.b, sd.n
-    if a <= b:
-        raise EmptyBody("need a > b")
-    num = a**n * (Fraction(a, n + 1) - 1) - b**n * (Fraction(b, n + 1) - 1)
-    den = Fraction(a**n - b**n, 1)
-    coord = (num / den)
-    return tuple(coord for _ in range(n))
 
 
 def _cut_poly(u: float, n: int) -> float:

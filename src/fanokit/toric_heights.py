@@ -46,14 +46,13 @@ def _to_float(x: Fraction) -> float:
         raise OutOfRange("result exceeds the double-precision range") from exc
 
 
-def _ulp_error(scale: float, ops: int = 8) -> float:
-    """Crude but safe rounding bound: ops half-ulps at the given magnitude."""
-    return abs(scale) * ops * _EPS
+def _ulp_error(scale: float) -> float:
+    """Crude but safe rounding bound: eight half-ulps at the given magnitude."""
+    return abs(scale) * 8 * _EPS
 
 
 class Convention(str, enum.Enum):
     RAW_HEIGHT = "raw_height"
-    NORMALIZED_HEIGHT = "normalized_height"
     BOUND_ON_HEIGHT = "bound_on_height"
 
 
@@ -103,7 +102,6 @@ class ToricLogFano:
     """
 
     polytope: VPolytope
-    label: str | None = None
 
     def __post_init__(self):
         for f in self.polytope.facets:

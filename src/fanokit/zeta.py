@@ -3,7 +3,10 @@ projective line with three weighted marked points.
 
 ``hurwitz_zeta`` is the one Euler-Maclaurin routine: a single pass gives
 zeta(s, x), its s-derivative and an error bound on each, the certified
-Bernoulli tail remainder plus an accumulated rounding estimate.  The height
+Bernoulli tail remainder plus an accumulated rounding estimate.  Its one
+precision input is a target absolute error (default ``DEFAULT_TARGET``):
+the number of Bernoulli corrections is fixed and the number of directly
+summed terms grows until the tail bound meets the target.  The height
 formula needs F(x) = zeta(-1, x) + zeta'(-1, x), evaluated once per distinct
 argument of a height.  For weight sums above the Fano range the formula
 continues real-analytically, which is realized here with a one-step complex
@@ -48,29 +51,10 @@ def bernoulli_number(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Controls of the Euler-Maclaurin evaluation.
-
-    ``shift`` is the number of directly summed terms N (raised automatically
-    until the certified tail is below target); ``bernoulli_terms`` is the
-    number M of Bernoulli corrections.
-    """
-
-    target_abs_error: float = 1e-12
-    shift: int = 12
-    bernoulli_terms: int = 8
-
-    def __post_init__(self):
-        if self.shift < 8:
-            raise OutOfRange("shift must be >= 8")
-        if self.bernoulli_terms < 4:
-            raise OutOfRange("bernoulli_terms must be >= 4")
-        if not self.target_abs_error > 0:
-            raise OutOfRange("target_abs_error must be positive")
-
-
-DEFAULT_POLICY = PrecisionPolicy()
+DEFAULT_TARGET = 1e-12
+# N directly summed terms (doubled until the tail meets the target), M Bernoulli terms
+_SHIFT = 12
+_BERNOULLI_TERMS = 8
 
 
 def _rising_with_derivative(s: float, m: int) -> tuple[float, float]:
@@ -90,10 +74,13 @@ class ZetaValue(NamedTuple):
     derivative_error: float
 
 
-def hurwitz_zeta(s: float, x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> ZetaValue:
+def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValue:
     """zeta(s, x) and d/ds zeta(s, x) for real s != 1 and x >= 0 (x = 0 via
     zeta(s, 1), the continuation value used throughout), from one
-    Euler-Maclaurin pass differentiated term by term."""
+    Euler-Maclaurin pass differentiated term by term whose certified tail
+    meets the target absolute error."""
+    if not 0 < target < math.inf:
+        raise OutOfRange("target must be positive and finite")
     if x < 0:
         raise DomainError("x must be nonnegative")
     if x == 0:
@@ -101,8 +88,7 @@ def hurwitz_zeta(s: float, x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -
     s, x = float(s), float(x)
     if s == 1:
         raise PoleAtOne("zeta(s, x) has its pole at s = 1")
-    m = policy.bernoulli_terms
-    n = policy.shift
+    m, n = _BERNOULLI_TERMS, _SHIFT
     tail_coeff = abs(float(bernoulli_number(2 * m + 2))) / math.factorial(2 * m + 2)
     p_tail, dp_tail = _rising_with_derivative(s, 2 * m + 1)
     while True:
@@ -111,10 +97,10 @@ def hurwitz_zeta(s: float, x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -
         pw_tail = a ** (-s - 2 * m - 1)
         err_z = tail_coeff * abs(p_tail) * pw_tail
         err_dz = 2 * tail_coeff * (abs(dp_tail) + abs(p_tail) * la) * pw_tail
-        if max(err_z, err_dz) <= policy.target_abs_error or n >= 1 << 20:
+        if max(err_z, err_dz) <= target or n >= 1 << 20:
             break
         n *= 2
-    if max(err_z, err_dz) > policy.target_abs_error:
+    if max(err_z, err_dz) > target:
         raise NonConvergence("Euler-Maclaurin tail bound above target")
 
     z = dz = 0.0
@@ -145,41 +131,41 @@ def hurwitz_zeta(s: float, x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -
     return ZetaValue(z, dz, err_z + 8 * _EPS * mag_z, err_dz + 8 * _EPS * mag_dz)
 
 
-def f_value(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def f_value(x: float, target: float = DEFAULT_TARGET) -> float:
     """F(x) = zeta(-1, x) + zeta'(-1, x) for x >= 0; F(0) = F(1)."""
-    z = hurwitz_zeta(-1.0, x, policy)
+    z = hurwitz_zeta(-1.0, x, target)
     return z.value + z.derivative
 
 
-def _f_error_estimate(policy: PrecisionPolicy) -> float:
-    # both summands honor the policy target; rounding contributes ~1e2 eps
-    return 2 * policy.target_abs_error + 256 * _EPS
+def _f_error_estimate(target: float) -> float:
+    # both summands honor the target; rounding contributes ~1e2 eps
+    return 2 * target + 256 * _EPS
 
 
 def _f_complex(x: float, f: Callable[[float], float],
-               policy: PrecisionPolicy) -> tuple[complex, float]:
+               target: float) -> tuple[complex, float]:
     """F continued to x > -1 (complex principal branch below 0) from f, the
     real F on [0, inf): a negative x reads f(x + 1)."""
     if x <= -1:
         raise DomainError("continuation implemented for x > -1 only")
     if x >= 0:
-        return complex(f(x)), _f_error_estimate(policy)
+        return complex(f(x)), _f_error_estimate(target)
     # zeta(s,x) = x^{-s} + zeta(s,x+1):   at s = -1,
     # zeta(-1,x) = x + zeta(-1,x+1),  zeta'(-1,x) = -x Log x + zeta'(-1,x+1)
     val = complex(f(x + 1.0)) + x - x * cmath.log(complex(x))
-    err = (_f_error_estimate(policy)
+    err = (_f_error_estimate(target)
            + 8 * _EPS * abs(x) * (1 + abs(cmath.log(complex(x)))))
     return val, err
 
 
-def gamma_ab(a: float, b: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def gamma_ab(a: float, b: float, target: float = DEFAULT_TARGET) -> float:
     """gamma(a, b) = F(b) + F(1-b) - F(a) - F(1-a); antisymmetric in (a, b)."""
     for arg in (a, b, 1 - a, 1 - b):
         if arg < 0:
             raise DomainError("all four F-arguments must be nonnegative")
     # paired differences so that gamma(a, a) cancels exactly
-    return ((f_value(b, policy) - f_value(a, policy))
-            + (f_value(1 - b, policy) - f_value(1 - a, policy)))
+    return ((f_value(b, target) - f_value(a, target))
+            + (f_value(1 - b, target) - f_value(1 - a, target)))
 
 
 @dataclass(frozen=True)
@@ -215,8 +201,7 @@ def p1_weights_semistable(inp: ZetaHeightInput) -> bool:
     return is_arrangement_semistable(WeightVector(1, inp.weights))
 
 
-def p1_canonical_height(inp: ZetaHeightInput,
-                        policy: PrecisionPolicy = DEFAULT_POLICY) -> HeightReport:
+def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) -> HeightReport:
     """Canonical height of (P^1_Z, three marked points with weights w):
 
       h / 2V = (1/2)(1 + log pi - log(V/2))
@@ -237,14 +222,14 @@ def p1_canonical_height(inp: ZetaHeightInput,
     def f(x: float) -> float:
         x = x or 1.0    # F(0) = F(1)
         if x not in memo:
-            memo[x] = f_value(x, policy)
+            memo[x] = f_value(x, target)
         return memo[x]
 
     total = complex(0)
     err = 0.0
     for a, b in [(0.0, h)] + [(float(w), float(w) + h) for w in inp.weights]:
         (fb, e1), (f1b, e2), (fa, e3), (f1a, e4) = (
-            _f_complex(x, f, policy) for x in (b, 1 - b, a, 1 - a))
+            _f_complex(x, f, target) for x in (b, 1 - b, a, 1 - a))
         # gamma(a, b), in paired differences so that gamma(a, a) cancels exactly
         total += (fb - fa) + (f1b - f1a)
         err += e1 + e2 + e3 + e4

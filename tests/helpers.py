@@ -1,6 +1,7 @@
 """Shared test oracles: brute-force exact H->V and V->H conversion, Monte
 Carlo volume estimation, random polytope and unimodular-matrix generation,
-and a floating-point half-space clipper used to sample candidate cuts
+the closed-form barycenter of a simplex difference, and a floating-point
+half-space clipper used to sample candidate cuts
 independently of the exact kernel."""
 from __future__ import annotations
 
@@ -88,6 +89,17 @@ def brute_force_full_weight_condition(w):
     return all(k * total >= (w.n + 1) * sum(subset)
                for k in range(1, w.n + 1)
                for subset in itertools.combinations(w.weights, k))
+
+
+def simplex_difference_barycenter(sd):
+    """Closed-form barycenter of a ``SimplexDifference``, proportional to
+    the all-ones vector:
+
+        ( a^n/n! (a/(n+1) - 1) - b^n/n! (b/(n+1) - 1) ) / (a^n/n! - b^n/n!).
+    """
+    a, b, n = sd.a, sd.b, sd.n
+    num = a**n * (a / (n + 1) - 1) - b**n * (b / (n + 1) - 1)
+    return (num / (a**n - b**n),) * n
 
 
 def random_rational_polytope(rng: random.Random, dim: int,

@@ -156,6 +156,13 @@ class TestStabilityPolytope:
             arr.stability_polytope(10, 40, 1)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("n, m", [(0, 3), (-1, 3), (1, -1)],
+                             ids=["n-0", "n-negative", "m-negative"])
+    def test_invalid_dimension_or_count(self, n, m):
+        # refused before the n-th root or the degree range is computed
+        with pytest.raises(OutOfRange, match="n must be a positive|m must be a nonnegative"):
+            arr.stability_polytope(n, m, 1)
+
     def test_invalid_degree(self):
         with pytest.raises(InvalidDegree):
             arr.stability_polytope(2, 4, 0)

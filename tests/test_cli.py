@@ -228,13 +228,26 @@ class TestErrorHandling:
         ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"], "precision": "x"}'],
         ["pn-height", "--n", "400"],
         ["universal-bound", "--n", "400", "--volume", "1"],
+        ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"]}', "--precision", "inf"],
+        ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"], "precision": "inf"}'],
+        ["volume", "--preset", "p3", "--cut-normal=0,0,0", "--cut-offset", "1"],
+        ["stability-polytope", "--n", "0", "--m", "3", "--degree", "1"],
+        ["stability-polytope", "--n", "-1", "--m", "3", "--degree", "1"],
+        ["stability-polytope", "--n", "1", "--m", "-1", "--degree", "1"],
+        ["diagonal", "--json", '{"n": 2, "d": 3, "a": [1, 1, true, 8]}'],
+        ["diagonal", "--json", '{"n": true, "d": 1, "a": [1, 1, 1]}'],
+        ["diagonal", "--json", '{"n": "2", "d": 3, "a": [1, 1, 1, 8]}'],
+        ["diagonal", "--json", '{"n": 2, "d": 3.0, "a": [1, 1, 1, 8]}'],
     ], ids=["facets-not-list", "vertices-not-list", "t-abc", "volume-abc", "volume-1/0",
             "degree-abc", "cut-offset-1/0", "precision-x", "pn-height-400",
-            "universal-bound-400"])
+            "universal-bound-400", "precision-inf-flag", "precision-inf-json",
+            "cut-normal-zero", "stability-n-0", "stability-n-negative", "stability-m-negative",
+            "diagonal-a-bool", "diagonal-n-bool", "diagonal-n-string", "diagonal-d-float"])
     def test_malformed_argument_is_an_input_error(self, argv, capsys):
-        code, _, err = run_cli(argv, capsys)
-        assert code == 1
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
         assert err.startswith("fanokit: input error:")
+        assert "Traceback" not in err
 
 
 class TestPointCloudInput:
@@ -492,6 +505,15 @@ class TestBatchAndEnv:
             capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("env, message", [
+        ("inf", "precision must be finite"), ("0", "precision must be positive"),
+        ("-1e-9", "precision must be positive")])
+    def test_env_precision_out_of_range(self, env, message, capsys, monkeypatch):
+        monkeypatch.setenv("FANOKIT_PRECISION", env)
+        code, out, err = run_cli(
+            ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"]}'], capsys)
+        assert (code, out, err) == (1, "", f"fanokit: input error: {message}\n")
+
 
 DIAGONAL_CUBIC = '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}'
 
@@ -712,7 +734,6 @@ OPERATION_COVERAGE = [
     ("fanokit.zeta", "f_value",
      ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),
     ("fanokit.zeta", "mabuchi_p1_constant", ["reproduce-paper"]),
-    ("fanokit.sx_optimizer", "simplex_difference_barycenter", ["reproduce-paper"]),
     ("fanokit.arrangements", "hypersimplex_decomposition",
      ["arrangement-bound", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}']),
     ("fanokit.hypersurfaces", "cover_volume_ratio_check",

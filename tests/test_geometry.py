@@ -193,6 +193,10 @@ class TestTransform:
         assert t.determinant == 4
         assert geom.volume(geom.transform(v, t)) == 4 * geom.volume(v)
 
+    def test_determinant_is_computed_not_given(self):
+        with pytest.raises(TypeError):
+            LinearMap(((1,),), determinant=5)
+
     def test_det2_map_onto_simplex_difference_normal_form(self):
         # P(O+O(2)) moment polytope maps onto (5D-1)\(D-1) with determinant 2
         po = HPolytope(

@@ -7,7 +7,7 @@ import pytest
 from fanokit import toric_heights as th
 from fanokit import zeta
 from fanokit.errors import DomainError, OutOfRange, PoleAtOne, ZeroVolume
-from fanokit.zeta import PrecisionPolicy, ZetaHeightInput
+from fanokit.zeta import ZetaHeightInput
 
 # zeta'(-1, 1) = 1/12 - log(A), Glaisher-Kinkelin constant A, computed
 # independently to 30 digits
@@ -21,7 +21,7 @@ ZETA_PRIME_REF = {
     0.3: 0.0958158902501060483957161699412,
 }
 
-TIGHT = PrecisionPolicy(target_abs_error=1e-13)
+TIGHT = 1e-13
 
 
 def bernoulli2(x: float) -> float:
@@ -48,6 +48,10 @@ class TestHurwitzZeta:
     def test_pole(self):
         with pytest.raises(PoleAtOne):
             zeta.hurwitz_zeta(1, 0.5)
+
+    def test_infinite_target_rejected(self):
+        with pytest.raises(OutOfRange):
+            zeta.hurwitz_zeta(-1, 0.5, math.inf)
 
     def test_negative_x_rejected(self):
         with pytest.raises(DomainError):
@@ -99,28 +103,27 @@ class TestF:
         assert zeta.f_value(0.0) == zeta.f_value(1.0)
 
     def test_stability_across_policies(self):
-        coarse = PrecisionPolicy(target_abs_error=1e-10, shift=8, bernoulli_terms=4)
-        fine = PrecisionPolicy(target_abs_error=1e-13, shift=24, bernoulli_terms=10)
         for k in range(1, 10):
             x = k / 10
-            assert zeta.f_value(x, coarse) == pytest.approx(
-                zeta.f_value(x, fine), abs=1e-9)
+            assert zeta.f_value(x, 1e-10) == pytest.approx(
+                zeta.f_value(x, 1e-13), abs=1e-9)
 
     def test_policy_convergence_monotone(self):
         # tightening the target by 10x moves outputs by less than the coarse error
         for exp in (8, 9, 10, 11):
-            coarse = PrecisionPolicy(target_abs_error=10.0**-exp)
-            fine = PrecisionPolicy(target_abs_error=10.0**-(exp + 1))
             for x in (0.3, 0.9, 1.4):
-                a = zeta.hurwitz_zeta(-1, x, coarse)
-                b = zeta.hurwitz_zeta(-1, x, fine)
+                a = zeta.hurwitz_zeta(-1, x, 10.0**-exp)
+                b = zeta.hurwitz_zeta(-1, x, 10.0**-(exp + 1))
                 assert abs(a.value - b.value) <= a.error
 
     def test_policy_validation(self):
-        with pytest.raises(OutOfRange):
-            PrecisionPolicy(shift=4)
-        with pytest.raises(OutOfRange):
-            PrecisionPolicy(bernoulli_terms=2)
+        # the target is the one precision input; every path refuses a bad one
+        inp = ZetaHeightInput(F(1, 2), F(1, 3), F(1, 5))
+        for target in (0.0, -1e-12, math.nan):
+            with pytest.raises(OutOfRange):
+                zeta.hurwitz_zeta(-1, 0.5, target)
+            with pytest.raises(OutOfRange):
+                zeta.p1_canonical_height(inp, target)
 
 
 class TestGamma:
@@ -196,9 +199,9 @@ class TestP1CanonicalHeight:
         original = zeta.hurwitz_zeta
         calls = []
 
-        def spy(s, x, policy=zeta.DEFAULT_POLICY):
+        def spy(s, x, target=zeta.DEFAULT_TARGET):
             calls.append((s, x))
-            return original(s, x, policy)
+            return original(s, x, target)
 
         monkeypatch.setattr(zeta, "hurwitz_zeta", spy)
         zeta.p1_canonical_height(ZetaHeightInput(*weights))
