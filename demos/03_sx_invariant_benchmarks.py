@@ -37,7 +37,7 @@ print("                w2 =", 4 - (4 / s) ** (1 / 3) - (2 * s) ** (1 / 3))
 
 # On the genuine P(O+O(2)) coordinates the barycenter direction is not a
 # symmetry axis; the optimizer then only certifies an upper bound.
-upper = sx.sx_invariant(ToricLogFano(presets.po_o2_polytope()))
+upper = sx.sx_invariant(geom.enumerate_vertices(presets.po_o2_polytope()))
 print(f"unsymmetric coordinates: value {upper.s_value:.3f}, "
       f"certified: {upper.certified} -> upper bound only")
 

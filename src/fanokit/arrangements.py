@@ -53,19 +53,6 @@ def is_arrangement_semistable(w: WeightVector) -> bool:
     return all(wi <= bound for wi in w.weights)
 
 
-def full_weight_condition(w: WeightVector) -> bool:
-    """The redundant k-subset form of the criterion, kept for cross-checks:
-
-        k sum_j w_j >= (n+1) sum_{j in S} w_j   for all k <= n, |S| = k.
-
-    The largest k-subset sum is that of the k largest weights, so one
-    descending sort and its prefix sums decide every k.
-    """
-    total = w.total()
-    top = itertools.accumulate(sorted(w.weights, reverse=True)[:w.n])
-    return all(k * total >= (w.n + 1) * s for k, s in enumerate(top, start=1))
-
-
 def arrangement_degree(w: WeightVector) -> Fraction:
     """(-(K + Delta))^n = (n+1 - sum w_i)^n, degree convention."""
     s = w.total()

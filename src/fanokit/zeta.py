@@ -158,16 +158,6 @@ def _f_complex(x: float, f: Callable[[float], float],
     return val, err
 
 
-def gamma_ab(a: float, b: float, target: float = DEFAULT_TARGET) -> float:
-    """gamma(a, b) = F(b) + F(1-b) - F(a) - F(1-a); antisymmetric in (a, b)."""
-    for arg in (a, b, 1 - a, 1 - b):
-        if arg < 0:
-            raise DomainError("all four F-arguments must be nonnegative")
-    # paired differences so that gamma(a, a) cancels exactly
-    return ((f_value(b, target) - f_value(a, target))
-            + (f_value(1 - b, target) - f_value(1 - a, target)))
-
-
 @dataclass(frozen=True)
 class ZetaHeightInput:
     """Three marked-point weights on P^1; V = 2 - sum(w) is the degree of
@@ -205,7 +195,9 @@ def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) ->
     """Canonical height of (P^1_Z, three marked points with weights w):
 
       h / 2V = (1/2)(1 + log pi - log(V/2))
-               - ( gamma(0, V/2) + sum_i gamma(w_i, w_i + V/2) ) / V.
+               - ( gamma(0, V/2) + sum_i gamma(w_i, w_i + V/2) ) / V,
+
+    gamma(a, b) = F(b) + F(1-b) - F(a) - F(1-a).
 
     For V < 0 the same expression is evaluated through its real-analytic
     continuation (the imaginary parts cancel exactly) and reported on the

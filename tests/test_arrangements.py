@@ -63,15 +63,16 @@ class TestSemistabilityTest:
             m = rng.randint(1, 6)
             w = WeightVector(
                 n, tuple(F(rng.randint(0, 9), 10) for _ in range(m)))
-            assert arr.is_arrangement_semistable(w) == arr.full_weight_condition(w)
+            assert arr.is_arrangement_semistable(w) == brute_force_full_weight_condition(w)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5),
            st.lists(st.fractions(min_value=0, max_value=F(11, 12), max_denominator=12),
                     min_size=1, max_size=8))
     def test_prefix_sums_agree_with_every_subset(self, n, ws):
+        # the single-weight test bounds every top-k sum by k sum_j w_j / (n+1)
         w = WeightVector(n, tuple(ws))
-        assert arr.full_weight_condition(w) == brute_force_full_weight_condition(w)
+        assert arr.is_arrangement_semistable(w) == brute_force_full_weight_condition(w)
 
     def test_permutation_invariance(self):
         rng = random.Random(59)

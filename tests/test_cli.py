@@ -41,6 +41,11 @@ PO_O2_JSON = json.dumps({
     ],
 })
 
+P2_JSON = json.dumps({
+    "dim": 2,
+    "facets": [{"normal": l, "offset": "1"} for l in ([1, 0], [0, 1], [-1, -1])],
+})
+
 
 class TestSubcommands:
     def test_sx_preset_benchmark(self, capsys):
@@ -98,6 +103,13 @@ class TestSubcommands:
         payload = json.loads(out)
         assert code == 0 and payload["semistable"] is True
         assert payload["full_criterion"] is True
+
+    def test_semistable_weights_unbalanced(self, capsys):
+        code, out, _ = run_cli(
+            ["semistable", "--json", '{"n": 1, "weights": ["9/10", "1/12"]}'], capsys)
+        assert code == 0
+        assert json.loads(out) == {"kind": "arrangement", "semistable": False,
+                                   "full_criterion": False}
 
     def test_barycenter(self, capsys):
         code, out, _ = run_cli(["barycenter", "--json", P3_JSON], capsys)
@@ -230,6 +242,8 @@ class TestErrorHandling:
         ["universal-bound", "--n", "400", "--volume", "1"],
         ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"]}', "--precision", "inf"],
         ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"], "precision": "inf"}'],
+        ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"]}', "--precision", "0"],
+        ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"], "precision": -1e-9}'],
         ["volume", "--preset", "p3", "--cut-normal=0,0,0", "--cut-offset", "1"],
         ["stability-polytope", "--n", "0", "--m", "3", "--degree", "1"],
         ["stability-polytope", "--n", "-1", "--m", "3", "--degree", "1"],
@@ -238,16 +252,35 @@ class TestErrorHandling:
         ["diagonal", "--json", '{"n": true, "d": 1, "a": [1, 1, 1]}'],
         ["diagonal", "--json", '{"n": "2", "d": 3, "a": [1, 1, 1, 8]}'],
         ["diagonal", "--json", '{"n": 2, "d": 3.0, "a": [1, 1, 1, 8]}'],
+        ["semistable", "--json", '{"n": true, "weights": ["1/2", "1/2"]}'],
+        ["volume", "--json", P2_JSON.replace('"normal": [1, 0]', '"normal": [true, 0]')],
+        ["volume", "--json", '{"dim": true, "facets": [{"normal": [1], "offset": "1"},'
+                             ' {"normal": [-1], "offset": "1"}]}'],
     ], ids=["facets-not-list", "vertices-not-list", "t-abc", "volume-abc", "volume-1/0",
             "degree-abc", "cut-offset-1/0", "precision-x", "pn-height-400",
             "universal-bound-400", "precision-inf-flag", "precision-inf-json",
+            "precision-zero-flag", "precision-negative-json",
             "cut-normal-zero", "stability-n-0", "stability-n-negative", "stability-m-negative",
-            "diagonal-a-bool", "diagonal-n-bool", "diagonal-n-string", "diagonal-d-float"])
+            "diagonal-a-bool", "diagonal-n-bool", "diagonal-n-string", "diagonal-d-float",
+            "weights-n-bool", "normal-bool", "dim-bool"])
     def test_malformed_argument_is_an_input_error(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("fanokit: input error:")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["pn-height"], "--n"),
+        (["scaled-height", "--n", "2"], "--t"),
+        (["universal-bound", "--volume", "2"], "--n"),
+        (["stability-polytope", "--n", "1", "--m", "3"], "--degree"),
+        (["stability-polytope", "--n", "1", "--degree", "1"], "--m"),
+    ])
+    def test_missing_required_option(self, argv, missing, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert f"the following arguments are required: {missing}" in err
 
 
 class TestPointCloudInput:
@@ -489,31 +522,6 @@ class TestBatchAndEnv:
         assert len(json.loads(out)["results"]) == 3
         assert seen and set(seen) == {threading.get_ident()}
 
-    def test_precision_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("FANOKIT_PRECISION", "1e-10")
-        code, out, _ = run_cli(
-            ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}'],
-            capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["abs_error"] <= 1e-8
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("FANOKIT_PRECISION", "banana")
-        code, _, err = run_cli(
-            ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"]}'],
-            capsys)
-        assert code == 1
-
-    @pytest.mark.parametrize("env, message", [
-        ("inf", "precision must be finite"), ("0", "precision must be positive"),
-        ("-1e-9", "precision must be positive")])
-    def test_env_precision_out_of_range(self, env, message, capsys, monkeypatch):
-        monkeypatch.setenv("FANOKIT_PRECISION", env)
-        code, out, err = run_cli(
-            ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"]}'], capsys)
-        assert (code, out, err) == (1, "", f"fanokit: input error: {message}\n")
-
 
 DIAGONAL_CUBIC = '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}'
 
@@ -664,17 +672,33 @@ class TestSxOutput:
         assert len(calls) <= 6
 
 
+def _child_env():
+    # the child imports fanokit from wherever this test run found it
+    package_root = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+
+
 class TestConsoleEntryPoint:
     def test_subprocess_smoke(self):
-        # the child imports fanokit from wherever this test run found it
-        package_root = str(Path(cli.__file__).parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "fanokit.cli", "pn-height", "--n", "1"],
-            capture_output=True, text=True, timeout=60, env=env)
+            capture_output=True, text=True, timeout=60, env=_child_env())
         assert proc.returncode == 0
         assert "4.2894597717" in proc.stdout
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # about 400 kB of output, so the child is still writing when the reader
+        # closes the pipe after one line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fanokit.cli", "stability-polytope",
+             "--n", "3", "--m", "16", "--degree", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
 
 
 OPERATION_COVERAGE = [
@@ -703,8 +727,6 @@ OPERATION_COVERAGE = [
     ("fanokit.sx_optimizer", "sx_invariant", ["sx", "--preset", "p3-blowup"]),
     ("fanokit.sx_optimizer", "solve_cut_weight", ["sx", "--preset", "p3-blowup"]),
     ("fanokit.arrangements", "is_arrangement_semistable",
-     ["semistable", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}']),
-    ("fanokit.arrangements", "full_weight_condition",
      ["semistable", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}']),
     ("fanokit.arrangements", "arrangement_degree",
      ["arrangement-bound", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}']),

@@ -105,7 +105,7 @@ class TestSxInvariant:
         assert elapsed < 1.0
 
     def test_semistable_input_returns_degree(self):
-        r = sx.sx_invariant(ToricLogFano(presets.pn_polytope(3)))
+        r = sx.sx_invariant(geom.enumerate_vertices(presets.pn_polytope(3)))
         assert r.s_value == 64.0
         assert r.cut_weight == 0.0
         assert r.certified
@@ -113,10 +113,12 @@ class TestSxInvariant:
 
     def test_vertex_polytope_input(self):
         h = presets.po_o2_polytope()
-        assert (sx.sx_invariant(geom.enumerate_vertices(h))
-                == sx.sx_invariant(ToricLogFano(h)))
-        with pytest.raises(TypeError):
-            sx.sx_invariant(h)
+        v = geom.enumerate_vertices(h)
+        # the hull of the vertices is the same polytope value
+        assert sx.sx_invariant(v) == sx.sx_invariant(geom.VPolytope.from_points(3, v.vertices))
+        for other in (h, ToricLogFano(h)):
+            with pytest.raises(TypeError):
+                sx.sx_invariant(other)
 
     def test_s_value_bounded_by_degree(self):
         rng = random.Random(29)
@@ -154,7 +156,7 @@ class TestSxInvariant:
     def test_uncertified_when_symmetry_absent(self):
         # the true P(O+O(2)) coordinates: the barycenter direction is not a
         # symmetry axis, so the half-space value is only an upper bound
-        r = sx.sx_invariant(ToricLogFano(presets.po_o2_polytope()))
+        r = sx.sx_invariant(geom.enumerate_vertices(presets.po_o2_polytope()))
         assert not r.certified
         assert r.residual > 1e-3
         assert r.s_value >= 30.3

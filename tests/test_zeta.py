@@ -126,28 +126,6 @@ class TestF:
                 zeta.p1_canonical_height(inp, target)
 
 
-class TestGamma:
-    def test_diagonal_vanishes(self):
-        for a in (0.0, 0.3, 1.0):
-            assert zeta.gamma_ab(a, a) == 0.0
-
-    def test_antisymmetry(self):
-        rng = random.Random(19)
-        for _ in range(20):
-            a, b = rng.uniform(0, 1), rng.uniform(0, 1)
-            assert zeta.gamma_ab(a, b) == pytest.approx(
-                -zeta.gamma_ab(b, a), abs=1e-10)
-
-    def test_gamma_zero_one(self):
-        assert abs(zeta.gamma_ab(0.0, 1.0)) <= 1e-10
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            zeta.gamma_ab(-0.1, 0.5)
-        with pytest.raises(DomainError):
-            zeta.gamma_ab(0.5, 1.2)
-
-
 class TestP1CanonicalHeight:
     def test_unweighted_matches_pn_height(self):
         rep = zeta.p1_canonical_height(ZetaHeightInput(F(0), F(0), F(0)))
