@@ -33,8 +33,10 @@ class WeightVector:
     def __post_init__(self):
         ws = tuple(Fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
-        if self.n < 1 or len(ws) < 1:
-            raise InvalidWeight("need n >= 1 and at least one hyperplane")
+        if type(self.n) is not int or self.n < 1:
+            raise OutOfRange("n must be a positive integer")
+        if not ws:
+            raise InvalidWeight("need at least one hyperplane")
         for w in ws:
             if not 0 <= w < 1:
                 raise InvalidWeight(f"weight {w} outside [0, 1)")
@@ -123,7 +125,9 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
     else:
         # through logarithms, since float(d) overflows past the double range;
         # C > 0 exactly, so a rounding below zero is clamped
-        c = max(0.0, (n + 1) - math.exp(_log_fraction(d) / n))
+        log_d = _log_fraction(d)
+        root = math.exp(log_d / n)
+        c = max(0.0, (n + 1) - root)
         exact = False
     if m < n + 1:
         return StabilityPolytope(n, m, d, c, exact, ())
@@ -138,9 +142,20 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
     if exact:
         if not (is_arrangement_semistable(first) and arrangement_degree(first) == d):
             raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d} or semistability")
-    # irrational C: carried in floats, degree verified numerically in logarithms
-    elif abs(n * math.log((n + 1) - sum((level,) * (n + 1))) - _log_fraction(d)) > 1e-12:
-        raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d}")
+    else:
+        # Irrational C: carried in floats, degree checked in logarithms.  To
+        # first order in u = 2^-53, with k = n + 1, L = log_d and R = exp(L/n): L/n
+        # and exp give root a relative error of (2 + |L|/n)u; k - root, / k
+        # and the recursive sum of k copies of the level ((k - 1)u, Higham
+        # 2002, Sec. 4.2) move k * level by (k + 1)uC more; the subtraction
+        # from k adds u.  So rest = R(1 + eta) with |eta| <= e = (3 + |L|/n)u
+        # + (k + 1)uC/R, n log(rest) - L = n log(1 + eta) lies within n e, and
+        # the log and the product by n add 3u|L|.  The bound is doubled for
+        # second-order terms.  rest <= 0: the float level cannot carry d.
+        rest = (n + 1) - sum((level,) * (n + 1))
+        tol = 2.0**-52 * (3 * n + 4 * abs(log_d) + n * (n + 2) * c / root)
+        if not rest > 0 or abs(n * math.log(rest) - log_d) > tol:
+            raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d}")
     verts = tuple(WeightVector(n, tuple(weight if i in subset else Fraction(0) for i in range(m)))
                   for subset in itertools.combinations(range(m), n + 1))
     return StabilityPolytope(n, m, d, c, exact, verts)

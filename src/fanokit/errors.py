@@ -31,6 +31,10 @@ class SingularMap(InputError):
     """Linear map with determinant zero."""
 
 
+class DimensionMismatch(InputError):
+    """A dimension that is not a positive int, or a vector of another length."""
+
+
 # -- toric heights ----------------------------------------------------------
 
 class NotAnticanonical(InputError):

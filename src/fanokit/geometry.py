@@ -20,7 +20,8 @@ triangulation, in every dimension, read off the vertex-facet incidence.
 All Gaussian elimination goes through one routine, ``_eliminate``.
 
 Every operation is a pure function on immutable values; nothing here
-touches floating point.
+touches floating point.  Each value checks its own input when it is built
+and raises an ``errors.InputError`` subclass.
 """
 from __future__ import annotations
 
@@ -33,7 +34,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegeneratePolytope,
+    DimensionMismatch,
     EmptyIntersection,
+    OutOfRange,
     SingularMap,
     UnboundedPolytope,
 )
@@ -68,7 +71,7 @@ def primitive_int_vector(v: Sequence) -> tuple[int, ...]:
     """
     fracs = [_frac(x) for x in v]
     if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive representative")
+        raise OutOfRange("normal vector must be nonzero")
     den = 1
     for x in fracs:
         den = den * x.denominator // gcd(den, x.denominator)
@@ -162,14 +165,20 @@ class Facet(NamedTuple):
 def make_facet(normal: Sequence, offset) -> Facet:
     """Canonicalize: primitive integer normal, offset rescaled to match."""
     fracs = [_frac(x) for x in normal]
-    if all(x == 0 for x in fracs):
-        raise ValueError("facet normal must be nonzero")
     prim = primitive_int_vector(fracs)
-    # scale factor relating input normal to the primitive one
-    k = next(_frac(fracs[i]) / prim[i] for i in range(len(prim)) if prim[i] != 0)
-    if k <= 0:
-        raise ValueError("normal and its primitive form must be parallel")
+    # the input normal is k * prim with k > 0: primitive_int_vector keeps the sign
+    k = next(x / a for x, a in zip(fracs, prim) if a)
     return Facet(prim, _frac(offset) / k)
+
+
+def _check_shape(dim, vectors: Iterable[Sequence], what: str) -> None:
+    """DimensionMismatch unless dim is a positive int and every vector has length dim."""
+    # type(dim) is int refuses booleans
+    if type(dim) is not int or dim < 1:
+        raise DimensionMismatch(f"dimension must be a positive integer, got {dim!r}")
+    for v in vectors:
+        if len(v) != dim:
+            raise DimensionMismatch(f"{what} has length {len(v)}, not the dimension {dim}")
 
 
 @dataclass(frozen=True)
@@ -180,12 +189,8 @@ class HPolytope:
     facets: tuple[Facet, ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
         canon = tuple(make_facet(n, o) for n, o in self.facets)
-        for f in canon:
-            if len(f.normal) != self.dim:
-                raise ValueError("facet normal has wrong dimension")
+        _check_shape(self.dim, (f.normal for f in canon), "facet normal")
         object.__setattr__(self, "facets", canon)
 
     def contains(self, p: Sequence) -> bool:
@@ -194,8 +199,9 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VPolytope:
-    """Both representations of one polytope: its extreme points and its
-    facets, each sorted and free of repeats.
+    """Both representations of one full-dimensional polytope, checked at
+    construction: its extreme points and its facets, each sorted and free of
+    repeats.
 
     Every constructor below keeps ``facets == facets_from_points(dim,
     vertices)``, so no operation has to hull the vertices again.
@@ -207,9 +213,9 @@ class VPolytope:
 
     def __post_init__(self):
         vs = tuple(sorted({vec(v) for v in self.vertices}))
-        for v in vs:
-            if len(v) != self.dim:
-                raise ValueError("vertex has wrong dimension")
+        _check_shape(self.dim, vs, "vertex")
+        if _affine_rank(vs) < self.dim:
+            raise DegeneratePolytope("polytope is not full-dimensional")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "facets", tuple(sorted(set(self.facets))))
 
@@ -221,10 +227,8 @@ class VPolytope:
     def from_points(cls, dim: int, points: Iterable[Sequence]) -> "VPolytope":
         """Reduce an arbitrary point cloud to its extreme points."""
         pts = sorted({vec(p) for p in points})
-        if not pts:
-            raise DegeneratePolytope("no points given")
-        if _affine_rank(pts) < dim:
-            raise DegeneratePolytope("points do not span the ambient space")
+        # before double description, which refuses a cloud that spans less
+        _check_shape(dim, pts, "point")
         facets = facets_from_points(dim, pts)
         tight = [{f for f in facets if dot(f.normal, p) == -f.offset} for p in pts]
         # a point is a vertex iff no other point is tight on all of its facets
@@ -268,8 +272,6 @@ def _vertices_of(h: HPolytope) -> VPolytope:
     if not incidence:
         raise DegeneratePolytope("empty feasible set")
     out = tuple(sorted(incidence))
-    if _affine_rank(out) < n:
-        raise DegeneratePolytope("feasible set has empty interior")
     # an inequality is a facet iff no other one is tight on more vertices
     # containing all of its own: a lower face lies in some facet
     tight_at = [incidence[p] for p in out]
@@ -286,8 +288,8 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
 
 # -- volume and first moment ---------------------------------------------------
 
-def _vol_mom(v: VPolytope) -> tuple[Fraction, Vec]:
-    """Exact (volume, integral of x dlambda) of a full-dimensional polytope.
+def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
+    """Exact (volume, integral of x dlambda) of a polytope.
 
     Pulling triangulation (Bueler-Enge-Fukuda 2000): a face, held as a bit
     mask of ``v.vertices``, is the union of the cones from its lowest-index
@@ -322,14 +324,8 @@ def _vol_mom(v: VPolytope) -> tuple[Fraction, Vec]:
     return vol / f, tuple(m / ((n + 1) * f) for m in mom)
 
 
-def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
-    if _affine_rank(v.vertices) < v.dim:
-        raise DegeneratePolytope("polytope is not full-dimensional")
-    return _vol_mom(v)
-
-
 def volume(v: VPolytope) -> Fraction:
-    """Exact Euclidean volume of a full-dimensional V-polytope."""
+    """Exact Euclidean volume of a V-polytope."""
     return volume_and_moment(v)[0]
 
 
@@ -350,9 +346,7 @@ class LinearMap:
 
     def __post_init__(self):
         rows = tuple(vec(r) for r in self.matrix)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
+        _check_shape(len(rows), rows, "matrix row")
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "determinant", _eliminate(rows)[2])
 

@@ -30,12 +30,15 @@ class DiagonalHypersurfaceSpec:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
+        coeffs = tuple(self.coefficients)
+        object.__setattr__(self, "coefficients", coeffs)
+        # type(x) is int refuses booleans and integral floats
+        if not all(type(x) is int for x in (self.n, self.d, *coeffs)):
+            raise OutOfRange("n, d and the coefficients must be integers")
         if self.n < 1:
             raise OutOfRange("relative dimension must be positive")
         if not 1 <= self.d <= self.n + 1:
             raise OutOfRange("Fano requires 1 <= d <= n+1")
-        coeffs = tuple(int(a) for a in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != self.n + 2:
             raise InputError(f"need n+2 = {self.n + 2} coefficients")
         if any(a == 0 for a in coeffs):

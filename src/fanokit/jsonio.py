@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import InputError
-from .geometry import HPolytope, VPolytope, make_facet
+from .geometry import HPolytope, VPolytope
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -34,13 +34,9 @@ def frac_from_json(x: Any) -> Fraction:
 
 
 def polytope_from_json(data: Any) -> HPolytope | VPolytope:
+    """The polytope of a JSON object; the geometry constructors check its dimension."""
     if not isinstance(data, dict):
         raise InputError("polytope JSON must be an object")
-    if "dim" not in data:
-        raise InputError("polytope JSON needs a 'dim' field")
-    dim = data["dim"]
-    if type(dim) is not int or dim < 1:
-        raise InputError("'dim' must be a positive integer")
     for key in ("facets", "vertices"):
         if key in data and not isinstance(data[key], list):
             raise InputError(f"'{key}' must be a list")
@@ -50,34 +46,26 @@ def polytope_from_json(data: Any) -> HPolytope | VPolytope:
             if not isinstance(f, dict) or "normal" not in f or "offset" not in f:
                 raise InputError("each facet needs 'normal' and 'offset'")
             normal = f["normal"]
-            if (not isinstance(normal, list) or len(normal) != dim
-                    or not all(type(a) is int for a in normal)):
-                raise InputError("facet normal must be an integer vector of length dim")
-            try:
-                facets.append(make_facet(tuple(normal), frac_from_json(f["offset"])))
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
-        return HPolytope(dim, tuple(facets))
+            if not isinstance(normal, list) or not all(type(a) is int for a in normal):
+                raise InputError("facet normal must be a list of integers")
+            facets.append((tuple(normal), frac_from_json(f["offset"])))
+        return HPolytope(data.get("dim"), tuple(facets))
     if "vertices" in data:
         verts = []
         for v in data["vertices"]:
-            if not isinstance(v, list) or len(v) != dim:
-                raise InputError("each vertex must be a list of length dim")
+            if not isinstance(v, list):
+                raise InputError("each vertex must be a list")
             verts.append(tuple(frac_from_json(x) for x in v))
-        return VPolytope.from_points(dim, verts)
+        return VPolytope.from_points(data.get("dim"), verts)
     raise InputError("polytope JSON needs 'facets' or 'vertices'")
 
 
 def weights_from_json(data: Any):
     from .arrangements import WeightVector
 
-    if not isinstance(data, dict) or "n" not in data or "weights" not in data:
-        raise InputError("weights JSON needs 'n' and 'weights'")
-    if type(data["n"]) is not int or data["n"] < 1:
-        raise InputError("'n' must be a positive integer")
-    if not isinstance(data["weights"], list) or not data["weights"]:
-        raise InputError("'weights' must be a nonempty list")
-    return WeightVector(data["n"], tuple(frac_from_json(w) for w in data["weights"]))
+    if not isinstance(data, dict) or not isinstance(data.get("weights"), list):
+        raise InputError("weights JSON needs 'n' and a 'weights' list")
+    return WeightVector(data.get("n"), tuple(frac_from_json(w) for w in data["weights"]))
 
 
 def round_float(x: float) -> float:

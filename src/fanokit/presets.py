@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import OutOfRange
 from .geometry import HPolytope
 from .sx_optimizer import SimplexDifference
 
@@ -17,7 +18,7 @@ def pn_polytope(n: int) -> HPolytope:
 def pn_times_p1_polytope(n: int) -> HPolytope:
     """Anticanonical polytope of P^{n-1} x P^1 (degree 2 n^n)."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise OutOfRange("need n >= 2")
     m = n - 1
     facets = [
         (tuple((1 if j == i else 0) for j in range(n)), 1) for i in range(m)
@@ -64,7 +65,7 @@ def p1xp1_polytope() -> HPolytope:
 def p2_blowup_polytope(m: int) -> HPolytope:
     """Toric del Pezzo: P^2 blown up in m torus-fixed points, m <= 3."""
     if not 0 <= m <= 3:
-        raise ValueError("m must be 0..3")
+        raise OutOfRange("m must be 0..3")
     facets = [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]
     cuts = [((-1, 0), 1), ((0, -1), 1), ((1, 1), 1)]
     return HPolytope(2, tuple(facets + cuts[:m]))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geom
-from .errors import EmptyBody, NoRootInRange, NonConvergence
+from .errors import DimensionMismatch, EmptyBody, NoRootInRange, NonConvergence, OutOfRange
 from .geometry import HPolytope, VPolytope
 
 _WIDTH = Fraction(1, 2**50)
@@ -49,11 +49,11 @@ class SimplexDifference:
         object.__setattr__(self, "b", Fraction(self.b))
         object.__setattr__(self, "det_correction", Fraction(self.det_correction))
         if self.n < 1:
-            raise ValueError("dimension must be positive")
+            raise DimensionMismatch("dimension must be positive")
         if not 0 <= self.b < self.a:
             raise EmptyBody("need 0 <= b < a")
         if self.det_correction < 1:
-            raise ValueError("det_correction must be >= 1")
+            raise OutOfRange("det_correction must be >= 1")
 
     def to_hpolytope(self) -> HPolytope:
         n = self.n
@@ -133,7 +133,8 @@ def _as_polytope(obj) -> tuple[VPolytope, Fraction]:
 
 def sx_invariant(obj) -> SxResult:
     """n! S(X) for a moment polytope with the origin in its interior, given
-    as a ``VPolytope`` or a ``SimplexDifference``.
+    as a ``VPolytope`` or a ``SimplexDifference``; OutOfRange when some
+    facet offset is <= 0, so that the origin is not interior.
 
     Cuts perpendicular to the barycenter direction; the cutoff is bisected
     over rationals until the bracket is narrower than 2^-50, reading the
@@ -141,6 +142,8 @@ def sx_invariant(obj) -> SxResult:
     clips per slab visited.
     """
     verts, det = _as_polytope(obj)
+    if any(f.offset <= 0 for f in verts.facets):
+        raise OutOfRange("the origin must be interior: every facet offset must be positive")
     nf = math.factorial(verts.dim)
     vol, mom = geom.volume_and_moment(verts)
     if all(x == 0 for x in mom):
@@ -148,9 +151,8 @@ def sx_invariant(obj) -> SxResult:
     u = geom.primitive_int_vector(mom)
     cmax = max(geom.dot(u, p) for p in verts.vertices)
     clip = geom.clip_family(verts, u)
+    # <u, moment> < 0 at cutoff 0, the origin being interior, and > 0 at cmax
     lo, hi = Fraction(0), Fraction(cmax)
-    if geom.dot(u, clip(lo)[1]) >= 0:
-        raise NonConvergence("objective not negative at zero cutoff")
     while hi - lo > _WIDTH:
         mid = (lo + hi) / 2
         if geom.dot(u, clip(mid)[1]) < 0:

@@ -31,6 +31,7 @@ from .errors import (
     NonpositiveVolume,
     NotAnticanonical,
     NotSemistable,
+    NumericalError,
     OutOfRange,
 )
 from .geometry import HPolytope, Vec, VPolytope
@@ -185,19 +186,28 @@ def is_pn_polytope(v: VPolytope) -> bool:
 
 # -- closed-form heights -------------------------------------------------------
 
+def _check_pn_n(n: int) -> None:
+    """OutOfRange unless 1 <= n <= 142, where the lead (n+1)^{n+1}/2 of
+    pn_height(n) is a finite double; decided in logarithms, which lie at
+    least 0.79 from log(DBL_MAX) at every n, before any work that grows with n."""
+    if n < 1:
+        raise OutOfRange("n must be a positive integer")
+    if (n + 1) * math.log(n + 1) - math.log(2) > math.log(sys.float_info.max):
+        raise OutOfRange("result exceeds the double-precision range")
+
+
 def pn_height(n: int) -> HeightReport:
     """Height of projective n-space over Z with the volume-normalized
     Fubini-Study metric:
 
         (1/2) (n+1)^{n+1} ( (n+1) H_n - n + log(pi^n / n!) ),  H_n = sum 1/k.
     """
-    if n < 1:
-        raise OutOfRange("n must be a positive integer")
+    _check_pn_n(n)
     harmonic = sum(Fraction(1, k) for k in range(1, n + 1))
     lead = Fraction((n + 1) ** (n + 1), 2)
     rational_part = (n + 1) * harmonic - n
     log_part = n * math.log(math.pi) - math.log(math.factorial(n))
-    lead_f = _to_float(lead)
+    lead_f = float(lead)
     value = lead_f * (float(rational_part) + log_part)
     err = _ulp_error(lead_f * (abs(float(rational_part)) + abs(log_part)))
     return HeightReport(value, Convention.RAW_HEIGHT, "pn_fubini_study", err)
@@ -207,7 +217,7 @@ def a_n_constant(n: int, height: HeightReport | None = None) -> float:
     """Normalized P^n height pn_height(n) / (n+1)^{n+1}, read off ``height`` if given."""
     a = (height or pn_height(n)).value / (n + 1) ** (n + 1)
     if 2 * a < 1:
-        raise ArithmeticError("normalized height dropped below 1/2")
+        raise NumericalError("normalized height dropped below 1/2")
     return a
 
 
@@ -218,9 +228,7 @@ def _log_fraction(x: Fraction) -> float:
 def _toric_height(n: int, v: Fraction, log_c: float, convention: Convention,
                   formula: str) -> HeightReport:
     """(n+1)!/2 * v * log(C / v) at poly-volume v; abs_error scales with
-    |log C| + |log v|, so it also covers a difference that cancels."""
-    if v <= 0:
-        raise NonpositiveVolume("volume must be positive")
+    |log C| + |log v|, so it also covers a difference that cancels; v > 0."""
     lead = _to_float(Fraction(math.factorial(n + 1), 2) * v)
     log_v = _log_fraction(v)
     return HeightReport(lead * (log_c - log_v), convention, formula,
@@ -234,9 +242,9 @@ def universal_height_bound(vol: VolumePair, n: int) -> HeightReport:
 
 
 def pn_poly_volume(n: int) -> Fraction:
-    """v_0 = (n+1)^n / n!, the poly-volume of P^n."""
-    if n < 1:
-        raise OutOfRange("n must be a positive integer")
+    """v_0 = (n+1)^n / n!, the poly-volume of P^n; every caller goes on to
+    pn_height(n), so it refuses the same n."""
+    _check_pn_n(n)
     return Fraction((n + 1) ** n, math.factorial(n))
 
 
@@ -259,7 +267,7 @@ def scaled_divisor_height(n: int, t) -> HeightReport:
     t = Fraction(t)
     if not 0 < t <= 1:
         raise OutOfRange("t must lie in (0, 1]")
-    return pn_family_height(n, t**n * pn_poly_volume(n), Convention.RAW_HEIGHT,
+    return pn_family_height(n, pn_poly_volume(n) * t**n, Convention.RAW_HEIGHT,
                             "scaled_divisor_family")
 
 

@@ -297,3 +297,27 @@ class TestExactRoot:
         # numerator and denominator beyond double precision
         sp = arr.stability_polytope(3, 4, F((3**40 + 1) ** 3, 3**120))
         assert sp.c_exact
+
+
+class TestWeightVectorValidation:
+    @pytest.mark.parametrize("n", [F(3, 2), 1.5, True, "1", 0])
+    def test_n_must_be_a_positive_int(self, n):
+        with pytest.raises(OutOfRange, match="n must be a positive integer"):
+            WeightVector(n, (F(1, 2),) * 3)
+
+    def test_needs_a_hyperplane(self):
+        with pytest.raises(InvalidWeight):
+            WeightVector(1, ())
+
+
+class TestIrrationalLevelCheck:
+    # degrees with no exact n-th root: the float level is checked against the
+    # rounding bound derived in stability_polytope; a fixed 1e-12 refused 77
+    # of these pairs
+    @pytest.mark.parametrize("degree", [F(2), F(3), F(7, 3), F(10, 9), F(5)],
+                             ids=["2", "3", "7/3", "10/9", "5"])
+    def test_valid_input_passes_up_to_n_60(self, degree):
+        for n in range(1, 61):
+            if degree <= (n + 1) ** n:
+                sp = arr.stability_polytope(n, n + 1, degree)
+                assert len(sp.vertices) == 1

@@ -789,3 +789,120 @@ class TestOperationCoverage:
         capsys.readouterr()
         assert code == 0
         assert calls, f"{module_name}.{func_name} never invoked by {argv}"
+
+
+OCTAHEDRON_JSON = json.dumps({
+    "dim": 3,
+    "vertices": [[s if j == i else 0 for j in range(3)] for i in range(3) for s in (1, -1)],
+})
+# stdout of pn-height --n 140, the largest n whose report is finite, fixed
+# before n was range-checked ahead of the harmonic sum
+PN_HEIGHT_140_OUT = """{
+  "a_n": 121.851926076,
+  "abs_error": 1.00636618536e+291,
+  "convention": "raw_height",
+  "formula": "pn_fubini_study",
+  "n": 140,
+  "value": 1.3357564586e+305
+}
+"""
+
+
+class TestInputPaths:
+    def test_input_file(self, tmp_path, capsys):
+        path = tmp_path / "p3.json"
+        path.write_text(P3_JSON, encoding="utf-8")
+        from_file = run_cli(["volume", "--input", str(path)], capsys)
+        assert from_file == run_cli(["volume", "--json", P3_JSON], capsys)
+        assert from_file[0] == 0
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        code, out, err = run_cli(["volume", "--input", str(tmp_path / "absent.json")], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("fanokit: input error: cannot read ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["volume", "--input", "p3.json", "--json", P3_JSON], "use --input or --json, not both"),
+        (["volume", "--json", "[1, 2]"], "top-level JSON must be an object"),
+        (["volume", "--preset", "p3", "--json", P3_JSON], "give either --preset or an input"),
+        (["volume", "--json", '{"batch": {"dim": 1}}'], "'batch' must be a list"),
+        (["sx"], "missing input: give --input, --json or --preset"),
+        (["arrangement-bound"], "weights JSON needs 'n' and a 'weights' list"),
+        (["diagonal"], "diagonal needs JSON"),
+        (["p1-zeta-height"], "p1-zeta-height needs JSON"),
+    ], ids=["input-and-json", "top-level-array", "preset-and-input", "batch-not-list",
+            "sx-no-input", "arrangement-bound-no-input", "diagonal-no-input",
+            "p1-zeta-height-no-input"])
+    def test_refused(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("fanokit: input error: " + message)
+
+    def test_gap_check_non_simple_vertices(self, capsys):
+        # four facets of the octahedron meet at each of its six vertices
+        code, out, _ = run_cli(["gap-check", "--json", OCTAHEDRON_JSON], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["vertex_dets"] == [None] * 6
+        assert payload["all_vertices_simple"] is False
+        assert payload["singular"] is True
+
+    @pytest.mark.parametrize("argv, message", [
+        (["volume", "--json", '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1, 1]]}'],
+         "point has length 3, not the dimension 2"),
+        (["volume", "--json", '{"dim": 2, "facets": [{"normal": [1, 0, 0], "offset": 1}]}'],
+         "facet normal has length 3, not the dimension 2"),
+        (["volume", "--json", '{"dim": 0, "vertices": []}'],
+         "dimension must be a positive integer, got 0"),
+        (["volume", "--preset", "p3", "--cut-normal", "1,1", "--cut-offset", "0"],
+         "facet normal has length 2, not the dimension 3"),
+        (["volume", "--json", '{"dim": 2, "facets": [{"normal": [0, 0], "offset": 1}]}'],
+         "normal vector must be nonzero"),
+        (["diagonal", "--json", '{"n": 2, "d": 3, "a": [1.5, 1, 1, 8]}'],
+         "n, d and the coefficients must be integers"),
+        (["semistable", "--json", '{"n": 1.5, "weights": ["1/2"]}'],
+         "n must be a positive integer"),
+        (["semistable", "--json", '{"n": 1, "weights": []}'], "need at least one hyperplane"),
+    ], ids=["vertex-length", "normal-length", "dim-zero", "cut-normal-length", "normal-zero",
+            "diagonal-a-float", "weights-n-float", "weights-empty"])
+    def test_checked_by_the_value(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"fanokit: input error: {message}\n"
+
+
+class TestFormerFailures:
+    """Valid input that exited 2, input errors that exited 2, and refusals
+    that took over 30 s."""
+
+    def test_stability_polytope_irrational_level(self, capsys):
+        code, out, err = run_cli(
+            ["stability-polytope", "--n", "37", "--m", "38", "--degree", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["c_exact"] is False
+
+    @pytest.mark.parametrize("vertices", [
+        [[1, 1], [1, 2], [2, 1], [2, 2]],
+        [[0, 0], [1, 0], [0, 1]],
+    ], ids=["square-off-origin", "origin-at-vertex"])
+    def test_sx_needs_the_origin_inside(self, vertices, capsys):
+        data = json.dumps({"dim": 2, "vertices": vertices})
+        code, out, err = run_cli(["sx", "--json", data], capsys)
+        assert (code, out) == (1, "")
+        assert "origin must be interior" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pn-height", "--n", "200000"],
+        ["scaled-height", "--n", "200000", "--t", "1"],
+    ])
+    def test_large_n_refused_fast(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == "fanokit: input error: result exceeds the double-precision range\n"
+
+    def test_pn_height_range_edge_unchanged(self, capsys):
+        assert run_cli(["pn-height", "--n", "140"], capsys) == (0, PN_HEIGHT_140_OUT, "")
+        assert run_cli(["pn-height", "--n", "142"], capsys)[0] == 0
+        assert run_cli(["pn-height", "--n", "143"], capsys)[0] == 1

@@ -12,7 +12,10 @@ from scipy.spatial import ConvexHull, Delaunay
 from fanokit import geometry as geom
 from fanokit.errors import (
     DegeneratePolytope,
+    DimensionMismatch,
     EmptyIntersection,
+    InputError,
+    OutOfRange,
     SingularMap,
     UnboundedPolytope,
 )
@@ -127,9 +130,8 @@ class TestVolume:
         assert geom.volume(geom.enumerate_vertices(P3_POLYTOPE)) == F(32, 3)
 
     def test_degenerate_rejected(self):
-        flat = VPolytope(2, ((F(0), F(0)), (F(1), F(0)), (F(2), F(0))), ())
         with pytest.raises(DegeneratePolytope):
-            geom.volume(flat)
+            VPolytope(2, ((F(0), F(0)), (F(1), F(0)), (F(2), F(0))), ())
 
     def test_additivity_under_hyperplane_split(self):
         rng = random.Random(23)
@@ -508,3 +510,45 @@ class TestClipFamily:
         for c in cs:
             assert family(c) == clip(v, u, c)
         assert len(clips) <= (n + 2) * (len(levels) + 1) < len(cs)
+
+
+class TestConstructorsCheckTheirInput:
+    @pytest.mark.parametrize("build, error", [
+        (lambda: VPolytope.from_points(2, [(0, 0), (1, 0), (0, 1, 1)]), DimensionMismatch),
+        (lambda: VPolytope.from_points(True, [(0,), (1,)]), DimensionMismatch),
+        (lambda: VPolytope.from_points(2, [(0, 0), (1, 1), (2, 2)]), DegeneratePolytope),
+        (lambda: VPolytope(2, ((0, 0), (1, 0), (0, 1, 0)), ()), DimensionMismatch),
+        (lambda: HPolytope(2, (((1, 0, 0), 1), ((-1, 0), 1))), DimensionMismatch),
+        (lambda: HPolytope(0, ()), DimensionMismatch),
+        (lambda: HPolytope("2", (((1, 0), 1),)), DimensionMismatch),
+        (lambda: HPolytope(2, (((0, 0), 1),)), OutOfRange),
+        (lambda: geom.make_facet((), 1), OutOfRange),
+        (lambda: LinearMap(((1, 0), (0, 1, 0))), DimensionMismatch),
+        (lambda: LinearMap(()), DimensionMismatch),
+    ], ids=["cloud-mixed-lengths", "cloud-dim-bool", "cloud-flat", "vertex-wrong-length",
+            "normal-wrong-length", "dim-zero", "dim-string", "normal-zero", "normal-empty",
+            "map-not-square", "map-empty"])
+    def test_typed_error(self, build, error):
+        with pytest.raises(error):
+            build()
+        assert issubclass(error, InputError)
+
+    def test_cloud_lengths_checked_before_double_description(self, monkeypatch):
+        monkeypatch.setattr(geom, "facets_from_points", None)   # a call would fail
+        with pytest.raises(DimensionMismatch):
+            VPolytope.from_points(2, [(0, 0), (1, 0), (0, 1, 1)])
+
+    def test_wrong_length_cut_is_not_an_empty_intersection(self):
+        v = geom.enumerate_vertices(presets.pn_polytope(3))
+        with pytest.raises(DimensionMismatch):
+            geom.intersect_halfspace(v, (1, 1), 0)
+
+    def test_full_dimensionality_checked_once_per_value(self, monkeypatch):
+        v = geom.enumerate_vertices(unit_cube(3))
+        calls = []
+        original = geom._affine_rank
+        monkeypatch.setattr(geom, "_affine_rank", lambda pts: calls.append(1) or original(pts))
+        geom.volume_and_moment(v)
+        assert calls == []
+        geom.clip_volume_and_moment(v, (1, 1, 1), F(17, 11))   # not a cached clip
+        assert len(calls) == 1

@@ -210,3 +210,19 @@ class TestTheoremBound:
                     spec = DiagonalHypersurfaceSpec(n, d, a)
                     assert (hyp.diagonal_theorem_bound(spec).report.value
                             <= th.pn_height(n).value + 1e-9)
+
+
+class TestSpecTypes:
+    @pytest.mark.parametrize("n, d, a", [
+        (2, 3, (1.5, 1, 1, 8)),
+        (2, 3, (1, 1, True, 8)),
+        (True, 1, (1, 1, 1)),
+        (2, 3.0, (1, 1, 1, 8)),
+        ("2", 3, (1, 1, 1, 8)),
+    ], ids=["a-float", "a-bool", "n-bool", "d-float", "n-string"])
+    def test_non_integers_refused(self, n, d, a):
+        with pytest.raises(OutOfRange, match="must be integers"):
+            DiagonalHypersurfaceSpec(n, d, a)
+
+    def test_coefficients_kept_as_given(self):
+        assert DiagonalHypersurfaceSpec(2, 3, [1, -1, 1, 8]).coefficients == (1, -1, 1, 8)

@@ -1,5 +1,6 @@
 """The library imports nothing outside the standard library; numpy, scipy,
-mpmath and sympy serve the tests as oracles only."""
+mpmath and sympy serve the tests as oracles only.  Every error it raises is
+a class of ``fanokit.errors``."""
 import ast
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fanokit
+from fanokit import errors
 
 SOURCES = sorted(Path(fanokit.__file__).parent.glob("*.py"))
 
@@ -23,3 +25,21 @@ def test_imports_are_relative_or_stdlib(source):
             continue
         outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"{source.name} imports {outside}"
+
+
+# _as_polytope raises TypeError for an argument of the wrong type
+ALLOWED_RAISES = {name for name, value in vars(errors).items() if isinstance(value, type)} | {
+    "TypeError"}
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_raise_names_an_errors_class(source):
+    foreign = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue   # a bare raise re-raises what it caught
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+        if name not in ALLOWED_RAISES:
+            foreign.append(f"line {node.lineno}: {ast.unparse(node.exc)[:60]}")
+    assert not foreign, f"{source.name} raises {foreign}"

@@ -12,7 +12,7 @@ from fanokit import cli
 from fanokit import geometry as geom
 from fanokit import presets
 from fanokit import sx_optimizer as sx
-from fanokit.errors import EmptyBody, NoRootInRange
+from fanokit.errors import EmptyBody, NoRootInRange, OutOfRange
 from fanokit.sx_optimizer import SimplexDifference
 from fanokit.toric_heights import ToricLogFano
 
@@ -215,3 +215,19 @@ class TestDelPezzoTable:
         for label, degree in expect.items():
             row = rows[f"degree, {label}"]
             assert row["computed"] == row["reference"] == degree and row["pass"]
+
+
+class TestOriginMustBeInterior:
+    @pytest.mark.parametrize("points", [
+        [(1, 1), (1, 2), (2, 1), (2, 2)],
+        [(0, 0), (1, 0), (0, 1)],
+        [(-1, -1), (2, -1), (-1, 0), (2, 0)],
+    ], ids=["square-off-origin", "origin-at-vertex", "origin-on-edge"])
+    def test_refused_as_input(self, points):
+        with pytest.raises(OutOfRange, match="origin must be interior"):
+            sx.sx_invariant(geom.VPolytope.from_points(2, points))
+
+    def test_refused_for_a_simplex_difference(self):
+        # a = 3 = n puts the facet sum x <= a - n through the origin
+        with pytest.raises(OutOfRange):
+            sx.sx_invariant(SimplexDifference(a=F(3), b=F(1)))
