@@ -16,8 +16,11 @@ found once, by ``facets_from_points`` for a point cloud or by
 hulling the vertices again.  Both conversions are one integer
 double-description routine, ``_extreme_rays``, run on the homogenized
 inequalities or points.  Volume and moment come from one pulling
-triangulation, in every dimension, read off the vertex-facet incidence.
-All Gaussian elimination goes through one routine, ``_eliminate``.
+triangulation, in every dimension, read off the vertex-facet incidence of
+the vertices scaled to integers.  All Gaussian elimination goes through one
+fraction-free routine, ``_eliminate``, which works over the integers and
+divides once at the end; the slab polynomials of ``clip_family`` are
+integers over one denominator as well.
 
 Every operation is a pure function on immutable values; nothing here
 touches floating point.  Each value checks its own input when it is built
@@ -29,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -42,6 +45,7 @@ from .errors import (
 )
 
 Vec = tuple[Fraction, ...]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -56,10 +60,6 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((_frac(a) * _frac(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def vsub(u: Sequence, v: Sequence) -> Vec:
-    return tuple(_frac(a) - _frac(b) for a, b in zip(u, v))
-
-
 def vadd(u: Sequence, v: Sequence) -> Vec:
     return tuple(_frac(a) + _frac(b) for a, b in zip(u, v))
 
@@ -72,13 +72,9 @@ def primitive_int_vector(v: Sequence) -> tuple[int, ...]:
     fracs = [_frac(x) for x in v]
     if all(x == 0 for x in fracs):
         raise OutOfRange("normal vector must be nonzero")
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
+    den = lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (den // x.denominator) for x in fracs]
+    g = gcd(*ints)
     return tuple(a // g for a in ints)
 
 
@@ -87,32 +83,43 @@ def primitive_int_vector(v: Sequence) -> tuple[int, ...]:
 def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
     """Gauss-Jordan reduction over Q: (reduced rows, pivot columns, determinant).
 
-    The rows come back in reduced row echelon form with unit pivots, zero
-    rows last.  The determinant is that of a square input, 0 when singular.
+    The entries are ints or Fractions.  Fraction-free (Bareiss 1968): each
+    row is scaled to integers by the lcm of its denominators, and each step
+    divides exactly by the previous pivot, every entry being a minor of the
+    scaled matrix.  Every pivot then equals the last one, d, so the rows are
+    divided once, by d, at the end.  The rows come back in reduced row
+    echelon form with unit pivots, zero rows last.  The determinant is that
+    of a square input, 0 when singular: sign * d / (product of the row
+    scales).
     """
-    m = [[_frac(x) for x in r] for r in rows]
+    m, scale = [], 1
+    for r in rows:
+        s = lcm(*(x.denominator for x in r))
+        scale *= s
+        m.append([x.numerator * (s // x.denominator) for x in r])
     pivots: list[int] = []
-    det = Fraction(1)
+    sign = d = 1
     for col in range(len(m[0]) if m else 0):
         row = len(pivots)
         if row == len(m):
             break
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        piv = next((r for r in range(row, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         if piv != row:
             m[row], m[piv] = m[piv], m[row]
-            det = -det
-        inv = m[row][col]
-        det *= inv
-        # entries left of col are zero in the pivot row: update from col on
-        pr = m[row][col:] = [a / inv for a in m[row][col:]]
+            sign = -sign
+        pr, p = m[row], m[row][col]
         for r in range(len(m)):
-            if r != row and m[r][col] != 0:
+            if r != row:
                 f = m[r][col]
-                m[r][col:] = [a - f * b for a, b in zip(m[r][col:], pr)]
+                m[r] = [(p * a - f * b) // d for a, b in zip(m[r], pr)]
+        d = p
         pivots.append(col)
-    return m, pivots, det if len(pivots) == len(m) else Fraction(0)
+    det = Fraction(sign * d, scale) if len(pivots) == len(m) else Fraction(0)
+    # entries in pivot columns are 0 or d: only the others need a gcd
+    reduced = [[_ZERO if not a else _ONE if a == d else Fraction(a, d) for a in r] for r in m]
+    return reduced, pivots, det
 
 
 def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[tuple[int, ...], int]]:
@@ -238,10 +245,8 @@ class VPolytope:
 
 
 def _affine_rank(points: Sequence[Vec]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return len(_eliminate([vsub(p, base) for p in points[1:]])[1])
+    # the affine rank of the points is the rank of the rows (p, 1), less one
+    return len(_eliminate([p + (1,) for p in points])[1]) - 1
 
 
 # -- H <-> V conversion --------------------------------------------------------
@@ -295,11 +300,18 @@ def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
     mask of ``v.vertices``, is the union of the cones from its lowest-index
     vertex over those of its own facets that miss that vertex.  The facets
     of a face are its largest proper intersections with the facet masks.
-    A simplex with vertices p_0..p_n adds |det(p_i - p_0)|/n! to the volume
-    and that times its vertex mean to the moment.
+    Each vertex p is read once as the integer row (q p, q), q the common
+    denominator of all vertices, so incidence is an integer test and a
+    simplex with vertices p_0..p_n adds |det[(q p_i, q)]| / (q^(n+1) n!)
+    to the volume and that times its vertex mean to the moment.
     """
     pts, n = v.vertices, v.dim
-    masks = {sum(1 << i for i, p in enumerate(pts) if dot(l, p) == -a) for l, a in v.facets}
+    q = lcm(*(x.denominator for p in pts for x in p))
+    rows = [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in pts]
+    # <l, p> == -a  <=>  <l, q p> den(a) == -num(a) q
+    masks = {sum(1 << i for i, r in enumerate(rows)
+                 if sum(c * x for c, x in zip(l, r)) * a.denominator == -a.numerator * q)
+             for l, a in v.facets}
     memo: dict[int, list[tuple[int, ...]]] = {}
 
     def simplices(face: int) -> list[tuple[int, ...]]:
@@ -313,15 +325,14 @@ def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
                           for s in simplices(g)]
         return memo[face]
 
-    vol = Fraction(0)
-    mom = [Fraction(0)] * n
+    vol, mom = 0, [0] * n
     for s in simplices((1 << len(pts)) - 1):
-        w = abs(_eliminate([vsub(pts[i], pts[s[0]]) for i in s[1:]])[2])
+        w = abs(int(_eliminate([rows[i] for i in s])[2]))
         vol += w
         for j in range(n):
-            mom[j] += w * sum(pts[i][j] for i in s)
-    f = factorial(n)
-    return vol / f, tuple(m / ((n + 1) * f) for m in mom)
+            mom[j] += w * sum(rows[i][j] for i in s)
+    f = factorial(n) * q ** (n + 1)
+    return Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * q) for m in mom)
 
 
 def volume(v: VPolytope) -> Fraction:
@@ -404,13 +415,15 @@ def clip_family(base: VPolytope, normal: Sequence) -> Callable[[Fraction], tuple
     On a slab the cut keeps one combinatorial type, so the volume is a
     polynomial in c of degree n and the moment one of degree n + 1, constant
     outside the levels (Lawrence 1991).  A sample at a level counts for both
-    slabs that meet there; at n + 2 samples a slab fits Newton divided
-    differences once and answers by Horner's rule from then on.
+    slabs that meet there.  At n + 2 samples a slab solves its Vandermonde
+    system once, through ``_eliminate``, and keeps the monomial coefficients
+    as integers a_k over one denominator D; at c = p/q it then answers by
+    integer Horner, sum_k a_k p^k q^(n+1-k) / (D q^(n+1)).
     """
     levels = sorted({dot(normal, p) for p in base.vertices})
     # slab i lies between levels[i - 1] and levels[i]
     samples: list[dict[Fraction, tuple[Fraction, Vec]]] = [{} for _ in range(len(levels) + 1)]
-    fits: dict[int, tuple[list[Fraction], list[list[Fraction]]]] = {}
+    fits: dict[int, tuple[int, list[list[int]]]] = {}   # D, rows a_k from k = n + 1 down
 
     def at(c) -> tuple[Fraction, Vec]:
         c = _frac(c)
@@ -418,22 +431,23 @@ def clip_family(base: VPolytope, normal: Sequence) -> Callable[[Fraction], tuple
         slabs = (i - 1, i) if i and levels[i - 1] == c else (i,)
         for s in slabs:
             if s in fits:
-                xs, coef = fits[s]
-                y = coef[-1]
-                for x, a in zip(xs[-2::-1], coef[-2::-1]):
-                    y = [b + (c - x) * t for b, t in zip(a, y)]
-                return y[0], tuple(y[1:])
+                den, coef = fits[s]
+                y, qk = coef[0], 1
+                for a in coef[1:]:
+                    qk *= c.denominator
+                    y = [t * c.numerator + b * qk for t, b in zip(y, a)]
+                return Fraction(y[0], den * qk), tuple(Fraction(t, den * qk) for t in y[1:])
             if c in samples[s]:
                 return samples[s][c]
         sample = clip_volume_and_moment(base, normal, c)
         for s in slabs:
             samples[s][c] = sample
             if len(samples[s]) == base.dim + 2:
-                xs, coef = list(samples[s]), [[v, *m] for v, m in samples[s].values()]
-                for k in range(1, len(xs)):
-                    coef[k:] = [[(a - b) / (x - w) for a, b in zip(p, q)]
-                                for p, q, x, w in zip(coef[k:], coef[k - 1:], xs[k:], xs)]
-                fits[s] = xs, coef
+                coef = [r[base.dim + 2:] for r in _eliminate(
+                    [[x ** k for k in range(base.dim + 1, -1, -1)] + [v, *m]
+                     for x, (v, m) in samples[s].items()])[0]]
+                den = lcm(*(a.denominator for r in coef for a in r))
+                fits[s] = den, [[a.numerator * (den // a.denominator) for a in r] for r in coef]
         return sample
 
     return at

@@ -100,7 +100,7 @@ class FermatHeightBound:
     strict: bool
 
 
-def fermat_height_bound(n: int, d: int) -> FermatHeightBound:
+def fermat_height_bound(n: int, d: int, height: HeightReport | None = None) -> FermatHeightBound:
     """Bound for the degree-d Fermat hypersurface:
 
         h_can(X) <= lambda pn_height(n) - (1/2) (n+1)! v_X log(lambda),
@@ -108,10 +108,11 @@ def fermat_height_bound(n: int, d: int) -> FermatHeightBound:
     with v_X = d (n+2-d)^n / n! in polytope-volume units; this is exactly
     the P^n divisor family at volume lambda * v_0 and reduces to pn_height
     at d = 1.  Strict iff lambda < 1 (the conic n = 1, d = 2 has lambda = 1:
-    it is the line re-embedded)."""
+    it is the line re-embedded).  ``height`` is pn_height(n) when the caller
+    holds it already."""
     lam = lambda_ratio(n, d)
     report = pn_family_height(n, lam * pn_poly_volume(n), Convention.BOUND_ON_HEIGHT,
-                              "fermat_cover_bound")
+                              "fermat_cover_bound", height)
     return FermatHeightBound(report, lam, strict=lam < 1)
 
 
@@ -145,5 +146,5 @@ def diagonal_theorem_bound(spec: DiagonalHypersurfaceSpec) -> DiagonalBound:
     err = base.abs_error + _ulp_error(abs(corr) + abs(value))
     report = HeightReport(value, Convention.BOUND_ON_HEIGHT,
                           "diagonal_hypersurface_bound", err)
-    fermat = fermat_height_bound(spec.n, spec.d)
+    fermat = fermat_height_bound(spec.n, spec.d, base)
     return DiagonalBound(report, corr, spec.d >= 2, delta, fermat.report.value + delta, fermat)

@@ -49,7 +49,7 @@ def _to_float(x: Fraction) -> float:
 
 def _ulp_error(scale: float) -> float:
     """Crude but safe rounding bound: eight half-ulps at the given magnitude."""
-    return abs(scale) * 8 * _EPS
+    return abs(scale) * (8 * _EPS)
 
 
 class Convention(str, enum.Enum):
@@ -59,12 +59,17 @@ class Convention(str, enum.Enum):
 
 @dataclass(frozen=True)
 class HeightReport:
-    """A height value with its convention, formula tag and error bound."""
+    """A height value with its convention, formula tag and error bound;
+    OutOfRange when the value or the bound is not a finite double."""
 
     value: float
     convention: Convention
     formula: str
     abs_error: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.abs_error)):
+            raise OutOfRange("result exceeds the double-precision range")
 
     def to_json(self) -> dict:
         return {
@@ -189,7 +194,9 @@ def is_pn_polytope(v: VPolytope) -> bool:
 def _check_pn_n(n: int) -> None:
     """OutOfRange unless 1 <= n <= 142, where the lead (n+1)^{n+1}/2 of
     pn_height(n) is a finite double; decided in logarithms, which lie at
-    least 0.79 from log(DBL_MAX) at every n, before any work that grows with n."""
+    least 0.79 from log(DBL_MAX) at every n, before any work that grows with n.
+    The height itself leaves the double range at n = 142, which
+    ``HeightReport`` refuses."""
     if n < 1:
         raise OutOfRange("n must be a positive integer")
     if (n + 1) * math.log(n + 1) - math.log(2) > math.log(sys.float_info.max):
@@ -209,7 +216,8 @@ def pn_height(n: int) -> HeightReport:
     log_part = n * math.log(math.pi) - math.log(math.factorial(n))
     lead_f = float(lead)
     value = lead_f * (float(rational_part) + log_part)
-    err = _ulp_error(lead_f * (abs(float(rational_part)) + abs(log_part)))
+    # the lead is scaled first: lead_f * (...) overflows from n = 141 on
+    err = _ulp_error(lead_f) * (abs(float(rational_part)) + abs(log_part))
     return HeightReport(value, Convention.RAW_HEIGHT, "pn_fubini_study", err)
 
 
@@ -232,7 +240,7 @@ def _toric_height(n: int, v: Fraction, log_c: float, convention: Convention,
     lead = _to_float(Fraction(math.factorial(n + 1), 2) * v)
     log_v = _log_fraction(v)
     return HeightReport(lead * (log_c - log_v), convention, formula,
-                        _ulp_error(lead * (abs(log_c) + abs(log_v))))
+                        _ulp_error(lead) * (abs(log_c) + abs(log_v)))
 
 
 def universal_height_bound(vol: VolumePair, n: int) -> HeightReport:
@@ -248,15 +256,19 @@ def pn_poly_volume(n: int) -> Fraction:
     return Fraction((n + 1) ** n, math.factorial(n))
 
 
-def pn_family_height(n: int, v: Fraction, convention: Convention, formula: str) -> HeightReport:
+def pn_family_height(n: int, v: Fraction, convention: Convention, formula: str,
+                     height: HeightReport | None = None) -> HeightReport:
     """The divisor family on P^n at poly-volume v, equal to pn_height(n) at v_0:
 
-        h / (n+1)! = (1/2) v log(v_0 e^{2 a_n} / v),  0 < v <= v_0 = pn_poly_volume(n).
+        h / (n+1)! = (1/2) v log(v_0 e^{2 a_n} / v),  0 < v <= v_0 = pn_poly_volume(n),
+
+    with a_n read off ``height`` = pn_height(n) if given.
     """
     v0 = pn_poly_volume(n)
     if not 0 < v <= v0:
         raise OutOfRange("volume must satisfy 0 < v <= (n+1)^n / n!")
-    return _toric_height(n, v, 2 * a_n_constant(n) + _log_fraction(v0), convention, formula)
+    return _toric_height(n, v, 2 * a_n_constant(n, height) + _log_fraction(v0),
+                         convention, formula)
 
 
 def scaled_divisor_height(n: int, t) -> HeightReport:

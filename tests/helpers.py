@@ -1,8 +1,8 @@
-"""Shared test oracles: brute-force exact H->V and V->H conversion, Monte
-Carlo volume estimation, random polytope and unimodular-matrix generation,
-the closed-form barycenter of a simplex difference, and a floating-point
-half-space clipper used to sample candidate cuts
-independently of the exact kernel."""
+"""Shared test oracles: Gauss-Jordan elimination over ``Fraction``,
+brute-force exact H->V and V->H conversion, Monte Carlo volume estimation,
+random polytope and unimodular-matrix generation, the closed-form barycenter
+of a simplex difference, and a floating-point half-space clipper used to
+sample candidate cuts independently of the exact kernel."""
 from __future__ import annotations
 
 import itertools
@@ -15,6 +15,40 @@ from scipy.spatial import ConvexHull, QhullError
 
 from fanokit import geometry as geom
 from fanokit.errors import DegeneratePolytope, UnboundedPolytope
+
+
+def fraction_eliminate(rows):
+    """Reference for ``geometry._eliminate``: Gauss-Jordan over Q with a
+    ``Fraction`` division at every step.  Returns (reduced rows with unit
+    pivots and zero rows last, pivot columns, determinant of a square input,
+    0 when singular)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    det = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
+        if row == len(m):
+            break
+        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            det = -det
+        inv = m[row][col]
+        det *= inv
+        # entries left of col are zero in the pivot row: update from col on
+        pr = m[row][col:] = [a / inv for a in m[row][col:]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r][col:] = [a - f * b for a, b in zip(m[r][col:], pr)]
+        pivots.append(col)
+    return m, pivots, det if len(pivots) == len(m) else Fraction(0)
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def _kernel_vector(rows, ncols):
@@ -39,7 +73,7 @@ def brute_force_facets(dim, points):
         return tuple(sorted((geom.make_facet((1,), -min(xs)), geom.make_facet((-1,), max(xs)))))
     seen = set()
     for comb in itertools.combinations(pts, dim):
-        normal = _kernel_vector([geom.vsub(p, comb[0]) for p in comb[1:]], dim)
+        normal = _kernel_vector([_sub(p, comb[0]) for p in comb[1:]], dim)
         if normal is None:
             continue
         prim = geom.primitive_int_vector(normal)
@@ -77,7 +111,7 @@ def brute_force_vertices(h):
     if not verts:
         raise DegeneratePolytope("empty feasible set")
     out = tuple(sorted(verts))
-    if len(geom._eliminate([geom.vsub(p, out[0]) for p in out])[1]) < n:
+    if len(geom._eliminate([_sub(p, out[0]) for p in out])[1]) < n:
         raise DegeneratePolytope("feasible set has empty interior")
     return out, brute_force_facets(n, out)
 

@@ -578,8 +578,8 @@ class TestToricFamilyOutput:
         count(th, "pn_height")
         code, _, _ = run_cli(["diagonal", "--json", DIAGONAL_CUBIC], capsys)
         assert code == 0
-        # pn_height: once for the theorem bound, once for a_n in the Fermat bound
-        assert calls == {"fermat_height_bound": 1, "pn_height": 2}
+        # the Fermat bound reads a_n off the theorem bound's pn_height report
+        assert calls == {"fermat_height_bound": 1, "pn_height": 1}
 
     def test_pn_height_evaluates_the_height_once(self, capsys, monkeypatch):
         from fanokit import toric_heights as th
@@ -904,5 +904,19 @@ class TestFormerFailures:
 
     def test_pn_height_range_edge_unchanged(self, capsys):
         assert run_cli(["pn-height", "--n", "140"], capsys) == (0, PN_HEIGHT_140_OUT, "")
-        assert run_cli(["pn-height", "--n", "142"], capsys)[0] == 0
         assert run_cli(["pn-height", "--n", "143"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("argv", [["pn-height", "--n", "141"],
+                                      ["scaled-height", "--n", "141", "--t", "1"]])
+    def test_error_bound_of_n_141_is_finite(self, argv, capsys):
+        # the bound was Infinity: lead * (...) overflowed before the ulp scaling
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report["abs_error"] < 1e-14 * report["value"]
+
+    @pytest.mark.parametrize("argv", [["pn-height", "--n", "142"],
+                                      ["scaled-height", "--n", "142", "--t", "1"]])
+    def test_heights_beyond_the_double_range_refused(self, argv, capsys):
+        assert run_cli(argv, capsys) == (
+            1, "", "fanokit: input error: result exceeds the double-precision range\n")

@@ -25,6 +25,7 @@ from fanokit.geometry import HPolytope, LinearMap, VPolytope
 from helpers import (
     brute_force_facets,
     brute_force_vertices,
+    fraction_eliminate,
     mc_volume_estimate,
     random_rational_polytope,
     random_unimodular,
@@ -446,15 +447,25 @@ def seeded_cloud(n):
                                            for _ in range(n)) for _ in range(n + 6)])
 
 
+def mixed_denominator_image(n):
+    """A unimodular image of a seeded cloud, translated by a shift whose
+    coordinates have coprime denominators, so that no two vertices share
+    one common denominator by accident."""
+    v = geom.transform(seeded_cloud(n), random_unimodular(random.Random(80 + n), n))
+    return geom.translate(v, [F(k + 1, p) for k, p in zip(range(n), (3, 7, 11, 13, 17))])
+
+
 class TestPullingTriangulation:
     """Exact volume and moment against a float oracle, on faces that are not
     simplices and in dimensions 6 and 7."""
 
     @pytest.mark.parametrize("v", [*(seeded_cloud(n) for n in (2, 3, 4, 5)),
                                    *(geom.enumerate_vertices(cross_polytope(n)) for n in (4, 5)),
-                                   geom.enumerate_vertices(SQUARE_PYRAMID)],
+                                   geom.enumerate_vertices(SQUARE_PYRAMID),
+                                   *(mixed_denominator_image(n) for n in (3, 4))],
                              ids=["cloud-2", "cloud-3", "cloud-4", "cloud-5",
-                                  "cross-4", "cross-5", "square-pyramid"])
+                                  "cross-4", "cross-5", "square-pyramid",
+                                  "mixed-denominators-3", "mixed-denominators-4"])
     def test_matches_delaunay(self, v):
         vol, mom = geom.volume_and_moment(v)
         ref_vol, ref_mom = delaunay_volume_and_moment(v)
@@ -500,6 +511,9 @@ class TestClipFamily:
         # some queries from its polynomial, and every level twice
         cs = [lo + (hi - lo) * F(rng.randint(1, 999), 1000)
               for lo, hi in zip(bounds, bounds[1:]) for _ in range(n + 4)]
+        # the bisection's cut-offs: dyadic, with denominators 2^40 .. 2^55
+        cs += [lo + (hi - lo) * F(rng.randrange(1, 2**k), 2**k)
+               for lo, hi in zip(bounds, bounds[1:]) for k in (40, 47, 55)]
         cs += levels * 2
         rng.shuffle(cs)
         clip = geom.clip_volume_and_moment
@@ -510,6 +524,44 @@ class TestClipFamily:
         for c in cs:
             assert family(c) == clip(v, u, c)
         assert len(clips) <= (n + 2) * (len(levels) + 1) < len(cs)
+
+
+_RATIONALS = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F),
+                       st.builds(F, st.integers(-2**60, 2**60), st.integers(1, 2**60)))
+
+
+@st.composite
+def _rational_matrix(draw, rows, cols, kind):
+    row = st.lists(_RATIONALS, min_size=cols, max_size=cols)
+    if kind == "rank-deficient":
+        # every row a small integer combination of rows - 1 base rows
+        base = draw(st.lists(row, min_size=rows - 1, max_size=rows - 1))
+        coeffs = st.lists(st.integers(-3, 3), min_size=rows - 1, max_size=rows - 1)
+        return [[sum((c * b[j] for c, b in zip(cs, base)), F(0)) for j in range(cols)]
+                for cs in draw(st.lists(coeffs, min_size=rows, max_size=rows))]
+    m = draw(st.lists(row, min_size=rows, max_size=rows))
+    if kind == "zero-row":
+        m[draw(st.integers(0, rows - 1))] = [F(0)] * cols
+    return m
+
+
+class TestEliminate:
+    """The fraction-free elimination returns exactly what Gauss-Jordan over
+    Fractions returns: the same reduced rows, pivots and determinant."""
+
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (3, 6), (6, 3), (1, 5)],
+                             ids=["square", "wide", "tall", "one-row"])
+    @pytest.mark.parametrize("kind", ["full", "rank-deficient", "zero-row"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_gauss_jordan(self, rows, cols, kind, data):
+        m = data.draw(_rational_matrix(rows, cols, kind))
+        got = geom._eliminate(m)
+        assert got == fraction_eliminate(m)
+        assert all(type(x) is F for r in got[0] for x in r) and type(got[2]) is F
+
+    def test_empty_input(self):
+        assert geom._eliminate([]) == fraction_eliminate([]) == ([], [], 1)
 
 
 class TestConstructorsCheckTheirInput:

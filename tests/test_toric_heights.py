@@ -126,6 +126,12 @@ class TestPnHeight:
         with pytest.raises(OutOfRange):
             th.pn_height(0)
 
+    @pytest.mark.parametrize("value, error", [(math.inf, 1.0), (1.0, math.inf),
+                                              (math.nan, 1.0), (1.0, math.nan)])
+    def test_report_refuses_a_non_finite_height(self, value, error):
+        with pytest.raises(OutOfRange, match="double-precision range"):
+            th.HeightReport(value, th.Convention.RAW_HEIGHT, "pn_fubini_study", error)
+
 
 class TestAnConstant:
     def test_values(self):
