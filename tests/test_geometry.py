@@ -449,8 +449,8 @@ def seeded_cloud(n):
 
 def mixed_denominator_image(n):
     """A unimodular image of a seeded cloud, translated by a shift whose
-    coordinates have coprime denominators, so that no two vertices share
-    one common denominator by accident."""
+    coordinates have coprime denominators, so that the vertices carry
+    different denominators and their common denominator is large."""
     v = geom.transform(seeded_cloud(n), random_unimodular(random.Random(80 + n), n))
     return geom.translate(v, [F(k + 1, p) for k, p in zip(range(n), (3, 7, 11, 13, 17))])
 
