@@ -137,9 +137,9 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
                          f"more than the {MAX_STABILITY_VERTICES} this enumeration lists")
     level = c / (n + 1)
     weight = Fraction(level)
-    # every vertex permutes the weights of the first one, so only it is checked
-    first = WeightVector(n, (weight,) * (n + 1) + (Fraction(0),) * (m - n - 1))
     if exact:
+        # every vertex permutes the weights of the first one, so only it is checked
+        first = WeightVector(n, (weight,) * (n + 1) + (Fraction(0),) * (m - n - 1))
         if not (is_arrangement_semistable(first) and arrangement_degree(first) == d):
             raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d} or semistability")
     else:

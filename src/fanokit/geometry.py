@@ -9,18 +9,19 @@ integer vectors.  A half-space representation stores inequalities
 so that for a moment polytope of a toric log Fano pair the offset is the
 log discrepancy coefficient of the corresponding facet divisor.
 
-A ``VPolytope`` carries its vertices and its facets together.  Facets are
-found once, by ``facets_from_points`` for a point cloud or by
-``enumerate_vertices`` for an H-polytope, and every later operation
-(transforms, translations, half-space cuts) carries them along instead of
-hulling the vertices again.  Both conversions are one integer
+A ``VPolytope`` carries its vertices, its facets and their incidence
+together.  Facets are found once, by ``facets_from_points`` for a point
+cloud or by ``enumerate_vertices`` for an H-polytope, and every later
+operation (transforms, translations, half-space cuts) carries them along
+instead of hulling the vertices again.  Both conversions are one integer
 double-description routine, ``_extreme_rays``, run on the homogenized
-inequalities or points.  Volume and moment come from one pulling
-triangulation, in every dimension, read off the vertex-facet incidence of
-the vertices scaled to integers.  All Gaussian elimination goes through one
-fraction-free routine, ``_eliminate``, which works over the integers and
-divides once at the end; the slab polynomials of ``clip_family`` are
-integers over one denominator as well.
+inequalities or points.  The constructor decides the vertex-facet incidence
+once, by an integer test on the vertices scaled to integers, and every
+reader uses its bit masks: volume and moment come from one pulling
+triangulation over them, in every dimension.  All Gaussian elimination goes
+through one fraction-free routine, ``_eliminate``, which works over the
+integers and divides once at the end; the slab polynomials of
+``clip_family`` are integers over one denominator as well.
 
 Every operation is a pure function on immutable values; nothing here
 touches floating point.  Each value checks its own input when it is built
@@ -31,9 +32,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, gcd, lcm
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import and_
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -122,7 +124,7 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
     return reduced, pivots, det
 
 
-def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[tuple[int, ...], int]]:
+def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {y in R^d : <r, y> >= 0 for every row r}.
 
     Integer double description (Motzkin-Raiffa-Thompson-Thrall 1953;
@@ -130,8 +132,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[tuple[int
     independent rows, then add the other rows one at a time, keeping the
     rays on the feasible side and joining each adjacent pair on opposite
     sides.  Two rays are adjacent iff no third ray is tight on every row
-    both are tight on.  Each ray comes back as a primitive integer vector
-    with the bit mask of the rows tight on it.
+    both are tight on.  Each ray comes back as a primitive integer vector.
     """
     basis = _eliminate(list(zip(*rows)))[1]   # pivot columns of the transpose
     if len(basis) < d:
@@ -159,7 +160,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[tuple[int
                 g = gcd(*y)
                 new.append((tuple(a // g for a in y), common | 1 << k))
         rays = new
-    return rays
+    return [y for y, _ in rays]
 
 
 # -- representations ----------------------------------------------------------
@@ -206,42 +207,51 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VPolytope:
-    """Both representations of one full-dimensional polytope, checked at
-    construction: its extreme points and its facets, each sorted and free of
-    repeats.
+    """Both representations of one full-dimensional polytope and their
+    incidence, decided here once.
 
-    Every constructor below keeps ``facets == facets_from_points(dim,
-    vertices)``, so no operation has to hull the vertices again.
+    The input is points whose hull it is and valid inequalities that include
+    every facet.  Each point p is read as the integer row (q p, q), q the
+    common denominator, so <l, p> >= -a is tight on p iff <l, q p> den(a) ==
+    -num(a) q.  A point is kept iff no other point is tight on every
+    inequality tight on it, an inequality iff its set of kept points is
+    nonempty and maximal.  ``vertices`` and ``facets`` come out sorted, with
+    ``rows`` by vertex and in ``masks`` one vertex bit mask per facet.
     """
 
     dim: int
     vertices: tuple[Vec, ...]
     facets: tuple[Facet, ...]
+    rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        vs = tuple(sorted({vec(v) for v in self.vertices}))
-        _check_shape(self.dim, vs, "vertex")
-        if _affine_rank(vs) < self.dim:
+        pts = sorted({vec(v) for v in self.vertices})
+        _check_shape(self.dim, pts, "vertex")
+        if _affine_rank(pts) < self.dim:
             raise DegeneratePolytope("polytope is not full-dimensional")
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "facets", tuple(sorted(set(self.facets))))
-
-    def tight_indices(self, p: Sequence) -> tuple[int, ...]:
-        """Indices of the facets through the point p."""
-        return tuple(i for i, f in enumerate(self.facets) if dot(f.normal, p) == -f.offset)
+        q = lcm(*(x.denominator for p in pts for x in p))
+        rows = [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in pts]
+        ineqs = sorted(set(self.facets))
+        masks = [sum(1 << i for i, r in enumerate(rows)
+                     if sum(c * x for c, x in zip(l, r)) * a.denominator == -a.numerator * q)
+                 for l, a in ineqs]
+        keep = [i for i in range(len(pts))
+                if reduce(and_, (m for m in masks if m >> i & 1), (1 << len(pts)) - 1) == 1 << i]
+        masks = [sum(1 << j for j, i in enumerate(keep) if m >> i & 1) for m in masks]
+        facets = [k for k, m in enumerate(masks) if m and not any(m & u == m != u for u in masks)]
+        object.__setattr__(self, "vertices", tuple(pts[i] for i in keep))
+        object.__setattr__(self, "facets", tuple(ineqs[k] for k in facets))
+        object.__setattr__(self, "rows", tuple(rows[i] for i in keep))
+        object.__setattr__(self, "masks", tuple(masks[k] for k in facets))
 
     @classmethod
     def from_points(cls, dim: int, points: Iterable[Sequence]) -> "VPolytope":
-        """Reduce an arbitrary point cloud to its extreme points."""
+        """The hull of an arbitrary point cloud."""
         pts = sorted({vec(p) for p in points})
         # before double description, which refuses a cloud that spans less
         _check_shape(dim, pts, "point")
-        facets = facets_from_points(dim, pts)
-        tight = [{f for f in facets if dot(f.normal, p) == -f.offset} for p in pts]
-        # a point is a vertex iff no other point is tight on all of its facets
-        return cls(dim, tuple(p for i, p in enumerate(pts)
-                              if not any(j != i and tight[i] <= u for j, u in enumerate(tight))),
-                   facets)
+        return cls(dim, tuple(pts), facets_from_points(dim, pts))
 
 
 def _affine_rank(points: Sequence[Vec]) -> int:
@@ -258,7 +268,7 @@ def facets_from_points(dim: int, points: Sequence[Sequence]) -> tuple[Facet, ...
     <l, p> + a >= 0 that hold at every point.
     """
     rows = [primitive_int_vector(vec(p) + (Fraction(1),)) for p in points]
-    return tuple(sorted(make_facet(y[:dim], y[dim]) for y, _ in _extreme_rays(rows, dim + 1)))
+    return tuple(sorted(make_facet(y[:dim], y[dim]) for y in _extreme_rays(rows, dim + 1)))
 
 
 @lru_cache(maxsize=512)
@@ -269,20 +279,14 @@ def _vertices_of(h: HPolytope) -> VPolytope:
     # a vertex p is the ray (p, 1) of the cone {(y, t) : <l, y> + a t >= 0, t >= 0};
     # a ray with t = 0 is a recession direction
     rows = [primitive_int_vector(f.normal + (f.offset,)) for f in h.facets]
-    incidence: dict[Vec, int] = {}   # vertex -> mask of inequalities tight on it
-    for y, tight in _extreme_rays(rows + [(0,) * n + (1,)], n + 1):
+    vertices = []
+    for y in _extreme_rays(rows + [(0,) * n + (1,)], n + 1):
         if y[n] == 0:
             raise UnboundedPolytope("recession direction exists")
-        incidence[tuple(Fraction(x, y[n]) for x in y[:n])] = tight
-    if not incidence:
+        vertices.append(tuple(Fraction(x, y[n]) for x in y[:n]))
+    if not vertices:
         raise DegeneratePolytope("empty feasible set")
-    out = tuple(sorted(incidence))
-    # an inequality is a facet iff no other one is tight on more vertices
-    # containing all of its own: a lower face lies in some facet
-    tight_at = [incidence[p] for p in out]
-    on = [frozenset(k for k, t in enumerate(tight_at) if t >> i & 1) for i in range(len(h.facets))]
-    facets = [f for f, t in zip(h.facets, on) if t and not any(t < u for u in on)]
-    return VPolytope(n, out, tuple(facets))
+    return VPolytope(n, tuple(vertices), h.facets)
 
 
 def enumerate_vertices(h: HPolytope) -> VPolytope:
@@ -293,46 +297,60 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
 
 # -- volume and first moment ---------------------------------------------------
 
-def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
-    """Exact (volume, integral of x dlambda) of a polytope.
+# most simplices the pulling triangulation of volume_and_moment sums
+MAX_SIMPLICES = 10**5
 
-    Pulling triangulation (Bueler-Enge-Fukuda 2000): a face, held as a bit
-    mask of ``v.vertices``, is the union of the cones from its lowest-index
-    vertex over those of its own facets that miss that vertex.  The facets
-    of a face are its largest proper intersections with the facet masks.
-    Each vertex p is read once as the integer row (q p, q), q the common
-    denominator of all vertices, so incidence is an integer test and a
-    simplex with vertices p_0..p_n adds |det[(q p_i, q)]| / (q^(n+1) n!)
-    to the volume and that times its vertex mean to the moment.
-    """
-    pts, n = v.vertices, v.dim
-    q = lcm(*(x.denominator for p in pts for x in p))
-    rows = [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in pts]
-    # <l, p> == -a  <=>  <l, q p> den(a) == -num(a) q
-    masks = {sum(1 << i for i, r in enumerate(rows)
-                 if sum(c * x for c, x in zip(l, r)) * a.denominator == -a.numerator * q)
-             for l, a in v.facets}
-    memo: dict[int, list[tuple[int, ...]]] = {}
 
-    def simplices(face: int) -> list[tuple[int, ...]]:
+def _pulling(face: int, masks: Sequence[int], dag: dict[int, tuple[int, list[int]]]) -> int:
+    """Simplices of the pulling triangulation in a face, a bit mask of
+    vertices.  ``dag`` maps each face of two or more vertices met to that
+    count and to its facets, its largest proper intersections with the
+    masks, that miss its apex."""
+    if face & (face - 1) == 0:
+        return 1
+    if face not in dag:
         apex = (face & -face).bit_length() - 1
-        if face == 1 << apex:
-            return [(apex,)]
-        if face not in memo:
-            subs = {face & m for m in masks} - {face}
-            memo[face] = [(apex,) + s for g in subs
-                          if not g >> apex & 1 and not any(g & h == g != h for h in subs)
-                          for s in simplices(g)]
-        return memo[face]
+        subs = {face & m for m in masks} - {face}
+        kids = [g for g in subs if not g >> apex & 1 and not any(g & h == g != h for h in subs)]
+        dag[face] = sum(_pulling(g, masks, dag) for g in kids), kids
+    return dag[face][0]
 
+
+def _simplices(face: int, dag: dict[int, tuple[int, list[int]]]) -> Iterator[tuple[int, ...]]:
+    """The simplices ``_pulling`` counted in face, as vertex index tuples."""
+    apex = (face & -face).bit_length() - 1
+    if face == 1 << apex:
+        yield (apex,)
+        return
+    for g in dag[face][1]:
+        for s in _simplices(g, dag):
+            yield (apex,) + s
+
+
+def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
+    """Exact (volume, integral of x dlambda) of a polytope; OutOfRange when
+    its triangulation has more than MAX_SIMPLICES simplices.
+
+    Pulling triangulation (Bueler-Enge-Fukuda 2000): a face is the union of
+    the cones from its lowest-index vertex over those of its own facets that
+    miss that vertex.  A simplex with vertices p_0..p_n adds
+    |det[(q p_i, q)]| / (q^(n+1) n!), over the rows ``v.rows``, to the
+    volume and that times its vertex mean to the moment.
+    """
+    rows, n = v.rows, v.dim
+    top, dag = (1 << len(rows)) - 1, {}
+    count = _pulling(top, v.masks, dag)
+    if count > MAX_SIMPLICES:
+        raise OutOfRange(f"the volume triangulation has {count} simplices, "
+                         f"more than the {MAX_SIMPLICES} this computation sums")
     vol, mom = 0, [0] * n
-    for s in simplices((1 << len(pts)) - 1):
+    for s in _simplices(top, dag):
         w = abs(int(_eliminate([rows[i] for i in s])[2]))
         vol += w
         for j in range(n):
             mom[j] += w * sum(rows[i][j] for i in s)
-    f = factorial(n) * q ** (n + 1)
-    return Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * q) for m in mom)
+    f = factorial(n) * rows[0][n] ** (n + 1)
+    return Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
 
 
 def volume(v: VPolytope) -> Fraction:

@@ -153,8 +153,8 @@ def vertex_singularity_report(t: ToricLogFano) -> tuple[VertexSingularity, ...]:
     """
     v = t.polytope
     out = []
-    for p in v.vertices:
-        tight = v.tight_indices(p)
+    for i, p in enumerate(v.vertices):
+        tight = tuple(k for k, m in enumerate(v.masks) if m >> i & 1)
         if len(tight) == v.dim:
             d = abs(geom.LinearMap([v.facets[i].normal for i in tight]).determinant)
             out.append(VertexSingularity(p, tight, True, int(d)))

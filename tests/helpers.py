@@ -1,8 +1,9 @@
 """Shared test oracles: Gauss-Jordan elimination over ``Fraction``,
-brute-force exact H->V and V->H conversion, Monte Carlo volume estimation,
-random polytope and unimodular-matrix generation, the closed-form barycenter
-of a simplex difference, and a floating-point half-space clipper used to
-sample candidate cuts independently of the exact kernel."""
+brute-force exact H->V and V->H conversion, the vertex-facet incidence by
+``Fraction`` dots, Monte Carlo volume estimation, random polytope and
+unimodular-matrix generation, the closed-form barycenter of a simplex
+difference, and a floating-point half-space clipper used to sample candidate
+cuts independently of the exact kernel."""
 from __future__ import annotations
 
 import itertools
@@ -116,6 +117,24 @@ def brute_force_vertices(h):
     return out, brute_force_facets(n, out)
 
 
+def fraction_incidence(points, inequalities):
+    """Reference for the incidence a ``VPolytope`` decides, by ``Fraction``
+    dots: <l, p> >= -a is tight on p iff dot(l, p) == -a, a point is a vertex
+    iff no other point is tight on every inequality tight on it, and an
+    inequality is a facet iff its vertex set is nonempty and in no other.
+    Returns (sorted vertices, sorted facets, one vertex bit mask per facet)."""
+    pts = sorted({geom.vec(p) for p in points})
+    ineqs = sorted(set(inequalities))
+    tight = [{f for f in ineqs if geom.dot(f.normal, p) == -f.offset} for p in pts]
+    verts = [p for i, p in enumerate(pts)
+             if not any(j != i and tight[i] <= u for j, u in enumerate(tight))]
+    on = [frozenset(i for i, p in enumerate(verts) if geom.dot(f.normal, p) == -f.offset)
+          for f in ineqs]
+    facets = [k for k, t in enumerate(on) if t and not any(t < u for u in on)]
+    return (tuple(verts), tuple(ineqs[k] for k in facets),
+            tuple(sum(1 << i for i in on[k]) for k in facets))
+
+
 def brute_force_full_weight_condition(w):
     """Reference k-subset criterion: k sum_j w_j >= (n+1) sum_{j in S} w_j
     for every subset S of k <= n weights."""
@@ -186,7 +205,7 @@ def mc_volume_estimate(v: geom.VPolytope, n_samples: int,
 
 def polytope_edges(v: geom.VPolytope) -> list[tuple[int, int]]:
     """Vertex adjacency: an edge when the shared tight facets have rank n-1."""
-    tight = [set(v.tight_indices(p)) for p in v.vertices]
+    tight = [{k for k, m in enumerate(v.masks) if m >> i & 1} for i in range(len(v.vertices))]
     edges = []
     for i, j in itertools.combinations(range(len(v.vertices)), 2):
         common = tight[i] & tight[j]

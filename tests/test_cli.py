@@ -920,3 +920,32 @@ class TestFormerFailures:
     def test_heights_beyond_the_double_range_refused(self, argv, capsys):
         assert run_cli(argv, capsys) == (
             1, "", "fanokit: input error: result exceeds the double-precision range\n")
+
+    def test_nine_cube_volume_refused_fast(self, capsys):
+        # the pulling triangulation of the 9-cube has 9! simplices
+        facets = [{"normal": [s * (j == i) for j in range(9)], "offset": "1"}
+                  for i in range(9) for s in (1, -1)]
+        start = time.perf_counter()
+        code, out, err = run_cli(["volume", "--json", json.dumps({"dim": 9, "facets": facets})],
+                                 capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == ("fanokit: input error: the volume triangulation has 362880 simplices, "
+                       "more than the 100000 this computation sums\n")
+
+    def test_stability_polytope_level_that_rounds_to_one(self, capsys):
+        # C = 3 - d^(1/2) rounds to 3.0, so the float level is 1: a numerical
+        # failure of the irrational branch, not an input error
+        code, out, err = run_cli(["stability-polytope", "--n", "2", "--m", "3",
+                                  "--degree", "2/1" + "0" * 50], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("fanokit: numerical failure: vertex (0, 1, 2) misses degree 1/5")
+
+    def test_stability_polytope_tiny_degree_unchanged(self, capsys):
+        code, out, err = run_cli(["stability-polytope", "--n", "2", "--m", "3",
+                                  "--degree", "2/1" + "0" * 18], capsys)
+        assert (code, err) == (0, "")
+        weight = "9007199250494957/9007199254740992"
+        assert json.loads(out) == {"c": 2.99999999859, "c_exact": False,
+                                   "degree": "1/500000000000000000", "m": 3, "n": 2,
+                                   "vertex_count": 1, "vertices": [[weight] * 3]}

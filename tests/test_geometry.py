@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -20,12 +21,14 @@ from fanokit.errors import (
     UnboundedPolytope,
 )
 from fanokit import presets
+from fanokit import sx_optimizer as sx
 from fanokit.geometry import HPolytope, LinearMap, VPolytope
 
 from helpers import (
     brute_force_facets,
     brute_force_vertices,
     fraction_eliminate,
+    fraction_incidence,
     mc_volume_estimate,
     random_rational_polytope,
     random_unimodular,
@@ -286,6 +289,15 @@ def assert_facets_invariant(v):
     assert v.facets == brute_force_facets(v.dim, v.vertices)
 
 
+def assert_incidence(v, points, inequalities):
+    """v is the Fraction rule's reading of points and inequalities: the same
+    vertices, facets and vertex masks, with its facets a fresh hull of its
+    vertices and its rows the vertices over one denominator."""
+    assert (v.vertices, v.facets, v.masks) == fraction_incidence(points, inequalities)
+    assert v.facets == geom.facets_from_points(v.dim, v.vertices)
+    assert [tuple(F(x, r[-1]) for x in r[:-1]) for r in v.rows] == list(v.vertices)
+
+
 @st.composite
 def point_clouds(draw):
     dim = draw(st.integers(2, 3))
@@ -306,26 +318,53 @@ class TestFacetsCarried:
         except DegeneratePolytope:
             return
         assert_facets_invariant(v)
+        assert_incidence(v, pts, geom.facets_from_points(dim, pts))
         # a redundant inequality and a repeated one must not become facets
         loose = geom.Facet(v.facets[0].normal, v.facets[0].offset + 1)
         h = HPolytope(dim, v.facets + (loose, v.facets[-1]))
         again = geom.enumerate_vertices(h)
         assert again == v
+        assert_incidence(again, brute_force_vertices(h)[0], h.facets)
         rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
                                   min_size=dim, max_size=dim))
         t = LinearMap(tuple(tuple(r) for r in rows))
         if t.determinant != 0:
-            assert_facets_invariant(geom.transform(v, t))
+            image = geom.transform(v, t)
+            assert_facets_invariant(image)
+            moved = [t.apply(p) for p in v.vertices]
+            assert_incidence(image, moved, brute_force_facets(dim, moved))
         shift = data.draw(st.lists(st.fractions(-2, 2, max_denominator=4),
                                    min_size=dim, max_size=dim))
-        assert_facets_invariant(geom.translate(v, shift))
+        shifted = geom.translate(v, shift)
+        assert_facets_invariant(shifted)
+        moved = [geom.vadd(p, shift) for p in v.vertices]
+        assert_incidence(shifted, moved, brute_force_facets(dim, moved))
         normal = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
                            .filter(any))
         vals = sorted(geom.dot(normal, p) for p in v.vertices)
         if vals[0] < vals[-1]:
             share = data.draw(st.fractions(0, 1, max_denominator=4).filter(bool))
             cut = vals[0] + share * (vals[-1] - vals[0])
-            assert_facets_invariant(geom.intersect_halfspace(v, normal, cut))
+            clipped = geom.intersect_halfspace(v, normal, cut)
+            assert_facets_invariant(clipped)
+            ineqs = v.facets + (geom.make_facet([-x for x in normal], cut),)
+            assert_incidence(clipped, brute_force_vertices(HPolytope(dim, ineqs))[0], ineqs)
+
+    def test_cache_hit_carries_the_incidence(self):
+        h = repeated_and_redundant()
+        geom._vertices_of.cache_clear()
+        first = geom.enumerate_vertices(h)
+        hit = geom.enumerate_vertices(HPolytope(h.dim, h.facets))
+        assert hit is first and geom._vertices_of.cache_info().hits == 1
+        assert_incidence(hit, brute_force_vertices(h)[0], h.facets)
+
+    def test_equality_hash_and_repr_ignore_the_incidence(self):
+        v = geom.enumerate_vertices(unit_cube(3))
+        w = VPolytope(3, v.vertices, v.facets)
+        object.__setattr__(w, "rows", ())
+        object.__setattr__(w, "masks", ())
+        assert w == v and hash(w) == hash(v) and repr(w) == repr(v)
+        assert "masks" not in repr(v) and "rows" not in repr(v)
 
 
 class TestFiveDimensional:
@@ -391,6 +430,7 @@ class TestDoubleDescription:
         vertices, facets = brute_force_vertices(h)
         v = geom.enumerate_vertices(h)
         assert (v.vertices, v.facets) == (vertices, facets)
+        assert_incidence(v, vertices, h.facets)
         assert VPolytope.from_points(h.dim, vertices) == v
 
     @pytest.mark.parametrize("pts", [
@@ -404,6 +444,7 @@ class TestDoubleDescription:
         assert geom.facets_from_points(3, pts) == facets
         v = VPolytope.from_points(3, pts)
         assert (v.vertices, v.facets) == brute_force_vertices(HPolytope(3, facets))
+        assert_incidence(v, pts, facets)
 
     def test_empty_with_recession_direction_is_unbounded(self):
         # x >= 1 and x <= 0 is empty; y >= 0 leaves the recession direction (0, 1)
@@ -479,6 +520,38 @@ class TestPullingTriangulation:
     def test_centered_six_cube(self):
         v = geom.enumerate_vertices(centered_cube(6))
         assert geom.volume_and_moment(v) == (64, (0,) * 6)
+
+    @pytest.mark.parametrize("h", [centered_cube(5), cross_polytope(4), SQUARE_PYRAMID,
+                                   presets.pn_polytope(4)],
+                             ids=["cube-5", "cross-4", "square-pyramid", "p4"])
+    def test_count_is_the_simplices_summed(self, h, monkeypatch):
+        v = geom.enumerate_vertices(h)
+        dets = []
+        elim = geom._eliminate
+        monkeypatch.setattr(geom, "_eliminate", lambda rows: dets.append(1) or elim(rows))
+        geom.volume_and_moment(v)
+        assert len(dets) == geom._pulling((1 << len(v.vertices)) - 1, v.masks, {})
+
+    def test_simplex_budget(self, monkeypatch):
+        v = geom.enumerate_vertices(centered_cube(4))   # 4! simplices
+        monkeypatch.setattr(geom, "MAX_SIMPLICES", 23)
+        with pytest.raises(OutOfRange, match="has 24 simplices, more than the 23 "):
+            geom.volume_and_moment(v)
+        monkeypatch.setattr(geom, "MAX_SIMPLICES", 24)
+        assert geom.volume_and_moment(v) == (16, (0,) * 4)
+
+    def test_no_reference_cycles_left(self):
+        # the recursion once closed over itself, so each call left a cycle
+        v = geom.enumerate_vertices(presets.po_o2_polytope())
+        gc.collect()
+        gc.disable()
+        try:
+            geom.volume_and_moment(v)
+            assert gc.collect() == 0
+            sx.sx_invariant(v)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def clip_family_cases():
