@@ -541,7 +541,7 @@ class TestPullingTriangulation:
         assert geom.volume_and_moment(v) == (16, (0,) * 4)
 
     def test_no_reference_cycles_left(self):
-        # the recursion once closed over itself, so each call left a cycle
+        # a recursion that closes over itself would leave a cycle per call
         v = geom.enumerate_vertices(presets.po_o2_polytope())
         gc.collect()
         gc.disable()
