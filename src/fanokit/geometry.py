@@ -11,17 +11,18 @@ log discrepancy coefficient of the corresponding facet divisor.
 
 A ``VPolytope`` carries its vertices, its facets and their incidence
 together.  Facets are found once, by ``facets_from_points`` for a point
-cloud or by ``enumerate_vertices`` for an H-polytope, and every later
-operation (transforms, translations, half-space cuts) carries them along
-instead of hulling the vertices again.  Both conversions are one integer
-double-description routine, ``_extreme_rays``, run on the homogenized
-inequalities or points.  The constructor decides the vertex-facet incidence
-once, by an integer test on the vertices scaled to integers, and every
-reader uses its bit masks: volume and moment come from one pulling
-triangulation over them, in every dimension.  All Gaussian elimination goes
-through one fraction-free routine, ``_eliminate``, which works over the
-integers and divides once at the end; the slab polynomials of
-``clip_family`` are integers over one denominator as well.
+cloud or by ``enumerate_vertices`` for an H-polytope.  Transforms and
+translations carry them along instead of hulling the vertices again; a
+half-space cut enumerates the vertices of the facets plus the cut afresh.
+Both conversions are one integer double-description routine,
+``_extreme_rays``, run on the homogenized inequalities or points.  The
+constructor decides the vertex-facet incidence once, by an integer test on
+the vertices scaled to integers, and every reader uses its bit masks:
+volume and moment come from one pulling triangulation over them, in every
+dimension.  All Gaussian elimination goes through one fraction-free
+routine, ``_eliminate``, which works over the integers and divides once at
+the end; the slab polynomials of ``clip_family`` are integers over one
+denominator as well.
 
 Every operation is a pure function on immutable values; nothing here
 touches floating point.  Each value checks its own input when it is built
@@ -427,45 +428,38 @@ def clip_volume_and_moment(base: VPolytope, normal: Sequence,
 
 
 def clip_family(base: VPolytope, normal: Sequence) -> Callable[[Fraction], tuple[Fraction, Vec]]:
-    """c -> ``clip_volume_and_moment(base, normal, c)``, exactly, from at
-    most n + 2 clips per slab between consecutive vertex levels <normal, p>.
+    """c -> ``clip_volume_and_moment(base, normal, c)``, exactly, from n + 2
+    clips per slab between consecutive vertex levels <normal, p>.
 
     On a slab the cut keeps one combinatorial type, so the volume is a
     polynomial in c of degree n and the moment one of degree n + 1, constant
-    outside the levels (Lawrence 1991).  A sample at a level counts for both
-    slabs that meet there.  At n + 2 samples a slab solves its Vandermonde
-    system once, through ``_eliminate``, and keeps the monomial coefficients
-    as integers a_k over one denominator D; at c = p/q it then answers by
-    integer Horner, sum_k a_k p^k q^(n+1-k) / (D q^(n+1)).
+    outside the levels (Lawrence 1991).  The first cut-off in a slab fits it
+    from n + 2 clips strictly inside it, by one Vandermonde solve through
+    ``_eliminate``, as integers a_k over one denominator D.  Every cut-off
+    c = p/q, a level included (it goes to the slab above, exact by continuity
+    in c), is then integer Horner: sum_k a_k p^k q^(n+1-k) / (D q^(n+1)).
     """
+    n = base.dim
     levels = sorted({dot(normal, p) for p in base.vertices})
-    # slab i lies between levels[i - 1] and levels[i]
-    samples: list[dict[Fraction, tuple[Fraction, Vec]]] = [{} for _ in range(len(levels) + 1)]
+    # slab i lies between bounds[i] and bounds[i + 1]; the outer two are closed one unit out
+    bounds = [levels[0] - 1, *levels, levels[-1] + 1]
     fits: dict[int, tuple[int, list[list[int]]]] = {}   # D, rows a_k from k = n + 1 down
 
     def at(c) -> tuple[Fraction, Vec]:
         c = _frac(c)
         i = bisect_right(levels, c)
-        slabs = (i - 1, i) if i and levels[i - 1] == c else (i,)
-        for s in slabs:
-            if s in fits:
-                den, coef = fits[s]
-                y, qk = coef[0], 1
-                for a in coef[1:]:
-                    qk *= c.denominator
-                    y = [t * c.numerator + b * qk for t, b in zip(y, a)]
-                return Fraction(y[0], den * qk), tuple(Fraction(t, den * qk) for t in y[1:])
-            if c in samples[s]:
-                return samples[s][c]
-        sample = clip_volume_and_moment(base, normal, c)
-        for s in slabs:
-            samples[s][c] = sample
-            if len(samples[s]) == base.dim + 2:
-                coef = [r[base.dim + 2:] for r in _eliminate(
-                    [[x ** k for k in range(base.dim + 1, -1, -1)] + [v, *m]
-                     for x, (v, m) in samples[s].items()])[0]]
-                den = lcm(*(a.denominator for r in coef for a in r))
-                fits[s] = den, [[a.numerator * (den // a.denominator) for a in r] for r in coef]
-        return sample
+        if i not in fits:
+            xs = [bounds[i] + (bounds[i + 1] - bounds[i]) * k / (n + 3) for k in range(1, n + 3)]
+            coef = [r[n + 2:] for r in _eliminate(
+                [[x ** k for k in range(n + 1, -1, -1)] + [v, *m]
+                 for x in xs for v, m in [clip_volume_and_moment(base, normal, x)]])[0]]
+            den = lcm(*(a.denominator for r in coef for a in r))
+            fits[i] = den, [[a.numerator * (den // a.denominator) for a in r] for r in coef]
+        den, coef = fits[i]
+        y, qk = coef[0], 1
+        for a in coef[1:]:
+            qk *= c.denominator
+            y = [t * c.numerator + b * qk for t, b in zip(y, a)]
+        return Fraction(y[0], den * qk), tuple(Fraction(t, den * qk) for t in y[1:])
 
     return at

@@ -69,9 +69,13 @@ def fermat_reduction_delta(spec: DiagonalHypersurfaceSpec) -> float:
 
 def general_linear_height_delta(n: int, d: int, det_t_modulus: float) -> float:
     """Height change for a hypersurface cut out by a GL(n+2) pullback of the
-    Fermat form: (n+1)(n+2-d)^n d ((n+2-d)/(n+1) - 1) log|det T|^2."""
-    if det_t_modulus <= 0:
+    Fermat form: (n+1)(n+2-d)^n d ((n+2-d)/(n+1) - 1) log|det T|^2;
+    OutOfRange unless 0 < |det T| < inf."""
+    # NaN fails the first test
+    if not det_t_modulus > 0:
         raise OutOfRange("|det T| must be positive")
+    if det_t_modulus == math.inf:
+        raise OutOfRange("|det T| must be finite")
     # the factor is the integer d (1-d) (n+2-d)^n
     return 2 * d * (1 - d) * (n + 2 - d) ** n * math.log(det_t_modulus)
 
@@ -127,12 +131,19 @@ def cover_volume_ratio_check(n: int, d: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class DiagonalBound:
+    """OutOfRange when a printed number is not a finite double, as in
+    ``HeightReport``."""
+
     report: HeightReport
     correction: float
     strict: bool
     fermat_delta: float
     chain_value: float  # fermat.report.value + fermat_delta
     fermat: FermatHeightBound
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.correction, self.fermat_delta, self.chain_value))):
+            raise OutOfRange("result exceeds the double-precision range")
 
 
 def diagonal_theorem_bound(spec: DiagonalHypersurfaceSpec) -> DiagonalBound:

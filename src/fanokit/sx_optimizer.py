@@ -8,11 +8,11 @@ solves the relaxed constraint
     integral over P cut at c of <v, x> dlambda = 0
 
 by bisection over rational c.  The bisection reads exact slab polynomials
-(``geometry.clip_family``) and makes at most n + 2 clips per slab visited,
-so only the root itself is approximate.  The full barycenter of the
-optimizer is then checked: when it vanishes (always in the symmetric
-benchmark cases) the result is certified as S(X); otherwise it is an upper
-bound for the half-space family only.
+(``geometry.clip_family``), each fitted from n + 2 clips when the bisection
+first enters its slab, so only the root itself is approximate.  The full
+barycenter of the optimizer is then checked: when it vanishes (always in
+the symmetric benchmark cases) the result is certified as S(X); otherwise
+it is an upper bound for the half-space family only.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import geometry as geom
 from .errors import DimensionMismatch, EmptyBody, NoRootInRange, NonConvergence, OutOfRange
 from .geometry import HPolytope, VPolytope
+from .toric_heights import _to_float
 
 _WIDTH = Fraction(1, 2**50)
 _CERTIFY_TOL = 1e-9   # largest |barycenter coordinate| still counted as zero
@@ -134,12 +135,13 @@ def _as_polytope(obj) -> tuple[VPolytope, Fraction]:
 def sx_invariant(obj) -> SxResult:
     """n! S(X) for a moment polytope with the origin in its interior, given
     as a ``VPolytope`` or a ``SimplexDifference``; OutOfRange when some
-    facet offset is <= 0, so that the origin is not interior.
+    facet offset is <= 0, so that the origin is not interior, or when a
+    reported number lies beyond the double range.
 
     Cuts perpendicular to the barycenter direction; the cutoff is bisected
     over rationals until the bracket is narrower than 2^-50, reading the
-    exact moment integral off slab polynomials that make at most n + 2
-    clips per slab visited.
+    exact moment integral off slab polynomials, each fitted from n + 2 clips
+    in the slab the bisection enters.
     """
     verts, det = _as_polytope(obj)
     if any(f.offset <= 0 for f in verts.facets):
@@ -147,7 +149,7 @@ def sx_invariant(obj) -> SxResult:
     nf = math.factorial(verts.dim)
     vol, mom = geom.volume_and_moment(verts)
     if all(x == 0 for x in mom):
-        return SxResult(0.0, float(nf * vol / det), True, 0.0, None, None)
+        return SxResult(0.0, _to_float(nf * vol / det), True, 0.0, None, None)
     u = geom.primitive_int_vector(mom)
     cmax = max(geom.dot(u, p) for p in verts.vertices)
     clip = geom.clip_family(verts, u)
@@ -162,10 +164,10 @@ def sx_invariant(obj) -> SxResult:
     c = (lo + hi) / 2
     cvol, cmom = clip(c)
     bary = [x / cvol for x in cmom]
-    residual = max(abs(float(x)) for x in bary)
+    residual = max(abs(_to_float(x)) for x in bary)
     return SxResult(
-        cut_weight=float(cmax - c),
-        s_value=float(nf * cvol / det),
+        cut_weight=_to_float(cmax - c),
+        s_value=_to_float(nf * cvol / det),
         certified=residual <= _CERTIFY_TOL,
         residual=residual,
         cutoff=c,

@@ -871,6 +871,19 @@ class TestInputPaths:
         assert err == f"fanokit: input error: {message}\n"
 
 
+BIG = 10**200
+DIAGONAL_JSON = json.dumps({"n": 2, "d": 3, "a": [1, 1, 1, 8]})
+
+
+def _facets_json(dim, facets):
+    return json.dumps({"dim": dim, "facets": [{"normal": l, "offset": str(a)} for l, a in facets]})
+
+
+def _triangle_json(top):
+    """x >= -1, y >= -1, x + y <= top."""
+    return _facets_json(2, [([1, 0], 1), ([0, 1], 1), ([-1, -1], top)])
+
+
 class TestFormerFailures:
     """Valid input that exited 2, input errors that exited 2, and refusals
     that took over 30 s."""
@@ -915,11 +928,35 @@ class TestFormerFailures:
         report = json.loads(out, parse_constant=pytest.fail)
         assert report["abs_error"] < 1e-14 * report["value"]
 
-    @pytest.mark.parametrize("argv", [["pn-height", "--n", "142"],
-                                      ["scaled-height", "--n", "142", "--t", "1"]])
+    @pytest.mark.parametrize("argv", [
+        ["pn-height", "--n", "142"],
+        ["scaled-height", "--n", "142", "--t", "1"],
+        # semistable, so S(X) is the degree: 2 * (2 * 10^200)^2
+        ["sx", "--json", _facets_json(2, [([1, 0], BIG), ([-1, 0], BIG),
+                                          ([0, 1], BIG), ([0, -1], BIG)])],
+        # the cut weight is about 10^320
+        ["sx", "--json", _triangle_json(10**320)],
+        # the correction is -1.08e308, and the Fermat delta doubles it
+        ["diagonal", "--json", json.dumps({"n": 141, "d": 2, "a": [10**300] * 143})],
+    ])
     def test_heights_beyond_the_double_range_refused(self, argv, capsys):
         assert run_cli(argv, capsys) == (
             1, "", "fanokit: input error: result exceeds the double-precision range\n")
+
+    def test_sx_large_cut_weight_unchanged(self, capsys):
+        assert run_cli(["sx", "--json", _triangle_json(10**160)], capsys) == (0, """{
+  "certified": true,
+  "n_factorial_S": 9.0,
+  "residual": 1.01503221373e-16,
+  "w": 1e+160
+}
+""", "")
+
+    @pytest.mark.parametrize("det_t, message", [("nan", "positive"), ("inf", "finite"),
+                                                ("0", "positive")])
+    def test_diagonal_det_t_outside_the_positive_doubles_refused(self, det_t, message, capsys):
+        argv = ["diagonal", "--json", DIAGONAL_JSON, "--det-t", det_t]
+        assert run_cli(argv, capsys) == (1, "", f"fanokit: input error: |det T| must be {message}\n")
 
     def test_nine_cube_volume_refused_fast(self, capsys):
         # the pulling triangulation of the 9-cube has 9! simplices

@@ -1,7 +1,9 @@
 """Random argv and JSON for every subcommand: ``cli.run`` never raises, exits
-0, 1 or 2, and a nonzero exit leaves stdout empty and stderr free of a
-traceback.  Inputs stay small (dimension <= 3, at most 8 facets or points,
-small n), so the per-example deadline is also a budget on every path."""
+0, 1 or 2, a nonzero exit leaves stdout empty and stderr free of a
+traceback, and a JSON report on exit 0 is strict JSON (no NaN or Infinity).
+Inputs stay small (dimension <= 3, at most 8 facets or points, small n), so
+the per-example deadline is also a budget on every path; a small share of
+polytope coordinates and offsets leaves the double range."""
 import contextlib
 import io
 import json
@@ -19,6 +21,7 @@ RATIONAL = st.one_of(st.integers(-3, 3),
 WEIGHT = st.fractions(min_value=0, max_value=1, max_denominator=6).map(str)
 INTEGER = st.integers(1, 4)
 JUNK = st.sampled_from(["abc", "1/0", "", "1.5", True, None, 0.5, [1], 1.0, 0, -1])
+HUGE = st.sampled_from([10**200, -10**200, 10**320, -10**320]).map(str)
 
 
 def fields(draw, valid):
@@ -32,6 +35,8 @@ def polytope_json(draw):
     size = dim if type(dim) is int and dim >= 1 else 2
     length = st.just(size) if draw(st.integers(0, 3)) else st.integers(0, 4)
     rational, integer = fields(draw, RATIONAL), fields(draw, st.integers(-2, 2))
+    if not draw(st.integers(0, 9)):
+        rational = st.one_of(rational, HUGE)
     data = {"dim": dim} if draw(st.integers(0, 9)) else {}
     if draw(st.booleans()):
         data["facets"] = draw(st.lists(st.builds(
@@ -95,7 +100,7 @@ OPTIONS = {
     "stability-polytope": {"--n": st.integers(-1, 6).map(str), "--m": SMALL,
                            "--degree": st.one_of(TEXT, st.sampled_from(["7/3", "10/9", "1/10"]))},
     "arrangement-bound": {},
-    "diagonal": {"--det-t": st.sampled_from(["2.0", "0", "-1", "nan", "x"])},
+    "diagonal": {"--det-t": st.sampled_from(["2.0", "0", "-1", "nan", "inf", "x"])},
     "p1-zeta-height": {"--precision": st.sampled_from(["1e-6", "0", "inf", "x"])},
     "reproduce-paper": {"--perturb": st.just(None)},
 }
@@ -124,6 +129,10 @@ def argv(draw, command):
     return args
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("command", sorted(OPTIONS))
 @settings(max_examples=15, deadline=timedelta(seconds=2), derandomize=True,
           database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -138,3 +147,5 @@ def test_cli_exits_cleanly(command, data):
     if code:
         assert out.getvalue() == ""
         assert err.getvalue()
+    elif not any(a.startswith("--format=") and a != "--format=json" for a in args):
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

@@ -2,6 +2,8 @@ import gc
 import itertools
 import math
 import random
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -580,8 +582,7 @@ class TestClipFamily:
                 break
         levels = sorted({geom.dot(u, p) for p in v.vertices})
         bounds = [levels[0] - 3, *levels, levels[-1] + 3]
-        # n + 4 points strictly inside each slab, so that every slab answers
-        # some queries from its polynomial, and every level twice
+        # n + 4 points strictly inside each slab, and every level twice
         cs = [lo + (hi - lo) * F(rng.randint(1, 999), 1000)
               for lo, hi in zip(bounds, bounds[1:]) for _ in range(n + 4)]
         # the bisection's cut-offs: dyadic, with denominators 2^40 .. 2^55
@@ -596,7 +597,10 @@ class TestClipFamily:
         family = geom.clip_family(v, u)
         for c in cs:
             assert family(c) == clip(v, u, c)
-        assert len(clips) <= (n + 2) * (len(levels) + 1) < len(cs)
+        # n + 2 clips in each slab the cut-offs fall in, none at a level
+        slabs = Counter(bisect_right(levels, c) for c in clips)
+        assert slabs == {bisect_right(levels, c): n + 2 for c in cs}
+        assert not set(clips) & set(levels)
 
 
 _RATIONALS = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F),

@@ -167,6 +167,35 @@ class TestSxInvariant:
         assert r.s_value >= 30.3
 
 
+def _sx_clip_cases():
+    # x -> (-x_3, x_1, x_2), a signed permutation
+    image = geom.LinearMap(((0, 0, -1), (1, 0, 0), (0, 1, 0)))
+    for name, preset in sorted(presets.SX_PRESETS.items()):
+        yield f"preset-{name}", preset()
+    for name in ("p3-blowup", "po-o2"):
+        v = geom.enumerate_vertices(presets.POLYTOPE_PRESETS[name]())
+        yield f"real-{name}", v
+        yield f"image-{name}", geom.transform(v, image)
+
+
+SX_CLIP_CASES = list(_sx_clip_cases())
+
+
+class TestClipsPerSolve:
+    """A solve stays in one slab of its clip family, which is fitted from
+    n + 2 clips."""
+
+    @pytest.mark.parametrize("body", [c[1] for c in SX_CLIP_CASES],
+                             ids=[c[0] for c in SX_CLIP_CASES])
+    def test_n_plus_2_clips(self, body, monkeypatch):
+        clip = geom.clip_volume_and_moment
+        calls = []
+        monkeypatch.setattr(geom, "clip_volume_and_moment",
+                            lambda *a: calls.append(a[2]) or clip(*a))
+        sx.sx_invariant(body)
+        assert len(calls) == 5   # n + 2, n = 3
+
+
 class TestSamplingLowerBound:
     def test_random_constrained_cuts_never_beat_optimum(self):
         sd = presets.p3_blowup_normal_form()
