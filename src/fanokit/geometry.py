@@ -11,18 +11,15 @@ log discrepancy coefficient of the corresponding facet divisor.
 
 A ``VPolytope`` carries its vertices, its facets and their incidence
 together.  Facets are found once, by ``facets_from_points`` for a point
-cloud or by ``enumerate_vertices`` for an H-polytope.  Transforms and
-translations carry them along instead of hulling the vertices again; a
-half-space cut enumerates the vertices of the facets plus the cut afresh.
-Both conversions are one integer double-description routine,
-``_extreme_rays``, run on the homogenized inequalities or points.  The
-constructor decides the vertex-facet incidence once, by an integer test on
-the vertices scaled to integers, and every reader uses its bit masks:
-volume and moment come from one pulling triangulation over them, in every
-dimension.  All Gaussian elimination goes through one fraction-free
-routine, ``_eliminate``, which works over the integers and divides once at
-the end; the slab polynomials of ``clip_family`` are integers over one
-denominator as well.
+cloud or by ``enumerate_vertices`` for an H-polytope, both one integer
+double-description routine, ``_extreme_rays``.  Transforms and translations
+carry them along; a half-space cut enumerates the vertices afresh.  The
+constructor decides the vertex-facet incidence once, on the vertices scaled
+to integers, and every reader uses its bit masks: volume and moment come
+from one pulling triangulation over them.  ``clip_family`` clips once per
+slab and moves that clip's vertices along the base edges.  All Gaussian
+elimination goes through one fraction-free routine, ``_eliminate``, which
+divides once at the end.
 
 Every operation is a pure function on immutable values; nothing here
 touches floating point.  Each value checks its own input when it is built
@@ -33,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from math import factorial, gcd, lcm
 from operator import and_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -231,11 +228,10 @@ class VPolytope:
         _check_shape(self.dim, pts, "vertex")
         if _affine_rank(pts) < self.dim:
             raise DegeneratePolytope("polytope is not full-dimensional")
-        q = lcm(*(x.denominator for p in pts for x in p))
-        rows = [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in pts]
+        rows = _integer_rows(pts)
         ineqs = sorted(set(self.facets))
         masks = [sum(1 << i for i, r in enumerate(rows)
-                     if sum(c * x for c, x in zip(l, r)) * a.denominator == -a.numerator * q)
+                     if sum(c * x for c, x in zip(l, r)) * a.denominator == -a.numerator * r[-1])
                  for l, a in ineqs]
         keep = [i for i in range(len(pts))
                 if reduce(and_, (m for m in masks if m >> i & 1), (1 << len(pts)) - 1) == 1 << i]
@@ -253,6 +249,12 @@ class VPolytope:
         # before double description, which refuses a cloud that spans less
         _check_shape(dim, pts, "point")
         return cls(dim, tuple(pts), facets_from_points(dim, pts))
+
+
+def _integer_rows(points: Sequence[Vec]) -> list[tuple[int, ...]]:
+    """The rows (q p, q) of the points p, q their common denominator."""
+    q = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in points]
 
 
 def _affine_rank(points: Sequence[Vec]) -> int:
@@ -328,6 +330,22 @@ def _simplices(face: int, dag: dict[int, tuple[int, list[int]]]) -> Iterator[tup
             yield (apex,) + s
 
 
+def _moments(v: VPolytope, row_sets: Iterable[Sequence]) -> Iterator[tuple[Fraction, Vec]]:
+    """``volume_and_moment`` of v over each set of rows for its vertices."""
+    n, top, dag = v.dim, (1 << len(v.rows)) - 1, {}
+    count = _pulling(top, v.masks, dag)
+    if count > MAX_SIMPLICES:
+        raise OutOfRange(f"the volume triangulation has {count} simplices, "
+                         f"more than the {MAX_SIMPLICES} this computation sums")
+    for rows in row_sets:
+        vol, mom = 0, [0] * n
+        for s in _simplices(top, dag):
+            w = abs(int(_eliminate([rows[i] for i in s])[2]))
+            vol, mom = vol + w, [m + w * sum(c) for m, c in zip(mom, zip(*(rows[i] for i in s)))]
+        f = factorial(n) * rows[0][n] ** (n + 1)
+        yield Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
+
+
 def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
     """Exact (volume, integral of x dlambda) of a polytope; OutOfRange when
     its triangulation has more than MAX_SIMPLICES simplices.
@@ -338,20 +356,7 @@ def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
     |det[(q p_i, q)]| / (q^(n+1) n!), over the rows ``v.rows``, to the
     volume and that times its vertex mean to the moment.
     """
-    rows, n = v.rows, v.dim
-    top, dag = (1 << len(rows)) - 1, {}
-    count = _pulling(top, v.masks, dag)
-    if count > MAX_SIMPLICES:
-        raise OutOfRange(f"the volume triangulation has {count} simplices, "
-                         f"more than the {MAX_SIMPLICES} this computation sums")
-    vol, mom = 0, [0] * n
-    for s in _simplices(top, dag):
-        w = abs(int(_eliminate([rows[i] for i in s])[2]))
-        vol += w
-        for j in range(n):
-            mom[j] += w * sum(rows[i][j] for i in s)
-    f = factorial(n) * rows[0][n] ** (n + 1)
-    return Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
+    return next(_moments(v, [v.rows]))
 
 
 def volume(v: VPolytope) -> Fraction:
@@ -417,49 +422,64 @@ def intersect_halfspace(v: VPolytope, normal: Sequence, cutoff) -> VPolytope:
         raise EmptyIntersection("cut removed the polytope interior")
 
 
-def clip_volume_and_moment(base: VPolytope, normal: Sequence,
-                           cutoff) -> tuple[Fraction, Vec]:
-    """(volume, moment) of base cut by <normal, x> <= cutoff; zero when the
-    cut leaves no interior."""
-    try:
-        return volume_and_moment(intersect_halfspace(base, normal, cutoff))
-    except EmptyIntersection:
-        return Fraction(0), tuple([Fraction(0)] * base.dim)
-
-
 def clip_family(base: VPolytope, normal: Sequence) -> Callable[[Fraction], tuple[Fraction, Vec]]:
-    """c -> ``clip_volume_and_moment(base, normal, c)``, exactly, from n + 2
-    clips per slab between consecutive vertex levels <normal, p>.
+    """c -> (volume, moment) of base cut by <normal, x> <= c, exactly, from
+    one clip per slab between consecutive vertex levels <normal, p>.
 
-    On a slab the cut keeps one combinatorial type, so the volume is a
-    polynomial in c of degree n and the moment one of degree n + 1, constant
-    outside the levels (Lawrence 1991).  The first cut-off in a slab fits it
-    from n + 2 clips strictly inside it, by one Vandermonde solve through
-    ``_eliminate``, as integers a_k over one denominator D.  Every cut-off
+    On a slab both are polynomials in c, of degree n and n + 1 (Lawrence
+    1991).  The slab's first cut-off clips at its midpoint: each vertex of
+    the clip is the one base vertex on all base facets tight at it, or moves
+    along the base edge they share, and the clip's simplices over the moved
+    vertices at n + 2 points fit integers a_k over one denominator D.  Any
     c = p/q, a level included (it goes to the slab above, exact by continuity
-    in c), is then integer Horner: sum_k a_k p^k q^(n+1-k) / (D q^(n+1)).
+    in c), is then integer Horner: sum_k a_k p^k q^(n+1-k) / (D q^(n+1)), and
+    so is the sign of <normal, moment> that the result's ``moment_sign(c)`` gives.
     """
-    n = base.dim
-    levels = sorted({dot(normal, p) for p in base.vertices})
+    index, level = dict(zip(base.facets, base.masks)), {p: dot(normal, p) for p in base.vertices}
+    n, levels = base.dim, sorted(set(level.values()))
     # slab i lies between bounds[i] and bounds[i + 1]; the outer two are closed one unit out
     bounds = [levels[0] - 1, *levels, levels[-1] + 1]
-    fits: dict[int, tuple[int, list[list[int]]]] = {}   # D, rows a_k from k = n + 1 down
 
-    def at(c) -> tuple[Fraction, Vec]:
-        c = _frac(c)
-        i = bisect_right(levels, c)
-        if i not in fits:
-            xs = [bounds[i] + (bounds[i + 1] - bounds[i]) * k / (n + 3) for k in range(1, n + 3)]
-            coef = [r[n + 2:] for r in _eliminate(
-                [[x ** k for k in range(n + 1, -1, -1)] + [v, *m]
-                 for x in xs for v, m in [clip_volume_and_moment(base, normal, x)]])[0]]
-            den = lcm(*(a.denominator for r in coef for a in r))
-            fits[i] = den, [[a.numerator * (den // a.denominator) for a in r] for r in coef]
-        den, coef = fits[i]
-        y, qk = coef[0], 1
-        for a in coef[1:]:
+    @cache
+    def fit(i: int) -> tuple[int, list[list[int]]]:
+        """D and the rows [<normal, moment part of a_k>, a_k] from k = n + 1 down."""
+        lo, hi = bounds[i], bounds[i + 1]
+        mid, xs = (lo + hi) / 2, [lo + (hi - lo) * k / (n + 3) for k in range(1, n + 3)]
+        if not 0 < i < len(levels):   # empty below the lowest level, the base above the highest
+            values = [volume_and_moment(base) if i else (_ZERO, (_ZERO,) * n)] * len(xs)
+        else:
+            cut, ups = intersect_halfspace(base, normal, mid), []
+            for j, p in enumerate(cut.vertices):
+                # base vertices on every base facet tight at p (-1: all bits): p, or its edge's ends
+                m = reduce(and_, (index.get(f, -1) for f, t in zip(cut.facets, cut.masks)
+                                  if t >> j & 1), -1)
+                b = base.vertices[m.bit_length() - 1]
+                ups.append(tuple(x + (y - x) / (level[b] - mid) for x, y in zip(p, b)))
+            # p is at up when c = mid + 1, so at c = mid + s/r it is ((r - s) p + s up) / r
+            rows = _integer_rows(cut.vertices + tuple(ups))
+            values = _moments(cut, [
+                [tuple(a * (t.denominator - t.numerator) + d * t.numerator for a, d in zip(r, s))
+                 for r, s in zip(rows, rows[len(ups):])] for t in (x - mid for x in xs)])
+        solved = _eliminate([[x ** k for k in range(n + 1, -1, -1)] + [dot(normal, m), v, *m]
+                             for x, (v, m) in zip(xs, values)])[0]
+        den = lcm(*(a.denominator for r in solved for a in r[n + 2:]))
+        return den, [[a.numerator * (den // a.denominator) for a in r[n + 2:]] for r in solved]
+
+    def horner(c: Fraction, width: int) -> tuple[int, list[int]]:
+        den, rows = fit(bisect_right(levels, c))
+        y, qk = rows[0][:width], 1
+        for a in rows[1:]:
             qk *= c.denominator
             y = [t * c.numerator + b * qk for t, b in zip(y, a)]
-        return Fraction(y[0], den * qk), tuple(Fraction(t, den * qk) for t in y[1:])
+        return den * qk, y   # D q^(n+1), sum_k a_k p^k q^(n+1-k) in the first width columns
 
+    def at(c) -> tuple[Fraction, Vec]:
+        dq, y = horner(_frac(c), n + 2)
+        return Fraction(y[1], dq), tuple(Fraction(t, dq) for t in y[2:])
+
+    def moment_sign(c: Fraction) -> int:
+        y = horner(c, 1)[1][0]
+        return (y > 0) - (y < 0)
+
+    at.moment_sign = moment_sign
     return at

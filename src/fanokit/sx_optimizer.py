@@ -7,12 +7,12 @@ solves the relaxed constraint
 
     integral over P cut at c of <v, x> dlambda = 0
 
-by bisection over rational c.  The bisection reads exact slab polynomials
-(``geometry.clip_family``), each fitted from n + 2 clips when the bisection
-first enters its slab, so only the root itself is approximate.  The full
-barycenter of the optimizer is then checked: when it vanishes (always in
-the symmetric benchmark cases) the result is certified as S(X); otherwise
-it is an upper bound for the half-space family only.
+by bisection over rational c.  Each step reads the sign of the integral
+off one integer slab polynomial (``geometry.clip_family``, which clips once
+per slab the bisection enters), so only the root itself is approximate.
+The full barycenter of the optimizer is then checked: when it vanishes
+(always in the symmetric benchmark cases) the result is certified as S(X);
+otherwise it is an upper bound for the half-space family only.
 """
 from __future__ import annotations
 
@@ -136,12 +136,12 @@ def sx_invariant(obj) -> SxResult:
     """n! S(X) for a moment polytope with the origin in its interior, given
     as a ``VPolytope`` or a ``SimplexDifference``; OutOfRange when some
     facet offset is <= 0, so that the origin is not interior, or when a
-    reported number lies beyond the double range.
+    reported number or the top cut level lies beyond the double range.
 
     Cuts perpendicular to the barycenter direction; the cutoff is bisected
-    over rationals until the bracket is narrower than 2^-50, reading the
-    exact moment integral off slab polynomials, each fitted from n + 2 clips
-    in the slab the bisection enters.
+    over rationals until the bracket is narrower than 2^-50, each step
+    reading the sign of the moment integral off an integer slab polynomial
+    without building a ``Fraction`` beyond the bracket and its midpoint.
     """
     verts, det = _as_polytope(obj)
     if any(f.offset <= 0 for f in verts.facets):
@@ -152,19 +152,19 @@ def sx_invariant(obj) -> SxResult:
         return SxResult(0.0, _to_float(nf * vol / det), True, 0.0, None, None)
     u = geom.primitive_int_vector(mom)
     cmax = max(geom.dot(u, p) for p in verts.vertices)
+    _to_float(cmax)   # the cut weight is a double: refuse a level beyond them before bisecting
     clip = geom.clip_family(verts, u)
-    # <u, moment> < 0 at cutoff 0, the origin being interior, and > 0 at cmax
+    # <u, moment> < 0 at 0, the origin being interior, and > 0 at cmax; halve to width 2^-50
     lo, hi = Fraction(0), Fraction(cmax)
-    while hi - lo > _WIDTH:
+    for _ in range((math.ceil(cmax / _WIDTH) - 1).bit_length()):
         mid = (lo + hi) / 2
-        if geom.dot(u, clip(mid)[1]) < 0:
+        if clip.moment_sign(mid) < 0:
             lo = mid
         else:
             hi = mid
     c = (lo + hi) / 2
     cvol, cmom = clip(c)
-    bary = [x / cvol for x in cmom]
-    residual = max(abs(_to_float(x)) for x in bary)
+    residual = max(abs(_to_float(x / cvol)) for x in cmom)
     return SxResult(
         cut_weight=_to_float(cmax - c),
         s_value=_to_float(nf * cvol / det),

@@ -1,6 +1,7 @@
 """Shared test oracles: Gauss-Jordan elimination over ``Fraction``,
 brute-force exact H->V and V->H conversion, the vertex-facet incidence by
-``Fraction`` dots, Monte Carlo volume estimation, random polytope and
+``Fraction`` dots, an exact clip per cut-off and the ``Fraction`` bisection
+of S(X) over it, Monte Carlo volume estimation, random polytope and
 unimodular-matrix generation, the closed-form barycenter of a simplex
 difference, and a floating-point half-space clipper used to sample candidate
 cuts independently of the exact kernel."""
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from fanokit import geometry as geom
-from fanokit.errors import DegeneratePolytope, UnboundedPolytope
+from fanokit.errors import DegeneratePolytope, EmptyIntersection, UnboundedPolytope
 
 
 def fraction_eliminate(rows):
@@ -133,6 +134,33 @@ def fraction_incidence(points, inequalities):
     facets = [k for k, t in enumerate(on) if t and not any(t < u for u in on)]
     return (tuple(verts), tuple(ineqs[k] for k in facets),
             tuple(sum(1 << i for i in on[k]) for k in facets))
+
+
+def clip_volume_and_moment(base, normal, cutoff):
+    """Reference for ``geometry.clip_family``: (volume, moment) of base cut
+    by <normal, x> <= cutoff from a clip of its own, zero when the cut
+    leaves no interior."""
+    try:
+        return geom.volume_and_moment(geom.intersect_halfspace(base, normal, cutoff))
+    except EmptyIntersection:
+        return Fraction(0), (Fraction(0),) * base.dim
+
+
+def fraction_bisection_cutoff(v):
+    """Reference for the cut-off of ``sx_optimizer.sx_invariant`` on a
+    VPolytope whose barycenter is not the origin: bisect [0, cmax] along
+    u = the primitive barycenter direction while the bracket is wider than
+    2^-50, reading the sign of <u, moment> off a ``Fraction`` clip at every
+    step, and return the bracket's midpoint."""
+    u = geom.primitive_int_vector(geom.volume_and_moment(v)[1])
+    lo, hi = Fraction(0), max(geom.dot(u, p) for p in v.vertices)
+    while hi - lo > Fraction(1, 2**50):
+        mid = (lo + hi) / 2
+        if geom.dot(u, clip_volume_and_moment(v, u, mid)[1]) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def brute_force_full_weight_condition(w):

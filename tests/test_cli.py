@@ -659,17 +659,17 @@ class TestSxOutput:
     def test_at_most_n_plus_3_clips(self, argv, capsys, monkeypatch):
         from fanokit import geometry
 
-        original = geometry.clip_volume_and_moment
+        original = geometry.intersect_halfspace
         calls = []
 
         def spy(*args):
             calls.append(args[2])
             return original(*args)
 
-        monkeypatch.setattr(geometry, "clip_volume_and_moment", spy)
+        monkeypatch.setattr(geometry, "intersect_halfspace", spy)
         code, _, _ = run_cli(argv, capsys)
         assert code == 0
-        assert len(calls) <= 6
+        assert len(calls) == 1   # one slab, fitted from one clip
 
 
 def _child_env():
@@ -709,7 +709,7 @@ OPERATION_COVERAGE = [
      ["volume", "--json", P3_JSON, "--cut-normal=-1,-1,-1",
       "--cut-offset", "1"]),
     ("fanokit.geometry", "transform", ["reproduce-paper"]),
-    ("fanokit.geometry", "clip_volume_and_moment", ["sx", "--preset", "p3-blowup"]),
+    ("fanokit.geometry", "clip_family", ["sx", "--preset", "p3-blowup"]),
     ("fanokit.toric_heights", "is_k_semistable", ["semistable", "--json", P3_JSON]),
     ("fanokit.toric_heights", "log_fano_volume", ["reproduce-paper"]),
     ("fanokit.hypersurfaces", "pn_family_height",
@@ -942,6 +942,15 @@ class TestFormerFailures:
     def test_heights_beyond_the_double_range_refused(self, argv, capsys):
         assert run_cli(argv, capsys) == (
             1, "", "fanokit: input error: result exceeds the double-precision range\n")
+
+    def test_sx_cut_level_beyond_the_double_range_refused_fast(self, capsys):
+        # cmax has 3,195 bits: the bisection would take about 3,244 steps
+        cloud = json.dumps({"dim": 3, "vertices": [
+            [0, 1, 2], [1, 0, 1], [2, "-3/2", 0], [0, -1, str(-10**320)], [-3, -1, str(BIG)]]})
+        start = time.perf_counter()
+        result = run_cli(["sx", "--json", cloud], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert result == (1, "", "fanokit: input error: result exceeds the double-precision range\n")
 
     def test_sx_large_cut_weight_unchanged(self, capsys):
         assert run_cli(["sx", "--json", _triangle_json(10**160)], capsys) == (0, """{

@@ -25,6 +25,9 @@ WEIGHTS = json.dumps({"n": 2, "weights": ["1/2", "1/2", "1/2", "1/2"]})
 DIAGONAL = json.dumps({"n": 2, "d": 3, "a": [1, 1, 1, 8]})
 P1_WEIGHTS = json.dumps({"weights": ["1/2", "1/3", "1/4"]})
 OFF_ORIGIN = json.dumps({"dim": 2, "vertices": [[1, 1], [1, 2], [2, 1], [2, 2]]})
+# its top cut level, about 10^320, lies beyond the double range
+HUGE_CLOUD = json.dumps({"dim": 3, "vertices": [[0, 1, 2], [1, 0, 1], [2, "-3/2", 0],
+                                                [0, -1, str(-10**320)], [-3, -1, str(10**200)]]})
 
 CASES = [
     *([command, "--preset", name] for name in sorted(POLYTOPE_PRESETS)
@@ -49,6 +52,7 @@ CASES = [
     ["volume", "--preset", "p3", "--cut-normal", "1,1,1", "--cut-offset", "1/2"],
     ["volume", "--json", "[1, 2]"],
     ["sx", "--json", OFF_ORIGIN],
+    ["sx", "--json", HUGE_CLOUD],
     ["pn-height", "--n", "200000"],
 ]
 
@@ -181,6 +185,8 @@ DIGESTS = {
         '114635d5f60097567305d7eba3a9783b44f601f03b5344e68c822cfce35c4007',
     'sx --json \'{"dim": 2, "vertices": [[1, 1], [1, 2], [2, 1], [2, 2]]}\'':
         'ce8b1ec352278bc59ddc9a1543fef2b74876583a7626ac55e2528048990abf12',
+    'sx --json \'{"dim": 3, "vertices": [[0, 1, 2], [1, 0, 1], [2, "-3/2", 0], [0, -1, "-100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"], [-3, -1, "100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"]]}\'':
+        '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
     'pn-height --n 200000':
         '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
 }

@@ -29,6 +29,7 @@ from fanokit.geometry import HPolytope, LinearMap, VPolytope
 from helpers import (
     brute_force_facets,
     brute_force_vertices,
+    clip_volume_and_moment,
     fraction_eliminate,
     fraction_incidence,
     mc_volume_estimate,
@@ -570,7 +571,8 @@ CLIP_FAMILY_CASES = list(clip_family_cases())
 
 class TestClipFamily:
     """The slab polynomials give exactly the clip's volume and moment, at
-    vertex levels, inside slabs and outside the polytope, in any order."""
+    vertex levels, inside slabs and outside the polytope, in any order, from
+    one clip in each slab between two levels that a cut-off falls in."""
 
     @pytest.mark.parametrize("v, rng", [c[1:] for c in CLIP_FAMILY_CASES],
                              ids=[c[0] for c in CLIP_FAMILY_CASES])
@@ -590,17 +592,64 @@ class TestClipFamily:
                for lo, hi in zip(bounds, bounds[1:]) for k in (40, 47, 55)]
         cs += levels * 2
         rng.shuffle(cs)
-        clip = geom.clip_volume_and_moment
+        clip = geom.intersect_halfspace
         clips = []
-        monkeypatch.setattr(geom, "clip_volume_and_moment",
+        monkeypatch.setattr(geom, "intersect_halfspace",
                             lambda *a: clips.append(a[2]) or clip(*a))
         family = geom.clip_family(v, u)
-        for c in cs:
-            assert family(c) == clip(v, u, c)
-        # n + 2 clips in each slab the cut-offs fall in, none at a level
+        got = [family(c) for c in cs]
+        monkeypatch.undo()
+        assert got == [clip_volume_and_moment(v, u, c) for c in cs]
+        # one clip in each slab between two levels that the cut-offs fall in,
+        # none at a level; below the lowest and above the highest level, none
         slabs = Counter(bisect_right(levels, c) for c in clips)
-        assert slabs == {bisect_right(levels, c): n + 2 for c in cs}
+        assert slabs == {i: 1 for c in cs if 0 < (i := bisect_right(levels, c)) < len(levels)}
         assert not set(clips) & set(levels)
+
+
+NON_SIMPLE_BODIES = {
+    "cross-polytope": VPolytope.from_points(
+        3, [tuple(s * (j == i) for j in range(3)) for i in range(3) for s in (1, -1)]),
+    "square-pyramid": VPolytope.from_points(
+        3, [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]),
+    "4-cube-image": geom.transform(geom.enumerate_vertices(unit_cube(4)),
+                                   random_unimodular(random.Random(4), 4)),
+}
+
+
+@st.composite
+def _clip_bodies(draw):
+    """A body with non-simple vertices, or a random cloud in dimension 2-4."""
+    if draw(st.booleans()):
+        return NON_SIMPLE_BODIES[draw(st.sampled_from(sorted(NON_SIMPLE_BODIES)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_rational_polytope(rng, draw(st.integers(2, 4)))
+
+
+class TestClipFamilyEdgeRule:
+    """Every vertex of a slab's one clip moves along a base edge or stays at
+    a base vertex, also where several edges or facets meet: the family and
+    its moment sign equal a clip of their own at every cut-off."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(v=_clip_bodies(), data=st.data())
+    def test_matches_a_clip_per_cutoff(self, v, data):
+        u = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=v.dim, max_size=v.dim)
+                            .filter(any), label="normal"))
+        levels = sorted({geom.dot(u, p) for p in v.vertices})
+        bounds = [levels[0] - 1, *levels, levels[-1] + 1]
+        cs = list(levels)
+        for lo, hi in zip(bounds, bounds[1:]):
+            cs.append(lo + (hi - lo) * F(data.draw(st.integers(1, 999)), 1000))
+            # a dyadic cut-off of the bisection, denominator 2^40 .. 2^55
+            k, x = data.draw(st.integers(40, 55)), data.draw(st.integers(1, 3))
+            cs.append(F(math.floor((lo + (hi - lo) * F(x, 4)) * 2**k), 2**k))
+        family = geom.clip_family(v, u)
+        for c in data.draw(st.permutations(cs), label="order"):
+            vol, mom = clip_volume_and_moment(v, u, c)
+            assert family(c) == (vol, mom)
+            s = geom.dot(u, mom)
+            assert family.moment_sign(c) == (s > 0) - (s < 0)
 
 
 _RATIONALS = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F),
@@ -679,5 +728,5 @@ class TestConstructorsCheckTheirInput:
         monkeypatch.setattr(geom, "_affine_rank", lambda pts: calls.append(1) or original(pts))
         geom.volume_and_moment(v)
         assert calls == []
-        geom.clip_volume_and_moment(v, (1, 1, 1), F(17, 11))   # not a cached clip
+        clip_volume_and_moment(v, (1, 1, 1), F(17, 11))   # not a cached clip
         assert len(calls) == 1

@@ -16,7 +16,12 @@ from fanokit.errors import EmptyBody, NoRootInRange, OutOfRange
 from fanokit.sx_optimizer import SimplexDifference
 from fanokit.toric_heights import ToricLogFano
 
-from helpers import FloatClipper, simplex_difference_barycenter
+from helpers import (
+    FloatClipper,
+    clip_volume_and_moment,
+    fraction_bisection_cutoff,
+    simplex_difference_barycenter,
+)
 
 
 def radical_w_blowup() -> float:
@@ -154,7 +159,7 @@ class TestSxInvariant:
         u = (1, 1, 1)
         values = []
         for c in [F(k, 8) for k in range(0, 9)]:
-            _, mom = geom.clip_volume_and_moment(v, u, c)
+            _, mom = clip_volume_and_moment(v, u, c)
             values.append(geom.dot(u, mom))
         assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -182,18 +187,34 @@ SX_CLIP_CASES = list(_sx_clip_cases())
 
 
 class TestClipsPerSolve:
-    """A solve stays in one slab of its clip family, which is fitted from
-    n + 2 clips."""
+    """A solve stays in one slab of its clip family, which is fitted at
+    n + 2 cut-offs from one clip: its vertices moved, not clipped again."""
 
     @pytest.mark.parametrize("body", [c[1] for c in SX_CLIP_CASES],
                              ids=[c[0] for c in SX_CLIP_CASES])
     def test_n_plus_2_clips(self, body, monkeypatch):
-        clip = geom.clip_volume_and_moment
-        calls = []
-        monkeypatch.setattr(geom, "clip_volume_and_moment",
+        clip, moments = geom.intersect_halfspace, geom._moments
+        calls, row_sets = [], []
+        monkeypatch.setattr(geom, "intersect_halfspace",
                             lambda *a: calls.append(a[2]) or clip(*a))
+        monkeypatch.setattr(geom, "_moments",
+                            lambda v, sets: moments(v, row_sets.extend(sets) or sets))
         sx.sx_invariant(body)
-        assert len(calls) == 5   # n + 2, n = 3
+        assert len(calls) == 1
+        # the body's own volume and moment, then n + 2 fit points, n = 3
+        assert len(row_sets) == 1 + 5
+
+
+class TestBisectionUnchanged:
+    """The integer sign of each step keeps the bisection of a ``Fraction``
+    clip per step: the same cut-off, as a ``Fraction``."""
+
+    @pytest.mark.parametrize("body", [c[1] for c in SX_CLIP_CASES],
+                             ids=[c[0] for c in SX_CLIP_CASES])
+    def test_cutoff_equals_fraction_bisection(self, body):
+        v = body if isinstance(body, geom.VPolytope) else geom.enumerate_vertices(
+            body.to_hpolytope())
+        assert sx.sx_invariant(body).cutoff == fraction_bisection_cutoff(v)
 
 
 class TestSamplingLowerBound:
