@@ -16,10 +16,10 @@ double-description routine, ``_extreme_rays``.  Transforms and translations
 carry them along; a half-space cut enumerates the vertices afresh.  The
 constructor decides the vertex-facet incidence once, on the vertices scaled
 to integers, and every reader uses its bit masks: volume and moment come
-from one pulling triangulation over them.  ``clip_family`` clips once per
-slab and moves that clip's vertices along the base edges.  All Gaussian
-elimination goes through one fraction-free routine, ``_eliminate``, which
-divides once at the end.
+from one pulling triangulation over them.  ``clip_family`` reads the cut on
+each slab off the base's masks, with no clip.  All Gaussian elimination goes
+through one fraction-free routine, ``_bareiss``; ``_eliminate`` is its
+rational form, which divides once at the end.
 
 Every operation is a pure function on immutable values; nothing here
 touches floating point.  Each value checks its own input when it is built
@@ -27,12 +27,11 @@ and raises an ``errors.InputError`` subclass.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import factorial, gcd, lcm
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -80,23 +79,12 @@ def primitive_int_vector(v: Sequence) -> tuple[int, ...]:
 
 # -- exact elimination ------------------------------------------------------------
 
-def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Gauss-Jordan reduction over Q: (reduced rows, pivot columns, determinant).
-
-    The entries are ints or Fractions.  Fraction-free (Bareiss 1968): each
-    row is scaled to integers by the lcm of its denominators, and each step
-    divides exactly by the previous pivot, every entry being a minor of the
-    scaled matrix.  Every pivot then equals the last one, d, so the rows are
-    divided once, by d, at the end.  The rows come back in reduced row
-    echelon form with unit pivots, zero rows last.  The determinant is that
-    of a square input, 0 when singular: sign * d / (product of the row
-    scales).
-    """
-    m, scale = [], 1
-    for r in rows:
-        s = lcm(*(x.denominator for x in r))
-        scale *= s
-        m.append([x.numerator * (s // x.denominator) for x in r])
+def _bareiss(m: list) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan (Bareiss 1968) of an integer matrix m, in
+    place: (pivot columns, sign of the row swaps, d).  Each step divides
+    exactly by the previous pivot, every entry being a minor of m, so every
+    pivot ends equal to the last one, d: sign * d is the determinant of a
+    square m of full rank."""
     pivots: list[int] = []
     sign = d = 1
     for col in range(len(m[0]) if m else 0):
@@ -116,6 +104,24 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
                 m[r] = [(p * a - f * b) // d for a, b in zip(m[r], pr)]
         d = p
         pivots.append(col)
+    return pivots, sign, d
+
+
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan reduction over Q: (reduced rows, pivot columns, determinant).
+
+    The entries are ints or Fractions.  Each row is scaled to integers by
+    the lcm of its denominators, ``_bareiss`` reduces them, and the rows are
+    divided once, by d: reduced row echelon form with unit pivots, zero rows
+    last.  The determinant is that of a square input, 0 when singular:
+    sign * d / (product of the row scales).
+    """
+    m, scale = [], 1
+    for r in rows:
+        s = lcm(*(x.denominator for x in r))
+        scale *= s
+        m.append([x.numerator * (s // x.denominator) for x in r])
+    pivots, sign, d = _bareiss(m)
     det = Fraction(sign * d, scale) if len(pivots) == len(m) else Fraction(0)
     # entries in pivot columns are 0 or d: only the others need a gcd
     reduced = [[_ZERO if not a else _ONE if a == d else Fraction(a, d) for a in r] for r in m]
@@ -228,7 +234,8 @@ class VPolytope:
         _check_shape(self.dim, pts, "vertex")
         if _affine_rank(pts) < self.dim:
             raise DegeneratePolytope("polytope is not full-dimensional")
-        rows = _integer_rows(pts)
+        q = lcm(*(x.denominator for p in pts for x in p))
+        rows = [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in pts]
         ineqs = sorted(set(self.facets))
         masks = [sum(1 << i for i, r in enumerate(rows)
                      if sum(c * x for c, x in zip(l, r)) * a.denominator == -a.numerator * r[-1])
@@ -249,12 +256,6 @@ class VPolytope:
         # before double description, which refuses a cloud that spans less
         _check_shape(dim, pts, "point")
         return cls(dim, tuple(pts), facets_from_points(dim, pts))
-
-
-def _integer_rows(points: Sequence[Vec]) -> list[tuple[int, ...]]:
-    """The rows (q p, q) of the points p, q their common denominator."""
-    q = lcm(*(x.denominator for p in points for x in p))
-    return [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in points]
 
 
 def _affine_rank(points: Sequence[Vec]) -> int:
@@ -330,17 +331,19 @@ def _simplices(face: int, dag: dict[int, tuple[int, list[int]]]) -> Iterator[tup
             yield (apex,) + s
 
 
-def _moments(v: VPolytope, row_sets: Iterable[Sequence]) -> Iterator[tuple[Fraction, Vec]]:
-    """``volume_and_moment`` of v over each set of rows for its vertices."""
-    n, top, dag = v.dim, (1 << len(v.rows)) - 1, {}
-    count = _pulling(top, v.masks, dag)
+def _moments(n: int, masks: Sequence[int],
+             row_sets: Iterable[Sequence]) -> Iterator[tuple[Fraction, Vec]]:
+    """``volume_and_moment`` of the n-polytope with facet vertex masks
+    ``masks`` over each set of integer rows (q p, q) for its vertices."""
+    top, dag = reduce(or_, masks), {}
+    count = _pulling(top, masks, dag)
     if count > MAX_SIMPLICES:
         raise OutOfRange(f"the volume triangulation has {count} simplices, "
                          f"more than the {MAX_SIMPLICES} this computation sums")
     for rows in row_sets:
         vol, mom = 0, [0] * n
         for s in _simplices(top, dag):
-            w = abs(int(_eliminate([rows[i] for i in s])[2]))
+            w = abs(_bareiss([rows[i] for i in s])[2])   # a simplex has full rank
             vol, mom = vol + w, [m + w * sum(c) for m, c in zip(mom, zip(*(rows[i] for i in s)))]
         f = factorial(n) * rows[0][n] ** (n + 1)
         yield Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
@@ -356,7 +359,7 @@ def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
     |det[(q p_i, q)]| / (q^(n+1) n!), over the rows ``v.rows``, to the
     volume and that times its vertex mean to the moment.
     """
-    return next(_moments(v, [v.rows]))
+    return next(_moments(v.dim, v.masks, [v.rows]))
 
 
 def volume(v: VPolytope) -> Fraction:
@@ -423,20 +426,20 @@ def intersect_halfspace(v: VPolytope, normal: Sequence, cutoff) -> VPolytope:
 
 
 def clip_family(base: VPolytope, normal: Sequence) -> Callable[[Fraction], tuple[Fraction, Vec]]:
-    """c -> (volume, moment) of base cut by <normal, x> <= c, exactly, from
-    one clip per slab between consecutive vertex levels <normal, p>.
-
-    On a slab both are polynomials in c, of degree n and n + 1 (Lawrence
-    1991).  The slab's first cut-off clips at its midpoint: each vertex of
-    the clip is the one base vertex on all base facets tight at it, or moves
-    along the base edge they share, and the clip's simplices over the moved
-    vertices at n + 2 points fit integers a_k over one denominator D.  Any
-    c = p/q, a level included (it goes to the slab above, exact by continuity
-    in c), is then integer Horner: sum_k a_k p^k q^(n+1-k) / (D q^(n+1)), and
-    so is the sign of <normal, moment> that the result's ``moment_sign(c)`` gives.
+    """c -> (volume, moment) of base cut by <normal, x> <= c, exactly, with
+    no clip: the cut on each slab between consecutive vertex levels
+    <normal, p> is read off the base's masks (Lawrence 1991).  The base
+    vertices below the slab stay, one vertex runs along each base edge that
+    crosses it, each base facet keeps its own of these and the cut facet the
+    crossings.  The slab's first cut-off sums that type's pulling simplices
+    over integer rows at n + 2 points and fits integers a_k over one
+    denominator D.  Any c = p/q, a level included (it goes to the slab above,
+    exact by continuity in c), is then integer Horner: sum_k a_k p^k
+    q^(n+1-k) / (D q^(n+1)), and so is the sign of <normal, moment> that the
+    result's ``moment_sign(p, q)`` gives for integers p and q > 0.
     """
-    index, level = dict(zip(base.facets, base.masks)), {p: dot(normal, p) for p in base.vertices}
-    n, levels = base.dim, sorted(set(level.values()))
+    level = [dot(normal, p) for p in base.vertices]
+    n, levels, every = base.dim, sorted(set(level)), (1 << len(level)) - 1
     # slab i lies between bounds[i] and bounds[i + 1]; the outer two are closed one unit out
     bounds = [levels[0] - 1, *levels, levels[-1] + 1]
 
@@ -444,41 +447,50 @@ def clip_family(base: VPolytope, normal: Sequence) -> Callable[[Fraction], tuple
     def fit(i: int) -> tuple[int, list[list[int]]]:
         """D and the rows [<normal, moment part of a_k>, a_k] from k = n + 1 down."""
         lo, hi = bounds[i], bounds[i + 1]
-        mid, xs = (lo + hi) / 2, [lo + (hi - lo) * k / (n + 3) for k in range(1, n + 3)]
+        xs = [lo + (hi - lo) * k / (n + 3) for k in range(1, n + 3)]
         if not 0 < i < len(levels):   # empty below the lowest level, the base above the highest
             values = [volume_and_moment(base) if i else (_ZERO, (_ZERO,) * n)] * len(xs)
         else:
-            cut, ups = intersect_halfspace(base, normal, mid), []
-            for j, p in enumerate(cut.vertices):
-                # base vertices on every base facet tight at p (-1: all bits): p, or its edge's ends
-                m = reduce(and_, (index.get(f, -1) for f, t in zip(cut.facets, cut.masks)
-                                  if t >> j & 1), -1)
-                b = base.vertices[m.bit_length() - 1]
-                ups.append(tuple(x + (y - x) / (level[b] - mid) for x, y in zip(p, b)))
-            # p is at up when c = mid + 1, so at c = mid + s/r it is ((r - s) p + s up) / r
-            rows = _integer_rows(cut.vertices + tuple(ups))
-            values = _moments(cut, [
-                [tuple(a * (t.denominator - t.numerator) + d * t.numerator for a, d in zip(r, s))
-                 for r, s in zip(rows, rows[len(ups):])] for t in (x - mid for x in xs)])
+            kept = [j for j, t in enumerate(level) if t <= lo]
+            # a kept vertex stays; an edge a b, the facets on both meeting in {a, b}, carries one
+            ends = [(j, j) for j in kept] + [
+                (a, b) for a in kept for b, t in enumerate(level) if t >= hi and reduce(
+                    and_, (m for m in base.masks if m >> a & m >> b & 1), every) == 1 << a | 1 << b]
+            moves = []   # vertex k is p_k + c d_k, d_k = (b - a)/<normal, b - a> or 0
+            for a, b in ends:
+                p, t = base.vertices[a], level[a]
+                d = [(y - x) / (level[b] - t or 1) for x, y in zip(p, base.vertices[b])]
+                moves.append([x - t * e for x, e in zip(p, d)] + d)
+            den = lcm(*(x.denominator for r in moves for x in r))
+            moves = [[x.numerator * (den // x.denominator) for x in r] for r in moves]
+            masks = [sum(1 << k for k, (a, b) in enumerate(ends) if m >> a & m >> b & 1)
+                     for m in base.masks]
+            # a base facet with no kept vertex is gone; the cut facet holds every crossing
+            masks = [m for m in masks if m] + [(1 << len(ends)) - (1 << len(kept))]
+            # at c = s/t vertex k is the integer row (t den p_k + s den d_k, den t)
+            values = _moments(n, masks, [
+                [tuple(x.denominator * a + x.numerator * e for a, e in zip(r, r[n:]))
+                 + (den * x.denominator,) for r in moves] for x in xs])
         solved = _eliminate([[x ** k for k in range(n + 1, -1, -1)] + [dot(normal, m), v, *m]
                              for x, (v, m) in zip(xs, values)])[0]
         den = lcm(*(a.denominator for r in solved for a in r[n + 2:]))
         return den, [[a.numerator * (den // a.denominator) for a in r[n + 2:]] for r in solved]
 
-    def horner(c: Fraction, width: int) -> tuple[int, list[int]]:
-        den, rows = fit(bisect_right(levels, c))
+    def horner(p: int, q: int, width: int) -> tuple[int, list[int]]:
+        # the slab above every level <= p/q, by cross-multiplication (q > 0)
+        den, rows = fit(sum(t.numerator * q <= p * t.denominator for t in levels))
         y, qk = rows[0][:width], 1
         for a in rows[1:]:
-            qk *= c.denominator
-            y = [t * c.numerator + b * qk for t, b in zip(y, a)]
+            qk *= q
+            y = [t * p + b * qk for t, b in zip(y, a)]
         return den * qk, y   # D q^(n+1), sum_k a_k p^k q^(n+1-k) in the first width columns
 
     def at(c) -> tuple[Fraction, Vec]:
-        dq, y = horner(_frac(c), n + 2)
+        dq, y = horner(*_frac(c).as_integer_ratio(), n + 2)
         return Fraction(y[1], dq), tuple(Fraction(t, dq) for t in y[2:])
 
-    def moment_sign(c: Fraction) -> int:
-        y = horner(c, 1)[1][0]
+    def moment_sign(p: int, q: int) -> int:
+        y = horner(p, q, 1)[1][0]
         return (y > 0) - (y < 0)
 
     at.moment_sign = moment_sign

@@ -8,8 +8,8 @@ solves the relaxed constraint
     integral over P cut at c of <v, x> dlambda = 0
 
 by bisection over rational c.  Each step reads the sign of the integral
-off one integer slab polynomial (``geometry.clip_family``, which clips once
-per slab the bisection enters), so only the root itself is approximate.
+off one integer slab polynomial (``geometry.clip_family``, read off the
+polytope's masks with no clip), so only the root itself is approximate.
 The full barycenter of the optimizer is then checked: when it vanishes
 (always in the symmetric benchmark cases) the result is certified as S(X);
 otherwise it is an upper bound for the half-space family only.
@@ -141,7 +141,7 @@ def sx_invariant(obj) -> SxResult:
     Cuts perpendicular to the barycenter direction; the cutoff is bisected
     over rationals until the bracket is narrower than 2^-50, each step
     reading the sign of the moment integral off an integer slab polynomial
-    without building a ``Fraction`` beyond the bracket and its midpoint.
+    at an integer pair; the only ``Fraction`` built is the cut-off.
     """
     verts, det = _as_polytope(obj)
     if any(f.offset <= 0 for f in verts.facets):
@@ -154,15 +154,13 @@ def sx_invariant(obj) -> SxResult:
     cmax = max(geom.dot(u, p) for p in verts.vertices)
     _to_float(cmax)   # the cut weight is a double: refuse a level beyond them before bisecting
     clip = geom.clip_family(verts, u)
-    # <u, moment> < 0 at 0, the origin being interior, and > 0 at cmax; halve to width 2^-50
-    lo, hi = Fraction(0), Fraction(cmax)
-    for _ in range((math.ceil(cmax / _WIDTH) - 1).bit_length()):
-        mid = (lo + hi) / 2
-        if clip.moment_sign(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    c = (lo + hi) / 2
+    # <u, moment> < 0 at 0, the origin being interior, and > 0 at cmax.  After k
+    # halvings the bracket is cmax [j, j + 1] / 2^k, halved to width 2^-50
+    p, q, j = cmax.numerator, cmax.denominator, 0
+    steps = (math.ceil(cmax / _WIDTH) - 1).bit_length()
+    for k in range(1, steps + 1):
+        j = 2 * j + (clip.moment_sign(p * (2 * j + 1), q << k) < 0)
+    c = Fraction(p * (2 * j + 1), q << steps + 1)
     cvol, cmom = clip(c)
     residual = max(abs(_to_float(x / cvol)) for x in cmom)
     return SxResult(

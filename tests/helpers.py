@@ -270,12 +270,8 @@ class FloatClipper:
         except QhullError:
             return 0.0, np.zeros(self.dim)
         center = cloud[hull.vertices].mean(axis=0)
-        vol = 0.0
-        moment = np.zeros(self.dim)
-        for simplex in hull.simplices:
-            corners = cloud[simplex]
-            mat = corners - center
-            tetra = abs(np.linalg.det(mat)) / math.factorial(self.dim)
-            vol += tetra
-            moment += tetra * (corners.sum(axis=0) + center) / (self.dim + 1)
-        return vol, moment
+        # one cone from the center over each boundary simplex, all in one det call
+        corners = cloud[hull.simplices]
+        tetra = np.abs(np.linalg.det(corners - center)) / math.factorial(self.dim)
+        moment = tetra @ (corners.sum(axis=1) + center) / (self.dim + 1)
+        return float(tetra.sum()), moment

@@ -669,7 +669,7 @@ class TestSxOutput:
         monkeypatch.setattr(geometry, "intersect_halfspace", spy)
         code, _, _ = run_cli(argv, capsys)
         assert code == 0
-        assert len(calls) == 1   # one slab, fitted from one clip
+        assert len(calls) == 0   # one slab, fitted from the base's masks
 
 
 def _child_env():

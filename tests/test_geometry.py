@@ -2,8 +2,6 @@ import gc
 import itertools
 import math
 import random
-from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -530,8 +528,8 @@ class TestPullingTriangulation:
     def test_count_is_the_simplices_summed(self, h, monkeypatch):
         v = geom.enumerate_vertices(h)
         dets = []
-        elim = geom._eliminate
-        monkeypatch.setattr(geom, "_eliminate", lambda rows: dets.append(1) or elim(rows))
+        bareiss = geom._bareiss
+        monkeypatch.setattr(geom, "_bareiss", lambda m: dets.append(1) or bareiss(m))
         geom.volume_and_moment(v)
         assert len(dets) == geom._pulling((1 << len(v.vertices)) - 1, v.masks, {})
 
@@ -571,8 +569,8 @@ CLIP_FAMILY_CASES = list(clip_family_cases())
 
 class TestClipFamily:
     """The slab polynomials give exactly the clip's volume and moment, at
-    vertex levels, inside slabs and outside the polytope, in any order, from
-    one clip in each slab between two levels that a cut-off falls in."""
+    vertex levels, inside slabs and outside the polytope, in any order, with
+    no clip: every slab's cut body is read off the base's masks."""
 
     @pytest.mark.parametrize("v, rng", [c[1:] for c in CLIP_FAMILY_CASES],
                              ids=[c[0] for c in CLIP_FAMILY_CASES])
@@ -600,11 +598,7 @@ class TestClipFamily:
         got = [family(c) for c in cs]
         monkeypatch.undo()
         assert got == [clip_volume_and_moment(v, u, c) for c in cs]
-        # one clip in each slab between two levels that the cut-offs fall in,
-        # none at a level; below the lowest and above the highest level, none
-        slabs = Counter(bisect_right(levels, c) for c in clips)
-        assert slabs == {i: 1 for c in cs if 0 < (i := bisect_right(levels, c)) < len(levels)}
-        assert not set(clips) & set(levels)
+        assert clips == []
 
 
 NON_SIMPLE_BODIES = {
@@ -614,6 +608,11 @@ NON_SIMPLE_BODIES = {
         3, [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]),
     "4-cube-image": geom.transform(geom.enumerate_vertices(unit_cube(4)),
                                    random_unimodular(random.Random(4), 4)),
+    # under u = (1, 1, 1, 1): 8 vertices, but 12 edges cross the slab (-1, 1)
+    "4-cross-polytope": VPolytope.from_points(
+        4, [tuple(s * (j == i) for j in range(4)) for i in range(4) for s in (1, -1)]),
+    # its one edge lies on no common facet
+    "segment": VPolytope.from_points(1, [(F(-1, 2),), (F(7, 3),)]),
 }
 
 
@@ -627,7 +626,7 @@ def _clip_bodies(draw):
 
 
 class TestClipFamilyEdgeRule:
-    """Every vertex of a slab's one clip moves along a base edge or stays at
+    """Every vertex of a slab's cut body moves along a base edge or stays at
     a base vertex, also where several edges or facets meet: the family and
     its moment sign equal a clip of their own at every cut-off."""
 
@@ -649,7 +648,37 @@ class TestClipFamilyEdgeRule:
             vol, mom = clip_volume_and_moment(v, u, c)
             assert family(c) == (vol, mom)
             s = geom.dot(u, mom)
-            assert family.moment_sign(c) == (s > 0) - (s < 0)
+            # the cut-off as an integer pair, not necessarily reduced
+            k = data.draw(st.integers(1, 3), label="scale")
+            assert family.moment_sign(k * c.numerator, k * c.denominator) == (s > 0) - (s < 0)
+
+    @pytest.mark.parametrize("name", sorted(NON_SIMPLE_BODIES))
+    def test_every_slab_along_the_ones_vector(self, name, monkeypatch):
+        v = NON_SIMPLE_BODIES[name]
+        u = (1,) * v.dim
+        levels = sorted({geom.dot(u, p) for p in v.vertices})
+        family = geom.clip_family(v, u)
+        # the type read off the base has the clip's facets and vertices, and no more
+        inner = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
+        moments, types = geom._moments, []
+        monkeypatch.setattr(geom, "_moments", lambda n, masks, sets: types.append(
+            (len(masks), len(sets[0]))) or moments(n, masks, sets))
+        for c in inner:
+            family(c)
+        monkeypatch.undo()
+        clips = [geom.intersect_halfspace(v, u, c) for c in inner]
+        assert types == [(len(w.facets), len(w.vertices)) for w in clips]
+        for lo, hi in zip([levels[0] - 1, *levels], [*levels, levels[-1] + 1]):
+            for c in (lo, lo + (hi - lo) / 3, hi - (hi - lo) / 7):
+                assert family(c) == clip_volume_and_moment(v, u, c)
+
+    def test_four_cross_polytope_inside_its_one_slab(self):
+        # 4 kept vertices and 12 crossings, against 8 base vertices
+        v, u = NON_SIMPLE_BODIES["4-cross-polytope"], (1, 1, 1, 1)
+        family = geom.clip_family(v, u)
+        assert family(0) == clip_volume_and_moment(v, u, 0) == (F(1, 3), (F(-7, 192),) * 4)
+        for c in (F(-1, 2), F(1, 3), F(9, 10)):
+            assert family(c) == clip_volume_and_moment(v, u, c)
 
 
 _RATIONALS = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F),
