@@ -4,10 +4,9 @@ For a fixed toric X the supremum is realized by cutting the moment polytope
 with a half-space perpendicular to its barycenter direction, with the cut
 level chosen so the first moment along that direction vanishes.  For the
 two degree-relevant threefolds the answer has a closed radical form, which
-the exact optimizer reproduces.
+the exact optimizer reproduces: its bisection is the only root finder
+for w, and the radicals are printed beside it.
 """
-import math
-
 from fanokit import geometry as geom
 from fanokit import presets
 from fanokit import sx_optimizer as sx
@@ -16,21 +15,16 @@ from fanokit.toric_heights import ToricLogFano, log_fano_volume
 for name in ("p3-blowup", "po-o2"):
     sd = presets.SX_PRESETS[name]()
     result = sx.sx_invariant(sd)
-    w = sx.solve_cut_weight(sd)
     print(f"{name}:")
     print(f"  polytope normal form   ({sd.a}D - 1) \\ ({sd.b}D - 1), "
           f"det correction {sd.det_correction}")
     bary = geom.barycenter(geom.enumerate_vertices(sd.to_hpolytope()))
     print(f"  barycenter             {bary[0]} per coordinate (exact)")
-    print(f"  quartic cut weight w   {w:.12f}")
+    print(f"  rational cut-off       <u, x> <= {result.cutoff}, u = {result.direction}")
+    print(f"  cut weight w           {result.cut_weight:.12f} (exact bisection)")
+    print(f"                         {presets.SX_CLOSED_FORM_W[name]:.12f} (Cardano radical)")
     print(f"  n! S(X)                {result.s_value:.6f}   "
           f"certified: {result.certified} (residual {result.residual:.1e})")
-
-# closed radical forms of the two cut weights
-c = (19 - 3 * math.sqrt(33)) ** (1 / 3)
-print("\nradical forms:  w1 =", (2 / 3) * (5 - 4 / c - c))
-s = 2 - math.sqrt(2)
-print("                w2 =", 4 - (4 / s) ** (1 / 3) - (2 * s) ** (1 / 3))
 
 # Both values sit below the degree 54 of P^2 x P^1, which is the point:
 # every K-semistable log structure on these threefolds stays within the gap.

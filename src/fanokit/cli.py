@@ -133,11 +133,10 @@ def _cmd_barycenter(args, data) -> dict:
 
 def _cmd_sx(args, data) -> dict:
     if args.preset:
-        sd = presets.SX_PRESETS[args.preset]()
-        result = sx.sx_invariant(sd)
+        result = sx.sx_invariant(presets.SX_PRESETS[args.preset]())
         payload = result.to_json()
         payload["preset"] = args.preset
-        payload["closed_form_w"] = sx.solve_cut_weight(sd)
+        payload["closed_form_w"] = presets.SX_CLOSED_FORM_W[args.preset]
         return payload
     result = sx.sx_invariant(_need_polytope(data))
     return result.to_json()
@@ -295,11 +294,9 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
     row("n!S(X), P3 blown up in one point", 41.8, r1.s_value, 0.05)
     row("n!S(X), P(O+O(2))", 30.3, r2.s_value, 0.05)
 
-    w1 = (2 / 3) * (5 - 4 / (19 - 3 * math.sqrt(33)) ** (1 / 3)
-                    - (19 - 3 * math.sqrt(33)) ** (1 / 3))
-    w2 = 4 - (4 / (2 - math.sqrt(2))) ** (1 / 3) - (2 * (2 - math.sqrt(2))) ** (1 / 3)
-    row("cut weight w, P3 blown up in one point", w1, sx.solve_cut_weight(sd1), 1e-10)
-    row("cut weight w, P(O+O(2))", w2, sx.solve_cut_weight(sd2), 1e-10)
+    w = presets.SX_CLOSED_FORM_W
+    row("cut weight w, P3 blown up in one point", w["p3-blowup"], r1.cut_weight, 1e-10)
+    row("cut weight w, P(O+O(2))", w["po-o2"], r2.cut_weight, 1e-10)
 
     def degree_of(h):
         return toric.log_fano_volume(toric.ToricLogFano(h)).degree

@@ -59,10 +59,6 @@ class EmptyBody(InputError):
     """Simplex difference with a <= b has no interior."""
 
 
-class NoRootInRange(NumericalError):
-    """The cut-weight equation has no root on the admissible branch."""
-
-
 class NonConvergence(NumericalError):
     """An iterative solve failed to bracket or converge."""
 

@@ -1,6 +1,7 @@
 """Built-in moment polytopes used by the CLI presets and the test suite."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import OutOfRange
@@ -101,6 +102,15 @@ def po_o2_normal_form() -> SimplexDifference:
 SX_PRESETS = {
     "p3-blowup": p3_blowup_normal_form,
     "po-o2": po_o2_normal_form,
+}
+
+# Cardano's radical for each preset's cut weight w: the root of
+# (a-w)^3 ((a-w)/4 - 1) = b^3 (b/4 - 1) with a - w in (3, 4]
+_R = (19 - 3 * math.sqrt(33)) ** (1 / 3)
+_S = 2 - math.sqrt(2)
+SX_CLOSED_FORM_W = {
+    "p3-blowup": (2 / 3) * (5 - 4 / _R - _R),
+    "po-o2": 4 - (4 / _S) ** (1 / 3) - (2 * _S) ** (1 / 3),
 }
 
 POLYTOPE_PRESETS = {

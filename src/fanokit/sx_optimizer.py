@@ -10,6 +10,9 @@ solves the relaxed constraint
 by bisection over rational c.  Each step reads the sign of the integral
 off one integer slab polynomial (``geometry.clip_family``, read off the
 polytope's masks with no clip), so only the root itself is approximate.
+This is the one root finder for the cut weight: w = max <u, P> - c is read
+off the final bracket, and the Cardano radicals of the two benchmark
+presets (``presets.SX_CLOSED_FORM_W``) are only compared with it.
 The full barycenter of the optimizer is then checked: when it vanishes
 (always in the symmetric benchmark cases) the result is certified as S(X);
 otherwise it is an upper bound for the half-space family only.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geom
-from .errors import DimensionMismatch, EmptyBody, NoRootInRange, NonConvergence, OutOfRange
+from .errors import DimensionMismatch, EmptyBody, OutOfRange
 from .geometry import HPolytope, VPolytope
 from .toric_heights import _to_float
 
@@ -84,44 +87,6 @@ class SxResult:
             "certified": self.certified,
             "residual": self.residual,
         }
-
-
-def _cut_poly(u: float, n: int) -> float:
-    # u^n (u/(n+1) - 1); common 1/n! factor dropped
-    return u**n * (u / (n + 1) - 1.0)
-
-
-def solve_cut_weight(sd: SimplexDifference) -> float:
-    """Weight w such that ((a-w)*Delta_n - 1) \\ (b*Delta_n - 1) has
-    vanishing barycenter: the root of
-
-        (a-w)^n/n! ((a-w)/(n+1) - 1) - b^n/n! (b/(n+1) - 1) = 0
-
-    with a - w on the increasing branch (n, n+1] of the left-hand side.
-    Bisection to residual <= 1e-14.
-    """
-    a, b, n = float(sd.a), float(sd.b), sd.n
-    if b >= n:
-        raise NoRootInRange("inner simplex too large: no cut with a - w > b")
-    target = _cut_poly(b, n)
-    lo, hi = float(n), float(n + 1)
-    if _cut_poly(lo, n) > target or _cut_poly(hi, n) < target:
-        raise NoRootInRange("target outside the monotone branch")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _cut_poly(mid, n) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
-    u = 0.5 * (lo + hi)
-    nf = math.factorial(n)
-    if abs(_cut_poly(u, n) - target) / nf > 1e-14:
-        raise NonConvergence("bisection residual above 1e-14")
-    if u > a:
-        raise NoRootInRange("root would need a negative cut weight")
-    return a - u
 
 
 def _as_polytope(obj) -> tuple[VPolytope, Fraction]:

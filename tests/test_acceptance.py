@@ -48,8 +48,8 @@ def test_criterion_2_closed_form_roots():
     w1_radical = (2 / 3) * (5 - 4 / c - c)
     s = 2 - math.sqrt(2)
     w2_radical = 4 - (4 / s) ** (1 / 3) - (2 * s) ** (1 / 3)
-    w1 = sx.solve_cut_weight(presets.p3_blowup_normal_form())
-    w2 = sx.solve_cut_weight(presets.po_o2_normal_form())
+    w1 = sx.sx_invariant(presets.p3_blowup_normal_form()).cut_weight
+    w2 = sx.sx_invariant(presets.po_o2_normal_form()).cut_weight
     assert abs(w1 - w1_radical) <= 1e-10
     assert abs(w2 - w2_radical) <= 1e-10
     _report(2, f"cut weights {w1:.12f}, {w2:.12f} match radicals to 1e-10")

@@ -656,7 +656,7 @@ class TestSxOutput:
     @pytest.mark.parametrize("argv", [["sx", "--preset", "p3-blowup"],
                                       ["sx", "--json", PO_O2_JSON]],
                              ids=["p3-blowup-preset", "po-o2-real"])
-    def test_at_most_n_plus_3_clips(self, argv, capsys, monkeypatch):
+    def test_no_clip(self, argv, capsys, monkeypatch):
         from fanokit import geometry
 
         original = geometry.intersect_halfspace
@@ -725,7 +725,6 @@ OPERATION_COVERAGE = [
      ["gap-check", "--json", P3_JSON]),
     ("fanokit.toric_heights", "is_gorenstein", ["gap-check", "--json", P3_JSON]),
     ("fanokit.sx_optimizer", "sx_invariant", ["sx", "--preset", "p3-blowup"]),
-    ("fanokit.sx_optimizer", "solve_cut_weight", ["sx", "--preset", "p3-blowup"]),
     ("fanokit.arrangements", "is_arrangement_semistable",
      ["semistable", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}']),
     ("fanokit.arrangements", "arrangement_degree",

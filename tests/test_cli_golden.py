@@ -34,6 +34,8 @@ CASES = [
       for command in ("volume", "barycenter", "semistable", "gap-check")),
     ["sx", "--preset", "p3-blowup"],
     ["sx", "--preset", "po-o2"],
+    ["sx", "--preset", "po-o2", "--format", "table"],
+    ["sx", "--preset", "p3-blowup", "--format", "csv"],
     ["sx", "--json", PO_O2],
     ["reproduce-paper", "--format", "json"],
     ["reproduce-paper", "--format", "csv"],
@@ -149,6 +151,10 @@ DIGESTS = {
         'ff7ecdb2f27a0c339331d48043ff67c2e88e407240a61c4918a8bf842360ac08',
     'sx --preset po-o2':
         'f5da518409f6d2af8baccaef322ebfd668cae8bd4e428764eee319069ddfaa5a',
+    'sx --preset po-o2 --format table':
+        'f481c256421257f99c3fcd17da7c5f038515cee669752d1d10b47476d03273f6',
+    'sx --preset p3-blowup --format csv':
+        '5d25595f39a698fcadf5bb6e5b95bd9602bbfb5ced0fdaffdecbbff143365166',
     'sx --json \'{"dim": 3, "facets": [{"normal": [1, 0, 0], "offset": "1"}, {"normal": [0, 1, 0], "offset": "1"}, {"normal": [0, 0, 1], "offset": "1"}, {"normal": [0, 0, -1], "offset": "1"}, {"normal": [-1, -1, 2], "offset": "1"}]}\'':
         '901b3e6a37482318039e66f762b053636ddc87e9b7cbcb94c66b94e0407db03c',
     'reproduce-paper --format json':

@@ -12,7 +12,7 @@ from fanokit import cli
 from fanokit import geometry as geom
 from fanokit import presets
 from fanokit import sx_optimizer as sx
-from fanokit.errors import EmptyBody, NoRootInRange, OutOfRange
+from fanokit.errors import EmptyBody, OutOfRange
 from fanokit.sx_optimizer import SimplexDifference
 from fanokit.toric_heights import ToricLogFano
 
@@ -59,32 +59,56 @@ class TestSimplexDifferenceBarycenter:
             SimplexDifference(a=F(2), b=F(2))
 
 
+def _cut_quartic(u, n):
+    # the moment of (u*Delta_n - 1) along (1, ..., 1), over the positive factor n/n!
+    return u**n * (u / (n + 1) - 1)
+
+
+def _outward_simplex_differences():
+    # the presets, one perturbed preset, and seeded bodies whose barycenter
+    # points outward, so that the cut is on the outer simplex's side
+    yield presets.p3_blowup_normal_form()
+    yield presets.po_o2_normal_form()
+    yield SimplexDifference(a=F(41, 10), b=F(2))
+    rng = random.Random(31)
+    found = 0
+    while found < 10:
+        b = F(rng.randint(1, 11), 4)
+        a = F(rng.randint(13, 28), 4)
+        sd = SimplexDifference(a=a, b=b)
+        if simplex_difference_barycenter(sd)[0] > 0:
+            found += 1
+            yield sd
+
+
 class TestSolveCutWeight:
+    """The cut weight w that ``sx_invariant`` solves for, against the
+    presets' radicals and, exactly, against the quartic it is a root of."""
+
     def test_blowup_matches_radical(self):
-        sd = presets.p3_blowup_normal_form()
-        assert abs(sx.solve_cut_weight(sd) - radical_w_blowup()) <= 1e-10
+        r = sx.sx_invariant(presets.p3_blowup_normal_form())
+        assert abs(r.cut_weight - presets.SX_CLOSED_FORM_W["p3-blowup"]) <= 1e-12
 
     def test_po_o2_matches_radical(self):
-        sd = presets.po_o2_normal_form()
-        assert abs(sx.solve_cut_weight(sd) - radical_w_po_o2()) <= 1e-10
+        r = sx.sx_invariant(presets.po_o2_normal_form())
+        assert abs(r.cut_weight - presets.SX_CLOSED_FORM_W["po-o2"]) <= 1e-12
 
     def test_no_cut_needed(self):
-        assert sx.solve_cut_weight(SimplexDifference(a=F(4), b=F(0))) == 0.0
+        assert sx.sx_invariant(SimplexDifference(a=F(4), b=F(0))).cut_weight == 0.0
 
-    def test_residual_below_target(self):
-        sd = presets.p3_blowup_normal_form()
-        w = sx.solve_cut_weight(sd)
-        u = float(sd.a) - w
-        residual = (u**3 * (u / 4 - 1) - float(sd.b) ** 3 * (float(sd.b) / 4 - 1)) / 6
-        assert abs(residual) <= 1e-14
-
-    def test_no_root_when_inner_simplex_dominates(self):
-        with pytest.raises(NoRootInRange):
-            sx.solve_cut_weight(SimplexDifference(a=F(4), b=F(7, 2)))
-
-    def test_no_root_when_barycenter_already_negative(self):
-        with pytest.raises(NoRootInRange):
-            sx.solve_cut_weight(SimplexDifference(a=F(39, 10), b=F(0)))
+    def test_cutoff_brackets_the_root_exactly(self):
+        # a - w = n + c solves F(a - w) = F(b) on the increasing branch; the
+        # final cut-off is the midpoint of a bracket of half-width h
+        for sd in _outward_simplex_differences():
+            n = sd.n
+            r = sx.sx_invariant(sd)
+            cmax = sd.a - n
+            assert r.direction == (1,) * n
+            steps = (math.ceil(cmax / sx._WIDTH) - 1).bit_length()
+            h = cmax / 2 ** (steps + 1)
+            target = _cut_quartic(sd.b, n)
+            assert _cut_quartic(n + r.cutoff - h, n) < target <= _cut_quartic(n + r.cutoff + h, n)
+            assert r.cut_weight == float(cmax - r.cutoff)
 
 
 class TestSxInvariant:
@@ -192,7 +216,7 @@ class TestClipsPerSolve:
 
     @pytest.mark.parametrize("body", [c[1] for c in SX_CLIP_CASES],
                              ids=[c[0] for c in SX_CLIP_CASES])
-    def test_n_plus_2_clips(self, body, monkeypatch):
+    def test_no_clip(self, body, monkeypatch):
         clip, moments = geom.intersect_halfspace, geom._moments
         calls, row_sets = [], []
         monkeypatch.setattr(geom, "intersect_halfspace",
