@@ -12,13 +12,17 @@ from fanokit import presets
 from fanokit import sx_optimizer as sx
 from fanokit.toric_heights import ToricLogFano, log_fano_volume
 
+# The preset bodies are the real moment polytopes: P^3 blown up in a point as
+# it is, P(O+O(2)) moved by a determinant-2 map onto a body symmetric about the
+# axis (1, 1, 1); the optimizer divides the volume by that determinant.
+maps = {"p3-blowup": "identity",
+        "po-o2": [[int(x) for x in row] for row in presets.PO_O2_NORMAL_FORM.matrix]}
 for name in ("p3-blowup", "po-o2"):
-    sd = presets.SX_PRESETS[name]()
-    result = sx.sx_invariant(sd)
+    body, det = presets.SX_PRESETS[name]()
+    result = sx.sx_invariant(body, det)
     print(f"{name}:")
-    print(f"  polytope normal form   ({sd.a}D - 1) \\ ({sd.b}D - 1), "
-          f"det correction {sd.det_correction}")
-    bary = geom.barycenter(geom.enumerate_vertices(sd.to_hpolytope()))
+    print(f"  normal-form map        {maps[name]}, |det| {det}")
+    bary = geom.barycenter(body)
     print(f"  barycenter             {bary[0]} per coordinate (exact)")
     print(f"  rational cut-off       <u, x> <= {result.cutoff}, u = {result.direction}")
     print(f"  cut weight w           {result.cut_weight:.12f} (exact bisection)")

@@ -41,10 +41,6 @@ class WeightVector:
             if not 0 <= w < 1:
                 raise InvalidWeight(f"weight {w} outside [0, 1)")
 
-    @property
-    def m(self) -> int:
-        return len(self.weights)
-
     def total(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 

@@ -133,7 +133,7 @@ def _cmd_barycenter(args, data) -> dict:
 
 def _cmd_sx(args, data) -> dict:
     if args.preset:
-        result = sx.sx_invariant(presets.SX_PRESETS[args.preset]())
+        result = sx.sx_invariant(*presets.SX_PRESETS[args.preset]())
         payload = result.to_json()
         payload["preset"] = args.preset
         payload["closed_form_w"] = presets.SX_CLOSED_FORM_W[args.preset]
@@ -160,6 +160,7 @@ def _cmd_scaled_height(args, data) -> dict:
 
 def _cmd_universal_bound(args, data) -> dict:
     v = jsonio.frac_from_json(args.volume)
+    toric.check_lead_range(args.n, v)   # before the factorials n! and (n+1)!
     pair = toric.VolumePair.from_poly_volume(args.n, v)
     rep = toric.universal_height_bound(pair, args.n)
     out = rep.to_json()
@@ -285,12 +286,15 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
             "pass": ok,
         })
 
-    a_blowup = Fraction(41, 10) if perturb else Fraction(4)
-    sd1 = sx.SimplexDifference(a=a_blowup, b=Fraction(2))
-    sd2 = presets.po_o2_normal_form()
+    h = presets.p3_blowup_polytope()
+    if perturb:
+        # the facet sum x <= 1 moved out to 11/10: (41/10 Delta_3 - 1) \ (2 Delta_3 - 1)
+        h = geom.HPolytope(3, tuple(
+            (l, Fraction(11, 10) if l == (-1, -1, -1) else a) for l, a in h.facets))
+    blowup = geom.enumerate_vertices(h)
 
-    r1 = sx.sx_invariant(sd1)
-    r2 = sx.sx_invariant(sd2)
+    r1 = sx.sx_invariant(blowup)
+    r2 = sx.sx_invariant(*presets.SX_PRESETS["po-o2"]())
     row("n!S(X), P3 blown up in one point", 41.8, r1.s_value, 0.05)
     row("n!S(X), P(O+O(2))", 30.3, r2.s_value, 0.05)
 
@@ -301,10 +305,9 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
     def degree_of(h):
         return toric.log_fano_volume(toric.ToricLogFano(h)).degree
 
-    # one integration of the normal-form body serves its degree and barycenter rows
-    vol1, mom1 = geom.volume_and_moment(geom.enumerate_vertices(sd1.to_hpolytope()))
-    row("degree, P3 blown up in one point", 56,
-        float(math.factorial(3) * vol1 / sd1.det_correction), 0)
+    # one integration of the blowup body serves its degree and barycenter rows
+    vol1, mom1 = geom.volume_and_moment(blowup)
+    row("degree, P3 blown up in one point", 56, float(math.factorial(3) * vol1), 0)
     row("degree, P(O+O(2))", 62, float(degree_of(presets.po_o2_polytope())), 0)
     row("degree, P2xP1", 54, float(degree_of(presets.pn_times_p1_polytope(3))), 0)
     for n in range(1, 5):
@@ -333,9 +336,8 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
     for label, h, reference in del_pezzo:
         row(f"degree, {label}", reference, float(degree_of(h)), 0)
 
-    det2 = geom.LinearMap(((1, 0, 0), (0, 1, 0), (-1, -1, 2)))
     po = geom.enumerate_vertices(presets.po_o2_polytope())
-    ratio = geom.volume(geom.transform(po, det2)) / geom.volume(po)
+    ratio = geom.volume(geom.transform(po, presets.PO_O2_NORMAL_FORM)) / geom.volume(po)
     row("volume ratio under the determinant-2 normal-form map", 2,
         float(ratio), 0)
 

@@ -53,16 +53,6 @@ class OutOfRange(InputError):
     """Argument outside its admissible range."""
 
 
-# -- S(X) optimizer ---------------------------------------------------------
-
-class EmptyBody(InputError):
-    """Simplex difference with a <= b has no interior."""
-
-
-class NonConvergence(NumericalError):
-    """An iterative solve failed to bracket or converge."""
-
-
 # -- arrangements -----------------------------------------------------------
 
 class InvalidWeight(InputError):
@@ -89,6 +79,10 @@ class ZeroVolume(InputError):
 
 class DomainError(InputError):
     """Argument outside the real-analytic domain of a special function."""
+
+
+class NonConvergence(NumericalError):
+    """An iterative solve failed to bracket or converge."""
 
 
 # -- CLI --------------------------------------------------------------------

@@ -5,8 +5,7 @@ import math
 from fractions import Fraction
 
 from .errors import OutOfRange
-from .geometry import HPolytope
-from .sx_optimizer import SimplexDifference
+from .geometry import HPolytope, LinearMap, enumerate_vertices, transform
 
 
 def pn_polytope(n: int) -> HPolytope:
@@ -89,23 +88,20 @@ def weighted_p113_polytope() -> HPolytope:
     return HPolytope(2, (((1, 0), 1), ((0, 1), 1), ((-1, -3), 1)))
 
 
-def p3_blowup_normal_form() -> SimplexDifference:
-    return SimplexDifference(a=Fraction(4), b=Fraction(2))
+# P(O + O(2)) onto the simplex difference (5*Delta_3 - 1) \ (Delta_3 - 1), whose
+# barycenter lies on the axis (1, 1, 1); its determinant is 2
+PO_O2_NORMAL_FORM = LinearMap(((1, 0, 0), (0, 1, 0), (-1, -1, 2)))
 
-
-def po_o2_normal_form() -> SimplexDifference:
-    """(5*Delta_3 - 1) \\ (Delta_3 - 1); reached by a determinant-2 map."""
-    return SimplexDifference(a=Fraction(5), b=Fraction(1),
-                             det_correction=Fraction(2))
-
-
+# name -> (the body sx_invariant solves on, |det| of the map that produced it)
 SX_PRESETS = {
-    "p3-blowup": p3_blowup_normal_form,
-    "po-o2": po_o2_normal_form,
+    "p3-blowup": lambda: (enumerate_vertices(p3_blowup_polytope()), 1),
+    "po-o2": lambda: (transform(enumerate_vertices(po_o2_polytope()), PO_O2_NORMAL_FORM),
+                      abs(PO_O2_NORMAL_FORM.determinant)),
 }
 
 # Cardano's radical for each preset's cut weight w: the root of
-# (a-w)^3 ((a-w)/4 - 1) = b^3 (b/4 - 1) with a - w in (3, 4]
+# (a-w)^3 ((a-w)/4 - 1) = b^3 (b/4 - 1) with a - w in (3, 4], where the body is
+# (a*Delta_3 - 1) \ (b*Delta_3 - 1): (a, b) = (4, 2) and (5, 1)
 _R = (19 - 3 * math.sqrt(33)) ** (1 / 3)
 _S = 2 - math.sqrt(2)
 SX_CLOSED_FORM_W = {

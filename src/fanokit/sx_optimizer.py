@@ -16,6 +16,10 @@ presets (``presets.SX_CLOSED_FORM_W``) are only compared with it.
 The full barycenter of the optimizer is then checked: when it vanishes
 (always in the symmetric benchmark cases) the result is certified as S(X);
 otherwise it is an upper bound for the half-space family only.
+
+The input is one ``VPolytope``.  A body brought into a symmetric position by
+a linear map, as ``presets.SX_PRESETS`` brings P(O + O(2)) by a determinant-2
+map, comes with |det| of that map, and the volume is divided by it.
 """
 from __future__ import annotations
 
@@ -24,51 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geom
-from .errors import DimensionMismatch, EmptyBody, OutOfRange
-from .geometry import HPolytope, VPolytope
+from .errors import OutOfRange
+from .geometry import VPolytope
 from .toric_heights import _to_float
 
 _WIDTH = Fraction(1, 2**50)
 _CERTIFY_TOL = 1e-9   # largest |barycenter coordinate| still counted as zero
-
-
-@dataclass(frozen=True)
-class SimplexDifference:
-    """The truncated simplex (a*Delta_n - 1) \\ (b*Delta_n - 1), i.e.
-
-        {x_i >= -1,  b - n <= sum x_i <= a - n},   0 <= b < a.
-
-    ``det_correction`` records |det| of the linear map that brought the
-    original moment polytope into this normal form (volumes computed here
-    must be divided by it).
-    """
-
-    a: Fraction
-    b: Fraction
-    n: int = 3
-    det_correction: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "det_correction", Fraction(self.det_correction))
-        if self.n < 1:
-            raise DimensionMismatch("dimension must be positive")
-        if not 0 <= self.b < self.a:
-            raise EmptyBody("need 0 <= b < a")
-        if self.det_correction < 1:
-            raise OutOfRange("det_correction must be >= 1")
-
-    def to_hpolytope(self) -> HPolytope:
-        n = self.n
-        facets = [
-            (tuple(1 if j == i else 0 for j in range(n)), Fraction(1))
-            for i in range(n)
-        ]
-        facets.append((tuple(-1 for _ in range(n)), self.a - n))
-        if self.b > 0:
-            facets.append((tuple(1 for _ in range(n)), n - self.b))
-        return HPolytope(n, tuple(facets))
 
 
 @dataclass(frozen=True)
@@ -89,18 +54,11 @@ class SxResult:
         }
 
 
-def _as_polytope(obj) -> tuple[VPolytope, Fraction]:
-    if isinstance(obj, SimplexDifference):
-        return geom.enumerate_vertices(obj.to_hpolytope()), obj.det_correction
-    if isinstance(obj, VPolytope):
-        return obj, Fraction(1)
-    raise TypeError(f"cannot optimize over {type(obj).__name__}")
-
-
-def sx_invariant(obj) -> SxResult:
-    """n! S(X) for a moment polytope with the origin in its interior, given
-    as a ``VPolytope`` or a ``SimplexDifference``; OutOfRange when some
-    facet offset is <= 0, so that the origin is not interior, or when a
+def sx_invariant(v: VPolytope, det=1) -> SxResult:
+    """n! S(X) for a moment polytope v with the origin in its interior;
+    ``det`` is |det| of the linear map that produced v from the moment
+    polytope, so that the reported volume is n! cvol / det.  OutOfRange when
+    some facet offset is <= 0, so that the origin is not interior, or when a
     reported number or the top cut level lies beyond the double range.
 
     Cuts perpendicular to the barycenter direction; the cutoff is bisected
@@ -108,17 +66,16 @@ def sx_invariant(obj) -> SxResult:
     reading the sign of the moment integral off an integer slab polynomial
     at an integer pair; the only ``Fraction`` built is the cut-off.
     """
-    verts, det = _as_polytope(obj)
-    if any(f.offset <= 0 for f in verts.facets):
+    if any(f.offset <= 0 for f in v.facets):
         raise OutOfRange("the origin must be interior: every facet offset must be positive")
-    nf = math.factorial(verts.dim)
-    vol, mom = geom.volume_and_moment(verts)
+    nf = math.factorial(v.dim)
+    vol, mom = geom.volume_and_moment(v)
     if all(x == 0 for x in mom):
         return SxResult(0.0, _to_float(nf * vol / det), True, 0.0, None, None)
     u = geom.primitive_int_vector(mom)
-    cmax = max(geom.dot(u, p) for p in verts.vertices)
+    cmax = max(geom.dot(u, p) for p in v.vertices)
     _to_float(cmax)   # the cut weight is a double: refuse a level beyond them before bisecting
-    clip = geom.clip_family(verts, u)
+    clip = geom.clip_family(v, u)
     # <u, moment> < 0 at 0, the origin being interior, and > 0 at cmax.  After k
     # halvings the bracket is cmax [j, j + 1] / 2^k, halved to width 2^-50
     p, q, j = cmax.numerator, cmax.denominator, 0

@@ -233,6 +233,17 @@ def _log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def check_lead_range(n: int, v: Fraction) -> None:
+    """OutOfRange when n >= 1, v > 0 and the lead (n+1)!/2 * v of a toric
+    height lies clearly beyond the double range: its logarithm, from lgamma
+    with no factorial, more than 1 above log(DBL_MAX).  A case nearer the
+    boundary is left to the exact test; n is capped at 2^53, which only
+    lowers the logarithm, so that it converts to a float."""
+    if n >= 1 and v > 0 and (math.lgamma(min(n, 2**53) + 2) - math.log(2) + _log_fraction(v)
+                             > math.log(sys.float_info.max) + 1):
+        raise OutOfRange("result exceeds the double-precision range")
+
+
 def _toric_height(n: int, v: Fraction, log_c: float, convention: Convention,
                   formula: str) -> HeightReport:
     """(n+1)!/2 * v * log(C / v) at poly-volume v; abs_error scales with

@@ -2,9 +2,10 @@
 brute-force exact H->V and V->H conversion, the vertex-facet incidence by
 ``Fraction`` dots, an exact clip per cut-off and the ``Fraction`` bisection
 of S(X) over it, Monte Carlo volume estimation, random polytope and
-unimodular-matrix generation, the closed-form barycenter of a simplex
-difference, and a floating-point half-space clipper used to sample candidate
-cuts independently of the exact kernel."""
+unimodular-matrix generation, the simplex difference (a Delta_n - 1) \\
+(b Delta_n - 1) and its closed-form barycenter, lattice subpolygons and a
+GL(2, Z) normal form, and a floating-point half-space clipper used to
+sample candidate cuts independently of the exact kernel."""
 from __future__ import annotations
 
 import itertools
@@ -172,15 +173,103 @@ def brute_force_full_weight_condition(w):
                for subset in itertools.combinations(w.weights, k))
 
 
-def simplex_difference_barycenter(sd):
-    """Closed-form barycenter of a ``SimplexDifference``, proportional to
-    the all-ones vector:
+def simplex_difference(a, b, n=3) -> geom.HPolytope:
+    """The truncated simplex (a Delta_n - 1) \\ (b Delta_n - 1), 0 <= b < a:
+
+        {x_i >= -1,  b - n <= sum x_i <= a - n},
+
+    with no facet sum x_i >= -n at b = 0."""
+    facets = [(tuple(int(i == j) for j in range(n)), 1) for i in range(n)]
+    facets.append(((-1,) * n, Fraction(a) - n))
+    if b > 0:
+        facets.append(((1,) * n, n - Fraction(b)))
+    return geom.HPolytope(n, tuple(facets))
+
+
+def simplex_difference_barycenter(a, b, n=3):
+    """Closed-form barycenter of ``simplex_difference(a, b, n)``, proportional
+    to the all-ones vector:
 
         ( a^n/n! (a/(n+1) - 1) - b^n/n! (b/(n+1) - 1) ) / (a^n/n! - b^n/n!).
     """
-    a, b, n = sd.a, sd.b, sd.n
+    a, b = Fraction(a), Fraction(b)
     num = a**n * (a / (n + 1) - 1) - b**n * (b / (n + 1) - 1)
     return (num / (a**n - b**n),) * n
+
+
+def _lattice_points(v: geom.VPolytope) -> list[tuple[int, int]]:
+    (x0, y0), (x1, y1) = ([math.floor(min(c)) for c in zip(*v.vertices)],
+                          [math.ceil(max(c)) for c in zip(*v.vertices)])
+    return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
+            if all(geom.dot(f.normal, (x, y)) >= -f.offset for f in v.facets)]
+
+
+def lattice_subpolygons(v: geom.VPolytope) -> list[geom.VPolytope]:
+    """Every lattice polygon inside the lattice polygon v with the origin in
+    its interior, v included.  A proper lattice subpolygon of P misses some
+    vertex p of P, so it lies in the hull of the lattice points of P but p:
+    these hulls, taken again on each polygon found, reach them all."""
+    found, todo = {v.vertices: v}, [v]
+    while todo:
+        p = todo.pop()
+        points = _lattice_points(p)
+        for corner in p.vertices:
+            try:
+                sub = geom.VPolytope.from_points(2, [q for q in points if q != corner])
+            except DegeneratePolytope:
+                continue
+            if sub.vertices not in found and all(f.offset > 0 for f in sub.facets):
+                found[sub.vertices] = sub
+                todo.append(sub)
+    return list(found.values())
+
+
+def _hermite(cols: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of the rank-2 integer matrix with these
+    columns: the one U M, U in GL(2, Z), in echelon form with positive
+    pivots and the entry above the second pivot reduced modulo it."""
+    r0, r1 = [c[0] for c in cols], [c[1] for c in cols]
+    j = next(j for j, c in enumerate(cols) if any(c))
+    a, b = r0[j], r1[j]
+    g, s, t = _xgcd(a, b)
+    # U = [[s, t], [-b/g, a/g]] has determinant 1 and sends column j to (g, 0)
+    r0, r1 = [s * x + t * y for x, y in zip(r0, r1)], [(a * y - b * x) // g for x, y in zip(r0, r1)]
+    k = next(k for k in range(j + 1, len(cols)) if r1[k])
+    if r1[k] < 0:
+        r1 = [-y for y in r1]
+    q = r0[k] // r1[k]
+    return tuple(x - q * y for x, y in zip(r0, r1)), tuple(r1)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b) > 0, for (a, b) != (0, 0)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def cyclic_vertices(v: geom.VPolytope) -> list[tuple[int, int]]:
+    """The vertices of a lattice polygon with the origin inside, by angle."""
+    return sorted(((int(x), int(y)) for x, y in v.vertices),
+                  key=lambda p: math.atan2(p[1], p[0]))
+
+
+def gl2z_normal_form(v: geom.VPolytope) -> tuple:
+    """Equal for two lattice polygons with the origin inside iff a map in
+    GL(2, Z) takes one onto the other: such a map takes the cyclic vertex
+    sequence from some vertex, in some orientation, to the other's, and the
+    least Hermite normal form over all of these is the class's."""
+    cyc = cyclic_vertices(v)
+    return min(_hermite(order[i:] + order[:i]) for order in (cyc, cyc[::-1])
+               for i in range(len(cyc)))
+
+
+def boundary_points(v: geom.VPolytope) -> int:
+    """Lattice points on the boundary of a lattice polygon with the origin inside."""
+    cyc = cyclic_vertices(v)
+    return sum(math.gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def random_rational_polytope(rng: random.Random, dim: int,

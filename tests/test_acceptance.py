@@ -31,9 +31,9 @@ def _report(num, text):
 
 def test_criterion_1_sx_benchmarks():
     t0 = time.perf_counter()
-    r1 = sx.sx_invariant(presets.p3_blowup_normal_form())
+    r1 = sx.sx_invariant(*presets.SX_PRESETS["p3-blowup"]())
     t1 = time.perf_counter()
-    r2 = sx.sx_invariant(presets.po_o2_normal_form())
+    r2 = sx.sx_invariant(*presets.SX_PRESETS["po-o2"]())
     t2 = time.perf_counter()
     assert abs(r1.s_value - 41.8) <= 0.05
     assert abs(r2.s_value - 30.3) <= 0.05
@@ -48,8 +48,8 @@ def test_criterion_2_closed_form_roots():
     w1_radical = (2 / 3) * (5 - 4 / c - c)
     s = 2 - math.sqrt(2)
     w2_radical = 4 - (4 / s) ** (1 / 3) - (2 * s) ** (1 / 3)
-    w1 = sx.sx_invariant(presets.p3_blowup_normal_form()).cut_weight
-    w2 = sx.sx_invariant(presets.po_o2_normal_form()).cut_weight
+    w1 = sx.sx_invariant(*presets.SX_PRESETS["p3-blowup"]()).cut_weight
+    w2 = sx.sx_invariant(*presets.SX_PRESETS["po-o2"]()).cut_weight
     assert abs(w1 - w1_radical) <= 1e-10
     assert abs(w2 - w2_radical) <= 1e-10
     _report(2, f"cut weights {w1:.12f}, {w2:.12f} match radicals to 1e-10")

@@ -906,6 +906,9 @@ class TestFormerFailures:
     @pytest.mark.parametrize("argv", [
         ["pn-height", "--n", "200000"],
         ["scaled-height", "--n", "200000", "--t", "1"],
+        # refused before the exact n! and (n+1)!, which take seconds at n = 10^6
+        ["universal-bound", "--n", "1000000", "--volume", "1"],
+        ["universal-bound", "--n", str(10**400), "--volume", "1"],
     ])
     def test_large_n_refused_fast(self, argv, capsys):
         start = time.perf_counter()

@@ -56,6 +56,7 @@ CASES = [
     ["sx", "--json", OFF_ORIGIN],
     ["sx", "--json", HUGE_CLOUD],
     ["pn-height", "--n", "200000"],
+    ["universal-bound", "--n", "1000000", "--volume", "1"],
 ]
 
 
@@ -194,6 +195,8 @@ DIGESTS = {
     'sx --json \'{"dim": 3, "vertices": [[0, 1, 2], [1, 0, 1], [2, "-3/2", 0], [0, -1, "-100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"], [-3, -1, "100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"]]}\'':
         '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
     'pn-height --n 200000':
+        '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
+    'universal-bound --n 1000000 --volume 1':
         '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
 }
 

@@ -27,9 +27,7 @@ def test_imports_are_relative_or_stdlib(source):
     assert not outside, f"{source.name} imports {outside}"
 
 
-# _as_polytope raises TypeError for an argument of the wrong type
-ALLOWED_RAISES = {name for name, value in vars(errors).items() if isinstance(value, type)} | {
-    "TypeError"}
+ALLOWED_RAISES = {name for name, value in vars(errors).items() if isinstance(value, type)}
 
 
 def _raises(source):

@@ -12,14 +12,13 @@ from fanokit import cli
 from fanokit import geometry as geom
 from fanokit import presets
 from fanokit import sx_optimizer as sx
-from fanokit.errors import EmptyBody, OutOfRange
-from fanokit.sx_optimizer import SimplexDifference
-from fanokit.toric_heights import ToricLogFano
+from fanokit.errors import OutOfRange
 
 from helpers import (
     FloatClipper,
     clip_volume_and_moment,
     fraction_bisection_cutoff,
+    simplex_difference,
     simplex_difference_barycenter,
 )
 
@@ -34,29 +33,36 @@ def radical_w_po_o2() -> float:
     return 4 - (4 / s) ** (1 / 3) - (2 * s) ** (1 / 3)
 
 
+def _sd(a, b) -> geom.VPolytope:
+    return geom.enumerate_vertices(simplex_difference(a, b))
+
+
 class TestSimplexDifferenceBarycenter:
     def test_pn_case_is_zero(self):
         for n in (2, 3, 4):
-            sd = SimplexDifference(a=F(n + 1), b=F(0), n=n)
-            assert simplex_difference_barycenter(sd) == (F(0),) * n
+            assert simplex_difference_barycenter(n + 1, 0, n) == (F(0),) * n
 
     def test_benchmark_value(self):
-        sd = SimplexDifference(a=F(4), b=F(2))
-        assert simplex_difference_barycenter(sd) == (F(1, 14),) * 3
+        assert simplex_difference_barycenter(4, 2) == (F(1, 14),) * 3
 
     def test_agrees_with_exact_geometry(self):
         rng = random.Random(13)
         for _ in range(10):
             b = F(rng.randint(0, 12), 4)
             a = b + F(rng.randint(1, 12), 4)
-            sd = SimplexDifference(a=a, b=b)
-            closed = simplex_difference_barycenter(sd)
-            v = geom.enumerate_vertices(sd.to_hpolytope())
-            assert geom.barycenter(v) == closed
+            assert geom.barycenter(_sd(a, b)) == simplex_difference_barycenter(a, b)
 
-    def test_empty_body(self):
-        with pytest.raises(EmptyBody):
-            SimplexDifference(a=F(2), b=F(2))
+
+class TestSxPresets:
+    """Each preset body is the real moment polytope, moved by
+    ``presets.PO_O2_NORMAL_FORM`` for po-o2, and equals its simplex
+    difference (a Delta_3 - 1) \\ (b Delta_3 - 1), facets included."""
+
+    @pytest.mark.parametrize("name, a, b, det", [("p3-blowup", 4, 2, 1), ("po-o2", 5, 1, 2)])
+    def test_body_is_its_simplex_difference(self, name, a, b, det):
+        body, got = presets.SX_PRESETS[name]()
+        sd = _sd(a, b)
+        assert (body.vertices, body.facets, got) == (sd.vertices, sd.facets, det)
 
 
 def _cut_quartic(u, n):
@@ -65,20 +71,20 @@ def _cut_quartic(u, n):
 
 
 def _outward_simplex_differences():
-    # the presets, one perturbed preset, and seeded bodies whose barycenter
-    # points outward, so that the cut is on the outer simplex's side
-    yield presets.p3_blowup_normal_form()
-    yield presets.po_o2_normal_form()
-    yield SimplexDifference(a=F(41, 10), b=F(2))
+    # (a, b) of the presets' bodies, of the perturbed p3-blowup, and of seeded
+    # bodies whose barycenter points outward, so that the cut is on the outer
+    # simplex's side
+    yield F(4), F(2)
+    yield F(5), F(1)
+    yield F(41, 10), F(2)
     rng = random.Random(31)
     found = 0
     while found < 10:
         b = F(rng.randint(1, 11), 4)
         a = F(rng.randint(13, 28), 4)
-        sd = SimplexDifference(a=a, b=b)
-        if simplex_difference_barycenter(sd)[0] > 0:
+        if simplex_difference_barycenter(a, b)[0] > 0:
             found += 1
-            yield sd
+            yield a, b
 
 
 class TestSolveCutWeight:
@@ -86,27 +92,27 @@ class TestSolveCutWeight:
     presets' radicals and, exactly, against the quartic it is a root of."""
 
     def test_blowup_matches_radical(self):
-        r = sx.sx_invariant(presets.p3_blowup_normal_form())
+        r = sx.sx_invariant(*presets.SX_PRESETS["p3-blowup"]())
         assert abs(r.cut_weight - presets.SX_CLOSED_FORM_W["p3-blowup"]) <= 1e-12
 
     def test_po_o2_matches_radical(self):
-        r = sx.sx_invariant(presets.po_o2_normal_form())
+        r = sx.sx_invariant(*presets.SX_PRESETS["po-o2"]())
         assert abs(r.cut_weight - presets.SX_CLOSED_FORM_W["po-o2"]) <= 1e-12
 
     def test_no_cut_needed(self):
-        assert sx.sx_invariant(SimplexDifference(a=F(4), b=F(0))).cut_weight == 0.0
+        assert sx.sx_invariant(_sd(4, 0)).cut_weight == 0.0
 
     def test_cutoff_brackets_the_root_exactly(self):
         # a - w = n + c solves F(a - w) = F(b) on the increasing branch; the
         # final cut-off is the midpoint of a bracket of half-width h
-        for sd in _outward_simplex_differences():
-            n = sd.n
-            r = sx.sx_invariant(sd)
-            cmax = sd.a - n
+        n = 3
+        for a, b in _outward_simplex_differences():
+            r = sx.sx_invariant(_sd(a, b))
+            cmax = a - n
             assert r.direction == (1,) * n
             steps = (math.ceil(cmax / sx._WIDTH) - 1).bit_length()
             h = cmax / 2 ** (steps + 1)
-            target = _cut_quartic(sd.b, n)
+            target = _cut_quartic(b, n)
             assert _cut_quartic(n + r.cutoff - h, n) < target <= _cut_quartic(n + r.cutoff + h, n)
             assert r.cut_weight == float(cmax - r.cutoff)
 
@@ -114,7 +120,7 @@ class TestSolveCutWeight:
 class TestSxInvariant:
     def test_blowup_benchmark(self):
         t0 = time.perf_counter()
-        r = sx.sx_invariant(presets.p3_blowup_normal_form())
+        r = sx.sx_invariant(*presets.SX_PRESETS["p3-blowup"]())
         elapsed = time.perf_counter() - t0
         w = radical_w_blowup()
         assert abs(r.s_value - 41.8) <= 0.05
@@ -125,7 +131,7 @@ class TestSxInvariant:
 
     def test_po_o2_benchmark(self):
         t0 = time.perf_counter()
-        r = sx.sx_invariant(presets.po_o2_normal_form())
+        r = sx.sx_invariant(*presets.SX_PRESETS["po-o2"]())
         elapsed = time.perf_counter() - t0
         w = radical_w_po_o2()
         assert abs(r.s_value - 30.3) <= 0.05
@@ -141,13 +147,9 @@ class TestSxInvariant:
         assert r.residual == 0.0
 
     def test_vertex_polytope_input(self):
-        h = presets.po_o2_polytope()
-        v = geom.enumerate_vertices(h)
+        v = geom.enumerate_vertices(presets.po_o2_polytope())
         # the hull of the vertices is the same polytope value
         assert sx.sx_invariant(v) == sx.sx_invariant(geom.VPolytope.from_points(3, v.vertices))
-        for other in (h, ToricLogFano(h)):
-            with pytest.raises(TypeError):
-                sx.sx_invariant(other)
 
     def test_s_value_bounded_by_degree(self):
         rng = random.Random(29)
@@ -156,12 +158,11 @@ class TestSxInvariant:
             # the origin is interior iff b - 3 < 0 < a - 3
             b = F(rng.randint(1, 11), 4)
             a = F(rng.randint(13, 28), 4)
-            sd = SimplexDifference(a=a, b=b)
-            if simplex_difference_barycenter(sd)[0] < 0:
+            if simplex_difference_barycenter(a, b)[0] < 0:
                 continue
-            r = sx.sx_invariant(sd)
-            degree = 6 * geom.volume(
-                geom.enumerate_vertices(sd.to_hpolytope())) / sd.det_correction
+            v = _sd(a, b)
+            r = sx.sx_invariant(v)
+            degree = 6 * geom.volume(v)
             assert r.s_value <= float(degree) + 1e-9
             solved += 1
             if solved == 6:
@@ -170,16 +171,15 @@ class TestSxInvariant:
 
     def test_cut_facet_offset_is_valid_log_coefficient(self):
         # the new facet parallel to the top facet must carry an offset in (0,1]
-        for sd in (presets.p3_blowup_normal_form(), presets.po_o2_normal_form()):
-            r = sx.sx_invariant(sd)
+        for name, a, b in (("p3-blowup", 4, 2), ("po-o2", 5, 1)):
+            r = sx.sx_invariant(*presets.SX_PRESETS[name]())
             assert r.direction == (1, 1, 1)
             assert 0 < r.cutoff <= 1
             # consistency: remaining width a - w stays above b
-            assert float(sd.a) - r.cut_weight > float(sd.b)
+            assert a - r.cut_weight > b
 
     def test_objective_monotone_in_cutoff(self):
-        sd = presets.p3_blowup_normal_form()
-        v = geom.enumerate_vertices(sd.to_hpolytope())
+        v = presets.SX_PRESETS["p3-blowup"]()[0]
         u = (1, 1, 1)
         values = []
         for c in [F(k, 8) for k in range(0, 9)]:
@@ -200,7 +200,7 @@ def _sx_clip_cases():
     # x -> (-x_3, x_1, x_2), a signed permutation
     image = geom.LinearMap(((0, 0, -1), (1, 0, 0), (0, 1, 0)))
     for name, preset in sorted(presets.SX_PRESETS.items()):
-        yield f"preset-{name}", preset()
+        yield f"preset-{name}", preset()[0]
     for name in ("p3-blowup", "po-o2"):
         v = geom.enumerate_vertices(presets.POLYTOPE_PRESETS[name]())
         yield f"real-{name}", v
@@ -236,16 +236,13 @@ class TestBisectionUnchanged:
     @pytest.mark.parametrize("body", [c[1] for c in SX_CLIP_CASES],
                              ids=[c[0] for c in SX_CLIP_CASES])
     def test_cutoff_equals_fraction_bisection(self, body):
-        v = body if isinstance(body, geom.VPolytope) else geom.enumerate_vertices(
-            body.to_hpolytope())
-        assert sx.sx_invariant(body).cutoff == fraction_bisection_cutoff(v)
+        assert sx.sx_invariant(body).cutoff == fraction_bisection_cutoff(body)
 
 
 class TestSamplingLowerBound:
     def test_random_constrained_cuts_never_beat_optimum(self):
-        sd = presets.p3_blowup_normal_form()
-        r = sx.sx_invariant(sd)
-        poly = geom.enumerate_vertices(sd.to_hpolytope())
+        poly = _sd(4, 2)
+        r = sx.sx_invariant(poly)
         clipper = FloatClipper(poly)
         v_dir = np.ones(3) / math.sqrt(3)
 
@@ -309,4 +306,4 @@ class TestOriginMustBeInterior:
     def test_refused_for_a_simplex_difference(self):
         # a = 3 = n puts the facet sum x <= a - n through the origin
         with pytest.raises(OutOfRange):
-            sx.sx_invariant(SimplexDifference(a=F(3), b=F(1)))
+            sx.sx_invariant(_sd(3, 1))

@@ -16,15 +16,13 @@ from fanokit.errors import (
 from fanokit.geometry import HPolytope
 from fanokit.toric_heights import GapVerdict, ToricLogFano
 
-from helpers import random_unimodular
-
-
-def frustum(a, b):
-    facets = [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
-              ((-1, -1, -1), F(a) - 3)]
-    if F(b) > 0:
-        facets.append(((1, 1, 1), 3 - F(b)))
-    return HPolytope(3, tuple(facets))
+from helpers import (
+    boundary_points,
+    gl2z_normal_form,
+    lattice_subpolygons,
+    random_unimodular,
+    simplex_difference,
+)
 
 
 class TestSemistability:
@@ -34,7 +32,7 @@ class TestSemistability:
 
     def test_shifted_simplex(self):
         # a*Delta_3 - 1 has barycenter (a/4 - 1) 1: zero only at a = 4
-        assert th.is_k_semistable(ToricLogFano(frustum(4, 0)))
+        assert th.is_k_semistable(ToricLogFano(simplex_difference(4, 0)))
         shrunk = HPolytope(3, (((1, 0, 0), F(9, 10)), ((0, 1, 0), F(9, 10)),
                                ((0, 0, 1), F(9, 10)), ((-1, -1, -1), F(3, 5))))
         assert not th.is_k_semistable(ToricLogFano(shrunk))
@@ -110,6 +108,42 @@ class TestGorenstein:
     def test_requires_anticanonical(self):
         with pytest.raises(NotAnticanonical):
             th.is_gorenstein(ToricLogFano(presets.weighted_p112_centered()))
+
+
+class TestReflexivePolygons:
+    """The 16 reflexive polygons, each up to GL(2, Z) a lattice subpolygon of
+    the P^2, P^1 x P^1 or P(1,1,2) polygon, against the known classification:
+    the boundary points of P and of its polar make 12 (Poonen and
+    Rodriguez-Villegas, Amer. Math. Monthly 107, 2000), and with one interior
+    lattice point Pick's theorem gives 2 vol = the boundary count."""
+
+    @pytest.fixture(scope="class")
+    def classes(self):
+        out = {}
+        for h in (presets.pn_polytope(2), presets.p1xp1_polytope(),
+                  presets.weighted_p112_polytope()):
+            for p in lattice_subpolygons(geom.enumerate_vertices(h)):
+                out.setdefault(gl2z_normal_form(p), p)
+        return out
+
+    def test_sixteen_classes_and_their_degrees(self, classes):
+        assert len(classes) == 16
+        assert all(f.offset == 1 for p in classes.values() for f in p.facets)
+        assert sorted(2 * geom.volume(p) for p in classes.values()) == [
+            3, 4, 4, 4, 5, 5, 6, 6, 6, 6, 7, 7, 8, 8, 8, 9]
+
+    def test_polar_and_the_twelve_identity(self, classes):
+        for p in classes.values():
+            polar = geom.VPolytope.from_points(2, [f.normal for f in p.facets])
+            assert gl2z_normal_form(polar) in classes
+            assert boundary_points(p) + boundary_points(polar) == 12
+            assert 2 * geom.volume(p) == boundary_points(p)
+
+    def test_toric_predicates(self, classes):
+        pairs = [ToricLogFano(p) for p in classes.values()]
+        assert sorted(2 * geom.volume(t.polytope) for t in pairs if th.is_smooth(t)) == [
+            6, 7, 8, 8, 9]
+        assert all(th.is_gorenstein(t) for t in pairs)
 
 
 class TestPnHeight:
