@@ -133,10 +133,13 @@ class TestReflexivePolygons:
             3, 4, 4, 4, 5, 5, 6, 6, 6, 6, 7, 7, 8, 8, 8, 9]
 
     def test_polar_and_the_twelve_identity(self, classes):
-        for p in classes.values():
-            polar = geom.VPolytope.from_points(2, [f.normal for f in p.facets])
-            assert gl2z_normal_form(polar) in classes
-            assert boundary_points(p) + boundary_points(polar) == 12
+        def polar(p):
+            return geom.VPolytope.from_points(2, [f.normal for f in p.facets])
+
+        for form, p in classes.items():
+            assert gl2z_normal_form(polar(p)) in classes
+            assert gl2z_normal_form(polar(polar(p))) == form
+            assert boundary_points(p) + boundary_points(polar(p)) == 12
             assert 2 * geom.volume(p) == boundary_points(p)
 
     def test_toric_predicates(self, classes):
@@ -144,6 +147,20 @@ class TestReflexivePolygons:
         assert sorted(2 * geom.volume(t.polytope) for t in pairs if th.is_smooth(t)) == [
             6, 7, 8, 8, 9]
         assert all(th.is_gorenstein(t) for t in pairs)
+        # five are centred: P^2, and four that meet the volume gap
+        centred = sorted((2 * geom.volume(t.polytope), th.gap_check(t).verdict)
+                         for t in pairs if th.is_k_semistable(t))
+        assert centred == [(3, GapVerdict.SATISFIES_GAP), (4, GapVerdict.SATISFIES_GAP),
+                           (6, GapVerdict.SATISFIES_GAP), (8, GapVerdict.SATISFIES_GAP),
+                           (9, GapVerdict.IS_PN)]
+
+    def test_unimodular_images_keep_the_class(self, classes):
+        rng = random.Random(13)
+        for form, p in classes.items():
+            image = geom.transform(p, random_unimodular(rng, 2))
+            assert gl2z_normal_form(image) == form
+            assert geom.volume(image) == geom.volume(p)
+            assert th.is_smooth(ToricLogFano(image)) == th.is_smooth(ToricLogFano(p))
 
 
 class TestPnHeight:
