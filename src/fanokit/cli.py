@@ -160,7 +160,6 @@ def _cmd_scaled_height(args, data) -> dict:
 
 def _cmd_universal_bound(args, data) -> dict:
     v = jsonio.frac_from_json(args.volume)
-    toric.check_lead_range(args.n, v)   # before the factorials n! and (n+1)!
     pair = toric.VolumePair.from_poly_volume(args.n, v)
     rep = toric.universal_height_bound(pair, args.n)
     out = rep.to_json()

@@ -12,18 +12,17 @@ log discrepancy coefficient of the corresponding facet divisor.
 A ``VPolytope`` carries its vertices, its facets and their incidence
 together.  Facets are found once, by ``facets_from_points`` for a point
 cloud or by ``enumerate_vertices`` for an H-polytope, both one integer
-double-description routine, ``_extreme_rays``.  Transforms and translations
-carry them along; a half-space cut enumerates the vertices afresh.  The
-constructor decides the vertex-facet incidence once, on the vertices scaled
-to integers, and every reader uses its bit masks: volume and moment come
-from one pulling triangulation over them.  ``clip_family`` reads the cut on
-each slab off the base's masks, with no clip.  All Gaussian elimination goes
-through one fraction-free routine, ``_bareiss``; ``_eliminate`` is its
-rational form, which divides once at the end.
+double-description routine, ``_extreme_rays``; transforms carry them along,
+a half-space cut enumerates afresh.  The constructor decides the incidence
+once, on the vertices scaled to integers, as bit masks: volume and moment
+come from one pulling triangulation over them, and ``clip_family`` reads
+each slab's cut off them and fits it in integers, with no clip.  All
+Gaussian elimination, simplex determinants included, is one fraction-free
+routine, ``_bareiss``; ``_eliminate`` is its rational form.
 
-Every operation is a pure function on immutable values; nothing here
-touches floating point.  Each value checks its own input when it is built
-and raises an ``errors.InputError`` subclass.
+Every operation is a pure function on immutable values (a clip family
+memoizes its slabs) and touches no floating point.  Each value checks its
+input when it is built and raises an ``errors.InputError`` subclass.
 """
 from __future__ import annotations
 
@@ -31,8 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import factorial, gcd, lcm
-from operator import and_, or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import and_, mul, or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -331,22 +330,13 @@ def _simplices(face: int, dag: dict[int, tuple[int, list[int]]]) -> Iterator[tup
             yield (apex,) + s
 
 
-def _moments(n: int, masks: Sequence[int],
-             row_sets: Iterable[Sequence]) -> Iterator[tuple[Fraction, Vec]]:
-    """``volume_and_moment`` of the n-polytope with facet vertex masks
-    ``masks`` over each set of integer rows (q p, q) for its vertices."""
+def _pulling_simplices(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The pulling triangulation of facet vertex masks; OutOfRange past MAX_SIMPLICES."""
     top, dag = reduce(or_, masks), {}
-    count = _pulling(top, masks, dag)
-    if count > MAX_SIMPLICES:
+    if (count := _pulling(top, masks, dag)) > MAX_SIMPLICES:
         raise OutOfRange(f"the volume triangulation has {count} simplices, "
                          f"more than the {MAX_SIMPLICES} this computation sums")
-    for rows in row_sets:
-        vol, mom = 0, [0] * n
-        for s in _simplices(top, dag):
-            w = abs(_bareiss([rows[i] for i in s])[2])   # a simplex has full rank
-            vol, mom = vol + w, [m + w * sum(c) for m, c in zip(mom, zip(*(rows[i] for i in s)))]
-        f = factorial(n) * rows[0][n] ** (n + 1)
-        yield Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
+    return _simplices(top, dag)
 
 
 def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
@@ -359,7 +349,12 @@ def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
     |det[(q p_i, q)]| / (q^(n+1) n!), over the rows ``v.rows``, to the
     volume and that times its vertex mean to the moment.
     """
-    return next(_moments(v.dim, v.masks, [v.rows]))
+    n, rows, vol, mom = v.dim, v.rows, 0, [0] * v.dim
+    for s in _pulling_simplices(v.masks):
+        w = abs(_bareiss([rows[i] for i in s])[2])   # a simplex has full rank
+        vol, mom = vol + w, [m + w * sum(c) for m, c in zip(mom, zip(*(rows[i] for i in s)))]
+    f = factorial(n) * rows[0][n] ** (n + 1)
+    return Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
 
 
 def volume(v: VPolytope) -> Fraction:
@@ -425,73 +420,96 @@ def intersect_halfspace(v: VPolytope, normal: Sequence, cutoff) -> VPolytope:
         raise EmptyIntersection("cut removed the polytope interior")
 
 
-def clip_family(base: VPolytope, normal: Sequence) -> Callable[[Fraction], tuple[Fraction, Vec]]:
+@cache
+def _inverse_vandermonde(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d V^-1), V = [j^k] for j, k = 0..n: ``_bareiss`` takes [V | I] to [d I | d V^-1]
+    with no row swap, each leading minor being a Vandermonde det > 0."""
+    m = [[j ** k for k in range(n + 1)] + [int(i == j) for i in range(n + 1)] for j in range(n + 1)]
+    return _bareiss(m)[2], tuple(tuple(r[n + 1:]) for r in m)
+
+
+def clip_family(base: VPolytope, normal: Sequence) -> ClipFamily:
     """c -> (volume, moment) of base cut by <normal, x> <= c, exactly, with
-    no clip: the cut on each slab between consecutive vertex levels
-    <normal, p> is read off the base's masks (Lawrence 1991).  The base
-    vertices below the slab stay, one vertex runs along each base edge that
-    crosses it, each base facet keeps its own of these and the cut facet the
-    crossings.  The slab's first cut-off sums that type's pulling simplices
-    over integer rows at n + 2 points and fits integers a_k over one
-    denominator D.  Any c = p/q, a level included (it goes to the slab above,
-    exact by continuity in c), is then integer Horner: sum_k a_k p^k
-    q^(n+1-k) / (D q^(n+1)), and so is the sign of <normal, moment> that the
-    result's ``moment_sign(p, q)`` gives for integers p and q > 0.
-    """
-    level = [dot(normal, p) for p in base.vertices]
-    n, levels, every = base.dim, sorted(set(level)), (1 << len(level)) - 1
-    # slab i lies between bounds[i] and bounds[i + 1]; the outer two are closed one unit out
-    bounds = [levels[0] - 1, *levels, levels[-1] + 1]
+    no clip: on a slab between vertex levels the base vertices below stay,
+    one vertex runs along each base edge across it, each base facet keeps
+    its own and the cut facet the crossings (Lawrence 1991).  A vertex is an
+    integer row U + C W in the level C.  Each pulling simplex adds det to the
+    volume and det * sum(U + C W) to the moment, its det taken at C = 0..n
+    (0 where it collapses), fitted by one integer inverse Vandermonde and
+    signed at the slab's midpoint.  A cut-off p/q, a level included (it goes
+    to the slab above), is integer Horner over one D, as is moment_sign(p, q)."""
+    # a rational normal is scaled to integers once: <normal, x> <= c iff <s normal, x> <= s c
+    s = lcm(*(_frac(x).denominator for x in normal))
+    return ClipFamily(base, [(_frac(x) * s).numerator for x in normal], s)
 
-    @cache
-    def fit(i: int) -> tuple[int, list[list[int]]]:
-        """D and the rows [<normal, moment part of a_k>, a_k] from k = n + 1 down."""
-        lo, hi = bounds[i], bounds[i + 1]
-        xs = [lo + (hi - lo) * k / (n + 3) for k in range(1, n + 3)]
-        if not 0 < i < len(levels):   # empty below the lowest level, the base above the highest
-            values = [volume_and_moment(base) if i else (_ZERO, (_ZERO,) * n)] * len(xs)
-        else:
-            kept = [j for j, t in enumerate(level) if t <= lo]
-            # a kept vertex stays; an edge a b, the facets on both meeting in {a, b}, carries one
-            ends = [(j, j) for j in kept] + [
-                (a, b) for a in kept for b, t in enumerate(level) if t >= hi and reduce(
-                    and_, (m for m in base.masks if m >> a & m >> b & 1), every) == 1 << a | 1 << b]
-            moves = []   # vertex k is p_k + c d_k, d_k = (b - a)/<normal, b - a> or 0
-            for a, b in ends:
-                p, t = base.vertices[a], level[a]
-                d = [(y - x) / (level[b] - t or 1) for x, y in zip(p, base.vertices[b])]
-                moves.append([x - t * e for x, e in zip(p, d)] + d)
-            den = lcm(*(x.denominator for r in moves for x in r))
-            moves = [[x.numerator * (den // x.denominator) for x in r] for r in moves]
-            masks = [sum(1 << k for k, (a, b) in enumerate(ends) if m >> a & m >> b & 1)
-                     for m in base.masks]
-            # a base facet with no kept vertex is gone; the cut facet holds every crossing
-            masks = [m for m in masks if m] + [(1 << len(ends)) - (1 << len(kept))]
-            # at c = s/t vertex k is the integer row (t den p_k + s den d_k, den t)
-            values = _moments(n, masks, [
-                [tuple(x.denominator * a + x.numerator * e for a, e in zip(r, r[n:]))
-                 + (den * x.denominator,) for r in moves] for x in xs])
-        solved = _eliminate([[x ** k for k in range(n + 1, -1, -1)] + [dot(normal, m), v, *m]
-                             for x, (v, m) in zip(xs, values)])[0]
-        den = lcm(*(a.denominator for r in solved for a in r[n + 2:]))
-        return den, [[a.numerator * (den // a.denominator) for a in r[n + 2:]] for r in solved]
 
-    def horner(p: int, q: int, width: int) -> tuple[int, list[int]]:
+class ClipFamily:
+    """``clip_family``'s value: D and the integer rows of each slab it fitted."""
+
+    def __init__(self, base: VPolytope, u: list[int], scale: int):
+        # the level of a row (q x, q) is C = <u, q x>, the cut-off c = C / (q scale)
+        self.base, self.u, self.unit, self.slabs = base, u, base.rows[0][-1] * scale, {}
+        self.level = [sum(map(mul, u, r)) for r in base.rows]
+        self.levels = sorted(set(self.level))
+
+    def _fit(self, i: int) -> tuple[int, list[list[int]]]:
+        """D and the rows [<u, moment part of a_k>, a_k] of slab i, from k = n + 1 down."""
+        base, level, levels, n = self.base, self.level, self.levels, self.base.dim
+        if not i:   # empty below the lowest level; above the highest every vertex stays
+            return 1, [[0] * (n + 2)] * (n + 2)
+        lo, hi, every = levels[i - 1], (levels + [levels[-1] + 1])[i], (1 << len(level)) - 1
+        kept = [j for j, t in enumerate(level) if t <= lo]
+        # a kept vertex stays; an edge a b, the facets on both meeting in {a, b}, carries one
+        ends = [(j, j) for j in kept] + [
+            (a, b) for a in kept for b, t in enumerate(level) if t >= hi and reduce(
+                and_, (m for m in base.masks if m >> a & m >> b & 1), every) == 1 << a | 1 << b]
+        gap = lcm(*(level[b] - level[a] for a, b in ends if a != b))
+        rows = []   # vertex k is (U_k + C W_k) / (gap q), as pairs (U, W); W = 0 if it stays
+        for a, b in ends:
+            g, t = gap // (level[b] - level[a] or gap), level[a]
+            rows.append([(gap * x - t * g * (y - x), g * (y - x))
+                         for x, y in zip(base.rows[a][:n], base.rows[b])])
+        # a base facet with no kept vertex is gone; the cut facet holds every crossing
+        masks = [sum(1 << k for k, (a, b) in enumerate(ends) if m >> a & m >> b & 1)
+                 for m in base.masks] + [(1 << len(ends)) - (1 << len(kept))]
+        d, inv = _inverse_vandermonde(n)
+        # 2^n d det((lo + hi) / 2) = sum_j mid_j det(j)
+        mid = [sum(r[j] * (lo + hi) ** k << n - k for k, r in enumerate(inv)) for j in range(n + 1)]
+        nodes = [[0] * (2 * n + 1) for _ in inv]   # det(j) (1, sum U_1, sum W_1, ...), signed
+        for s in _pulling_simplices([m for m in masks if m]):
+            r0, dets = rows[s[0]], []   # det[(x_k, 1)] = (-1)^n det[x_k - x_0]
+            edges = [[(x - a, e - b) for (x, e), (a, b) in zip(rows[k], r0)] for k in s[1:]]
+            for c in range(n + 1):
+                pivots, sign, p = _bareiss([[x + c * e for x, e in r] for r in edges])
+                dets.append(sign * p if len(pivots) == n else 0)
+            o = 1 if sum(map(mul, mid, dets)) > 0 else -1
+            sums = [o, *(o * sum(h) for c in zip(*(rows[k] for k in s)) for h in zip(*c))]
+            nodes = [[t + y * x for t, x in zip(a, sums)] for y, a in zip(dets, nodes)]
+        # coefficients in C, k upward, and a zero row for k = n + 1 and k = -1
+        poly = [[sum(map(mul, r, t)) for t in zip(*nodes)] for r in inv] + [[0] * (2 * n + 1)]
+        # volume = det / (n! (gap q)^n), moment = det sum / ((n + 1)! (gap q)^(n + 1)), C = unit c
+        gq, out = gap * base.rows[0][n], []
+        for k in range(n + 1, -1, -1):
+            m = [self.unit ** k * (a + b) for a, b in zip(poly[k][1::2], poly[k - 1][2::2])]
+            out.append([sum(map(mul, self.u, m)), (n + 1) * gq * self.unit ** k * poly[k][0], *m])
+        den = d * factorial(n + 1) * gq ** (n + 1)
+        g = gcd(den, *(x for r in out for x in r))
+        return den // g, [[x // g for x in r] for r in out]
+
+    def _horner(self, p: int, q: int, width: int) -> tuple[int, list[int]]:
         # the slab above every level <= p/q, by cross-multiplication (q > 0)
-        den, rows = fit(sum(t.numerator * q <= p * t.denominator for t in levels))
+        i = sum(t * q <= p * self.unit for t in self.levels)
+        den, rows = self.slabs[i] if i in self.slabs else self.slabs.setdefault(i, self._fit(i))
         y, qk = rows[0][:width], 1
         for a in rows[1:]:
             qk *= q
             y = [t * p + b * qk for t, b in zip(y, a)]
         return den * qk, y   # D q^(n+1), sum_k a_k p^k q^(n+1-k) in the first width columns
 
-    def at(c) -> tuple[Fraction, Vec]:
-        dq, y = horner(*_frac(c).as_integer_ratio(), n + 2)
+    def __call__(self, c) -> tuple[Fraction, Vec]:
+        dq, y = self._horner(*_frac(c).as_integer_ratio(), self.base.dim + 2)
         return Fraction(y[1], dq), tuple(Fraction(t, dq) for t in y[2:])
 
-    def moment_sign(p: int, q: int) -> int:
-        y = horner(p, q, 1)[1][0]
+    def moment_sign(self, p: int, q: int) -> int:
+        y = self._horner(p, q, 1)[1][0]
         return (y > 0) - (y < 0)
-
-    at.moment_sign = moment_sign
-    return at

@@ -8,14 +8,13 @@ solves the relaxed constraint
     integral over P cut at c of <v, x> dlambda = 0
 
 by bisection over rational c.  Each step reads the sign of the integral
-off one integer slab polynomial (``geometry.clip_family``, read off the
-polytope's masks with no clip), so only the root itself is approximate.
-This is the one root finder for the cut weight: w = max <u, P> - c is read
-off the final bracket, and the Cardano radicals of the two benchmark
-presets (``presets.SX_CLOSED_FORM_W``) are only compared with it.
-The full barycenter of the optimizer is then checked: when it vanishes
-(always in the symmetric benchmark cases) the result is certified as S(X);
-otherwise it is an upper bound for the half-space family only.
+off one slab polynomial of ``geometry.clip_family``, fitted in integers
+from the polytope's masks with no clip, so only the root is approximate.
+It is the one root finder for the cut weight w = max <u, P> - c; the
+Cardano radicals in ``presets.SX_CLOSED_FORM_W`` are only compared with
+it.  When the optimizer's full barycenter vanishes (always in the
+symmetric benchmark cases) the result is certified as S(X); otherwise it
+is an upper bound for the half-space family only.
 
 The input is one ``VPolytope``.  A body brought into a symmetric position by
 a linear map, as ``presets.SX_PRESETS`` brings P(O + O(2)) by a determinant-2
@@ -61,10 +60,8 @@ def sx_invariant(v: VPolytope, det=1) -> SxResult:
     some facet offset is <= 0, so that the origin is not interior, or when a
     reported number or the top cut level lies beyond the double range.
 
-    Cuts perpendicular to the barycenter direction; the cutoff is bisected
-    over rationals until the bracket is narrower than 2^-50, each step
-    reading the sign of the moment integral off an integer slab polynomial
-    at an integer pair; the only ``Fraction`` built is the cut-off.
+    Bisects the cut-off until the bracket is narrower than 2^-50, one
+    integer ``moment_sign`` per step; the only ``Fraction`` built is the cut-off.
     """
     if any(f.offset <= 0 for f in v.facets):
         raise OutOfRange("the origin must be interior: every facet offset must be positive")

@@ -95,6 +95,7 @@ class VolumePair:
     def from_poly_volume(cls, n: int, poly_volume: Fraction) -> "VolumePair":
         if n < 1:
             raise OutOfRange("n must be a positive integer")
+        check_lead_range(n, poly_volume)   # before the factorial n!
         return cls(math.factorial(n) * poly_volume, poly_volume)
 
 

@@ -1,6 +1,8 @@
+import functools
 import gc
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -650,9 +652,10 @@ class TestClipFamilyEdgeRule:
         family = geom.clip_family(v, u)
         # the type read off the base has the clip's facets and vertices, and no more
         inner = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
-        moments, types = geom._moments, []
-        monkeypatch.setattr(geom, "_moments", lambda n, masks, sets: types.append(
-            (len(masks), len(sets[0]))) or moments(n, masks, sets))
+        # every vertex of the type is on a facet, so the masks' union counts them
+        simplices, types = geom._pulling_simplices, []
+        monkeypatch.setattr(geom, "_pulling_simplices", lambda masks: types.append(
+            (len(masks), functools.reduce(operator.or_, masks).bit_length())) or simplices(masks))
         for c in inner:
             family(c)
         monkeypatch.undo()
@@ -669,6 +672,96 @@ class TestClipFamilyEdgeRule:
         assert family(0) == clip_volume_and_moment(v, u, 0) == (F(1, 3), (F(-7, 192),) * 4)
         for c in (F(-1, 2), F(1, 3), F(9, 10)):
             assert family(c) == clip_volume_and_moment(v, u, c)
+
+
+def assert_family_is_clip(v, u):
+    """The family and its moment sign equal a clip at every level and at
+    three points inside every slab, the two outer ones included."""
+    levels = sorted({geom.dot(u, p) for p in v.vertices})
+    family = geom.clip_family(v, u)
+    for lo, hi in zip([levels[0] - 1, *levels], [*levels, levels[-1] + 1]):
+        for c in (lo, lo + (hi - lo) / 3, hi - (hi - lo) / 7):
+            vol, mom = clip_volume_and_moment(v, u, c)
+            assert family(c) == (vol, mom)
+            s = geom.dot(u, mom)
+            assert family.moment_sign(c.numerator, c.denominator) == (s > 0) - (s < 0)
+
+
+class TestClipFamilyIntegerFit:
+    """Each slab is fitted in integers at the nodes C = 0..n, C the cut-off
+    in the units of the base's rows, and each simplex is oriented at the
+    slab's midpoint: the nodes may lie far outside the slab, at other
+    signs, or where the slab's simplices collapse."""
+
+    @pytest.mark.parametrize("shift", [10**6, -10**6, F(-7, 3)])
+    @pytest.mark.parametrize("name", ["p3-blowup", "po-o2"])
+    def test_moved_along_u(self, name, shift):
+        v = geom.enumerate_vertices(presets.POLYTOPE_PRESETS[name]())
+        u = geom.primitive_int_vector(geom.volume_and_moment(v)[1])
+        moved = geom.translate(v, [shift * x for x in u])
+        levels = [geom.dot(u, p) for p in moved.vertices]
+        assert max(levels) < 0 if shift < 0 else min(levels) > 10**6
+        assert_family_is_clip(moved, u)
+
+    @pytest.mark.parametrize("name", sorted(NON_SIMPLE_BODIES))
+    def test_simplices_collapse_at_a_node(self, name, monkeypatch):
+        v = NON_SIMPLE_BODIES[name]
+        u = (1,) * v.dim
+        bareiss, ranks = geom._bareiss, []
+
+        def spy(m):
+            out = bareiss(m)
+            ranks.append((len(m), len(out[0])))
+            return out
+
+        monkeypatch.setattr(geom, "_bareiss", spy)
+        assert_family_is_clip(v, u)
+        monkeypatch.undo()
+        if name in ("cross-polytope", "4-cross-polytope"):
+            # the crossings on the edges into one top vertex meet there, at C = 1
+            assert any(rank < size for size, rank in ranks)
+
+    def test_fraction_normal(self):
+        v = geom.enumerate_vertices(presets.POLYTOPE_PRESETS["p3-blowup"]())
+        normal, k = (F(1, 2), F(-2, 3), F(3, 4)), 12
+        family, scaled = geom.clip_family(v, normal), geom.clip_family(v, [k * x for x in normal])
+        levels = sorted({geom.dot(normal, p) for p in v.vertices})
+        for lo, hi in zip([levels[0] - 1, *levels], [*levels, levels[-1] + 1]):
+            for c in (lo, (lo + hi) / 2, hi - (hi - lo) / 5):
+                assert family(c) == scaled(k * c) == clip_volume_and_moment(v, normal, c)
+                p, q = c.numerator, c.denominator
+                assert family.moment_sign(p, q) == scaled.moment_sign(k * p, q)
+
+    def test_oversized_slab_type(self, monkeypatch):
+        v, u = NON_SIMPLE_BODIES["4-cross-polytope"], (1, 1, 1, 1)
+        monkeypatch.setattr(geom, "MAX_SIMPLICES", 1)
+        with pytest.raises(OutOfRange, match="more than the 1 ") as refused:
+            geom.clip_family(v, u)(0)
+        count = int(refused.value.args[0].split(" has ")[1].split()[0])
+        monkeypatch.setattr(geom, "MAX_SIMPLICES", count - 1)
+        with pytest.raises(OutOfRange, match=f"has {count} simplices"):
+            geom.clip_family(v, u).moment_sign(0, 1)
+        monkeypatch.setattr(geom, "MAX_SIMPLICES", count)
+        assert geom.clip_family(v, u)(0) == clip_volume_and_moment(v, u, 0)
+
+    def test_fit_and_sign_build_no_fraction(self, monkeypatch):
+        v = geom.enumerate_vertices(presets.po_o2_polytope())
+        u = geom.primitive_int_vector(geom.volume_and_moment(v)[1])
+        levels = sorted({geom.dot(u, p) for p in v.vertices})
+        cs = [levels[1] + (levels[2] - levels[1]) * F(j, 8) for j in range(1, 8)]
+        pairs = [c.as_integer_ratio() for c in cs]
+        family = geom.clip_family(v, u)
+        geom._inverse_vandermonde.cache_clear()
+        new, built = F.__new__, []
+        monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+        F(1, 2)   # the spy sees a Fraction built
+        assert len(built) == 1
+        signs = [family.moment_sign(p, q) for p, q in pairs]
+        assert len(built) == 1
+        monkeypatch.undo()
+        for c, sign in zip(cs, signs):
+            s = geom.dot(u, clip_volume_and_moment(v, u, c)[1])
+            assert sign == (s > 0) - (s < 0)
 
 
 _RATIONALS = st.one_of(st.just(F(0)), st.integers(-9, 9).map(F),

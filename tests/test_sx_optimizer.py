@@ -211,22 +211,23 @@ SX_CLIP_CASES = list(_sx_clip_cases())
 
 
 class TestClipsPerSolve:
-    """A solve stays in one slab of its clip family, which is fitted at
-    n + 2 cut-offs from the base's masks, with no clip."""
+    """A solve stays in one slab of its clip family, which is fitted from
+    the base's masks, with no clip."""
 
     @pytest.mark.parametrize("body", [c[1] for c in SX_CLIP_CASES],
                              ids=[c[0] for c in SX_CLIP_CASES])
     def test_no_clip(self, body, monkeypatch):
-        clip, moments = geom.intersect_halfspace, geom._moments
-        calls, row_sets = [], []
+        clip, integrate, fit = geom.intersect_halfspace, geom.volume_and_moment, geom.ClipFamily._fit
+        calls, bodies, slabs = [], [], []
         monkeypatch.setattr(geom, "intersect_halfspace",
                             lambda *a: calls.append(a[2]) or clip(*a))
-        monkeypatch.setattr(geom, "_moments",
-                            lambda n, masks, sets: moments(n, masks, row_sets.extend(sets) or sets))
+        monkeypatch.setattr(geom, "volume_and_moment", lambda v: bodies.append(v) or integrate(v))
+        monkeypatch.setattr(geom.ClipFamily, "_fit", lambda f, i: slabs.append(i) or fit(f, i))
         sx.sx_invariant(body)
         assert len(calls) == 0
-        # the body's own volume and moment, then n + 2 fit points, n = 3
-        assert len(row_sets) == 1 + 5
+        # the body's own volume and moment, once, then one slab fitted
+        assert bodies == [body]
+        assert len(slabs) == 1
 
 
 class TestBisectionUnchanged:

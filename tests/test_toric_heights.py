@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -228,6 +229,13 @@ class TestUniversalBound:
     def test_rejects_nonpositive_volume(self):
         with pytest.raises(NonpositiveVolume):
             th.VolumePair.from_poly_volume(2, F(0))
+
+    def test_refuses_a_lead_beyond_doubles_before_the_factorial(self):
+        # n! alone takes seconds at n = 10^6
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="double-precision range"):
+            th.VolumePair.from_poly_volume(10**6, F(1))
+        assert time.perf_counter() - start < 1
 
 
 class TestScaledDivisorHeight:
