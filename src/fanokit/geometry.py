@@ -390,17 +390,20 @@ class LinearMap:
 def transform(v: VPolytope, t: LinearMap) -> VPolytope:
     """Image polytope under an invertible linear map.
 
-    Normals move by the inverse transpose; offsets stay.  Volumes scale by
-    |det t|; the caller reads the factor off the map.
+    Normals move by the inverse transpose: for t = m / s, ``_bareiss`` takes [m | I] to
+    [d I | d m^-1], and <l, x> >= -a goes to <d^2 m^-T l, y> >= -d^2 a / s.  Volumes
+    scale by |det t|; the caller reads the factor off the map.
     """
     if t.determinant == 0:
         raise SingularMap("linear map is not invertible")
-    n = v.dim
-    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    inv = [row[n:] for row in _eliminate([r + e for r, e in zip(t.matrix, unit)])[0]]
-    # the image normal is t^{-T} l: entry i is <l, column i of t^{-1}>
-    facets = tuple(make_facet([dot(l, col) for col in zip(*inv)], a) for l, a in v.facets)
-    return VPolytope(n, tuple(t.apply(p) for p in v.vertices), facets)
+    n, s = v.dim, lcm(*(x.denominator for r in t.matrix for x in r))
+    m = [[x.numerator * (s // x.denominator) for x in r] for r in t.matrix]
+    aug = [r + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    d = _bareiss(aug)[2]
+    facets = tuple(make_facet([d * sum(map(mul, l, c)) for c in zip(*(r[n:] for r in aug))],
+                              d * d * a / s) for l, a in v.facets)
+    return VPolytope(n, tuple(tuple(Fraction(sum(map(mul, row, r)), s * r[n]) for row in m)
+                              for r in v.rows), facets)
 
 
 def translate(v: VPolytope, shift: Sequence) -> VPolytope:
@@ -437,7 +440,7 @@ def clip_family(base: VPolytope, normal: Sequence) -> ClipFamily:
     volume and det * sum(U + C W) to the moment, its det taken at C = 0..n
     (0 where it collapses), fitted by one integer inverse Vandermonde and
     signed at the slab's midpoint.  A cut-off p/q, a level included (it goes
-    to the slab above), is integer Horner over one D, as is moment_sign(p, q)."""
+    to the slab above), is integer Horner over one D, as are moment_sign and root."""
     # a rational normal is scaled to integers once: <normal, x> <= c iff <s normal, x> <= s c
     s = lcm(*(_frac(x).denominator for x in normal))
     return ClipFamily(base, [(_frac(x) * s).numerator for x in normal], s)
@@ -513,3 +516,22 @@ class ClipFamily:
     def moment_sign(self, p: int, q: int) -> int:
         y = self._horner(p, q, 1)[1][0]
         return (y > 0) - (y < 0)
+
+    def root(self, p: int, q: int, steps: int) -> int:
+        """The j with M(x_j) < 0 <= M(x_(j+1)) on x_j = p j / (q 2^steps), M(c) the moment
+        along the normal cut at c, increasing from M(0) < 0 to M(p/q) >= 0: ITP (Oliveira-
+        Takahashi 2020; kappa_1 = 0.2 / 2^steps, kappa_2 = 2, n_0 = 1) on at most steps + 1
+        integer values, at the midpoint until both ends have one, then by regula falsi."""
+        big_q, a, b, fa, fb, k = q << steps, 0, 1 << steps, None, None, 0
+        while b - a > 1:
+            if fa is None or fb is None:
+                m = (a + b) // 2
+            else:   # 2 (x_f - x_half), x_f moved kappa_1 w^2 toward x_half, kept within r of it
+                (ya, da), (yb, db), w, h2 = fa, fb, b - a, a + b
+                e = 2 * (a * yb * da - b * ya * db) // (yb * da - ya * db) - h2
+                t = min(max(abs(e) - 2 * w * w // (5 << steps), 0), (2 << steps - k) - w)
+                m = min(max((h2 + t) // 2 if e > 0 else -((t - h2) // 2), a + 1), b - 1)
+            k, z = k + 1, min((m & -m).bit_length() - 1, steps)   # read at m / 2^z reduced
+            dq, (y,) = self._horner(p * m >> z, big_q >> z, 1)
+            a, b, fa, fb = (m, b, (y, dq), fb) if y < 0 else (a, m, fa, (y, dq))
+        return a

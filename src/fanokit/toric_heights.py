@@ -95,8 +95,8 @@ class VolumePair:
     def from_poly_volume(cls, n: int, poly_volume: Fraction) -> "VolumePair":
         if n < 1:
             raise OutOfRange("n must be a positive integer")
-        check_lead_range(n, poly_volume)   # before the factorial n!
-        return cls(math.factorial(n) * poly_volume, poly_volume)
+        check_lead_range(n, poly_volume)   # before the factorial n!, formed only for v > 0
+        return cls(math.factorial(n) * poly_volume if poly_volume > 0 else 0, poly_volume)
 
 
 @dataclass(frozen=True)
@@ -249,6 +249,7 @@ def _toric_height(n: int, v: Fraction, log_c: float, convention: Convention,
                   formula: str) -> HeightReport:
     """(n+1)!/2 * v * log(C / v) at poly-volume v; abs_error scales with
     |log C| + |log v|, so it also covers a difference that cancels; v > 0."""
+    check_lead_range(n, v)   # before the factorial (n+1)!
     lead = _to_float(Fraction(math.factorial(n + 1), 2) * v)
     log_v = _log_fraction(v)
     return HeightReport(lead * (log_c - log_v), convention, formula,

@@ -917,6 +917,13 @@ class TestFormerFailures:
         assert (code, out) == (1, "")
         assert err == "fanokit: input error: result exceeds the double-precision range\n"
 
+    def test_zero_volume_at_large_n_refused_fast(self, capsys):
+        # refused before n!, which took about 12 s at n = 10^6
+        start = time.perf_counter()
+        result = run_cli(["universal-bound", "--n", "1000000", "--volume", "0"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert result == (1, "", "fanokit: input error: anticanonical volume must be positive\n")
+
     def test_pn_height_range_edge_unchanged(self, capsys):
         assert run_cli(["pn-height", "--n", "140"], capsys) == (0, PN_HEIGHT_140_OUT, "")
         assert run_cli(["pn-height", "--n", "143"], capsys)[0] == 1

@@ -239,6 +239,22 @@ class TestTransform:
                 continue
             assert geom.volume(geom.transform(v, t)) == abs(t.determinant) * geom.volume(v)
 
+    def test_rational_map_equals_the_hull_of_the_image(self):
+        # either sign of det: the integer inverse is d m^-1, d of either sign too
+        rng, signs = random.Random(53), set()
+        for _ in range(20):
+            v = random_rational_polytope(rng, rng.randint(1, 4))
+            t = LinearMap([[F(rng.randint(-5, 5), rng.choice([1, 2, 3, 7])) for _ in range(v.dim)]
+                           for _ in range(v.dim)])
+            if t.determinant == 0:
+                continue
+            signs.add(t.determinant > 0)
+            hull = VPolytope.from_points(v.dim, [t.apply(p) for p in v.vertices])
+            image = geom.transform(v, t)
+            assert (image.vertices, image.facets, image.masks) == (
+                hull.vertices, hull.facets, hull.masks)
+        assert signs == {True, False}
+
 
 class TestIntersectHalfspace:
     def test_cube_cut(self):

@@ -18,6 +18,7 @@ from helpers import (
     FloatClipper,
     clip_volume_and_moment,
     fraction_bisection_cutoff,
+    random_rational_polytope,
     simplex_difference,
     simplex_difference_barycenter,
 )
@@ -238,6 +239,66 @@ class TestBisectionUnchanged:
                              ids=[c[0] for c in SX_CLIP_CASES])
     def test_cutoff_equals_fraction_bisection(self, body):
         assert sx.sx_invariant(body).cutoff == fraction_bisection_cutoff(body)
+
+
+def _seeded_bodies(count):
+    # random clouds moved off their barycenter by at most 9/40 per coordinate,
+    # with the origin inside
+    rng, bodies = random.Random(61), []
+    while len(bodies) < count:
+        v = random_rational_polytope(rng, rng.choice([2, 3]))
+        vol, mom = geom.volume_and_moment(v)
+        moved = geom.translate(v, [F(rng.randint(-9, 9), 40) - m / vol for m in mom])
+        if all(f.offset > 0 for f in moved.facets) and any(geom.volume_and_moment(moved)[1]):
+            bodies.append(moved)
+    return bodies
+
+
+def _triangle(top):
+    # x >= -1, y >= -1, x + y <= top: the cut-off is near 1, cmax = top
+    facets = (((1, 0), 1), ((0, 1), 1), ((-1, -1), top))
+    return geom.enumerate_vertices(geom.HPolytope(2, facets))
+
+
+ROOT_CASES = [(f"seeded-{k}", v) for k, v in enumerate(_seeded_bodies(6))]
+ROOT_CASES.append(("triangle-1e160", _triangle(10**160)))
+
+
+def _levels(body):
+    """(cmax, every vertex level) along the solve's cut direction."""
+    u = geom.primitive_int_vector(geom.volume_and_moment(body)[1])
+    levels = [geom.dot(u, p) for p in body.vertices]
+    return max(levels), levels
+
+
+class TestRootFinder:
+    """``ClipFamily.root`` brackets the bisection's grid cell in far fewer
+    integer evaluations: it halves while a vertex level lies inside the
+    bracket, then refines on the one slab that holds it."""
+
+    def test_some_seeded_levels_split_the_bracket(self):
+        split = [any(0 < t < cmax for t in levels)
+                 for cmax, levels in map(_levels, (v for _, v in ROOT_CASES))]
+        assert any(split) and not all(split)
+
+    @pytest.mark.parametrize("body", [c[1] for c in ROOT_CASES], ids=[c[0] for c in ROOT_CASES])
+    def test_cutoff_equals_fraction_bisection(self, body):
+        assert sx.sx_invariant(body).cutoff == fraction_bisection_cutoff(body)
+
+    @pytest.mark.parametrize(
+        "name, body",
+        SX_CLIP_CASES + ROOT_CASES + [("triangle-1e300", _triangle(10**300))],
+        ids=[c[0] for c in SX_CLIP_CASES + ROOT_CASES] + ["triangle-1e300"])
+    def test_evaluations_at_most_bisection_plus_one(self, name, body, monkeypatch):
+        horner, points = geom.ClipFamily._horner, []
+        # the cut-off's own volume and moment take every column; each grid point one
+        monkeypatch.setattr(geom.ClipFamily, "_horner", lambda f, p, q, width: (
+            width == 1 and points.append(p)) or horner(f, p, q, width))
+        sx.sx_invariant(body)
+        steps = (math.ceil(_levels(body)[0] / sx._WIDTH) - 1).bit_length()
+        assert len(points) <= steps + 1
+        if name in {c[0] for c in SX_CLIP_CASES}:
+            assert len(points) <= 16
 
 
 class TestSamplingLowerBound:

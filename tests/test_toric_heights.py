@@ -237,6 +237,20 @@ class TestUniversalBound:
             th.VolumePair.from_poly_volume(10**6, F(1))
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("v", [F(0), F(-3, 2)])
+    def test_refuses_a_nonpositive_volume_before_the_factorial(self, v):
+        start = time.perf_counter()
+        with pytest.raises(NonpositiveVolume, match="anticanonical volume must be positive"):
+            th.VolumePair.from_poly_volume(10**6, v)
+        assert time.perf_counter() - start < 1
+
+    def test_bound_refuses_a_lead_beyond_doubles_before_the_factorial(self):
+        # a pair built directly skips from_poly_volume; (n+1)! alone takes seconds
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="double-precision range"):
+            th.universal_height_bound(th.VolumePair(F(1), F(1)), 10**6)
+        assert time.perf_counter() - start < 1
+
 
 class TestScaledDivisorHeight:
     def test_t_one_equals_pn(self):
