@@ -4,8 +4,8 @@ For a fixed toric X the supremum is realized by cutting the moment polytope
 with a half-space perpendicular to its barycenter direction, with the cut
 level chosen so the first moment along that direction vanishes.  For the
 two degree-relevant threefolds the answer has a closed radical form, which
-the exact optimizer reproduces: its bisection is the only root finder
-for w, and the radicals are printed beside it.
+the exact optimizer reproduces: its integer root refinement is the only
+root finder for w, and the radicals are printed beside it.
 """
 from fanokit import geometry as geom
 from fanokit import presets
@@ -25,7 +25,7 @@ for name in ("p3-blowup", "po-o2"):
     bary = geom.barycenter(body)
     print(f"  barycenter             {bary[0]} per coordinate (exact)")
     print(f"  rational cut-off       <u, x> <= {result.cutoff}, u = {result.direction}")
-    print(f"  cut weight w           {result.cut_weight:.12f} (exact bisection)")
+    print(f"  cut weight w           {result.cut_weight:.12f} (exact root refinement)")
     print(f"                         {presets.SX_CLOSED_FORM_W[name]:.12f} (Cardano radical)")
     print(f"  n! S(X)                {result.s_value:.6f}   "
           f"certified: {result.certified} (residual {result.residual:.1e})")

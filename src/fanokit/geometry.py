@@ -519,9 +519,9 @@ class ClipFamily:
 
     def root(self, p: int, q: int, steps: int) -> int:
         """The j with M(x_j) < 0 <= M(x_(j+1)) on x_j = p j / (q 2^steps), M(c) the moment
-        along the normal cut at c, increasing from M(0) < 0 to M(p/q) >= 0: ITP (Oliveira-
-        Takahashi 2020; kappa_1 = 0.2 / 2^steps, kappa_2 = 2, n_0 = 1) on at most steps + 1
-        integer values, at the midpoint until both ends have one, then by regula falsi."""
+        along the normal cut at c, increasing from M(0) < 0 to M(p/q) >= 0.  It is ITP
+        (Oliveira-Takahashi 2020; kappa_1 = 0.2 / 2^steps, kappa_2 = 2, n_0 = 1) on at most
+        steps + 1 integer values: the midpoint until both ends have one, then regula falsi."""
         big_q, a, b, fa, fb, k = q << steps, 0, 1 << steps, None, None, 0
         while b - a > 1:
             if fa is None or fb is None:

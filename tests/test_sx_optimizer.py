@@ -262,6 +262,9 @@ def _triangle(top):
 
 ROOT_CASES = [(f"seeded-{k}", v) for k, v in enumerate(_seeded_bodies(6))]
 ROOT_CASES.append(("triangle-1e160", _triangle(10**160)))
+# the segment [-a, 1] has its root at a, a grid point: the tie goes to the upper end
+ROOT_CASES += [(f"segment-{a}", geom.VPolytope.from_points(1, [(-a,), (1,)]))
+               for a in (F(1, 2), F(5, 8), F(13, 16))]
 
 
 def _levels(body):
@@ -273,8 +276,9 @@ def _levels(body):
 
 class TestRootFinder:
     """``ClipFamily.root`` brackets the bisection's grid cell in far fewer
-    integer evaluations: it halves while a vertex level lies inside the
-    bracket, then refines on the one slab that holds it."""
+    integer evaluations, also where vertex levels split (0, cmax), so that
+    its regula falsi compares values of two slabs, and where the root is a
+    grid point."""
 
     def test_some_seeded_levels_split_the_bracket(self):
         split = [any(0 < t < cmax for t in levels)
