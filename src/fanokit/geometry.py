@@ -13,12 +13,12 @@ A ``VPolytope`` carries its vertices, its facets and their incidence
 together.  Facets are found once, by ``facets_from_points`` for a point
 cloud or by ``enumerate_vertices`` for an H-polytope, both one integer
 double-description routine, ``_extreme_rays``; transforms carry them along,
-a half-space cut enumerates afresh.  The constructor decides the incidence
-once, on the vertices scaled to integers, as bit masks: volume and moment
-come from one pulling triangulation over them, and ``clip_family`` reads
-each slab's cut off them and fits it in integers, with no clip.  All
-Gaussian elimination, simplex determinants included, is one fraction-free
-routine, ``_bareiss``; ``_eliminate`` is its rational form.
+a half-space cut enumerates afresh.  The incidence is decided once, as bit
+masks: ``enumerate_vertices`` takes it from the double description's tight
+rows, the constructor from the points scaled to integers.  Volume and moment
+come from one pulling triangulation over it, and ``clip_family`` reads each
+slab's cut off it and fits it in integers, with no clip.  All Gaussian
+elimination, every determinant included, is one fraction-free routine, ``_bareiss``.
 
 Every operation is a pure function on immutable values (a clip family
 memoizes its slabs) and touches no floating point.  Each value checks its
@@ -43,7 +43,6 @@ from .errors import (
 )
 
 Vec = tuple[Fraction, ...]
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -62,17 +61,18 @@ def vadd(u: Sequence, v: Sequence) -> Vec:
     return tuple(_frac(a) + _frac(b) for a, b in zip(u, v))
 
 
-def primitive_int_vector(v: Sequence) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector.
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator > 0) of any exact rational ``Fraction`` takes."""
+    return x.as_integer_ratio() if type(x) in (int, Fraction) else Fraction(x).as_integer_ratio()
 
-    Preserves direction (no sign normalization).
-    """
-    fracs = [_frac(x) for x in v]
-    if all(x == 0 for x in fracs):
+
+def primitive_int_vector(v: Sequence) -> tuple[int, ...]:
+    """Scale a nonzero rational vector to a primitive integer vector of the same direction."""
+    pairs = [_ratio(x) for x in v]
+    den = lcm(*(b for _, b in pairs))
+    ints = [a * (den // b) for a, b in pairs]
+    if not (g := gcd(*ints)):
         raise OutOfRange("normal vector must be nonzero")
-    den = lcm(*(x.denominator for x in fracs))
-    ints = [x.numerator * (den // x.denominator) for x in fracs]
-    g = gcd(*ints)
     return tuple(a // g for a in ints)
 
 
@@ -106,64 +106,61 @@ def _bareiss(m: list) -> tuple[list[int], int, int]:
     return pivots, sign, d
 
 
-def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Gauss-Jordan reduction over Q: (reduced rows, pivot columns, determinant).
-
-    The entries are ints or Fractions.  Each row is scaled to integers by
-    the lcm of its denominators, ``_bareiss`` reduces them, and the rows are
-    divided once, by d: reduced row echelon form with unit pivots, zero rows
-    last.  The determinant is that of a square input, 0 when singular:
-    sign * d / (product of the row scales).
-    """
-    m, scale = [], 1
-    for r in rows:
-        s = lcm(*(x.denominator for x in r))
-        scale *= s
-        m.append([x.numerator * (s // x.denominator) for x in r])
+def integer_det(m: list) -> int:
+    """Determinant of a square integer matrix, by ``_bareiss`` in place."""
     pivots, sign, d = _bareiss(m)
-    det = Fraction(sign * d, scale) if len(pivots) == len(m) else Fraction(0)
-    # entries in pivot columns are 0 or d: only the others need a gcd
-    reduced = [[_ZERO if not a else _ONE if a == d else Fraction(a, d) for a in r] for r in m]
-    return reduced, pivots, det
+    return sign * d if len(pivots) == len(m) else 0
 
 
-def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[int, ...]]:
-    """Extreme rays of the pointed cone {y in R^d : <r, y> >= 0 for every row r}.
+# most rays kept, and most ray tests for one row: each (+, -) pair scans every ray
+MAX_RAYS, MAX_RAY_TESTS = 5000, 10**7
+
+
+def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the pointed cone {y in R^d : <r, y> >= 0 for every row r},
+    each a primitive integer vector with the bit mask of the rows tight on it.
 
     Integer double description (Motzkin-Raiffa-Thompson-Thrall 1953;
     Fukuda-Prodon 1996): start from the simplicial cone of the first d
     independent rows, then add the other rows one at a time, keeping the
     rays on the feasible side and joining each adjacent pair on opposite
     sides.  Two rays are adjacent iff no third ray is tight on every row
-    both are tight on.  Each ray comes back as a primitive integer vector.
+    both are tight on.  DegeneratePolytope when the rows do not span;
+    OutOfRange past MAX_RAYS rays or MAX_RAY_TESTS tests for one row.
     """
-    basis = _eliminate(list(zip(*rows)))[1]   # pivot columns of the transpose
+    basis = _bareiss(list(zip(*rows)))[0]   # pivot columns of the transpose
     if len(basis) < d:
         raise DegeneratePolytope("inequalities or points do not span the space")
-    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    inv = [r[d:] for r in _eliminate([tuple(rows[b]) + e for b, e in zip(basis, unit)])[0]]
-    # column j of the inverse is tight on every basis row but the j-th
+    # [B | I] goes to [det I | det B^-1]: column j, signed as det, is positive on row j only
+    aug = [list(rows[b]) + [int(i == j) for j in range(d)] for i, b in enumerate(basis)]
+    o = 1 if _bareiss(aug)[2] > 0 else -1
     start = sum(1 << b for b in basis)
-    rays = [(primitive_int_vector(col), start & ~(1 << b)) for col, b in zip(zip(*inv), basis)]
+    rays = [(tuple(x // (o * gcd(*c)) for x in c), start & ~(1 << b))
+            for c, b in zip(zip(*(r[d:] for r in aug)), basis)]
     for k, row in enumerate(rows):
         if start >> k & 1:
             continue
-        s = [sum(a * b for a, b in zip(row, y)) for y, _ in rays]
+        s = [sum(map(mul, row, y)) for y, _ in rays]
+        plus, minus = [i for i, x in enumerate(s) if x > 0], [j for j, x in enumerate(s) if x < 0]
+        tests = len(plus) * len(minus) * len(rays)
+        if len(rays) > MAX_RAYS or tests > MAX_RAY_TESTS:
+            raise OutOfRange(f"the double description holds {len(rays)} rays and would make "
+                             f"{tests} ray tests, past its budget of {MAX_RAYS} rays or "
+                             f"{MAX_RAY_TESTS} tests")
         new = [(y, t | 1 << k if x == 0 else t) for (y, t), x in zip(rays, s) if x >= 0]
-        for i, (yp, tp) in enumerate(rays):
-            if s[i] <= 0:
-                continue
-            for j, (ym, tm) in enumerate(rays):
-                common = tp & tm
-                if (s[j] >= 0 or common.bit_count() < d - 2
+        for i in plus:
+            (yp, tp), sp = rays[i], s[i]
+            for j in minus:
+                common = tp & rays[j][1]
+                if (common.bit_count() < d - 2
                         or any(t & common == common for c, (_, t) in enumerate(rays)
                                if c != i and c != j)):
                     continue
-                y = [s[i] * b - s[j] * a for a, b in zip(yp, ym)]
+                y = [sp * b - s[j] * a for a, b in zip(yp, rays[j][0])]
                 g = gcd(*y)
                 new.append((tuple(a // g for a in y), common | 1 << k))
         rays = new
-    return [y for y, _ in rays]
+    return rays
 
 
 # -- representations ----------------------------------------------------------
@@ -175,11 +172,11 @@ class Facet(NamedTuple):
 
 def make_facet(normal: Sequence, offset) -> Facet:
     """Canonicalize: primitive integer normal, offset rescaled to match."""
-    fracs = [_frac(x) for x in normal]
-    prim = primitive_int_vector(fracs)
-    # the input normal is k * prim with k > 0: primitive_int_vector keeps the sign
-    k = next(x / a for x, a in zip(fracs, prim) if a)
-    return Facet(prim, _frac(offset) / k)
+    prim = primitive_int_vector(normal)
+    # normal = k prim, k = a / (b p) > 0 at any p = prim_j != 0 and a / b = normal_j
+    (a, b), p = next((_ratio(x), y) for x, y in zip(normal, prim) if y)
+    c, e = _ratio(offset)
+    return Facet(prim, Fraction(c * b * p, e * a))
 
 
 def _check_shape(dim, vectors: Iterable[Sequence], what: str) -> None:
@@ -211,15 +208,16 @@ class HPolytope:
 @dataclass(frozen=True)
 class VPolytope:
     """Both representations of one full-dimensional polytope and their
-    incidence, decided here once.
+    incidence, decided once when the value is built.
 
     The input is points whose hull it is and valid inequalities that include
-    every facet.  Each point p is read as the integer row (q p, q), q the
+    every facet.  Each point p is read as the integer row (q p, q), q > 0 the
     common denominator, so <l, p> >= -a is tight on p iff <l, q p> den(a) ==
-    -num(a) q.  A point is kept iff no other point is tight on every
-    inequality tight on it, an inequality iff its set of kept points is
-    nonempty and maximal.  ``vertices`` and ``facets`` come out sorted, with
-    ``rows`` by vertex and in ``masks`` one vertex bit mask per facet.
+    -num(a) q; ``enumerate_vertices`` hands ``_reduce`` the rows and tight
+    masks of its double description instead.  Either way a point is kept iff
+    no other point is tight on every inequality tight on it, an inequality iff
+    its set of kept points is nonempty and maximal.  ``vertices`` and
+    ``facets`` come out sorted, ``rows`` by vertex and ``masks`` by facet.
     """
 
     dim: int
@@ -229,21 +227,30 @@ class VPolytope:
     masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        pts = sorted({vec(v) for v in self.vertices})
-        _check_shape(self.dim, pts, "vertex")
-        if _affine_rank(pts) < self.dim:
+        _check_shape(self.dim, self.vertices, "vertex")
+        pts = [[_ratio(x) for x in p] for p in self.vertices]
+        q = lcm(*(b for p in pts for _, b in p))
+        rows = {tuple(a * (q // b) for a, b in p) + (q,) for p in pts}
+        self._reduce([(r, sum(1 << k for k, (l, a) in enumerate(self.facets)
+                              if sum(map(mul, l, r)) * a.denominator == -a.numerator * q))
+                      for r in rows], self.facets)
+
+    def _reduce(self, points: list, ineqs: Sequence[Facet]) -> None:
+        # points are pairs (row (q p, q), bit mask of the ineqs tight on p)
+        points = sorted(points)
+        rows = [r for r, _ in points]
+        if _affine_rank(rows) < self.dim:
             raise DegeneratePolytope("polytope is not full-dimensional")
-        q = lcm(*(x.denominator for p in pts for x in p))
-        rows = [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in pts]
-        ineqs = sorted(set(self.facets))
-        masks = [sum(1 << i for i, r in enumerate(rows)
-                     if sum(c * x for c, x in zip(l, r)) * a.denominator == -a.numerator * r[-1])
-                 for l, a in ineqs]
-        keep = [i for i in range(len(pts))
-                if reduce(and_, (m for m in masks if m >> i & 1), (1 << len(pts)) - 1) == 1 << i]
+        index = {f: k for k, f in enumerate(ineqs)}   # either index of a repeated one
+        ineqs = sorted(index)
+        masks = [sum(1 << i for i, (_, t) in enumerate(points) if t >> index[f] & 1) for f in ineqs]
+        keep = [i for i in range(len(rows))
+                if reduce(and_, (m for m in masks if m >> i & 1), (1 << len(rows)) - 1) == 1 << i]
         masks = [sum(1 << j for j, i in enumerate(keep) if m >> i & 1) for m in masks]
         facets = [k for k, m in enumerate(masks) if m and not any(m & u == m != u for u in masks)]
-        object.__setattr__(self, "vertices", tuple(pts[i] for i in keep))
+        q = rows[0][-1]
+        object.__setattr__(self, "vertices", tuple(tuple(Fraction(x, q) for x in rows[i][:-1])
+                                                   for i in keep))
         object.__setattr__(self, "facets", tuple(ineqs[k] for k in facets))
         object.__setattr__(self, "rows", tuple(rows[i] for i in keep))
         object.__setattr__(self, "masks", tuple(masks[k] for k in facets))
@@ -257,9 +264,9 @@ class VPolytope:
         return cls(dim, tuple(pts), facets_from_points(dim, pts))
 
 
-def _affine_rank(points: Sequence[Vec]) -> int:
-    # the affine rank of the points is the rank of the rows (p, 1), less one
-    return len(_eliminate([p + (1,) for p in points])[1]) - 1
+def _affine_rank(rows: Sequence[Sequence[int]]) -> int:
+    # the affine rank of points is the rank of their integer rows (q p, q), less one
+    return len(_bareiss(list(rows))[0]) - 1
 
 
 # -- H <-> V conversion --------------------------------------------------------
@@ -270,26 +277,28 @@ def facets_from_points(dim: int, points: Sequence[Sequence]) -> tuple[Facet, ...
     The facets are the extreme rays (l, a) of the cone of inequalities
     <l, p> + a >= 0 that hold at every point.
     """
-    rows = [primitive_int_vector(vec(p) + (Fraction(1),)) for p in points]
-    return tuple(sorted(make_facet(y[:dim], y[dim]) for y in _extreme_rays(rows, dim + 1)))
+    rows = [primitive_int_vector((*p, 1)) for p in points]
+    return tuple(sorted(make_facet(y[:dim], y[dim]) for y, _ in _extreme_rays(rows, dim + 1)))
 
 
 @lru_cache(maxsize=512)
 def _vertices_of(h: HPolytope) -> VPolytope:
     n = h.dim
-    if len(_eliminate([f.normal for f in h.facets])[1]) < n:
+    # a vertex p is the ray (p, 1) of the cone {(y, t) : <l, y> + a t >= 0, t >= 0}, tight on
+    # the rows of the inequalities tight at p; the rows span iff the normals do
+    try:
+        rays = _extreme_rays([primitive_int_vector((*l, a)) for l, a in h.facets]
+                             + [(0,) * n + (1,)], n + 1)
+    except DegeneratePolytope:
         raise UnboundedPolytope("facet normals do not span the space")
-    # a vertex p is the ray (p, 1) of the cone {(y, t) : <l, y> + a t >= 0, t >= 0};
-    # a ray with t = 0 is a recession direction
-    rows = [primitive_int_vector(f.normal + (f.offset,)) for f in h.facets]
-    vertices = []
-    for y in _extreme_rays(rows + [(0,) * n + (1,)], n + 1):
-        if y[n] == 0:
-            raise UnboundedPolytope("recession direction exists")
-        vertices.append(tuple(Fraction(x, y[n]) for x in y[:n]))
-    if not vertices:
+    if any(y[n] == 0 for y, _ in rays):
+        raise UnboundedPolytope("recession direction exists")
+    if not rays:
         raise DegeneratePolytope("empty feasible set")
-    return VPolytope(n, tuple(vertices), h.facets)
+    q, v = lcm(*(y[n] for y, _ in rays)), object.__new__(VPolytope)   # __post_init__ skipped
+    object.__setattr__(v, "dim", n)
+    v._reduce([(tuple(x * (q // y[n]) for x in y), t) for y, t in rays], h.facets)
+    return v
 
 
 def enumerate_vertices(h: HPolytope) -> VPolytope:
@@ -381,7 +390,9 @@ class LinearMap:
         rows = tuple(vec(r) for r in self.matrix)
         _check_shape(len(rows), rows, "matrix row")
         object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "determinant", _eliminate(rows)[2])
+        s = lcm(*(x.denominator for r in rows for x in r))
+        d = integer_det([[x.numerator * (s // x.denominator) for x in r] for r in rows])
+        object.__setattr__(self, "determinant", Fraction(d, s ** len(rows)))   # det(s t) / s^n
 
     def apply(self, p: Sequence) -> Vec:
         return tuple(dot(row, p) for row in self.matrix)
@@ -483,8 +494,7 @@ class ClipFamily:
             r0, dets = rows[s[0]], []   # det[(x_k, 1)] = (-1)^n det[x_k - x_0]
             edges = [[(x - a, e - b) for (x, e), (a, b) in zip(rows[k], r0)] for k in s[1:]]
             for c in range(n + 1):
-                pivots, sign, p = _bareiss([[x + c * e for x, e in r] for r in edges])
-                dets.append(sign * p if len(pivots) == n else 0)
+                dets.append(integer_det([[x + c * e for x, e in r] for r in edges]))
             o = 1 if sum(map(mul, mid, dets)) > 0 else -1
             sums = [o, *(o * sum(h) for c in zip(*(rows[k] for k in s)) for h in zip(*c))]
             nodes = [[t + y * x for t, x in zip(a, sums)] for y, a in zip(dets, nodes)]

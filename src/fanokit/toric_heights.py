@@ -157,8 +157,8 @@ def vertex_singularity_report(t: ToricLogFano) -> tuple[VertexSingularity, ...]:
     for i, p in enumerate(v.vertices):
         tight = tuple(k for k, m in enumerate(v.masks) if m >> i & 1)
         if len(tight) == v.dim:
-            d = abs(geom.LinearMap([v.facets[i].normal for i in tight]).determinant)
-            out.append(VertexSingularity(p, tight, True, int(d)))
+            d = abs(geom.integer_det([v.facets[k].normal for k in tight]))
+            out.append(VertexSingularity(p, tight, True, d))
         else:
             out.append(VertexSingularity(p, tight, False, None))
     return tuple(out)
@@ -187,7 +187,7 @@ def is_pn_polytope(v: VPolytope) -> bool:
     normals = [f.normal for f in v.facets]
     if any(sum(l[i] for l in normals) != 0 for i in range(n)):
         return False
-    return abs(geom.LinearMap(normals[:n]).determinant) == 1
+    return abs(geom.integer_det(normals[:n])) == 1
 
 
 # -- closed-form heights -------------------------------------------------------

@@ -21,7 +21,7 @@ from fanokit.errors import DegeneratePolytope, EmptyIntersection, UnboundedPolyt
 
 
 def fraction_eliminate(rows):
-    """Reference for ``geometry._eliminate``: Gauss-Jordan over Q with a
+    """Reference for ``geometry._bareiss``: Gauss-Jordan over Q with a
     ``Fraction`` division at every step.  Returns (reduced rows with unit
     pivots and zero rows last, pivot columns, determinant of a square input,
     0 when singular)."""
@@ -56,7 +56,7 @@ def _sub(u, v):
 
 def _kernel_vector(rows, ncols):
     """A spanning vector of the kernel when the nullity is exactly 1."""
-    m, pivots, _ = geom._eliminate(rows)
+    m, pivots, _ = fraction_eliminate(rows)
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) != 1:
         return None
@@ -95,7 +95,7 @@ def brute_force_vertices(h):
     feasible.  Returns (sorted vertices, sorted facets of h)."""
     n = h.dim
     normals = [f.normal for f in h.facets]
-    if len(geom._eliminate(normals)[1]) < n:
+    if len(fraction_eliminate(normals)[1]) < n:
         raise UnboundedPolytope("facet normals do not span the space")
     for comb in itertools.combinations(normals, n - 1):
         d = _kernel_vector(comb, n)
@@ -106,7 +106,7 @@ def brute_force_vertices(h):
                 raise UnboundedPolytope("recession direction exists")
     verts = set()
     for comb in itertools.combinations(h.facets, n):
-        m, pivots, _ = geom._eliminate([f.normal + (-f.offset,) for f in comb])
+        m, pivots, _ = fraction_eliminate([f.normal + (-f.offset,) for f in comb])
         if pivots == list(range(n)):
             p = tuple(row[n] for row in m)
             if h.contains(p):
@@ -114,7 +114,7 @@ def brute_force_vertices(h):
     if not verts:
         raise DegeneratePolytope("empty feasible set")
     out = tuple(sorted(verts))
-    if len(geom._eliminate([_sub(p, out[0]) for p in out])[1]) < n:
+    if len(fraction_eliminate([_sub(p, out[0]) for p in out])[1]) < n:
         raise DegeneratePolytope("feasible set has empty interior")
     return out, brute_force_facets(n, out)
 

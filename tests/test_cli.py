@@ -988,6 +988,17 @@ class TestFormerFailures:
         assert err == ("fanokit: input error: the volume triangulation has 362880 simplices, "
                        "more than the 100000 this computation sums\n")
 
+    def test_moment_curve_cloud_refused_fast(self, capsys):
+        # the double description of 40 moment-curve points in dimension 6 outgrows its budget
+        cloud = [[t ** k for k in range(1, 7)] for t in range(1, 41)]
+        start = time.perf_counter()
+        code, out, err = run_cli(["volume", "--json", json.dumps({"dim": 6, "vertices": cloud})],
+                                 capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("fanokit: input error: the double description holds ")
+        assert err.endswith(" past its budget of 5000 rays or 10000000 tests\n")
+
     def test_stability_polytope_level_that_rounds_to_one(self, capsys):
         # C = 3 - d^(1/2) rounds to 3.0, so the float level is 1: a numerical
         # failure of the irrational branch, not an input error

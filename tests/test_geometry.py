@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -334,6 +335,10 @@ class TestFacetsCarried:
         again = geom.enumerate_vertices(h)
         assert again == v
         assert_incidence(again, brute_force_vertices(h)[0], h.facets)
+        # the double description's incidence, whatever its first basis, is the cloud's
+        shuffled = HPolytope(dim, tuple(data.draw(st.permutations(h.facets))))
+        assert_incidence(geom.enumerate_vertices(shuffled), v.vertices, h.facets)
+        assert geom.enumerate_vertices(shuffled).masks == again.masks == v.masks
         rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
                                   min_size=dim, max_size=dim))
         t = LinearMap(tuple(tuple(r) for r in rows))
@@ -425,6 +430,105 @@ def repeated_and_redundant():
 
 HALF = F(1, 2)
 CUBE_3 = list(itertools.product((0, 1), repeat=3))
+
+
+def first_basis_det(h):
+    """Determinant of the rows the double description of h starts from."""
+    n = h.dim
+    rows = [geom.primitive_int_vector((*l, a)) for l, a in h.facets] + [(0,) * n + (1,)]
+    return geom.integer_det([rows[b] for b in geom._bareiss(list(zip(*rows)))[0]])
+
+
+def incidence_cases():
+    """H-inputs: the presets and two unimodular images of each, the non-simple
+    bodies, and a triangle whose first basis has a negative determinant."""
+    rng = random.Random(26)
+    for name, build in sorted(presets.POLYTOPE_PRESETS.items()):
+        h = build()
+        yield name, h
+        for k in range(2):
+            image = geom.transform(geom.enumerate_vertices(h), random_unimodular(rng, h.dim))
+            yield f"{name}-image-{k}", HPolytope(h.dim, image.facets)
+    yield "cross-3", cross_polytope(3)
+    yield "cross-4", cross_polytope(4)
+    yield "square-pyramid", SQUARE_PYRAMID
+    yield "repeated-redundant", repeated_and_redundant()
+    for k, h in enumerate(four_cube_images()):
+        yield f"cube-4-{k}", h
+    yield "negative-basis", HPolytope(2, presets.pn_polytope(2).facets[::-1])
+
+
+INCIDENCE_CASES = dict(incidence_cases())
+
+
+class TestIncidenceFromDoubleDescription:
+    """``enumerate_vertices`` reads the incidence off its double description's
+    tight rows, with no inequality evaluated at a vertex: it equals the
+    ``Fraction`` rule's on the brute-force vertices."""
+
+    @pytest.mark.parametrize("name", sorted(INCIDENCE_CASES))
+    def test_matches_fraction_incidence(self, name):
+        h = INCIDENCE_CASES[name]
+        geom._vertices_of.cache_clear()
+        assert_incidence(geom.enumerate_vertices(h), brute_force_vertices(h)[0], h.facets)
+
+    def test_negative_first_basis_is_covered(self):
+        assert first_basis_det(INCIDENCE_CASES["negative-basis"]) < 0
+
+    def test_no_inequality_evaluated(self, monkeypatch):
+        h = INCIDENCE_CASES["p3-blowup-image-0"]
+        geom._vertices_of.cache_clear()
+        monkeypatch.setattr(VPolytope, "__post_init__", None)   # a call would fail
+        v = geom.enumerate_vertices(h)
+        monkeypatch.undo()
+        assert_incidence(v, brute_force_vertices(h)[0], h.facets)
+
+    @pytest.mark.parametrize("h, error, message", [
+        (HPolytope(2, (((1, 0), 1), ((-1, 0), 1))), UnboundedPolytope,
+         "facet normals do not span the space"),
+        (HPolytope(2, (((1, 0), 0), ((0, 1), 0), ((1, -1), 1))), UnboundedPolytope,
+         "recession direction exists"),
+        (HPolytope(2, (((1, 0), -1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1))),
+         DegeneratePolytope, "empty feasible set"),
+        (HPolytope(2, (((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1))),
+         DegeneratePolytope, "polytope is not full-dimensional"),
+    ], ids=["non-spanning", "unbounded", "empty", "lower-dimensional"])
+    def test_refusals_keep_class_and_message(self, h, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            geom.enumerate_vertices(h)
+
+    def test_oversized_cloud_refused_fast(self):
+        # the cyclic 6-polytope on 40 moment-curve points has 8,400 facets
+        cloud = [tuple(t ** k for k in range(1, 7)) for t in range(1, 41)]
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match=f"past its budget of {geom.MAX_RAYS} rays or "
+                                             f"{geom.MAX_RAY_TESTS} tests$"):
+            VPolytope.from_points(6, cloud)
+        assert time.perf_counter() - start < 1.0
+
+    def test_ray_test_budget_is_per_row(self, monkeypatch):
+        h, budget = cross_polytope(3), 0
+        while True:   # raise the budget to each refused row's count until one passes
+            monkeypatch.setattr(geom, "MAX_RAY_TESTS", budget)
+            geom._vertices_of.cache_clear()
+            try:
+                v = geom.enumerate_vertices(h)
+                break
+            except OutOfRange as refused:
+                count = int(str(refused).split(" would make ")[1].split()[0])
+                assert count > budget
+                budget = count
+        assert budget > 0 and v.vertices == brute_force_vertices(h)[0]
+        monkeypatch.setattr(geom, "MAX_RAY_TESTS", budget - 1)
+        geom._vertices_of.cache_clear()
+        with pytest.raises(OutOfRange, match=f"would make {budget} ray tests"):
+            geom.enumerate_vertices(h)
+
+    def test_ray_budget(self, monkeypatch):
+        monkeypatch.setattr(geom, "MAX_RAYS", 3)
+        geom._vertices_of.cache_clear()
+        with pytest.raises(OutOfRange, match="holds 4 rays"):
+            geom.enumerate_vertices(unit_cube(3))
 
 
 class TestDoubleDescription:
@@ -806,8 +910,10 @@ def _rational_matrix(draw, rows, cols, kind):
 
 
 class TestEliminate:
-    """The fraction-free elimination returns exactly what Gauss-Jordan over
-    Fractions returns: the same reduced rows, pivots and determinant."""
+    """``_bareiss``, the one elimination routine, does what Gauss-Jordan over
+    Fractions does: on the rows scaled to integers it finds the same pivots,
+    its rows divided by d are the same reduced rows, and sign * d over the
+    row scales is the determinant, the one ``LinearMap`` reports."""
 
     @pytest.mark.parametrize("rows, cols", [(4, 4), (3, 6), (6, 3), (1, 5)],
                              ids=["square", "wide", "tall", "one-row"])
@@ -816,12 +922,20 @@ class TestEliminate:
     @given(data=st.data())
     def test_matches_fraction_gauss_jordan(self, rows, cols, kind, data):
         m = data.draw(_rational_matrix(rows, cols, kind))
-        got = geom._eliminate(m)
-        assert got == fraction_eliminate(m)
-        assert all(type(x) is F for r in got[0] for x in r) and type(got[2]) is F
+        reduced, pivots, det = fraction_eliminate(m)
+        scales = [math.lcm(*(x.denominator for x in r)) for r in m]
+        ints = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(m, scales)]
+        got, sign, d = geom._bareiss(ints)
+        assert got == pivots
+        assert [[F(a, d) for a in r] for r in ints] == reduced
+        full = F(sign * d, math.prod(scales)) if len(pivots) == rows else 0
+        assert full == det
+        if rows == cols:
+            assert LinearMap(m).determinant == det
 
     def test_empty_input(self):
-        assert geom._eliminate([]) == fraction_eliminate([]) == ([], [], 1)
+        assert geom._bareiss([]) == ([], 1, 1)
+        assert fraction_eliminate([]) == ([], [], 1)
 
 
 class TestConstructorsCheckTheirInput:

@@ -91,6 +91,27 @@ class TestSingularities:
         assert th.is_smooth(ToricLogFano(presets.pn_polytope(2)))
         assert not th.is_smooth(ToricLogFano(presets.weighted_p112_polytope()))
 
+    @pytest.mark.parametrize("name", [*sorted(presets.POLYTOPE_PRESETS), "weighted-p112",
+                                      "cross-3"])
+    def test_determinants_equal_linear_map(self, name):
+        """The integer determinants of the vertex cones and of the P^n test are
+        those of ``LinearMap`` on the same normals, on each body and two
+        unimodular images of it."""
+        h = {"weighted-p112": presets.weighted_p112_polytope,
+             "cross-3": lambda: HPolytope(3, tuple(((a, b, c), 1) for a in (1, -1)
+                                                   for b in (1, -1) for c in (1, -1))),
+             **presets.POLYTOPE_PRESETS}[name]()
+        v, rng = geom.enumerate_vertices(h), random.Random(26)
+        for body in [v, *(geom.transform(v, random_unimodular(rng, v.dim)) for _ in range(2))]:
+            t = ToricLogFano(body)
+            for r in th.vertex_singularity_report(t):
+                normals = [body.facets[k].normal for k in r.facet_indices]
+                assert r.det == (abs(geom.LinearMap(normals).determinant) if r.simple else None)
+            normals, n = [f.normal for f in body.facets], body.dim
+            assert th.is_pn_polytope(body) == (
+                len(normals) == n + 1 and not any(map(sum, zip(*normals)))
+                and abs(geom.LinearMap(normals[:n]).determinant) == 1)
+
 
 class TestGorenstein:
     def test_pn(self):
