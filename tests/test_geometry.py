@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -958,6 +959,15 @@ class TestConstructorsCheckTheirInput:
         with pytest.raises(error):
             build()
         assert issubclass(error, InputError)
+
+    def test_integer_readers_take_every_rational_type(self):
+        # ints, Fractions, and what Fraction itself reads: strings, floats, Decimals
+        mixed = (F(-1, 2), "3/4", 0.25, Decimal("-1.5"), 2, True)
+        assert geom.primitive_int_vector(mixed) == (-2, 3, 1, -6, 8, 4)
+        assert geom.make_facet(mixed, "-3/8") == geom.make_facet((-2, 3, 1, -6, 8, 4), F(-3, 2))
+        ends = (geom.make_facet((1,), F(-1, 2)), geom.make_facet((-1,), 0.75))
+        v = VPolytope(1, ((F(1, 2),), ("3/4",), (Decimal("0.5"),), (F(5, 8),)), ends)
+        assert (v.vertices, v.rows) == (((F(1, 2),), (F(3, 4),)), ((4, 8), (6, 8)))
 
     def test_cloud_lengths_checked_before_double_description(self, monkeypatch):
         monkeypatch.setattr(geom, "facets_from_points", None)   # a call would fail
