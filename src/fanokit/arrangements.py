@@ -75,10 +75,6 @@ class StabilityPolytope:
     c_exact: bool
     vertices: tuple[WeightVector, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
 
 def _nth_root_exact(x: Fraction, n: int) -> Fraction | None:
     def iroot(v: int) -> int | None:

@@ -35,12 +35,10 @@ from .errors import (
 
 
 def _load_input(args) -> dict | None:
-    if getattr(args, "json", None) and getattr(args, "input", None):
+    if args.json and args.input:
         raise InputError("use --input or --json, not both")
-    raw = None
-    if getattr(args, "json", None):
-        raw = args.json
-    elif getattr(args, "input", None):
+    raw = args.json or None
+    if raw is None and args.input:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -67,26 +65,20 @@ def _target(args, data) -> float:
     return eps
 
 
-def _read_polytope(data, args=None) -> geom.HPolytope | geom.VPolytope:
-    preset = getattr(args, "preset", None) if args is not None else None
-    if preset:
+def _read_polytope(data, args) -> geom.HPolytope | geom.VPolytope:
+    if args.preset:
         if data is not None:
             raise InputError("give either --preset or an input, not both")
-        return presets.POLYTOPE_PRESETS[preset]()
+        return presets.POLYTOPE_PRESETS[args.preset]()
     if data is None:
         raise InputError("missing input: give --input, --json or --preset")
     return jsonio.polytope_from_json(data)
 
 
-def _need_polytope(data, args=None) -> geom.VPolytope:
+def _need_polytope(data, args) -> geom.VPolytope:
     """The input polytope with its vertices and facets; a point cloud is already hulled."""
     p = _read_polytope(data, args)
     return p if isinstance(p, geom.VPolytope) else geom.enumerate_vertices(p)
-
-
-def _toric_from(data, args=None) -> toric.ToricLogFano:
-    # ToricLogFano checks every given offset before it enumerates the vertices
-    return toric.ToricLogFano(_read_polytope(data, args))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -97,7 +89,8 @@ def _cmd_semistable(args, data) -> dict:
         # so full_criterion repeats the one exact test
         ok = arr.is_arrangement_semistable(jsonio.weights_from_json(data))
         return {"kind": "arrangement", "semistable": ok, "full_criterion": ok}
-    t = _toric_from(data, args)
+    # ToricLogFano checks every given offset before it enumerates the vertices
+    t = toric.ToricLogFano(_read_polytope(data, args))
     return {
         "kind": "toric",
         "semistable": toric.is_k_semistable(t),
@@ -132,14 +125,14 @@ def _cmd_barycenter(args, data) -> dict:
 
 
 def _cmd_sx(args, data) -> dict:
-    if args.preset:
-        result = sx.sx_invariant(*presets.SX_PRESETS[args.preset]())
-        payload = result.to_json()
-        payload["preset"] = args.preset
-        payload["closed_form_w"] = presets.SX_CLOSED_FORM_W[args.preset]
-        return payload
-    result = sx.sx_invariant(_need_polytope(data))
-    return result.to_json()
+    if not args.preset:
+        return sx.sx_invariant(_need_polytope(data, args)).to_json()
+    if data is not None:
+        raise InputError("give either --preset or an input, not both")
+    payload = sx.sx_invariant(*presets.SX_PRESETS[args.preset]()).to_json()
+    payload["preset"] = args.preset
+    payload["closed_form_w"] = presets.SX_CLOSED_FORM_W[args.preset]
+    return payload
 
 
 def _cmd_pn_height(args, data) -> dict:
@@ -169,7 +162,7 @@ def _cmd_universal_bound(args, data) -> dict:
 
 
 def _cmd_gap_check(args, data) -> dict:
-    t = _toric_from(data, args)
+    t = toric.ToricLogFano(_read_polytope(data, args))
     report = toric.gap_check(t)
     sing = report.singularities
     gorenstein = None
@@ -344,7 +337,7 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
 
 
 def _cmd_reproduce_paper(args, data) -> dict:
-    rows = _reproduce_rows(perturb=bool(getattr(args, "perturb", False)))
+    rows = _reproduce_rows(perturb=args.perturb)
     all_pass = all(r["pass"] for r in rows)
     payload = {"rows": rows, "all_pass": all_pass}
     if not all_pass:

@@ -53,14 +53,6 @@ def vec(xs: Iterable) -> Vec:
     return tuple(_frac(x) for x in xs)
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((_frac(a) * _frac(b) for a, b in zip(u, v)), Fraction(0))
-
-
-def vadd(u: Sequence, v: Sequence) -> Vec:
-    return tuple(_frac(a) + _frac(b) for a, b in zip(u, v))
-
-
 def _ratio(x) -> tuple[int, int]:
     """(numerator, denominator > 0) of any exact rational ``Fraction`` takes."""
     return x.as_integer_ratio() if type(x) in (int, Fraction) else Fraction(x).as_integer_ratio()
@@ -201,9 +193,6 @@ class HPolytope:
         _check_shape(self.dim, (f.normal for f in canon), "facet normal")
         object.__setattr__(self, "facets", canon)
 
-    def contains(self, p: Sequence) -> bool:
-        return all(dot(f.normal, p) >= -f.offset for f in self.facets)
-
 
 @dataclass(frozen=True)
 class VPolytope:
@@ -217,7 +206,8 @@ class VPolytope:
     masks of its double description instead.  Either way a point is kept iff
     no other point is tight on every inequality tight on it, an inequality iff
     its set of kept points is nonempty and maximal.  ``vertices`` and
-    ``facets`` come out sorted, ``rows`` by vertex and ``masks`` by facet.
+    ``facets`` come out sorted, ``rows`` by vertex, over the vertices' own
+    least common denominator, and ``masks`` by facet.
     """
 
     dim: int
@@ -248,11 +238,14 @@ class VPolytope:
                 if reduce(and_, (m for m in masks if m >> i & 1), (1 << len(rows)) - 1) == 1 << i]
         masks = [sum(1 << j for j, i in enumerate(keep) if m >> i & 1) for m in masks]
         facets = [k for k, m in enumerate(masks) if m and not any(m & u == m != u for u in masks)]
+        rows = [rows[i] for i in keep]
+        if (g := gcd(*(x for r in rows for x in r))) > 1:   # q took in dropped points too
+            rows = [tuple(x // g for x in r) for r in rows]
         q = rows[0][-1]
-        object.__setattr__(self, "vertices", tuple(tuple(Fraction(x, q) for x in rows[i][:-1])
-                                                   for i in keep))
+        object.__setattr__(self, "vertices", tuple(tuple(Fraction(x, q) for x in r[:-1])
+                                                   for r in rows))
         object.__setattr__(self, "facets", tuple(ineqs[k] for k in facets))
-        object.__setattr__(self, "rows", tuple(rows[i] for i in keep))
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "masks", tuple(masks[k] for k in facets))
 
     @classmethod
@@ -394,9 +387,6 @@ class LinearMap:
         d = integer_det([[x.numerator * (s // x.denominator) for x in r] for r in rows])
         object.__setattr__(self, "determinant", Fraction(d, s ** len(rows)))   # det(s t) / s^n
 
-    def apply(self, p: Sequence) -> Vec:
-        return tuple(dot(row, p) for row in self.matrix)
-
 
 def transform(v: VPolytope, t: LinearMap) -> VPolytope:
     """Image polytope under an invertible linear map.
@@ -415,12 +405,6 @@ def transform(v: VPolytope, t: LinearMap) -> VPolytope:
                               d * d * a / s) for l, a in v.facets)
     return VPolytope(n, tuple(tuple(Fraction(sum(map(mul, row, r)), s * r[n]) for row in m)
                               for r in v.rows), facets)
-
-
-def translate(v: VPolytope, shift: Sequence) -> VPolytope:
-    s = vec(shift)
-    facets = tuple(Facet(l, a - dot(l, s)) for l, a in v.facets)
-    return VPolytope(v.dim, tuple(vadd(p, s) for p in v.vertices), facets)
 
 
 # -- clipping -------------------------------------------------------------------
@@ -451,7 +435,7 @@ def clip_family(base: VPolytope, normal: Sequence) -> ClipFamily:
     volume and det * sum(U + C W) to the moment, its det taken at C = 0..n
     (0 where it collapses), fitted by one integer inverse Vandermonde and
     signed at the slab's midpoint.  A cut-off p/q, a level included (it goes
-    to the slab above), is integer Horner over one D, as are moment_sign and root."""
+    to the slab above), is integer Horner over one D, as is root."""
     # a rational normal is scaled to integers once: <normal, x> <= c iff <s normal, x> <= s c
     s = lcm(*(_frac(x).denominator for x in normal))
     return ClipFamily(base, [(_frac(x) * s).numerator for x in normal], s)
@@ -522,10 +506,6 @@ class ClipFamily:
     def __call__(self, c) -> tuple[Fraction, Vec]:
         dq, y = self._horner(*_frac(c).as_integer_ratio(), self.base.dim + 2)
         return Fraction(y[1], dq), tuple(Fraction(t, dq) for t in y[2:])
-
-    def moment_sign(self, p: int, q: int) -> int:
-        y = self._horner(p, q, 1)[1][0]
-        return (y > 0) - (y < 0)
 
     def root(self, p: int, q: int, steps: int) -> int:
         """The j with M(x_j) < 0 <= M(x_(j+1)) on x_j = p j / (q 2^steps), M(c) the moment

@@ -1,8 +1,10 @@
-"""Shared test oracles: Gauss-Jordan elimination over ``Fraction``,
-brute-force exact H->V and V->H conversion, the vertex-facet incidence by
-``Fraction`` dots, an exact clip per cut-off and the ``Fraction`` bisection
-of S(X) over it, Monte Carlo volume estimation, random polytope and
-unimodular-matrix generation, the simplex difference (a Delta_n - 1) \\
+"""Shared test oracles: ``Fraction`` vector arithmetic, linear maps on
+points, translation, the sign of a clip family's moment at one cut-off,
+Gauss-Jordan elimination over ``Fraction``, brute-force exact H->V and
+V->H conversion, the vertex-facet incidence by ``Fraction`` dots, an
+exact clip per cut-off and the ``Fraction`` bisection of S(X) over it,
+Monte Carlo volume estimation, random polytope and unimodular-matrix
+generation, the simplex difference (a Delta_n - 1) \\
 (b Delta_n - 1) and its closed-form barycenter, lattice subpolygons and a
 GL(2, Z) normal form, and a floating-point half-space clipper used to
 sample candidate cuts independently of the exact kernel."""
@@ -18,6 +20,34 @@ from scipy.spatial import ConvexHull, QhullError
 
 from fanokit import geometry as geom
 from fanokit.errors import DegeneratePolytope, EmptyIntersection, UnboundedPolytope
+
+
+def dot(u, v) -> Fraction:
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def vadd(u, v) -> tuple[Fraction, ...]:
+    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
+
+
+def apply(t: geom.LinearMap, p) -> tuple[Fraction, ...]:
+    """The image of the point p under the linear map t."""
+    return tuple(dot(row, p) for row in t.matrix)
+
+
+def translate(v: geom.VPolytope, shift) -> geom.VPolytope:
+    """v moved by shift, built by the ``VPolytope`` constructor from the
+    moved vertices and the moved facets."""
+    s = geom.vec(shift)
+    facets = tuple(geom.Facet(l, a - dot(l, s)) for l, a in v.facets)
+    return geom.VPolytope(v.dim, tuple(vadd(p, s) for p in v.vertices), facets)
+
+
+def moment_sign(family: geom.ClipFamily, p: int, q: int) -> int:
+    """Sign of the moment along the normal of ``family`` at the cut-off p/q,
+    read off the integer column that ``ClipFamily.root`` reads."""
+    y = family._horner(p, q, 1)[1][0]
+    return (y > 0) - (y < 0)
 
 
 def fraction_eliminate(rows):
@@ -80,8 +110,8 @@ def brute_force_facets(dim, points):
         if normal is None:
             continue
         prim = geom.primitive_int_vector(normal)
-        b = geom.dot(prim, comb[0])
-        sides = {(geom.dot(prim, p) > b) - (geom.dot(prim, p) < b) for p in pts}
+        b = dot(prim, comb[0])
+        sides = {(dot(prim, p) > b) - (dot(prim, p) < b) for p in pts}
         if sides >= {1, -1}:
             continue
         # orient inward: <l, p> >= -offset at every point
@@ -102,14 +132,14 @@ def brute_force_vertices(h):
         if d is None:
             continue
         for cand in (d, tuple(-x for x in d)):
-            if all(geom.dot(f.normal, cand) >= 0 for f in h.facets):
+            if all(dot(f.normal, cand) >= 0 for f in h.facets):
                 raise UnboundedPolytope("recession direction exists")
     verts = set()
     for comb in itertools.combinations(h.facets, n):
         m, pivots, _ = fraction_eliminate([f.normal + (-f.offset,) for f in comb])
         if pivots == list(range(n)):
             p = tuple(row[n] for row in m)
-            if h.contains(p):
+            if all(dot(f.normal, p) >= -f.offset for f in h.facets):
                 verts.add(p)
     if not verts:
         raise DegeneratePolytope("empty feasible set")
@@ -127,10 +157,10 @@ def fraction_incidence(points, inequalities):
     Returns (sorted vertices, sorted facets, one vertex bit mask per facet)."""
     pts = sorted({geom.vec(p) for p in points})
     ineqs = sorted(set(inequalities))
-    tight = [{f for f in ineqs if geom.dot(f.normal, p) == -f.offset} for p in pts]
+    tight = [{f for f in ineqs if dot(f.normal, p) == -f.offset} for p in pts]
     verts = [p for i, p in enumerate(pts)
              if not any(j != i and tight[i] <= u for j, u in enumerate(tight))]
-    on = [frozenset(i for i, p in enumerate(verts) if geom.dot(f.normal, p) == -f.offset)
+    on = [frozenset(i for i, p in enumerate(verts) if dot(f.normal, p) == -f.offset)
           for f in ineqs]
     facets = [k for k, t in enumerate(on) if t and not any(t < u for u in on)]
     return (tuple(verts), tuple(ineqs[k] for k in facets),
@@ -154,10 +184,10 @@ def fraction_bisection_cutoff(v):
     2^-50, reading the sign of <u, moment> off a ``Fraction`` clip at every
     step, and return the bracket's midpoint."""
     u = geom.primitive_int_vector(geom.volume_and_moment(v)[1])
-    lo, hi = Fraction(0), max(geom.dot(u, p) for p in v.vertices)
+    lo, hi = Fraction(0), max(dot(u, p) for p in v.vertices)
     while hi - lo > Fraction(1, 2**50):
         mid = (lo + hi) / 2
-        if geom.dot(u, clip_volume_and_moment(v, u, mid)[1]) < 0:
+        if dot(u, clip_volume_and_moment(v, u, mid)[1]) < 0:
             lo = mid
         else:
             hi = mid
@@ -201,7 +231,7 @@ def _lattice_points(v: geom.VPolytope) -> list[tuple[int, int]]:
     (x0, y0), (x1, y1) = ([math.floor(min(c)) for c in zip(*v.vertices)],
                           [math.ceil(max(c)) for c in zip(*v.vertices)])
     return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
-            if all(geom.dot(f.normal, (x, y)) >= -f.offset for f in v.facets)]
+            if all(dot(f.normal, (x, y)) >= -f.offset for f in v.facets)]
 
 
 def lattice_subpolygons(v: geom.VPolytope) -> list[geom.VPolytope]:

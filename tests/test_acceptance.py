@@ -19,7 +19,14 @@ from fanokit.arrangements import WeightVector
 from fanokit.hypersurfaces import DiagonalHypersurfaceSpec
 from fanokit.zeta import ZetaHeightInput
 
-from helpers import mc_volume_estimate, random_rational_polytope, random_unimodular
+from helpers import (
+    apply,
+    mc_volume_estimate,
+    random_rational_polytope,
+    random_unimodular,
+    translate,
+    vadd,
+)
 from test_arrangements import rational_degree
 
 ZETA_PRIME_MINUS1_AT_1 = -0.165421143700450929213919660243  # 1/12 - log(A)
@@ -74,8 +81,8 @@ def test_criterion_4_stability_polytope():
     for v in sp.vertices:
         assert arr.is_arrangement_semistable(v)
         assert arr.arrangement_degree(v) == 1
-    assert arr.stability_polytope(1, 1, 1).is_empty
-    assert arr.stability_polytope(2, 2, 4).is_empty
+    assert not arr.stability_polytope(1, 1, 1).vertices
+    assert not arr.stability_polytope(2, 2, 4).vertices
     _report(4, "(n,m,D)=(1,3,1): 3 semistable vertices of degree 1; "
                "m = n polytopes empty")
 
@@ -134,10 +141,9 @@ def test_criterion_8_geometry_oracle():
         v = random_rational_polytope(rng, rng.randint(2, 4))
         u = random_unimodular(rng, v.dim)
         shift = tuple(F(rng.randint(-3, 3), 2) for _ in range(v.dim))
-        moved = geom.translate(geom.transform(v, u), shift)
+        moved = translate(geom.transform(v, u), shift)
         assert geom.volume(moved) == geom.volume(v)
-        assert geom.barycenter(moved) == geom.vadd(
-            u.apply(geom.barycenter(v)), shift)
+        assert geom.barycenter(moved) == vadd(apply(u, geom.barycenter(v)), shift)
     _report(8, "exact volumes within 3 sigma of 1e6-sample Monte Carlo on 20 "
                "polytopes; equivariance and unimodular invariance exact on 20")
 

@@ -118,8 +118,8 @@ class TestStabilityPolytope:
             assert arr.arrangement_degree(v) == 1
 
     def test_empty_when_too_few_hyperplanes(self):
-        assert arr.stability_polytope(2, 2, 4).is_empty
-        assert arr.stability_polytope(3, 3, 10).is_empty
+        assert not arr.stability_polytope(2, 2, 4).vertices
+        assert not arr.stability_polytope(3, 3, 10).vertices
 
     def test_single_vertex_when_m_equals_n_plus_one(self):
         sp = arr.stability_polytope(2, 3, 1)

@@ -824,13 +824,16 @@ class TestInputPaths:
         (["volume", "--input", "p3.json", "--json", P3_JSON], "use --input or --json, not both"),
         (["volume", "--json", "[1, 2]"], "top-level JSON must be an object"),
         (["volume", "--preset", "p3", "--json", P3_JSON], "give either --preset or an input"),
+        (["sx", "--preset", "p3-blowup", "--json", P3_JSON], "give either --preset or an input"),
+        (["sx", "--preset", "p3-blowup", "--json", '{"batch": [1, 2]}'],
+         "give either --preset or an input"),
         (["volume", "--json", '{"batch": {"dim": 1}}'], "'batch' must be a list"),
         (["sx"], "missing input: give --input, --json or --preset"),
         (["arrangement-bound"], "weights JSON needs 'n' and a 'weights' list"),
         (["diagonal"], "diagonal needs JSON"),
         (["p1-zeta-height"], "p1-zeta-height needs JSON"),
-    ], ids=["input-and-json", "top-level-array", "preset-and-input", "batch-not-list",
-            "sx-no-input", "arrangement-bound-no-input", "diagonal-no-input",
+    ], ids=["input-and-json", "top-level-array", "preset-and-input", "sx-preset-and-input",
+            "sx-preset-and-batch", "batch-not-list", "sx-no-input", "arrangement-bound-no-input", "diagonal-no-input",
             "p1-zeta-height-no-input"])
     def test_refused(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -29,14 +29,19 @@ from fanokit import sx_optimizer as sx
 from fanokit.geometry import HPolytope, LinearMap, VPolytope
 
 from helpers import (
+    apply,
     brute_force_facets,
     brute_force_vertices,
     clip_volume_and_moment,
+    dot,
     fraction_eliminate,
     fraction_incidence,
     mc_volume_estimate,
+    moment_sign,
     random_rational_polytope,
     random_unimodular,
+    translate,
+    vadd,
 )
 
 
@@ -107,7 +112,7 @@ class TestEnumerateVertices:
             v = random_rational_polytope(rng, rng.randint(2, 4))
             h = HPolytope(v.dim, v.facets)
             for p in geom.enumerate_vertices(h).vertices:
-                assert h.contains(p)
+                assert all(dot(f.normal, p) >= -f.offset for f in h.facets)
 
     def test_from_points_drops_non_extreme(self):
         square_plus_center = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (2, 1)]
@@ -151,7 +156,7 @@ class TestVolume:
             if all(x == 0 for x in normal):
                 normal = tuple([F(1)] + [F(0)] * (v.dim - 1))
             cut = F(rng.randint(-1, 1), 2)
-            vals = [geom.dot(normal, p) for p in v.vertices]
+            vals = [dot(normal, p) for p in v.vertices]
             if not (min(vals) < cut < max(vals)):
                 continue
             lo = geom.intersect_halfspace(v, normal, cut)
@@ -168,7 +173,7 @@ class TestBarycenter:
     @pytest.mark.parametrize("a", [F(4), F(5), F(7, 2)])
     def test_shifted_simplex(self, a):
         # a*Delta_3 - 1 has barycenter (a/4 - 1) * (1,1,1)
-        v = geom.translate(scaled_simplex(3, a), (-1, -1, -1))
+        v = translate(scaled_simplex(3, a), (-1, -1, -1))
         assert geom.barycenter(v) == tuple(F(a, 4) - 1 for _ in range(3))
 
     def test_simplex_difference(self):
@@ -187,8 +192,8 @@ class TestBarycenter:
             v = random_rational_polytope(rng, rng.randint(2, 3))
             t = random_unimodular(rng, v.dim)
             shift = tuple(F(rng.randint(-4, 4), 3) for _ in range(v.dim))
-            moved = geom.translate(geom.transform(v, t), shift)
-            expected = geom.vadd(t.apply(geom.barycenter(v)), shift)
+            moved = translate(geom.transform(v, t), shift)
+            expected = vadd(apply(t, geom.barycenter(v)), shift)
             assert geom.barycenter(moved) == expected
 
 
@@ -228,7 +233,7 @@ class TestTransform:
             t = random_unimodular(rng, v.dim)
             shift = tuple(F(rng.randint(-3, 3)) for _ in range(v.dim))
             assert abs(t.determinant) == 1
-            moved = geom.translate(geom.transform(v, t), shift)
+            moved = translate(geom.transform(v, t), shift)
             assert geom.volume(moved) == geom.volume(v)
 
     def test_volume_scales_by_det(self):
@@ -251,7 +256,7 @@ class TestTransform:
             if t.determinant == 0:
                 continue
             signs.add(t.determinant > 0)
-            hull = VPolytope.from_points(v.dim, [t.apply(p) for p in v.vertices])
+            hull = VPolytope.from_points(v.dim, [apply(t, p) for p in v.vertices])
             image = geom.transform(v, t)
             assert (image.vertices, image.facets, image.masks) == (
                 hull.vertices, hull.facets, hull.masks)
@@ -275,7 +280,7 @@ class TestIntersectHalfspace:
         v = geom.enumerate_vertices(P3_POLYTOPE)
         w = F(1, 2)
         cut = geom.intersect_halfspace(v, (1, 1, 1), (4 - w) - 3)
-        expect = geom.translate(scaled_simplex(3, 4 - w), (-1, -1, -1))
+        expect = translate(scaled_simplex(3, 4 - w), (-1, -1, -1))
         assert cut.vertices == expect.vertices
 
     def test_cut_to_nothing(self):
@@ -303,10 +308,11 @@ def assert_facets_invariant(v):
 def assert_incidence(v, points, inequalities):
     """v is the Fraction rule's reading of points and inequalities: the same
     vertices, facets and vertex masks, with its facets a fresh hull of its
-    vertices and its rows the vertices over one denominator."""
+    vertices and its rows the vertices over their least common denominator."""
     assert (v.vertices, v.facets, v.masks) == fraction_incidence(points, inequalities)
     assert v.facets == geom.facets_from_points(v.dim, v.vertices)
     assert [tuple(F(x, r[-1]) for x in r[:-1]) for r in v.rows] == list(v.vertices)
+    assert math.gcd(*(x for r in v.rows for x in r)) == 1
 
 
 @st.composite
@@ -346,17 +352,17 @@ class TestFacetsCarried:
         if t.determinant != 0:
             image = geom.transform(v, t)
             assert_facets_invariant(image)
-            moved = [t.apply(p) for p in v.vertices]
+            moved = [apply(t, p) for p in v.vertices]
             assert_incidence(image, moved, brute_force_facets(dim, moved))
         shift = data.draw(st.lists(st.fractions(-2, 2, max_denominator=4),
                                    min_size=dim, max_size=dim))
-        shifted = geom.translate(v, shift)
+        shifted = translate(v, shift)
         assert_facets_invariant(shifted)
-        moved = [geom.vadd(p, shift) for p in v.vertices]
+        moved = [vadd(p, shift) for p in v.vertices]
         assert_incidence(shifted, moved, brute_force_facets(dim, moved))
         normal = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
                            .filter(any))
-        vals = sorted(geom.dot(normal, p) for p in v.vertices)
+        vals = sorted(dot(normal, p) for p in v.vertices)
         if vals[0] < vals[-1]:
             share = data.draw(st.fractions(0, 1, max_denominator=4).filter(bool))
             cut = vals[0] + share * (vals[-1] - vals[0])
@@ -398,9 +404,9 @@ class TestFiveDimensional:
         for _ in range(2):
             t = random_unimodular(rng, 5)
             shift = tuple(F(rng.randint(-3, 3), 2) for _ in range(5))
-            moved = geom.translate(geom.transform(v, t), shift)
+            moved = translate(geom.transform(v, t), shift)
             assert geom.volume(moved) == vol
-            assert geom.barycenter(moved) == geom.vadd(t.apply(bary), shift)
+            assert geom.barycenter(moved) == vadd(apply(t, bary), shift)
 
 
 def cross_polytope(n):
@@ -607,7 +613,7 @@ def mixed_denominator_image(n):
     coordinates have coprime denominators, so that the vertices carry
     different denominators and their common denominator is large."""
     v = geom.transform(seeded_cloud(n), random_unimodular(random.Random(80 + n), n))
-    return geom.translate(v, [F(k + 1, p) for k, p in zip(range(n), (3, 7, 11, 13, 17))])
+    return translate(v, [F(k + 1, p) for k, p in zip(range(n), (3, 7, 11, 13, 17))])
 
 
 class TestPullingTriangulation:
@@ -693,7 +699,7 @@ class TestClipFamily:
             u = tuple(rng.randint(-3, 3) for _ in range(n))
             if any(u):
                 break
-        levels = sorted({geom.dot(u, p) for p in v.vertices})
+        levels = sorted({dot(u, p) for p in v.vertices})
         bounds = [levels[0] - 3, *levels, levels[-1] + 3]
         # n + 4 points strictly inside each slab, and every level twice
         cs = [lo + (hi - lo) * F(rng.randint(1, 999), 1000)
@@ -748,7 +754,7 @@ class TestClipFamilyEdgeRule:
     def test_matches_a_clip_per_cutoff(self, v, data):
         u = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=v.dim, max_size=v.dim)
                             .filter(any), label="normal"))
-        levels = sorted({geom.dot(u, p) for p in v.vertices})
+        levels = sorted({dot(u, p) for p in v.vertices})
         bounds = [levels[0] - 1, *levels, levels[-1] + 1]
         cs = list(levels)
         for lo, hi in zip(bounds, bounds[1:]):
@@ -760,16 +766,16 @@ class TestClipFamilyEdgeRule:
         for c in data.draw(st.permutations(cs), label="order"):
             vol, mom = clip_volume_and_moment(v, u, c)
             assert family(c) == (vol, mom)
-            s = geom.dot(u, mom)
+            s = dot(u, mom)
             # the cut-off as an integer pair, not necessarily reduced
             k = data.draw(st.integers(1, 3), label="scale")
-            assert family.moment_sign(k * c.numerator, k * c.denominator) == (s > 0) - (s < 0)
+            assert moment_sign(family, k * c.numerator, k * c.denominator) == (s > 0) - (s < 0)
 
     @pytest.mark.parametrize("name", sorted(NON_SIMPLE_BODIES))
     def test_every_slab_along_the_ones_vector(self, name, monkeypatch):
         v = NON_SIMPLE_BODIES[name]
         u = (1,) * v.dim
-        levels = sorted({geom.dot(u, p) for p in v.vertices})
+        levels = sorted({dot(u, p) for p in v.vertices})
         family = geom.clip_family(v, u)
         # the type read off the base has the clip's facets and vertices, and no more
         inner = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
@@ -798,14 +804,14 @@ class TestClipFamilyEdgeRule:
 def assert_family_is_clip(v, u):
     """The family and its moment sign equal a clip at every level and at
     three points inside every slab, the two outer ones included."""
-    levels = sorted({geom.dot(u, p) for p in v.vertices})
+    levels = sorted({dot(u, p) for p in v.vertices})
     family = geom.clip_family(v, u)
     for lo, hi in zip([levels[0] - 1, *levels], [*levels, levels[-1] + 1]):
         for c in (lo, lo + (hi - lo) / 3, hi - (hi - lo) / 7):
             vol, mom = clip_volume_and_moment(v, u, c)
             assert family(c) == (vol, mom)
-            s = geom.dot(u, mom)
-            assert family.moment_sign(c.numerator, c.denominator) == (s > 0) - (s < 0)
+            s = dot(u, mom)
+            assert moment_sign(family, c.numerator, c.denominator) == (s > 0) - (s < 0)
 
 
 class TestClipFamilyIntegerFit:
@@ -819,8 +825,8 @@ class TestClipFamilyIntegerFit:
     def test_moved_along_u(self, name, shift):
         v = geom.enumerate_vertices(presets.POLYTOPE_PRESETS[name]())
         u = geom.primitive_int_vector(geom.volume_and_moment(v)[1])
-        moved = geom.translate(v, [shift * x for x in u])
-        levels = [geom.dot(u, p) for p in moved.vertices]
+        moved = translate(v, [shift * x for x in u])
+        levels = [dot(u, p) for p in moved.vertices]
         assert max(levels) < 0 if shift < 0 else min(levels) > 10**6
         assert_family_is_clip(moved, u)
 
@@ -840,24 +846,24 @@ class TestClipFamilyIntegerFit:
 
         monkeypatch.setattr(geom, "_bareiss", spy)
         family = geom.clip_family(v, u)
-        got = [(family(c), family.moment_sign(c.numerator, c.denominator)) for c in cs]
+        got = [(family(c), moment_sign(family, c.numerator, c.denominator)) for c in cs]
         monkeypatch.undo()
         assert any(rank < size for size, rank in ranks)
         for c, (values, sign) in zip(cs, got):
             vol, mom = clip_volume_and_moment(v, u, c)
-            s = geom.dot(u, mom)
+            s = dot(u, mom)
             assert (values, sign) == ((vol, mom), (s > 0) - (s < 0))
 
     def test_fraction_normal(self):
         v = geom.enumerate_vertices(presets.POLYTOPE_PRESETS["p3-blowup"]())
         normal, k = (F(1, 2), F(-2, 3), F(3, 4)), 12
         family, scaled = geom.clip_family(v, normal), geom.clip_family(v, [k * x for x in normal])
-        levels = sorted({geom.dot(normal, p) for p in v.vertices})
+        levels = sorted({dot(normal, p) for p in v.vertices})
         for lo, hi in zip([levels[0] - 1, *levels], [*levels, levels[-1] + 1]):
             for c in (lo, (lo + hi) / 2, hi - (hi - lo) / 5):
                 assert family(c) == scaled(k * c) == clip_volume_and_moment(v, normal, c)
                 p, q = c.numerator, c.denominator
-                assert family.moment_sign(p, q) == scaled.moment_sign(k * p, q)
+                assert moment_sign(family, p, q) == moment_sign(scaled, k * p, q)
 
     def test_oversized_slab_type(self, monkeypatch):
         v, u = NON_SIMPLE_BODIES["4-cross-polytope"], (1, 1, 1, 1)
@@ -867,14 +873,14 @@ class TestClipFamilyIntegerFit:
         count = int(refused.value.args[0].split(" has ")[1].split()[0])
         monkeypatch.setattr(geom, "MAX_SIMPLICES", count - 1)
         with pytest.raises(OutOfRange, match=f"has {count} simplices"):
-            geom.clip_family(v, u).moment_sign(0, 1)
+            moment_sign(geom.clip_family(v, u), 0, 1)
         monkeypatch.setattr(geom, "MAX_SIMPLICES", count)
         assert geom.clip_family(v, u)(0) == clip_volume_and_moment(v, u, 0)
 
     def test_fit_and_sign_build_no_fraction(self, monkeypatch):
         v = geom.enumerate_vertices(presets.po_o2_polytope())
         u = geom.primitive_int_vector(geom.volume_and_moment(v)[1])
-        levels = sorted({geom.dot(u, p) for p in v.vertices})
+        levels = sorted({dot(u, p) for p in v.vertices})
         cs = [levels[1] + (levels[2] - levels[1]) * F(j, 8) for j in range(1, 8)]
         pairs = [c.as_integer_ratio() for c in cs]
         family = geom.clip_family(v, u)
@@ -883,11 +889,11 @@ class TestClipFamilyIntegerFit:
         monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
         F(1, 2)   # the spy sees a Fraction built
         assert len(built) == 1
-        signs = [family.moment_sign(p, q) for p, q in pairs]
+        signs = [moment_sign(family, p, q) for p, q in pairs]
         assert len(built) == 1
         monkeypatch.undo()
         for c, sign in zip(cs, signs):
-            s = geom.dot(u, clip_volume_and_moment(v, u, c)[1])
+            s = dot(u, clip_volume_and_moment(v, u, c)[1])
             assert sign == (s > 0) - (s < 0)
 
 
@@ -967,7 +973,12 @@ class TestConstructorsCheckTheirInput:
         assert geom.make_facet(mixed, "-3/8") == geom.make_facet((-2, 3, 1, -6, 8, 4), F(-3, 2))
         ends = (geom.make_facet((1,), F(-1, 2)), geom.make_facet((-1,), 0.75))
         v = VPolytope(1, ((F(1, 2),), ("3/4",), (Decimal("0.5"),), (F(5, 8),)), ends)
-        assert (v.vertices, v.rows) == (((F(1, 2),), (F(3, 4),)), ((4, 8), (6, 8)))
+        assert (v.vertices, v.rows) == (((F(1, 2),), (F(3, 4),)), ((2, 4), (3, 4)))
+
+    def test_rows_take_the_denominator_of_the_kept_points(self):
+        # the dropped point (1/7, 1/7) leaves no factor 7 in the rows
+        v = VPolytope.from_points(2, [(0, 0), (1, 0), (0, 1), (F(1, 7), F(1, 7))])
+        assert v.rows == ((0, 0, 1), (0, 1, 1), (1, 0, 1))
 
     def test_cloud_lengths_checked_before_double_description(self, monkeypatch):
         monkeypatch.setattr(geom, "facets_from_points", None)   # a call would fail

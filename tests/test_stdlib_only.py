@@ -3,6 +3,7 @@ mpmath and sympy serve the tests as oracles only.  Every error it raises is
 a class of ``fanokit.errors``."""
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,39 @@ def test_every_errors_class_is_raised():
     classes = {name for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, errors.FanokitError)}
     assert classes - raised - {"FanokitError"} == set()
+
+
+# library names that no library code reads yet, each with the planned work that reads it
+UNREFERENCED = {
+    "is_smooth": "the fan value's smoothness test (ROADMAP item 15)",
+    "weighted_p112_polytope": "a golden sx row for a weighted projective plane (ROADMAP item 14)",
+    "weighted_p113_polytope": "a golden sx row for a weighted projective plane (ROADMAP item 14)",
+    "weighted_p112_centered": "the surface oracle of S(X) (ROADMAP item 8)",
+}
+
+
+def test_every_library_name_is_referenced():
+    """Every def and class in the library but a dunder is read somewhere in the
+    library outside its own body: as a name, an attribute or an import.  The
+    check goes by name only, so a method that shares its name with an attribute
+    read anywhere in the library passes."""
+    trees = [ast.parse(source.read_text(encoding="utf-8")) for source in SOURCES]
+
+    def references(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.split(".")[-1]
+
+    everywhere = Counter(name for tree in trees for name in references(tree))
+    unread = {node.name for tree in trees for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and everywhere[node.name] == Counter(references(node))[node.name]}
+    assert not unread - UNREFERENCED.keys(), \
+        f"no library code reads {sorted(unread - UNREFERENCED.keys())}"
+    # an exception leaves the list once the library reads it
+    assert UNREFERENCED.keys() <= unread, f"read now: {sorted(UNREFERENCED.keys() - unread)}"

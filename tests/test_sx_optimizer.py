@@ -17,10 +17,12 @@ from fanokit.errors import OutOfRange
 from helpers import (
     FloatClipper,
     clip_volume_and_moment,
+    dot,
     fraction_bisection_cutoff,
     random_rational_polytope,
     simplex_difference,
     simplex_difference_barycenter,
+    translate,
 )
 
 
@@ -185,7 +187,7 @@ class TestSxInvariant:
         values = []
         for c in [F(k, 8) for k in range(0, 9)]:
             _, mom = clip_volume_and_moment(v, u, c)
-            values.append(geom.dot(u, mom))
+            values.append(dot(u, mom))
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_uncertified_when_symmetry_absent(self):
@@ -248,7 +250,7 @@ def _seeded_bodies(count):
     while len(bodies) < count:
         v = random_rational_polytope(rng, rng.choice([2, 3]))
         vol, mom = geom.volume_and_moment(v)
-        moved = geom.translate(v, [F(rng.randint(-9, 9), 40) - m / vol for m in mom])
+        moved = translate(v, [F(rng.randint(-9, 9), 40) - m / vol for m in mom])
         if all(f.offset > 0 for f in moved.facets) and any(geom.volume_and_moment(moved)[1]):
             bodies.append(moved)
     return bodies
@@ -270,7 +272,7 @@ ROOT_CASES += [(f"segment-{a}", geom.VPolytope.from_points(1, [(-a,), (1,)]))
 def _levels(body):
     """(cmax, every vertex level) along the solve's cut direction."""
     u = geom.primitive_int_vector(geom.volume_and_moment(body)[1])
-    levels = [geom.dot(u, p) for p in body.vertices]
+    levels = [dot(u, p) for p in body.vertices]
     return max(levels), levels
 
 
