@@ -35,7 +35,7 @@ from .errors import (
 
 
 def _load_input(args) -> dict | None:
-    if args.json and args.input:
+    if args.json is not None and args.input:
         raise InputError("use --input or --json, not both")
     raw = args.json or None
     if raw is None and args.input:
@@ -297,16 +297,14 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
     def degree_of(h):
         return toric.log_fano_volume(toric.ToricLogFano(h)).degree
 
-    # one integration of the blowup body serves its degree and barycenter rows
-    vol1, mom1 = geom.volume_and_moment(blowup)
-    row("degree, P3 blown up in one point", 56, float(math.factorial(3) * vol1), 0)
+    row("degree, P3 blown up in one point", 56, float(math.factorial(3) * geom.volume(blowup)), 0)
     row("degree, P(O+O(2))", 62, float(degree_of(presets.po_o2_polytope())), 0)
     row("degree, P2xP1", 54, float(degree_of(presets.pn_times_p1_polytope(3))), 0)
     for n in range(1, 5):
         row(f"degree, P^{n}", (n + 1) ** n,
             float(degree_of(presets.pn_polytope(n))), 0)
 
-    row("barycenter coordinate, P3 blowup polytope", 1 / 14, float(mom1[0] / vol1), 0)
+    row("barycenter coordinate, P3 blowup polytope", 1 / 14, float(geom.barycenter(blowup)[0]), 0)
 
     row("Mabuchi constant of P^1_Z", -1 - math.log(math.pi),
         zeta.mabuchi_p1_constant(), 1e-12)

@@ -20,15 +20,16 @@ come from one pulling triangulation over it, and ``clip_family`` reads each
 slab's cut off it and fits it in integers, with no clip.  All Gaussian
 elimination, every determinant included, is one fraction-free routine, ``_bareiss``.
 
-Every operation is a pure function on immutable values (a clip family
-memoizes its slabs) and touches no floating point.  Each value checks its
-input when it is built and raises an ``errors.InputError`` subclass.
+Every operation is a pure function on immutable values (a ``VPolytope``
+keeps its volume, moment and vertex cones once computed, a clip family its
+slabs) and touches no floating point.  Each value checks its input when it
+is built and raises an ``errors.InputError`` subclass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from math import factorial, gcd, lcm
 from operator import and_, mul, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -164,6 +165,11 @@ class Facet(NamedTuple):
 
 def make_facet(normal: Sequence, offset) -> Facet:
     """Canonicalize: primitive integer normal, offset rescaled to match."""
+    if all(type(x) is int for x in normal):   # normal = g prim
+        if not (g := gcd(*normal)):
+            raise OutOfRange("normal vector must be nonzero")
+        c, e = _ratio(offset)
+        return Facet(tuple(x // g for x in normal), Fraction(c, e * g))
     prim = primitive_int_vector(normal)
     # normal = k prim, k = a / (b p) > 0 at any p = prim_j != 0 and a / b = normal_j
     (a, b), p = next((_ratio(x), y) for x, y in zip(normal, prim) if y)
@@ -207,7 +213,9 @@ class VPolytope:
     no other point is tight on every inequality tight on it, an inequality iff
     its set of kept points is nonempty and maximal.  ``vertices`` and
     ``facets`` come out sorted, ``rows`` by vertex, over the vertices' own
-    least common denominator, and ``masks`` by facet.
+    least common denominator, and ``masks`` by facet.  Volume, moment and
+    ``cones`` are computed on first use and kept with the value; a transform
+    or a cut is a new value and computes its own.
     """
 
     dim: int
@@ -248,6 +256,25 @@ class VPolytope:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "masks", tuple(masks[k] for k in facets))
 
+    @cached_property
+    def _integral(self) -> tuple[Fraction, Vec]:
+        # volume_and_moment, integrated once per value
+        n, rows, vol, mom = self.dim, self.rows, 0, [0] * self.dim
+        for s in _pulling_simplices(self.masks):
+            w = abs(_bareiss([rows[i] for i in s])[2])   # a simplex has full rank
+            vol, mom = vol + w, [m + w * sum(c) for m, c in zip(mom, zip(*(rows[i] for i in s)))]
+        f = factorial(n) * rows[0][n] ** (n + 1)
+        return Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
+
+    @cached_property
+    def cones(self) -> tuple[tuple[tuple[int, ...], int | None], ...]:
+        """Per vertex, the indices of the facets tight there and the |det| of
+        their normals when exactly ``dim`` are (None otherwise)."""
+        tight = [tuple(k for k, m in enumerate(self.masks) if m >> i & 1)
+                 for i in range(len(self.vertices))]
+        return tuple((t, abs(integer_det([self.facets[k].normal for k in t]))
+                      if len(t) == self.dim else None) for t in tight)
+
     @classmethod
     def from_points(cls, dim: int, points: Iterable[Sequence]) -> "VPolytope":
         """The hull of an arbitrary point cloud."""
@@ -280,7 +307,8 @@ def _vertices_of(h: HPolytope) -> VPolytope:
     # a vertex p is the ray (p, 1) of the cone {(y, t) : <l, y> + a t >= 0, t >= 0}, tight on
     # the rows of the inequalities tight at p; the rows span iff the normals do
     try:
-        rays = _extreme_rays([primitive_int_vector((*l, a)) for l, a in h.facets]
+        # (l den(a), num(a)) is primitive, as l is
+        rays = _extreme_rays([(*(x * a.denominator for x in l), a.numerator) for l, a in h.facets]
                              + [(0,) * n + (1,)], n + 1)
     except DegeneratePolytope:
         raise UnboundedPolytope("facet normals do not span the space")
@@ -349,14 +377,10 @@ def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
     the cones from its lowest-index vertex over those of its own facets that
     miss that vertex.  A simplex with vertices p_0..p_n adds
     |det[(q p_i, q)]| / (q^(n+1) n!), over the rows ``v.rows``, to the
-    volume and that times its vertex mean to the moment.
+    volume and that times its vertex mean to the moment.  The value keeps
+    the result: each ``VPolytope`` is integrated once.
     """
-    n, rows, vol, mom = v.dim, v.rows, 0, [0] * v.dim
-    for s in _pulling_simplices(v.masks):
-        w = abs(_bareiss([rows[i] for i in s])[2])   # a simplex has full rank
-        vol, mom = vol + w, [m + w * sum(c) for m, c in zip(mom, zip(*(rows[i] for i in s)))]
-    f = factorial(n) * rows[0][n] ** (n + 1)
-    return Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
+    return v._integral
 
 
 def volume(v: VPolytope) -> Fraction:

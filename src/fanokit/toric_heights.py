@@ -152,16 +152,8 @@ def vertex_singularity_report(t: ToricLogFano) -> tuple[VertexSingularity, ...]:
     vertex is simple (exactly n facets meet).  Non-simple vertices are
     flagged, not fatal.
     """
-    v = t.polytope
-    out = []
-    for i, p in enumerate(v.vertices):
-        tight = tuple(k for k, m in enumerate(v.masks) if m >> i & 1)
-        if len(tight) == v.dim:
-            d = abs(geom.integer_det([v.facets[k].normal for k in tight]))
-            out.append(VertexSingularity(p, tight, True, d))
-        else:
-            out.append(VertexSingularity(p, tight, False, None))
-    return tuple(out)
+    return tuple(VertexSingularity(p, tight, d is not None, d)
+                 for p, (tight, d) in zip(t.polytope.vertices, t.polytope.cones))
 
 
 def is_smooth(t: ToricLogFano) -> bool:

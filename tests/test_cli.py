@@ -523,6 +523,40 @@ class TestBatchAndEnv:
         assert seen and set(seen) == {threading.get_ident()}
 
 
+def _polygon_json(normals):
+    return {"dim": 2, "facets": [{"normal": l, "offset": "1"} for l in normals]}
+
+
+# the centred square and hexagon: 4 and 6 simple vertices, and neither is P^2,
+# so is_pn_polytope takes no determinant
+SQUARE, HEXAGON = (_polygon_json([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                   _polygon_json([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, -1]]))
+
+
+class TestOneIntegrationPerBatch:
+    """A batch that repeats a polytope integrates it, and takes its vertex
+    cones, once per polytope: the vertex cache hands every repeat the same
+    value, which keeps what was derived from it."""
+
+    @pytest.mark.parametrize("command, dets", [
+        ("volume", 0), ("barycenter", 0), ("semistable", 0), ("gap-check", 4 + 6)])
+    def test_three_copies_of_two_polytopes(self, command, dets, capsys, monkeypatch):
+        from fanokit import geometry
+
+        geometry._vertices_of.cache_clear()
+        calls = {"_pulling_simplices": 0, "integer_det": 0}
+        for name in calls:
+            original = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda *a, name=name, original=original:
+                                calls.__setitem__(name, calls[name] + 1) or original(*a))
+        batch = json.dumps({"batch": [SQUARE, HEXAGON] * 3})
+        code, out, _ = run_cli([command, "--json", batch], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results[:2] * 3 == results
+        assert calls == {"_pulling_simplices": 2, "integer_det": dets}
+
+
 DIAGONAL_CUBIC = '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}'
 
 # printed value of every toric-family height, fixed when the four bounds came
@@ -822,6 +856,8 @@ class TestInputPaths:
 
     @pytest.mark.parametrize("argv, message", [
         (["volume", "--input", "p3.json", "--json", P3_JSON], "use --input or --json, not both"),
+        (["volume", "--json", "", "--input", "p3.json"], "use --input or --json, not both"),
+        (["volume", "--json", ""], "missing input: give --input, --json or --preset"),
         (["volume", "--json", "[1, 2]"], "top-level JSON must be an object"),
         (["volume", "--preset", "p3", "--json", P3_JSON], "give either --preset or an input"),
         (["sx", "--preset", "p3-blowup", "--json", P3_JSON], "give either --preset or an input"),
@@ -832,7 +868,7 @@ class TestInputPaths:
         (["arrangement-bound"], "weights JSON needs 'n' and a 'weights' list"),
         (["diagonal"], "diagonal needs JSON"),
         (["p1-zeta-height"], "p1-zeta-height needs JSON"),
-    ], ids=["input-and-json", "top-level-array", "preset-and-input", "sx-preset-and-input",
+    ], ids=["input-and-json", "empty-json-and-input", "empty-json", "top-level-array", "preset-and-input", "sx-preset-and-input",
             "sx-preset-and-batch", "batch-not-list", "sx-no-input", "arrangement-bound-no-input", "diagonal-no-input",
             "p1-zeta-height-no-input"])
     def test_refused(self, argv, message, capsys):

@@ -645,6 +645,7 @@ class TestPullingTriangulation:
                                    presets.pn_polytope(4)],
                              ids=["cube-5", "cross-4", "square-pyramid", "p4"])
     def test_count_is_the_simplices_summed(self, h, monkeypatch):
+        geom._vertices_of.cache_clear()   # a value not yet integrated
         v = geom.enumerate_vertices(h)
         dets = []
         bareiss = geom._bareiss
@@ -653,6 +654,7 @@ class TestPullingTriangulation:
         assert len(dets) == geom._pulling((1 << len(v.vertices)) - 1, v.masks, {})
 
     def test_simplex_budget(self, monkeypatch):
+        geom._vertices_of.cache_clear()   # a value not yet integrated
         v = geom.enumerate_vertices(centered_cube(4))   # 4! simplices
         monkeypatch.setattr(geom, "MAX_SIMPLICES", 23)
         with pytest.raises(OutOfRange, match="has 24 simplices, more than the 23 "):
@@ -672,6 +674,66 @@ class TestPullingTriangulation:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# every preset body, built afresh on each call
+PRESET_BODIES = {
+    **{name: functools.partial(lambda f: geom.enumerate_vertices(f()), f)
+       for name, f in presets.POLYTOPE_PRESETS.items()},
+    **{f"sx-{name}": functools.partial(lambda f: f()[0], f)
+       for name, f in presets.SX_PRESETS.items()},
+    **{name: functools.partial(lambda f: geom.enumerate_vertices(f()), f)
+       for name, f in (("p112", presets.weighted_p112_polytope),
+                       ("p112-centered", presets.weighted_p112_centered),
+                       ("p113", presets.weighted_p113_polytope))},
+}
+MEMOS = {"_integral", "cones"}
+
+
+class TestOneIntegrationPerValue:
+    """A ``VPolytope`` integrates, and takes its vertex cones, once; what it
+    keeps equals a fresh computation, and a value made from it keeps nothing
+    of its base's."""
+
+    @pytest.mark.parametrize("name", sorted(PRESET_BODIES))
+    def test_memo_equals_a_fresh_computation(self, name):
+        geom._vertices_of.cache_clear()
+        v = PRESET_BODIES[name]()
+        assert not MEMOS & set(vars(v))
+        vol, mom = integral = geom.volume_and_moment(v)
+        assert geom.volume_and_moment(v) is integral and v.cones is v.cones
+        assert geom.volume(v) == vol and geom.barycenter(v) == tuple(m / vol for m in mom)
+        fresh = VPolytope(v.dim, v.vertices, v.facets)   # equal, but not yet integrated
+        assert not MEMOS & set(vars(fresh))
+        assert geom.volume_and_moment(fresh) == integral and fresh.cones == v.cones
+        if v.dim == 1:   # an interval [a, b]
+            (a,), (b,) = v.vertices
+            assert integral == (b - a, ((b * b - a * a) / 2,))
+        else:
+            ref_vol, ref_mom = delaunay_volume_and_moment(v)
+            assert float(vol) == pytest.approx(ref_vol, rel=1e-9)
+            assert [float(m) for m in mom] == pytest.approx(ref_mom, rel=1e-9,
+                                                            abs=1e-9 * ref_vol)
+        for p, (tight, det) in zip(v.vertices, v.cones):
+            assert tight == tuple(k for k, (l, a) in enumerate(v.facets) if dot(l, p) == -a)
+            normals = [v.facets[k].normal for k in tight]
+            assert det == (abs(LinearMap(normals).determinant) if len(tight) == v.dim else None)
+
+    def test_transform_and_clip_carry_no_memo(self):
+        geom._vertices_of.cache_clear()
+        v = geom.enumerate_vertices(presets.p3_blowup_polytope())
+        vol, mom = geom.volume_and_moment(v)
+        assert v.cones
+        t = LinearMap(((1, 1, 0), (0, 1, 0), (0, 0, 2)))
+        image, clipped = geom.transform(v, t), geom.intersect_halfspace(v, (1, 0, 0), F(1, 2))
+        for w in (image, clipped):
+            assert w != v and not MEMOS & set(vars(w))
+            assert w.cones == VPolytope(3, w.vertices, w.facets).cones
+        assert geom.volume_and_moment(image) == (2 * vol, tuple(2 * x for x in apply(t, mom)))
+        ref_vol, ref_mom = delaunay_volume_and_moment(clipped)
+        clip_vol, clip_mom = geom.volume_and_moment(clipped)
+        assert float(clip_vol) == pytest.approx(ref_vol, rel=1e-9) and clip_vol < vol
+        assert [float(m) for m in clip_mom] == pytest.approx(ref_mom, rel=1e-9, abs=1e-9)
 
 
 def clip_family_cases():
@@ -999,3 +1061,54 @@ class TestConstructorsCheckTheirInput:
         assert calls == []
         clip_volume_and_moment(v, (1, 1, 1), F(17, 11))   # not a cached clip
         assert len(calls) == 1
+
+
+class TestIntegerMakeFacet:
+    """An all-``int`` normal is divided by its gcd directly; every other
+    normal, ``bool`` entries included, takes the general path.  Both give the
+    same facet."""
+
+    OFFSETS = (7, "-5/12", F(3, -8), 0.375, Decimal("-2.25"))
+
+    @staticmethod
+    def normals():
+        rng = random.Random(2028)
+        for _ in range(80):
+            g = rng.choice((1, 2, 12, rng.getrandbits(100) | 1))
+            normal = [g * rng.choice((rng.randint(-9, 9), rng.randint(-2**100, 2**100)))
+                      for _ in range(rng.randint(1, 5))]
+            if any(normal):
+                yield tuple(normal)
+
+    def test_equals_the_general_path(self, monkeypatch):
+        general = []
+        prim = geom.primitive_int_vector
+        monkeypatch.setattr(geom, "primitive_int_vector", lambda v: general.append(1) or prim(v))
+        normals = list(self.normals())
+        assert any(x < 0 for n in normals for x in n)
+        assert any(math.gcd(*n) > 1 for n in normals)
+        assert any(abs(x).bit_length() >= 100 for n in normals for x in n)
+        for normal in normals:
+            g = math.gcd(*normal)
+            for offset in self.OFFSETS:
+                fast = geom.make_facet(normal, offset)
+                assert general == []
+                assert fast == geom.make_facet(tuple(F(x) for x in normal), offset)
+                assert general == [1]
+                general.clear()
+                assert fast.normal == tuple(x // g for x in normal) and math.gcd(*fast.normal) == 1
+                assert type(fast.offset) is F and fast.offset == F(offset) / g
+
+    @pytest.mark.parametrize("normal", [(0,), (0, 0, 0), (), (F(0), 0), (False, False)],
+                             ids=["int", "ints", "empty", "fraction", "bool"])
+    def test_zero_normal(self, normal):
+        with pytest.raises(OutOfRange, match="^normal vector must be nonzero$"):
+            geom.make_facet(normal, 1)
+
+    def test_bool_takes_the_general_path(self, monkeypatch):
+        general = []
+        prim = geom.primitive_int_vector
+        monkeypatch.setattr(geom, "primitive_int_vector", lambda v: general.append(v) or prim(v))
+        assert geom.make_facet((True, 2), "1/2") == geom.make_facet((F(1), F(2)), "1/2")
+        assert general == [(True, 2), (F(1), F(2))]
+        assert geom.make_facet((True, -2), 3) == ((1, -2), 3)
