@@ -2,7 +2,8 @@
 closed-form height formulas and bounds attached to them.
 
 A pair is one moment polytope, a ``VPolytope`` enumerated once when the pair
-is built; every test below reads its vertices and facets.
+is built; every test below reads its vertices and facets, and the volume,
+moment and vertex cones the polytope computes once and keeps.
 
 Volume conventions are carried explicitly throughout:
 
