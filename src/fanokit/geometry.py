@@ -18,7 +18,8 @@ masks: ``enumerate_vertices`` takes it from the double description's tight
 rows, the constructor from the points scaled to integers.  Volume and moment
 come from one pulling triangulation over it, and ``clip_family`` reads each
 slab's cut off it and fits it in integers, with no clip.  All Gaussian
-elimination, every determinant included, is one fraction-free routine, ``_bareiss``.
+elimination, every determinant included, is one fraction-free routine, ``_bareiss``,
+forward unless its rows are read; the volume runs its recurrence a row at a time.
 
 Every operation is a pure function on immutable values (a ``VPolytope``
 keeps its volume, moment and vertex cones once computed, a clip family its
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
 from math import factorial, gcd, lcm
-from operator import and_, mul, or_
+from operator import add, and_, mul, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -71,12 +72,13 @@ def primitive_int_vector(v: Sequence) -> tuple[int, ...]:
 
 # -- exact elimination ------------------------------------------------------------
 
-def _bareiss(m: list) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan (Bareiss 1968) of an integer matrix m, in
+def _bareiss(m: list, jordan: bool = False) -> tuple[list[int], int, int]:
+    """Fraction-free elimination (Bareiss 1968) of an integer matrix m, in
     place: (pivot columns, sign of the row swaps, d).  Each step divides
-    exactly by the previous pivot, every entry being a minor of m, so every
-    pivot ends equal to the last one, d: sign * d is the determinant of a
-    square m of full rank."""
+    exactly by the previous pivot, every entry being a minor of m; d is the
+    last pivot, sign * d the determinant of a square m of full rank.  A step
+    updates the rows below its pivot, all the pivot search reads, and with
+    ``jordan`` those above too, so that every pivot ends equal to d."""
     pivots: list[int] = []
     sign = d = 1
     for col in range(len(m[0]) if m else 0):
@@ -90,7 +92,7 @@ def _bareiss(m: list) -> tuple[list[int], int, int]:
             m[row], m[piv] = m[piv], m[row]
             sign = -sign
         pr, p = m[row], m[row][col]
-        for r in range(len(m)):
+        for r in range(0 if jordan else row + 1, len(m)):
             if r != row:
                 f = m[r][col]
                 m[r] = [(p * a - f * b) // d for a, b in zip(m[r], pr)]
@@ -126,7 +128,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[tuple[int
         raise DegeneratePolytope("inequalities or points do not span the space")
     # [B | I] goes to [det I | det B^-1]: column j, signed as det, is positive on row j only
     aug = [list(rows[b]) + [int(i == j) for j in range(d)] for i, b in enumerate(basis)]
-    o = 1 if _bareiss(aug)[2] > 0 else -1
+    o = 1 if _bareiss(aug, jordan=True)[2] > 0 else -1
     start = sum(1 << b for b in basis)
     rays = [(tuple(x // (o * gcd(*c)) for x in c), start & ~(1 << b))
             for c, b in zip(zip(*(r[d:] for r in aug)), basis)]
@@ -229,6 +231,8 @@ class VPolytope:
         pts = [[_ratio(x) for x in p] for p in self.vertices]
         q = lcm(*(b for p in pts for _, b in p))
         rows = {tuple(a * (q // b) for a, b in p) + (q,) for p in pts}
+        if _affine_rank(rows) < self.dim:
+            raise DegeneratePolytope("polytope is not full-dimensional")
         self._reduce([(r, sum(1 << k for k, (l, a) in enumerate(self.facets)
                               if sum(map(mul, l, r)) * a.denominator == -a.numerator * q))
                       for r in rows], self.facets)
@@ -237,11 +241,9 @@ class VPolytope:
         # points are pairs (row (q p, q), bit mask of the ineqs tight on p)
         points = sorted(points)
         rows = [r for r, _ in points]
-        if _affine_rank(rows) < self.dim:
-            raise DegeneratePolytope("polytope is not full-dimensional")
-        index = {f: k for k, f in enumerate(ineqs)}   # either index of a repeated one
-        ineqs = sorted(index)
-        masks = [sum(1 << i for i, (_, t) in enumerate(points) if t >> index[f] & 1) for f in ineqs]
+        # (inequality, its bit), sorted, with either bit of a repeated one
+        ineqs = sorted({f: k for k, f in enumerate(ineqs)}.items())
+        masks = [sum(1 << i for i, (_, t) in enumerate(points) if t >> k & 1) for _, k in ineqs]
         keep = [i for i in range(len(rows))
                 if reduce(and_, (m for m in masks if m >> i & 1), (1 << len(rows)) - 1) == 1 << i]
         masks = [sum(1 << j for j, i in enumerate(keep) if m >> i & 1) for m in masks]
@@ -252,7 +254,7 @@ class VPolytope:
         q = rows[0][-1]
         object.__setattr__(self, "vertices", tuple(tuple(Fraction(x, q) for x in r[:-1])
                                                    for r in rows))
-        object.__setattr__(self, "facets", tuple(ineqs[k] for k in facets))
+        object.__setattr__(self, "facets", tuple(ineqs[k][0] for k in facets))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "masks", tuple(masks[k] for k in facets))
 
@@ -260,9 +262,10 @@ class VPolytope:
     def _integral(self) -> tuple[Fraction, Vec]:
         # volume_and_moment, integrated once per value
         n, rows, vol, mom = self.dim, self.rows, 0, [0] * self.dim
-        for s in _pulling_simplices(self.masks):
-            w = abs(_bareiss([rows[i] for i in s])[2])   # a simplex has full rank
-            vol, mom = vol + w, [m + w * sum(c) for m, c in zip(mom, zip(*(rows[i] for i in s)))]
+        for pivots, total in _pulling_simplices(self.masks, ((), [0] * n),
+                                                lambda s, i: _pivot(s, rows[i])):
+            w = abs(pivots[-1][1])
+            vol, mom = vol + w, [m + w * t for m, t in zip(mom, total)]
         f = factorial(n) * rows[0][n] ** (n + 1)
         return Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
 
@@ -316,6 +319,9 @@ def _vertices_of(h: HPolytope) -> VPolytope:
         raise UnboundedPolytope("recession direction exists")
     if not rays:
         raise DegeneratePolytope("empty feasible set")
+    # flat iff some inequality is an implicit equality, tight at every vertex
+    if reduce(and_, (t for _, t in rays)):
+        raise DegeneratePolytope("polytope is not full-dimensional")
     q, v = lcm(*(y[n] for y, _ in rays)), object.__new__(VPolytope)   # __post_init__ skipped
     object.__setattr__(v, "dim", n)
     v._reduce([(tuple(x * (q // y[n]) for x in y), t) for y, t in rays], h.facets)
@@ -349,24 +355,42 @@ def _pulling(face: int, masks: Sequence[int], dag: dict[int, tuple[int, list[int
     return dag[face][0]
 
 
-def _simplices(face: int, dag: dict[int, tuple[int, list[int]]]) -> Iterator[tuple[int, ...]]:
-    """The simplices ``_pulling`` counted in face, as vertex index tuples."""
+def _walk(face: int, dag: dict[int, tuple[int, list[int]]], state, step) -> Iterator:
+    """The states of the simplices ``_pulling`` counted in face, from step."""
     apex = (face & -face).bit_length() - 1
+    state = step(state, apex)
     if face == 1 << apex:
-        yield (apex,)
+        yield state
         return
     for g in dag[face][1]:
-        for s in _simplices(g, dag):
-            yield (apex,) + s
+        yield from _walk(g, dag, state, step)
 
 
-def _pulling_simplices(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The pulling triangulation of facet vertex masks; OutOfRange past MAX_SIMPLICES."""
+def _pulling_simplices(masks: Sequence[int], state=(), step=lambda s, i: (*s, i)) -> Iterator:
+    """The pulling triangulation of facet vertex masks, walked as a tree from
+    the top face: each face takes its parent's state to step(state, apex), and
+    each simplex yields its last one, by default its vertex index tuple.
+    OutOfRange past MAX_SIMPLICES, before any step."""
     top, dag = reduce(or_, masks), {}
     if (count := _pulling(top, masks, dag)) > MAX_SIMPLICES:
         raise OutOfRange(f"the volume triangulation has {count} simplices, "
                          f"more than the {MAX_SIMPLICES} this computation sums")
-    return _simplices(top, dag)
+    return _walk(top, dag, state, step)
+
+
+def _pivot(state: tuple[tuple, list[int]], row: Sequence[int]) -> tuple[tuple, list[int]]:
+    """``_bareiss``'s forward step for one more row.  state holds the sum of the rows as
+    given and the pivots, each (k, p, its row without entry k), k among the columns left;
+    the row goes to (p a - f b) // d, d the pivot before p, against each in turn, and its
+    first nonzero entry left is its pivot, for n + 1 rows their determinant up to sign."""
+    pivots, total = state
+    reduced, d = row, 1
+    for k, p, rest in pivots:
+        f = reduced[k]
+        reduced = [(p * a - f * b) // d for a, b in zip(reduced[:k] + reduced[k + 1:], rest)]
+        d = p
+    k = next(k for k, a in enumerate(reduced) if a)
+    return (*pivots, (k, reduced[k], reduced[:k] + reduced[k + 1:])), list(map(add, total, row))
 
 
 def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
@@ -377,8 +401,9 @@ def volume_and_moment(v: VPolytope) -> tuple[Fraction, Vec]:
     the cones from its lowest-index vertex over those of its own facets that
     miss that vertex.  A simplex with vertices p_0..p_n adds
     |det[(q p_i, q)]| / (q^(n+1) n!), over the rows ``v.rows``, to the
-    volume and that times its vertex mean to the moment.  The value keeps
-    the result: each ``VPolytope`` is integrated once.
+    volume and that times its vertex mean to the moment; the det is the last
+    pivot on its path down the faces, each of which reduces its apex row once
+    (``_pivot``).  The value keeps the result: each ``VPolytope`` is integrated once.
     """
     return v._integral
 
@@ -424,7 +449,7 @@ def transform(v: VPolytope, t: LinearMap) -> VPolytope:
     n, s = v.dim, lcm(*(x.denominator for r in t.matrix for x in r))
     m = [[x.numerator * (s // x.denominator) for x in r] for r in t.matrix]
     aug = [r + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    d = _bareiss(aug)[2]
+    d = _bareiss(aug, jordan=True)[2]
     facets = tuple(make_facet([d * sum(map(mul, l, c)) for c in zip(*(r[n:] for r in aug))],
                               d * d * a / s) for l, a in v.facets)
     return VPolytope(n, tuple(tuple(Fraction(sum(map(mul, row, r)), s * r[n]) for row in m)
@@ -447,7 +472,7 @@ def _inverse_vandermonde(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, d V^-1), V = [j^k] for j, k = 0..n: ``_bareiss`` takes [V | I] to [d I | d V^-1]
     with no row swap, each leading minor being a Vandermonde det > 0."""
     m = [[j ** k for k in range(n + 1)] + [int(i == j) for i in range(n + 1)] for j in range(n + 1)]
-    return _bareiss(m)[2], tuple(tuple(r[n + 1:]) for r in m)
+    return _bareiss(m, jordan=True)[2], tuple(tuple(r[n + 1:]) for r in m)
 
 
 def clip_family(base: VPolytope, normal: Sequence) -> ClipFamily:

@@ -1,6 +1,7 @@
 """Shared test oracles: ``Fraction`` vector arithmetic, linear maps on
 points, translation, the sign of a clip family's moment at one cut-off,
-Gauss-Jordan elimination over ``Fraction``, brute-force exact H->V and
+Gauss-Jordan elimination over ``Fraction``, volume and moment with every
+pulling simplex eliminated from scratch, brute-force exact H->V and
 V->H conversion, the vertex-facet incidence by ``Fraction`` dots, an
 exact clip per cut-off and the ``Fraction`` bisection of S(X) over it,
 Monte Carlo volume estimation, random polytope and unimodular-matrix
@@ -78,6 +79,18 @@ def fraction_eliminate(rows):
                 m[r][col:] = [a - f * b for a, b in zip(m[r][col:], pr)]
         pivots.append(col)
     return m, pivots, det if len(pivots) == len(m) else Fraction(0)
+
+
+def per_simplex_volume_and_moment(v: geom.VPolytope):
+    """Reference for ``VPolytope._integral``: over the simplices of the
+    pulling triangulation, each eliminated from scratch by ``geometry._bareiss``,
+    the sum of |det| of its rows (q p, q) and of that times its row sums."""
+    n, rows, vol, mom = v.dim, v.rows, 0, [0] * v.dim
+    for s in geom._pulling_simplices(v.masks):
+        w = abs(geom._bareiss([rows[i] for i in s])[2])   # a simplex has full rank
+        vol, mom = vol + w, [m + w * sum(c) for m, c in zip(mom, zip(*(rows[i] for i in s)))]
+    f = math.factorial(n) * rows[0][n] ** (n + 1)
+    return Fraction(vol, f), tuple(Fraction(m, (n + 1) * f * rows[0][n]) for m in mom)
 
 
 def _sub(u, v):

@@ -38,6 +38,7 @@ from helpers import (
     fraction_incidence,
     mc_volume_estimate,
     moment_sign,
+    per_simplex_volume_and_moment,
     random_rational_polytope,
     random_unimodular,
     translate,
@@ -645,13 +646,21 @@ class TestPullingTriangulation:
                                    presets.pn_polytope(4)],
                              ids=["cube-5", "cross-4", "square-pyramid", "p4"])
     def test_count_is_the_simplices_summed(self, h, monkeypatch):
+        # one determinant, the last pivot of a leaf of the walk, per simplex
         geom._vertices_of.cache_clear()   # a value not yet integrated
         v = geom.enumerate_vertices(h)
-        dets = []
-        bareiss = geom._bareiss
-        monkeypatch.setattr(geom, "_bareiss", lambda m: dets.append(1) or bareiss(m))
+        dets, pivot, bareiss = [], geom._pivot, geom._bareiss
+
+        def spy(state, row):
+            out = pivot(state, row)
+            dets.append(len(out[0]) == v.dim + 1)   # a leaf: n + 1 pivots
+            return out
+
+        monkeypatch.setattr(geom, "_pivot", spy)
+        monkeypatch.setattr(geom, "_bareiss", lambda *a, **k: dets.append(None) or bareiss(*a, **k))
         geom.volume_and_moment(v)
-        assert len(dets) == geom._pulling((1 << len(v.vertices)) - 1, v.masks, {})
+        assert None not in dets   # no simplex eliminated from scratch
+        assert sum(dets) == geom._pulling((1 << len(v.vertices)) - 1, v.masks, {})
 
     def test_simplex_budget(self, monkeypatch):
         geom._vertices_of.cache_clear()   # a value not yet integrated
@@ -688,6 +697,68 @@ PRESET_BODIES = {
                        ("p113", presets.weighted_p113_polytope))},
 }
 MEMOS = {"_integral", "cones"}
+
+
+def walk_bodies():
+    """Every preset body, the 2- to 6-cubes, the 3- to 5-cross-polytopes and
+    the square pyramid, each built afresh on each call."""
+    yield from PRESET_BODIES.items()
+    for name, build, dims in (("cube", centered_cube, range(2, 7)),
+                              ("cross", cross_polytope, range(3, 6))):
+        for n in dims:
+            yield f"{name}-{n}", functools.partial(lambda h: geom.enumerate_vertices(h), build(n))
+    yield "square-pyramid", lambda: geom.enumerate_vertices(SQUARE_PYRAMID)
+
+
+WALK_BODIES = dict(walk_bodies())
+
+
+def pulling_tree_nodes(masks):
+    """Nodes of the pulling tree: a face and, along each of its facets that
+    miss its apex, the nodes below; a vertex is a leaf."""
+    dag = {}
+    geom._pulling(functools.reduce(operator.or_, masks), masks, dag)
+
+    def below(face):
+        return 1 + sum(below(g) for g in dag[face][1]) if face in dag else 1
+
+    return below(functools.reduce(operator.or_, masks))
+
+
+class TestPullingTreeWalk:
+    """``_integral`` walks the pulling tree once, reducing each face's apex
+    row against its ancestors' pivots by ``_pivot``, and sums exactly what
+    eliminating every simplex from scratch by ``_bareiss`` sums."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_BODIES))
+    def test_equals_per_simplex_elimination(self, name):
+        geom._vertices_of.cache_clear()
+        v = WALK_BODIES[name]()
+        assert geom.volume_and_moment(v) == per_simplex_volume_and_moment(v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_simplex_elimination_on_clouds(self, dim, seed):
+        v = random_rational_polytope(random.Random(seed), dim)
+        assert geom.volume_and_moment(v) == per_simplex_volume_and_moment(v)
+
+    def test_one_reduction_per_node(self, monkeypatch):
+        geom._vertices_of.cache_clear()
+        v = geom.enumerate_vertices(centered_cube(5))
+        calls, pivot = [], geom._pivot
+        monkeypatch.setattr(geom, "_pivot", lambda state, row: calls.append(1) or pivot(state, row))
+        assert geom.volume_and_moment(v) == (32, (0,) * 5)
+        # 5!/(5 - k)! faces of dimension 5 - k: 326 nodes, against 6 rows for each of 120 simplices
+        assert len(calls) == pulling_tree_nodes(v.masks) == sum(
+            math.perm(5, k) for k in range(6)) == 326 < 6 * math.factorial(5)
+
+    def test_refused_before_any_step(self, monkeypatch):
+        geom._vertices_of.cache_clear()
+        v = geom.enumerate_vertices(centered_cube(4))   # 4! simplices
+        monkeypatch.setattr(geom, "MAX_SIMPLICES", 23)
+        monkeypatch.setattr(geom, "_pivot", None)   # a step would fail
+        with pytest.raises(OutOfRange, match="has 24 simplices, more than the 23 "):
+            geom.volume_and_moment(v)
 
 
 class TestOneIntegrationPerValue:
@@ -901,8 +972,8 @@ class TestClipFamilyIntegerFit:
         cs = [F(-1), F(-2, 3), F(0), F(1, 5), F(6, 7), F(1)]
         bareiss, ranks = geom._bareiss, []
 
-        def spy(m):
-            out = bareiss(m)
+        def spy(m, **k):
+            out = bareiss(m, **k)
             ranks.append((len(m), len(out[0])))
             return out
 
@@ -982,7 +1053,9 @@ class TestEliminate:
     """``_bareiss``, the one elimination routine, does what Gauss-Jordan over
     Fractions does: on the rows scaled to integers it finds the same pivots,
     its rows divided by d are the same reduced rows, and sign * d over the
-    row scales is the determinant, the one ``LinearMap`` reports."""
+    row scales is the determinant, the one ``LinearMap`` reports.  Forward
+    elimination, the default, finds the same pivots, sign and d, and
+    ``integer_det`` reads the determinant off it."""
 
     @pytest.mark.parametrize("rows, cols", [(4, 4), (3, 6), (6, 3), (1, 5)],
                              ids=["square", "wide", "tall", "one-row"])
@@ -994,13 +1067,17 @@ class TestEliminate:
         reduced, pivots, det = fraction_eliminate(m)
         scales = [math.lcm(*(x.denominator for x in r)) for r in m]
         ints = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(m, scales)]
-        got, sign, d = geom._bareiss(ints)
+        forward = geom._bareiss([list(r) for r in ints])
+        square = [list(r) for r in ints]
+        got, sign, d = geom._bareiss(ints, jordan=True)
         assert got == pivots
         assert [[F(a, d) for a in r] for r in ints] == reduced
         full = F(sign * d, math.prod(scales)) if len(pivots) == rows else 0
         assert full == det
+        assert forward == (got, sign, d)
         if rows == cols:
             assert LinearMap(m).determinant == det
+            assert F(geom.integer_det(square), math.prod(scales)) == det
 
     def test_empty_input(self):
         assert geom._bareiss([]) == ([], 1, 1)
@@ -1053,14 +1130,31 @@ class TestConstructorsCheckTheirInput:
             geom.intersect_halfspace(v, (1, 1), 0)
 
     def test_full_dimensionality_checked_once_per_value(self, monkeypatch):
-        v = geom.enumerate_vertices(unit_cube(3))
+        # the H->V path reads it off the tight masks, the constructor takes one rank
+        geom._vertices_of.cache_clear()
         calls = []
         original = geom._affine_rank
         monkeypatch.setattr(geom, "_affine_rank", lambda pts: calls.append(1) or original(pts))
+        v = geom.enumerate_vertices(unit_cube(3))
         geom.volume_and_moment(v)
-        assert calls == []
         clip_volume_and_moment(v, (1, 1, 1), F(17, 11))   # not a cached clip
+        assert calls == []
+        geom.transform(v, LinearMap(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
         assert len(calls) == 1
+        VPolytope.from_points(3, CUBE_3)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("facets", [
+        (((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)),
+        (((1, 0), 0), ((0, 1), 0), ((-1, -1), 0)),
+        tuple(f for f in unit_cube(3).facets if f.normal[2] == 0)
+        + (((0, 0, 1), 0), ((0, 0, -1), 0)) * 2,
+    ], ids=["slab", "point", "squashed-cube"])
+    def test_flat_h_input(self, facets):
+        # some inequality is tight at every vertex: an implicit equality
+        geom._vertices_of.cache_clear()
+        with pytest.raises(DegeneratePolytope, match="^polytope is not full-dimensional$"):
+            geom.enumerate_vertices(HPolytope(len(facets[0][0]), facets))
 
 
 class TestIntegerMakeFacet:
