@@ -706,7 +706,7 @@ def walk_bodies():
     for name, build, dims in (("cube", centered_cube, range(2, 7)),
                               ("cross", cross_polytope, range(3, 6))):
         for n in dims:
-            yield f"{name}-{n}", functools.partial(lambda h: geom.enumerate_vertices(h), build(n))
+            yield f"{name}-{n}", functools.partial(geom.enumerate_vertices, build(n))
     yield "square-pyramid", lambda: geom.enumerate_vertices(SQUARE_PYRAMID)
 
 
@@ -716,13 +716,13 @@ WALK_BODIES = dict(walk_bodies())
 def pulling_tree_nodes(masks):
     """Nodes of the pulling tree: a face and, along each of its facets that
     miss its apex, the nodes below; a vertex is a leaf."""
-    dag = {}
-    geom._pulling(functools.reduce(operator.or_, masks), masks, dag)
+    top, dag = functools.reduce(operator.or_, masks), {}
+    geom._pulling(top, masks, dag)
 
     def below(face):
         return 1 + sum(below(g) for g in dag[face][1]) if face in dag else 1
 
-    return below(functools.reduce(operator.or_, masks))
+    return below(top)
 
 
 class TestPullingTreeWalk:
@@ -1067,8 +1067,7 @@ class TestEliminate:
         reduced, pivots, det = fraction_eliminate(m)
         scales = [math.lcm(*(x.denominator for x in r)) for r in m]
         ints = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(m, scales)]
-        forward = geom._bareiss([list(r) for r in ints])
-        square = [list(r) for r in ints]
+        forward, fresh = geom._bareiss([list(r) for r in ints]), [list(r) for r in ints]
         got, sign, d = geom._bareiss(ints, jordan=True)
         assert got == pivots
         assert [[F(a, d) for a in r] for r in ints] == reduced
@@ -1077,7 +1076,7 @@ class TestEliminate:
         assert forward == (got, sign, d)
         if rows == cols:
             assert LinearMap(m).determinant == det
-            assert F(geom.integer_det(square), math.prod(scales)) == det
+            assert F(geom.integer_det(fresh), math.prod(scales)) == det
 
     def test_empty_input(self):
         assert geom._bareiss([]) == ([], 1, 1)
