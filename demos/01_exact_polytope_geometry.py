@@ -5,7 +5,7 @@ barycenters are exact, so "the barycenter is the origin" is a real
 predicate, not a tolerance check.
 """
 from fanokit import geometry as geom
-from fanokit.geometry import HPolytope, LinearMap
+from fanokit.geometry import HPolytope, VPolytope
 
 # The anticanonical polytope of P^3: four half-spaces
 #   x_i >= -1  and  x_1 + x_2 + x_3 <= 1.
@@ -27,15 +27,17 @@ print("\nafter the corner cut:")
 print("volume:", geom.volume(blown_up), "=> degree", 6 * geom.volume(blown_up))
 print("barycenter:", geom.barycenter(blown_up))       # (1/14, 1/14, 1/14)
 
-# Volumes transform by |det|; barycenters are equivariant.
-t = LinearMap(((1, 0, 0), (0, 1, 0), (-1, -1, 2)))
-image = geom.transform(blown_up, t)
+# The image under a linear map is the hull of the mapped vertices; volumes
+# scale by |det|.
+t = ((1, 0, 0), (0, 1, 0), (-1, -1, 2))
+image = VPolytope.from_points(3, [tuple(sum(a * x for a, x in zip(row, p)) for row in t)
+                                  for p in blown_up.vertices])
 print("\ndeterminant-2 image volume:", geom.volume(image),
-      "=", t.determinant, "x", geom.volume(blown_up))
+      "=", geom.integer_det(list(t)), "x", geom.volume(blown_up))
 
 # Each polytope value carries its facets next to its vertices: the cut
-# added one facet, the map moved the normals by the inverse transpose, and
-# going back to half-spaces reads them off without hulling the vertices.
+# added one facet, the hull found the image's from its vertices, and going
+# back to half-spaces reads them off without hulling the vertices.
 print("\nfacets before and after the cut:", len(verts.facets), len(blown_up.facets))
 print("facets of the determinant-2 image:")
 for f in image.facets:

@@ -13,10 +13,9 @@ from fanokit import sx_optimizer as sx
 from fanokit.toric_heights import ToricLogFano, log_fano_volume
 
 # The preset bodies are the real moment polytopes: P^3 blown up in a point as
-# it is, P(O+O(2)) moved by a determinant-2 map onto a body symmetric about the
-# axis (1, 1, 1); the optimizer divides the volume by that determinant.
-maps = {"p3-blowup": "identity",
-        "po-o2": [[int(x) for x in row] for row in presets.PO_O2_NORMAL_FORM.matrix]}
+# it is, P(O+O(2)) as its image under a determinant-2 map, a body symmetric
+# about the axis (1, 1, 1); the optimizer divides the volume by that determinant.
+maps = {"p3-blowup": "identity", "po-o2": [[1, 0, 0], [0, 1, 0], [-1, -1, 2]]}
 for name in ("p3-blowup", "po-o2"):
     body, det = presets.SX_PRESETS[name]()
     result = sx.sx_invariant(body, det)

@@ -6,14 +6,13 @@ corrections, and the Hurwitz-zeta canonical height on the thrice-marked
 projective line)."""
 
 from .errors import FanokitError
-from .geometry import HPolytope, LinearMap, VPolytope
+from .geometry import HPolytope, VPolytope
 from .toric_heights import HeightReport, ToricLogFano, VolumePair
 
 __all__ = [
     "FanokitError",
     "HPolytope",
     "VPolytope",
-    "LinearMap",
     "HeightReport",
     "ToricLogFano",
     "VolumePair",

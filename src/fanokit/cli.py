@@ -326,8 +326,8 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
     for label, h, reference in del_pezzo:
         row(f"degree, {label}", reference, float(degree_of(h)), 0)
 
-    po = geom.enumerate_vertices(presets.po_o2_polytope())
-    ratio = geom.volume(geom.transform(po, presets.PO_O2_NORMAL_FORM)) / geom.volume(po)
+    ratio = (geom.volume(geom.enumerate_vertices(presets.po_o2_normal_form()))
+             / geom.volume(geom.enumerate_vertices(presets.po_o2_polytope())))
     row("volume ratio under the determinant-2 normal-form map", 2,
         float(ratio), 0)
 
@@ -455,6 +455,8 @@ def run(argv: list[str]) -> int:
             items = data["batch"]
             if not isinstance(items, list):
                 raise InputError("'batch' must be a list of inputs")
+            if not all(isinstance(it, dict) for it in items):
+                raise InputError("each batch item must be an object")
             payload = {"results": [handler(args, it) for it in items]}
         else:
             payload = handler(args, data)

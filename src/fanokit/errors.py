@@ -27,10 +27,6 @@ class EmptyIntersection(InputError):
     """A half-space cut removed the whole polytope."""
 
 
-class SingularMap(InputError):
-    """Linear map with determinant zero."""
-
-
 class DimensionMismatch(InputError):
     """A dimension that is not a positive int, or a vector of another length."""
 

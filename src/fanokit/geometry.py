@@ -12,14 +12,14 @@ log discrepancy coefficient of the corresponding facet divisor.
 A ``VPolytope`` carries its vertices, its facets and their incidence
 together.  Facets are found once, by ``facets_from_points`` for a point
 cloud or by ``enumerate_vertices`` for an H-polytope, both one integer
-double-description routine, ``_extreme_rays``; transforms carry them along,
-a half-space cut enumerates afresh.  The incidence is decided once, as bit
-masks: ``enumerate_vertices`` takes it from the double description's tight
-rows, the constructor from the points scaled to integers.  Volume and moment
-come from one pulling triangulation over it, and ``clip_family`` reads each
-slab's cut off it and fits it in integers, with no clip.  All Gaussian
-elimination, every determinant included, is one fraction-free routine, ``_bareiss``,
-forward unless its rows are read; the volume runs its recurrence a row at a time.
+double-description routine, ``_extreme_rays``; a half-space cut enumerates
+afresh.  The incidence is decided once, as bit masks: ``enumerate_vertices``
+takes it from the double description's tight rows, the constructor from the
+points scaled to integers.  Volume and moment come from one pulling
+triangulation over it, and ``clip_family`` reads each slab's cut off it and
+fits it in integers, with no clip.  All Gaussian elimination, every
+determinant included, is one fraction-free routine, ``_bareiss``, forward
+unless its rows are read; the volume runs its recurrence a row at a time.
 
 Every operation is a pure function on immutable values (a ``VPolytope``
 keeps its volume, moment and vertex cones once computed, a clip family its
@@ -40,7 +40,6 @@ from .errors import (
     DimensionMismatch,
     EmptyIntersection,
     OutOfRange,
-    SingularMap,
     UnboundedPolytope,
 )
 
@@ -216,8 +215,8 @@ class VPolytope:
     its set of kept points is nonempty and maximal.  ``vertices`` and
     ``facets`` come out sorted, ``rows`` by vertex, over the vertices' own
     least common denominator, and ``masks`` by facet.  Volume, moment and
-    ``cones`` are computed on first use and kept with the value; a transform
-    or a cut is a new value and computes its own.
+    ``cones`` are computed on first use and kept with the value; a cut is a
+    new value and computes its own.
     """
 
     dim: int
@@ -417,43 +416,6 @@ def barycenter(v: VPolytope) -> Vec:
     """Exact centroid; independent of any triangulation choice."""
     vol, mom = volume_and_moment(v)
     return tuple(m / vol for m in mom)
-
-
-# -- transforms -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Square rational matrix with its determinant cached at construction."""
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-    determinant: Fraction = field(init=False)
-
-    def __post_init__(self):
-        rows = tuple(vec(r) for r in self.matrix)
-        _check_shape(len(rows), rows, "matrix row")
-        object.__setattr__(self, "matrix", rows)
-        s = lcm(*(x.denominator for r in rows for x in r))
-        d = integer_det([[x.numerator * (s // x.denominator) for x in r] for r in rows])
-        object.__setattr__(self, "determinant", Fraction(d, s ** len(rows)))   # det(s t) / s^n
-
-
-def transform(v: VPolytope, t: LinearMap) -> VPolytope:
-    """Image polytope under an invertible linear map.
-
-    Normals move by the inverse transpose: for t = m / s, ``_bareiss`` takes [m | I] to
-    [d I | d m^-1], and <l, x> >= -a goes to <d^2 m^-T l, y> >= -d^2 a / s.  Volumes
-    scale by |det t|; the caller reads the factor off the map.
-    """
-    if t.determinant == 0:
-        raise SingularMap("linear map is not invertible")
-    n, s = v.dim, lcm(*(x.denominator for r in t.matrix for x in r))
-    m = [[x.numerator * (s // x.denominator) for x in r] for r in t.matrix]
-    aug = [r + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    d = _bareiss(aug, jordan=True)[2]
-    facets = tuple(make_facet([d * sum(map(mul, l, c)) for c in zip(*(r[n:] for r in aug))],
-                              d * d * a / s) for l, a in v.facets)
-    return VPolytope(n, tuple(tuple(Fraction(sum(map(mul, row, r)), s * r[n]) for row in m)
-                              for r in v.rows), facets)
 
 
 # -- clipping -------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 from .errors import OutOfRange
-from .geometry import HPolytope, LinearMap, enumerate_vertices, transform
+from .geometry import HPolytope, enumerate_vertices
 
 
 def pn_polytope(n: int) -> HPolytope:
@@ -58,6 +58,13 @@ def po_o2_polytope() -> HPolytope:
     )
 
 
+def po_o2_normal_form() -> HPolytope:
+    """P(O + O(2)) under (x, y, z) -> (x, y, 2z - x - y), of determinant 2: the simplex
+    difference (5*Delta_3 - 1) \\ (Delta_3 - 1), with its barycenter on the axis (1, 1, 1)."""
+    return HPolytope(3, (((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
+                         ((-1, -1, -1), 2), ((1, 1, 1), 2)))
+
+
 def p1xp1_polytope() -> HPolytope:
     return HPolytope(2, (((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)))
 
@@ -88,15 +95,10 @@ def weighted_p113_polytope() -> HPolytope:
     return HPolytope(2, (((1, 0), 1), ((0, 1), 1), ((-1, -3), 1)))
 
 
-# P(O + O(2)) onto the simplex difference (5*Delta_3 - 1) \ (Delta_3 - 1), whose
-# barycenter lies on the axis (1, 1, 1); its determinant is 2
-PO_O2_NORMAL_FORM = LinearMap(((1, 0, 0), (0, 1, 0), (-1, -1, 2)))
-
 # name -> (the body sx_invariant solves on, |det| of the map that produced it)
 SX_PRESETS = {
     "p3-blowup": lambda: (enumerate_vertices(p3_blowup_polytope()), 1),
-    "po-o2": lambda: (transform(enumerate_vertices(po_o2_polytope()), PO_O2_NORMAL_FORM),
-                      abs(PO_O2_NORMAL_FORM.determinant)),
+    "po-o2": lambda: (enumerate_vertices(po_o2_normal_form()), 2),
 }
 
 # Cardano's radical for each preset's cut weight w: the root of

@@ -16,9 +16,9 @@ it.  When the optimizer's full barycenter vanishes (always in the
 symmetric benchmark cases) the result is certified as S(X); otherwise it
 is an upper bound for the half-space family only.
 
-The input is one ``VPolytope``.  A body brought into a symmetric position by
-a linear map, as ``presets.SX_PRESETS`` brings P(O + O(2)) by a determinant-2
-map, comes with |det| of that map, and the volume is divided by it.
+The input is one ``VPolytope`` and the |det| of a linear map onto it from
+the moment polytope, by which the volume is divided: 2 for
+``presets.po_o2_normal_form``, P(O + O(2)) in a symmetric position.
 """
 from __future__ import annotations
 
@@ -55,8 +55,8 @@ class SxResult:
 
 def sx_invariant(v: VPolytope, det=1) -> SxResult:
     """n! S(X) for a moment polytope v with the origin in its interior;
-    ``det`` is |det| of the linear map that produced v from the moment
-    polytope, so that the reported volume is n! cvol / det.  OutOfRange when
+    ``det`` is |det| of a linear map from the moment polytope onto v, so
+    that the reported volume is n! cvol / det.  OutOfRange when
     some facet offset is <= 0, so that the origin is not interior, or when a
     reported number or the top cut level lies beyond the double range.
 

@@ -1,6 +1,7 @@
 """Shared test oracles: ``Fraction`` vector arithmetic, linear maps on
-points, translation, the sign of a clip family's moment at one cut-off,
-Gauss-Jordan elimination over ``Fraction``, volume and moment with every
+points and the hull of a polytope's image under one, translation, the
+sign of a clip family's moment at one cut-off, Gauss-Jordan elimination
+over ``Fraction``, volume and moment with every
 pulling simplex eliminated from scratch, brute-force exact H->V and
 V->H conversion, the vertex-facet incidence by ``Fraction`` dots, an
 exact clip per cut-off and the ``Fraction`` bisection of S(X) over it,
@@ -31,9 +32,15 @@ def vadd(u, v) -> tuple[Fraction, ...]:
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
 
 
-def apply(t: geom.LinearMap, p) -> tuple[Fraction, ...]:
-    """The image of the point p under the linear map t."""
-    return tuple(dot(row, p) for row in t.matrix)
+def apply(m, p) -> tuple[Fraction, ...]:
+    """The image of the point p under the square matrix m, given by its rows."""
+    return tuple(dot(row, p) for row in m)
+
+
+def image(v: geom.VPolytope, m) -> geom.VPolytope:
+    """The image of v under an invertible square matrix m: the hull of its
+    mapped vertices."""
+    return geom.VPolytope.from_points(v.dim, [apply(m, p) for p in v.vertices])
 
 
 def translate(v: geom.VPolytope, shift) -> geom.VPolytope:
@@ -331,8 +338,11 @@ def random_rational_polytope(rng: random.Random, dim: int,
         return v
 
 
-def random_unimodular(rng: random.Random, dim: int, steps: int = 10) -> geom.LinearMap:
-    m = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
+def random_unimodular(rng: random.Random, dim: int,
+                      steps: int = 10) -> tuple[tuple[int, ...], ...]:
+    """An integer matrix of determinant +-1, as rows: the identity under
+    ``steps`` random row additions, swaps and negations."""
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(steps):
         op = rng.randrange(3)
         i, j = rng.sample(range(dim), 2) if dim > 1 else (0, 0)
@@ -343,7 +353,7 @@ def random_unimodular(rng: random.Random, dim: int, steps: int = 10) -> geom.Lin
             m[i], m[j] = m[j], m[i]
         else:
             m[i] = [-a for a in m[i]]
-    return geom.LinearMap(tuple(tuple(r) for r in m))
+    return tuple(tuple(r) for r in m)
 
 
 def mc_volume_estimate(v: geom.VPolytope, n_samples: int,

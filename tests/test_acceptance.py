@@ -21,6 +21,7 @@ from fanokit.zeta import ZetaHeightInput
 
 from helpers import (
     apply,
+    image,
     mc_volume_estimate,
     random_rational_polytope,
     random_unimodular,
@@ -141,7 +142,7 @@ def test_criterion_8_geometry_oracle():
         v = random_rational_polytope(rng, rng.randint(2, 4))
         u = random_unimodular(rng, v.dim)
         shift = tuple(F(rng.randint(-3, 3), 2) for _ in range(v.dim))
-        moved = translate(geom.transform(v, u), shift)
+        moved = translate(image(v, u), shift)
         assert geom.volume(moved) == geom.volume(v)
         assert geom.barycenter(moved) == vadd(apply(u, geom.barycenter(v)), shift)
     _report(8, "exact volumes within 3 sigma of 1e6-sample Monte Carlo on 20 "

@@ -742,7 +742,6 @@ OPERATION_COVERAGE = [
     ("fanokit.geometry", "intersect_halfspace",
      ["volume", "--json", P3_JSON, "--cut-normal=-1,-1,-1",
       "--cut-offset", "1"]),
-    ("fanokit.geometry", "transform", ["reproduce-paper"]),
     ("fanokit.geometry", "clip_family", ["sx", "--preset", "p3-blowup"]),
     ("fanokit.toric_heights", "is_k_semistable", ["semistable", "--json", P3_JSON]),
     ("fanokit.toric_heights", "log_fano_volume", ["reproduce-paper"]),
@@ -862,15 +861,27 @@ class TestInputPaths:
         (["volume", "--preset", "p3", "--json", P3_JSON], "give either --preset or an input"),
         (["sx", "--preset", "p3-blowup", "--json", P3_JSON], "give either --preset or an input"),
         (["sx", "--preset", "p3-blowup", "--json", '{"batch": [1, 2]}'],
-         "give either --preset or an input"),
+         "each batch item must be an object"),
         (["volume", "--json", '{"batch": {"dim": 1}}'], "'batch' must be a list"),
+        (["semistable", "--json", '{"batch": [5]}'], "each batch item must be an object"),
+        (["p1-zeta-height", "--json", '{"batch": [5]}'], "each batch item must be an object"),
+        (["diagonal", "--json", '{"batch": [5]}'], "each batch item must be an object"),
+        (["p1-zeta-height", "--json", '{"batch": ["weights"]}'],
+         "each batch item must be an object"),
+        (["diagonal", "--json", '{"batch": ["weights"]}'], "each batch item must be an object"),
+        (["pn-height", "--n", "1", "--json", '{"batch": [1]}'],
+         "each batch item must be an object"),
+        (["volume", "--json", '{"batch": [' + P3_JSON + ', 5]}'],
+         "each batch item must be an object"),
         (["sx"], "missing input: give --input, --json or --preset"),
         (["arrangement-bound"], "weights JSON needs 'n' and a 'weights' list"),
         (["diagonal"], "diagonal needs JSON"),
         (["p1-zeta-height"], "p1-zeta-height needs JSON"),
     ], ids=["input-and-json", "empty-json-and-input", "empty-json", "top-level-array", "preset-and-input", "sx-preset-and-input",
-            "sx-preset-and-batch", "batch-not-list", "sx-no-input", "arrangement-bound-no-input", "diagonal-no-input",
-            "p1-zeta-height-no-input"])
+            "sx-preset-and-batch", "batch-not-list", "semistable-batch-number", "p1-zeta-height-batch-number",
+            "diagonal-batch-number", "p1-zeta-height-batch-string", "diagonal-batch-string",
+            "pn-height-batch-number", "batch-object-then-number", "sx-no-input", "arrangement-bound-no-input",
+            "diagonal-no-input", "p1-zeta-height-no-input"])
     def test_refused(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")

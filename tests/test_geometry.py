@@ -21,12 +21,11 @@ from fanokit.errors import (
     EmptyIntersection,
     InputError,
     OutOfRange,
-    SingularMap,
     UnboundedPolytope,
 )
 from fanokit import presets
 from fanokit import sx_optimizer as sx
-from fanokit.geometry import HPolytope, LinearMap, VPolytope
+from fanokit.geometry import HPolytope, VPolytope
 
 from helpers import (
     apply,
@@ -36,6 +35,7 @@ from helpers import (
     dot,
     fraction_eliminate,
     fraction_incidence,
+    image,
     mc_volume_estimate,
     moment_sign,
     per_simplex_volume_and_moment,
@@ -193,39 +193,28 @@ class TestBarycenter:
             v = random_rational_polytope(rng, rng.randint(2, 3))
             t = random_unimodular(rng, v.dim)
             shift = tuple(F(rng.randint(-4, 4), 3) for _ in range(v.dim))
-            moved = translate(geom.transform(v, t), shift)
+            moved = translate(image(v, t), shift)
             expected = vadd(apply(t, geom.barycenter(v)), shift)
             assert geom.barycenter(moved) == expected
 
 
 class TestTransform:
-    def test_identity(self):
-        v = geom.enumerate_vertices(unit_cube(2))
-        ident = LinearMap(((1, 0), (0, 1)))
-        assert geom.transform(v, ident).vertices == v.vertices
-
     def test_doubling_volume(self):
         v = geom.enumerate_vertices(unit_cube(2))
-        t = LinearMap(((2, 0), (0, 2)))
-        assert t.determinant == 4
-        assert geom.volume(geom.transform(v, t)) == 4 * geom.volume(v)
+        t = ((2, 0), (0, 2))
+        assert geom.integer_det(list(t)) == 4
+        assert geom.volume(image(v, t)) == 4 * geom.volume(v)
 
-    def test_determinant_is_computed_not_given(self):
-        with pytest.raises(TypeError):
-            LinearMap(((1,),), determinant=5)
-
-    def test_det2_map_onto_simplex_difference_normal_form(self):
-        # P(O+O(2)) moment polytope maps with determinant 2 onto (5D-1)\(D-1),
-        # the po-o2 preset body that test_sx_optimizer compares with it
-        t = presets.PO_O2_NORMAL_FORM
-        assert t.determinant == 2
+    def test_po_o2_normal_form_is_its_det2_image(self):
+        # P(O+O(2)) under x -> (x_1, x_2, 2 x_3 - x_1 - x_2) is (5D-1)\(D-1), the
+        # po-o2 preset body that test_sx_optimizer compares with it
+        t = ((1, 0, 0), (0, 1, 0), (-1, -1, 2))
         po = geom.enumerate_vertices(presets.po_o2_polytope())
-        assert geom.volume(geom.transform(po, t)) == 2 * geom.volume(po)
-
-    def test_singular_map_rejected(self):
-        v = geom.enumerate_vertices(unit_cube(2))
-        with pytest.raises(SingularMap):
-            geom.transform(v, LinearMap(((1, 1), (2, 2))))
+        normal_form = geom.enumerate_vertices(presets.po_o2_normal_form())
+        hull = image(po, t)
+        assert (normal_form.vertices, normal_form.facets, normal_form.rows, normal_form.masks) == (
+            hull.vertices, hull.facets, hull.rows, hull.masks)
+        assert geom.volume(normal_form) == 2 * geom.volume(po)
 
     def test_volume_invariance_unimodular_and_translation(self):
         rng = random.Random(43)
@@ -233,35 +222,18 @@ class TestTransform:
             v = random_rational_polytope(rng, rng.randint(2, 4))
             t = random_unimodular(rng, v.dim)
             shift = tuple(F(rng.randint(-3, 3)) for _ in range(v.dim))
-            assert abs(t.determinant) == 1
-            moved = translate(geom.transform(v, t), shift)
+            assert abs(geom.integer_det(list(t))) == 1
+            moved = translate(image(v, t), shift)
             assert geom.volume(moved) == geom.volume(v)
 
     def test_volume_scales_by_det(self):
         rng = random.Random(47)
         for _ in range(5):
             v = random_rational_polytope(rng, 3)
-            rows = [[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-            t = LinearMap(tuple(tuple(r) for r in rows))
-            if t.determinant == 0:
+            t = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            if (det := geom.integer_det(list(t))) == 0:
                 continue
-            assert geom.volume(geom.transform(v, t)) == abs(t.determinant) * geom.volume(v)
-
-    def test_rational_map_equals_the_hull_of_the_image(self):
-        # either sign of det: the integer inverse is d m^-1, d of either sign too
-        rng, signs = random.Random(53), set()
-        for _ in range(20):
-            v = random_rational_polytope(rng, rng.randint(1, 4))
-            t = LinearMap([[F(rng.randint(-5, 5), rng.choice([1, 2, 3, 7])) for _ in range(v.dim)]
-                           for _ in range(v.dim)])
-            if t.determinant == 0:
-                continue
-            signs.add(t.determinant > 0)
-            hull = VPolytope.from_points(v.dim, [apply(t, p) for p in v.vertices])
-            image = geom.transform(v, t)
-            assert (image.vertices, image.facets, image.masks) == (
-                hull.vertices, hull.facets, hull.masks)
-        assert signs == {True, False}
+            assert geom.volume(image(v, t)) == abs(det) * geom.volume(v)
 
 
 class TestIntersectHalfspace:
@@ -349,12 +321,11 @@ class TestFacetsCarried:
         assert geom.enumerate_vertices(shuffled).masks == again.masks == v.masks
         rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
                                   min_size=dim, max_size=dim))
-        t = LinearMap(tuple(tuple(r) for r in rows))
-        if t.determinant != 0:
-            image = geom.transform(v, t)
-            assert_facets_invariant(image)
-            moved = [apply(t, p) for p in v.vertices]
-            assert_incidence(image, moved, brute_force_facets(dim, moved))
+        if geom.integer_det(list(rows)) != 0:
+            hull = image(v, rows)
+            assert_facets_invariant(hull)
+            moved = [apply(rows, p) for p in v.vertices]
+            assert_incidence(hull, moved, brute_force_facets(dim, moved))
         shift = data.draw(st.lists(st.fractions(-2, 2, max_denominator=4),
                                    min_size=dim, max_size=dim))
         shifted = translate(v, shift)
@@ -405,7 +376,7 @@ class TestFiveDimensional:
         for _ in range(2):
             t = random_unimodular(rng, 5)
             shift = tuple(F(rng.randint(-3, 3), 2) for _ in range(5))
-            moved = translate(geom.transform(v, t), shift)
+            moved = translate(image(v, t), shift)
             assert geom.volume(moved) == vol
             assert geom.barycenter(moved) == vadd(apply(t, bary), shift)
 
@@ -423,7 +394,7 @@ SQUARE_PYRAMID = HPolytope(3, (((0, 0, 1), 0), ((1, 0, -1), 1), ((-1, 0, -1), 1)
 def four_cube_images():
     rng = random.Random(61)
     cube = geom.enumerate_vertices(unit_cube(4))
-    images = [geom.transform(cube, random_unimodular(rng, 4)) for _ in range(3)]
+    images = [image(cube, random_unimodular(rng, 4)) for _ in range(3)]
     return [HPolytope(v.dim, v.facets) for v in images]
 
 
@@ -455,8 +426,8 @@ def incidence_cases():
         h = build()
         yield name, h
         for k in range(2):
-            image = geom.transform(geom.enumerate_vertices(h), random_unimodular(rng, h.dim))
-            yield f"{name}-image-{k}", HPolytope(h.dim, image.facets)
+            moved = image(geom.enumerate_vertices(h), random_unimodular(rng, h.dim))
+            yield f"{name}-image-{k}", HPolytope(h.dim, moved.facets)
     yield "cross-3", cross_polytope(3)
     yield "cross-4", cross_polytope(4)
     yield "square-pyramid", SQUARE_PYRAMID
@@ -613,7 +584,7 @@ def mixed_denominator_image(n):
     """A unimodular image of a seeded cloud, translated by a shift whose
     coordinates have coprime denominators, so that the vertices carry
     different denominators and their common denominator is large."""
-    v = geom.transform(seeded_cloud(n), random_unimodular(random.Random(80 + n), n))
+    v = image(seeded_cloud(n), random_unimodular(random.Random(80 + n), n))
     return translate(v, [F(k + 1, p) for k, p in zip(range(n), (3, 7, 11, 13, 17))])
 
 
@@ -788,19 +759,16 @@ class TestOneIntegrationPerValue:
         for p, (tight, det) in zip(v.vertices, v.cones):
             assert tight == tuple(k for k, (l, a) in enumerate(v.facets) if dot(l, p) == -a)
             normals = [v.facets[k].normal for k in tight]
-            assert det == (abs(LinearMap(normals).determinant) if len(tight) == v.dim else None)
+            assert det == (abs(fraction_eliminate(normals)[2]) if len(tight) == v.dim else None)
 
-    def test_transform_and_clip_carry_no_memo(self):
+    def test_clip_carries_no_memo(self):
         geom._vertices_of.cache_clear()
         v = geom.enumerate_vertices(presets.p3_blowup_polytope())
-        vol, mom = geom.volume_and_moment(v)
+        vol, _ = geom.volume_and_moment(v)
         assert v.cones
-        t = LinearMap(((1, 1, 0), (0, 1, 0), (0, 0, 2)))
-        image, clipped = geom.transform(v, t), geom.intersect_halfspace(v, (1, 0, 0), F(1, 2))
-        for w in (image, clipped):
-            assert w != v and not MEMOS & set(vars(w))
-            assert w.cones == VPolytope(3, w.vertices, w.facets).cones
-        assert geom.volume_and_moment(image) == (2 * vol, tuple(2 * x for x in apply(t, mom)))
+        clipped = geom.intersect_halfspace(v, (1, 0, 0), F(1, 2))
+        assert clipped != v and not MEMOS & set(vars(clipped))
+        assert clipped.cones == VPolytope(3, clipped.vertices, clipped.facets).cones
         ref_vol, ref_mom = delaunay_volume_and_moment(clipped)
         clip_vol, clip_mom = geom.volume_and_moment(clipped)
         assert float(clip_vol) == pytest.approx(ref_vol, rel=1e-9) and clip_vol < vol
@@ -858,8 +826,8 @@ NON_SIMPLE_BODIES = {
         3, [tuple(s * (j == i) for j in range(3)) for i in range(3) for s in (1, -1)]),
     "square-pyramid": VPolytope.from_points(
         3, [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]),
-    "4-cube-image": geom.transform(geom.enumerate_vertices(unit_cube(4)),
-                                   random_unimodular(random.Random(4), 4)),
+    "4-cube-image": image(geom.enumerate_vertices(unit_cube(4)),
+                          random_unimodular(random.Random(4), 4)),
     # under u = (1, 1, 1, 1): 8 vertices, but 12 edges cross the slab (-1, 1)
     "4-cross-polytope": VPolytope.from_points(
         4, [tuple(s * (j == i) for j in range(4)) for i in range(4) for s in (1, -1)]),
@@ -1053,7 +1021,7 @@ class TestEliminate:
     """``_bareiss``, the one elimination routine, does what Gauss-Jordan over
     Fractions does: on the rows scaled to integers it finds the same pivots,
     its rows divided by d are the same reduced rows, and sign * d over the
-    row scales is the determinant, the one ``LinearMap`` reports.  Forward
+    row scales is the determinant, as it is over one common scale.  Forward
     elimination, the default, finds the same pivots, sign and d, and
     ``integer_det`` reads the determinant off it."""
 
@@ -1075,7 +1043,9 @@ class TestEliminate:
         assert full == det
         assert forward == (got, sign, d)
         if rows == cols:
-            assert LinearMap(m).determinant == det
+            s = math.lcm(*scales)
+            common = [[x.numerator * (s // x.denominator) for x in r] for r in m]
+            assert F(geom.integer_det(common), s ** rows) == det
             assert F(geom.integer_det(fresh), math.prod(scales)) == det
 
     def test_empty_input(self):
@@ -1094,11 +1064,8 @@ class TestConstructorsCheckTheirInput:
         (lambda: HPolytope("2", (((1, 0), 1),)), DimensionMismatch),
         (lambda: HPolytope(2, (((0, 0), 1),)), OutOfRange),
         (lambda: geom.make_facet((), 1), OutOfRange),
-        (lambda: LinearMap(((1, 0), (0, 1, 0))), DimensionMismatch),
-        (lambda: LinearMap(()), DimensionMismatch),
     ], ids=["cloud-mixed-lengths", "cloud-dim-bool", "cloud-flat", "vertex-wrong-length",
-            "normal-wrong-length", "dim-zero", "dim-string", "normal-zero", "normal-empty",
-            "map-not-square", "map-empty"])
+            "normal-wrong-length", "dim-zero", "dim-string", "normal-zero", "normal-empty"])
     def test_typed_error(self, build, error):
         with pytest.raises(error):
             build()
@@ -1138,7 +1105,7 @@ class TestConstructorsCheckTheirInput:
         geom.volume_and_moment(v)
         clip_volume_and_moment(v, (1, 1, 1), F(17, 11))   # not a cached clip
         assert calls == []
-        geom.transform(v, LinearMap(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
+        image(v, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
         assert len(calls) == 1
         VPolytope.from_points(3, CUBE_3)
         assert len(calls) == 2

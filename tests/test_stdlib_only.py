@@ -89,3 +89,8 @@ def test_every_library_name_is_referenced():
         f"no library code reads {sorted(unread - UNREFERENCED.keys())}"
     # an exception leaves the list once the library reads it
     assert UNREFERENCED.keys() <= unread, f"read now: {sorted(UNREFERENCED.keys() - unread)}"
+
+
+def test_all_names_resolve():
+    # the exported API names only what the package defines
+    assert [name for name in fanokit.__all__ if not hasattr(fanokit, name)] == []

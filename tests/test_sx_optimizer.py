@@ -19,6 +19,7 @@ from helpers import (
     clip_volume_and_moment,
     dot,
     fraction_bisection_cutoff,
+    image,
     random_rational_polytope,
     simplex_difference,
     simplex_difference_barycenter,
@@ -57,9 +58,9 @@ class TestSimplexDifferenceBarycenter:
 
 
 class TestSxPresets:
-    """Each preset body is the real moment polytope, moved by
-    ``presets.PO_O2_NORMAL_FORM`` for po-o2, and equals its simplex
-    difference (a Delta_3 - 1) \\ (b Delta_3 - 1), facets included."""
+    """Each preset body is the real moment polytope, or for po-o2 its image
+    ``presets.po_o2_normal_form`` under a determinant-2 map, and equals its
+    simplex difference (a Delta_3 - 1) \\ (b Delta_3 - 1), facets included."""
 
     @pytest.mark.parametrize("name, a, b, det", [("p3-blowup", 4, 2, 1), ("po-o2", 5, 1, 2)])
     def test_body_is_its_simplex_difference(self, name, a, b, det):
@@ -201,13 +202,13 @@ class TestSxInvariant:
 
 def _sx_clip_cases():
     # x -> (-x_3, x_1, x_2), a signed permutation
-    image = geom.LinearMap(((0, 0, -1), (1, 0, 0), (0, 1, 0)))
+    signed_permutation = ((0, 0, -1), (1, 0, 0), (0, 1, 0))
     for name, preset in sorted(presets.SX_PRESETS.items()):
         yield f"preset-{name}", preset()[0]
     for name in ("p3-blowup", "po-o2"):
         v = geom.enumerate_vertices(presets.POLYTOPE_PRESETS[name]())
         yield f"real-{name}", v
-        yield f"image-{name}", geom.transform(v, image)
+        yield f"image-{name}", image(v, signed_permutation)
 
 
 SX_CLIP_CASES = list(_sx_clip_cases())

@@ -19,7 +19,9 @@ from fanokit.toric_heights import GapVerdict, ToricLogFano
 
 from helpers import (
     boundary_points,
+    fraction_eliminate,
     gl2z_normal_form,
+    image,
     lattice_subpolygons,
     random_unimodular,
     simplex_difference,
@@ -47,7 +49,7 @@ class TestSemistability:
         vol = th.log_fano_volume(t)
         for _ in range(5):
             u = random_unimodular(rng, 3)
-            moved = ToricLogFano(geom.transform(t.polytope, u))
+            moved = ToricLogFano(image(t.polytope, u))
             assert th.is_k_semistable(moved) == th.is_k_semistable(t)
             assert th.log_fano_volume(moved) == vol
             dets = sorted(r.det for r in th.vertex_singularity_report(moved))
@@ -95,22 +97,22 @@ class TestSingularities:
                                       "cross-3"])
     def test_determinants_equal_linear_map(self, name):
         """The integer determinants of the vertex cones and of the P^n test are
-        those of ``LinearMap`` on the same normals, on each body and two
-        unimodular images of it."""
+        those of Gauss-Jordan over ``Fraction`` on the same normals, on each
+        body and two unimodular images of it."""
         h = {"weighted-p112": presets.weighted_p112_polytope,
              "cross-3": lambda: HPolytope(3, tuple(((a, b, c), 1) for a in (1, -1)
                                                    for b in (1, -1) for c in (1, -1))),
              **presets.POLYTOPE_PRESETS}[name]()
         v, rng = geom.enumerate_vertices(h), random.Random(26)
-        for body in [v, *(geom.transform(v, random_unimodular(rng, v.dim)) for _ in range(2))]:
+        for body in [v, *(image(v, random_unimodular(rng, v.dim)) for _ in range(2))]:
             t = ToricLogFano(body)
             for r in th.vertex_singularity_report(t):
                 normals = [body.facets[k].normal for k in r.facet_indices]
-                assert r.det == (abs(geom.LinearMap(normals).determinant) if r.simple else None)
+                assert r.det == (abs(fraction_eliminate(normals)[2]) if r.simple else None)
             normals, n = [f.normal for f in body.facets], body.dim
             assert th.is_pn_polytope(body) == (
                 len(normals) == n + 1 and not any(map(sum, zip(*normals)))
-                and abs(geom.LinearMap(normals[:n]).determinant) == 1)
+                and abs(fraction_eliminate(normals[:n])[2]) == 1)
 
 
 class TestGorenstein:
@@ -179,10 +181,10 @@ class TestReflexivePolygons:
     def test_unimodular_images_keep_the_class(self, classes):
         rng = random.Random(13)
         for form, p in classes.items():
-            image = geom.transform(p, random_unimodular(rng, 2))
-            assert gl2z_normal_form(image) == form
-            assert geom.volume(image) == geom.volume(p)
-            assert th.is_smooth(ToricLogFano(image)) == th.is_smooth(ToricLogFano(p))
+            moved = image(p, random_unimodular(rng, 2))
+            assert gl2z_normal_form(moved) == form
+            assert geom.volume(moved) == geom.volume(p)
+            assert th.is_smooth(ToricLogFano(moved)) == th.is_smooth(ToricLogFano(p))
 
 
 class TestPnHeight:
@@ -362,7 +364,7 @@ class TestGapCheck:
     def test_pn_detected_after_unimodular_change(self):
         rng = random.Random(17)
         u = random_unimodular(rng, 3)
-        moved = geom.transform(geom.enumerate_vertices(presets.pn_polytope(3)), u)
+        moved = image(geom.enumerate_vertices(presets.pn_polytope(3)), u)
         assert th.gap_check(ToricLogFano(moved)).verdict is GapVerdict.IS_PN
 
     def test_products_satisfy_gap(self):
