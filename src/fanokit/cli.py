@@ -58,10 +58,13 @@ def _load_input(args) -> dict | None:
 def _target(args, data) -> float:
     eps = args.precision
     if data is not None and "precision" in data:
+        raw = data["precision"]
         try:
-            eps = float(data["precision"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad precision value {data['precision']!r}") from exc
+            eps = float(raw)
+        except (TypeError, ValueError):
+            eps = None
+        if eps is None or isinstance(raw, bool):   # float(True) would be the target 1.0
+            raise InputError(f"bad precision value {raw!r}")
     return eps
 
 
@@ -94,7 +97,7 @@ def _cmd_semistable(args, data) -> dict:
     return {
         "kind": "toric",
         "semistable": toric.is_k_semistable(t),
-        "barycenter": [jsonio.frac_to_str(x) for x in t.barycenter],
+        "barycenter": [jsonio.frac_to_str(x) for x in geom.barycenter(t.polytope)],
     }
 
 
@@ -460,9 +463,6 @@ def run(argv: list[str]) -> int:
             payload = {"results": [handler(args, it) for it in items]}
         else:
             payload = handler(args, data)
-    except InputError as exc:
-        print(f"fanokit: input error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"fanokit: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from . import geometry as geom
@@ -124,15 +123,10 @@ class ToricLogFano:
     def dim(self) -> int:
         return self.polytope.dim
 
-    @cached_property
-    def barycenter(self) -> Vec:
-        """Exact barycenter of the moment polytope, integrated once per pair."""
-        return geom.barycenter(self.polytope)
-
 
 def is_k_semistable(t: ToricLogFano) -> bool:
-    """True iff the barycenter of the moment polytope is exactly the origin."""
-    return all(x == 0 for x in t.barycenter)
+    """True iff the moment the polytope keeps, so its barycenter, is exactly 0."""
+    return not any(geom.volume_and_moment(t.polytope)[1])
 
 
 def log_fano_volume(t: ToricLogFano) -> VolumePair:
@@ -158,7 +152,8 @@ def vertex_singularity_report(t: ToricLogFano) -> tuple[VertexSingularity, ...]:
 
 
 def is_smooth(t: ToricLogFano) -> bool:
-    return all(r.simple and r.det == 1 for r in vertex_singularity_report(t))
+    """True iff every vertex cone is simple of |det| 1 (``VPolytope.cones``)."""
+    return all(d == 1 for _, d in t.polytope.cones)
 
 
 def is_gorenstein(t: ToricLogFano) -> bool:
@@ -171,16 +166,10 @@ def is_gorenstein(t: ToricLogFano) -> bool:
 def is_pn_polytope(v: VPolytope) -> bool:
     """Does the normal fan equal the fan of P^n up to GL_n(Z)?
 
-    Equivalent to: n+1 facets, normals summing to zero, some n of them a
-    basis of Z^n (then every n of them are, and the fan is the P^n fan).
+    Equivalent to: n+1 facets and every vertex cone, read off ``v.cones``,
+    of |det| 1, since P^n has the only smooth complete fan with n+1 rays.
     """
-    n = v.dim
-    if len(v.facets) != n + 1:
-        return False
-    normals = [f.normal for f in v.facets]
-    if any(sum(l[i] for l in normals) != 0 for i in range(n)):
-        return False
-    return abs(geom.integer_det(normals[:n])) == 1
+    return len(v.facets) == v.dim + 1 and all(d == 1 for _, d in v.cones)
 
 
 # -- closed-form heights -------------------------------------------------------
@@ -312,18 +301,15 @@ def gap_check(t: ToricLogFano) -> GapReport:
     """Volume-gap verdict for a K-semistable toric log Fano pair.
 
     IsPn when the underlying variety is P^n; otherwise the gap holds iff
-    poly_volume <= 2 n^n / n!.  For singular X (some vertex determinant
-    >= 2) the stronger certificate poly_volume <= (1/2)(n+1)^n / n! is
-    reported alongside.
+    poly_volume <= 2 n^n / n!.  For singular X (not ``is_smooth``) the
+    stronger certificate poly_volume <= (1/2)(n+1)^n / n! is reported alongside.
     """
-    vol, mom = geom.volume_and_moment(t.polytope)
-    if any(mom):
+    if not is_k_semistable(t):
         raise NotSemistable("gap check requires barycenter zero")
-    n = t.dim
+    vol, n = geom.volume(t.polytope), t.dim
     threshold = Fraction(2 * n**n, math.factorial(n))
     report = vertex_singularity_report(t)
-    singular = any((not r.simple) or (r.det is not None and r.det >= 2)
-                   for r in report)
+    singular = not is_smooth(t)
     cert_bound = Fraction((n + 1) ** n, 2 * math.factorial(n)) if singular else None
     cert_holds = (vol <= cert_bound) if singular else None
     if is_pn_polytope(t.polytope):

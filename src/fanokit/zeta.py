@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .arrangements import WeightVector, is_arrangement_semistable
 from .errors import (
@@ -137,27 +137,6 @@ def f_value(x: float, target: float = DEFAULT_TARGET) -> float:
     return z.value + z.derivative
 
 
-def _f_error_estimate(target: float) -> float:
-    # both summands honor the target; rounding contributes ~1e2 eps
-    return 2 * target + 256 * _EPS
-
-
-def _f_complex(x: float, f: Callable[[float], float],
-               target: float) -> tuple[complex, float]:
-    """F continued to x > -1 (complex principal branch below 0) from f, the
-    real F on [0, inf): a negative x reads f(x + 1)."""
-    if x <= -1:
-        raise DomainError("continuation implemented for x > -1 only")
-    if x >= 0:
-        return complex(f(x)), _f_error_estimate(target)
-    # zeta(s,x) = x^{-s} + zeta(s,x+1):   at s = -1,
-    # zeta(-1,x) = x + zeta(-1,x+1),  zeta'(-1,x) = -x Log x + zeta'(-1,x+1)
-    val = complex(f(x + 1.0)) + x - x * cmath.log(complex(x))
-    err = (_f_error_estimate(target)
-           + 8 * _EPS * abs(x) * (1 + abs(cmath.log(complex(x)))))
-    return val, err
-
-
 @dataclass(frozen=True)
 class ZetaHeightInput:
     """Three marked-point weights on P^1; V = 2 - sum(w) is the degree of
@@ -211,17 +190,26 @@ def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) ->
     # F on [0, inf), keyed on the argument hurwitz_zeta sees: one pass each
     memo: dict[float, float] = {}
 
-    def f(x: float) -> float:
-        x = x or 1.0    # F(0) = F(1)
-        if x not in memo:
-            memo[x] = f_value(x, target)
-        return memo[x]
+    def f(x: float) -> tuple[complex, float]:
+        # F continued to x > -1 (principal branch below 0), and its error bound
+        if x <= -1:
+            raise DomainError("continuation implemented for x > -1 only")
+        y = (x if x >= 0 else x + 1.0) or 1.0    # F(0) = F(1)
+        if y not in memo:
+            memo[y] = f_value(y, target)
+        # both summands honor the target; rounding contributes ~1e2 eps
+        err = 2 * target + 256 * _EPS
+        if x >= 0:
+            return complex(memo[y]), err
+        # zeta(s,x) = x^{-s} + zeta(s,x+1):   at s = -1,
+        # zeta(-1,x) = x + zeta(-1,x+1),  zeta'(-1,x) = -x Log x + zeta'(-1,x+1)
+        log_x = cmath.log(complex(x))
+        return complex(memo[y]) + x - x * log_x, err + 8 * _EPS * abs(x) * (1 + abs(log_x))
 
     total = complex(0)
     err = 0.0
     for a, b in [(0.0, h)] + [(float(w), float(w) + h) for w in inp.weights]:
-        (fb, e1), (f1b, e2), (fa, e3), (f1a, e4) = (
-            _f_complex(x, f, target) for x in (b, 1 - b, a, 1 - a))
+        (fb, e1), (f1b, e2), (fa, e3), (f1a, e4) = (f(x) for x in (b, 1 - b, a, 1 - a))
         # gamma(a, b), in paired differences so that gamma(a, a) cancels exactly
         total += (fb - fa) + (f1b - f1a)
         err += e1 + e2 + e3 + e4

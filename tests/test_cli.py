@@ -81,16 +81,19 @@ class TestSubcommands:
         assert code == 0 and payload["semistable"] is True
 
     def test_semistable_integrates_once(self, capsys, monkeypatch):
+        """The verdict and the printed barycenter both read the one moment
+        the polytope keeps: one triangulation is walked."""
         from fanokit import geometry
 
-        original = geometry.volume_and_moment
+        geometry._vertices_of.cache_clear()
+        original = geometry._pulling_simplices
         calls = []
 
         def spy(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(geometry, "volume_and_moment", spy)
+        monkeypatch.setattr(geometry, "_pulling_simplices", spy)
         code, out, _ = run_cli(["semistable", "--preset", "p3"], capsys)
         assert code == 0
         assert json.loads(out)["semistable"] is True
@@ -244,6 +247,7 @@ class TestErrorHandling:
         ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"], "precision": "inf"}'],
         ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"]}', "--precision", "0"],
         ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"], "precision": -1e-9}'],
+        ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/3", "1/4"], "precision": true}'],
         ["volume", "--preset", "p3", "--cut-normal=0,0,0", "--cut-offset", "1"],
         ["stability-polytope", "--n", "0", "--m", "3", "--degree", "1"],
         ["stability-polytope", "--n", "-1", "--m", "3", "--degree", "1"],
@@ -259,7 +263,7 @@ class TestErrorHandling:
     ], ids=["facets-not-list", "vertices-not-list", "t-abc", "volume-abc", "volume-1/0",
             "degree-abc", "cut-offset-1/0", "precision-x", "pn-height-400",
             "universal-bound-400", "precision-inf-flag", "precision-inf-json",
-            "precision-zero-flag", "precision-negative-json",
+            "precision-zero-flag", "precision-negative-json", "precision-bool",
             "cut-normal-zero", "stability-n-0", "stability-n-negative", "stability-m-negative",
             "diagonal-a-bool", "diagonal-n-bool", "diagonal-n-string", "diagonal-d-float",
             "weights-n-bool", "normal-bool", "dim-bool"])
@@ -527,8 +531,8 @@ def _polygon_json(normals):
     return {"dim": 2, "facets": [{"normal": l, "offset": "1"} for l in normals]}
 
 
-# the centred square and hexagon: 4 and 6 simple vertices, and neither is P^2,
-# so is_pn_polytope takes no determinant
+# the centred square and hexagon: 4 and 6 simple vertices, one determinant each,
+# which is_smooth and is_pn_polytope read off the vertex cones
 SQUARE, HEXAGON = (_polygon_json([[1, 0], [-1, 0], [0, 1], [0, -1]]),
                    _polygon_json([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, -1]]))
 

@@ -21,6 +21,8 @@ def _facets(dim, normals):
 P2 = _facets(2, [[1, 0], [0, 1], [-1, -1]])
 P3 = _facets(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]])
 PO_O2 = _facets(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [-1, -1, 2]])
+# P^2/mu_3: normals summing to zero, every vertex cone of |det| 3; the one singular gap-check
+P2_MOD_MU3 = _facets(2, [[1, 1], [1, -2], [-2, 1]])
 WEIGHTS = json.dumps({"n": 2, "weights": ["1/2", "1/2", "1/2", "1/2"]})
 DIAGONAL = json.dumps({"n": 2, "d": 3, "a": [1, 1, 1, 8]})
 P1_WEIGHTS = json.dumps({"weights": ["1/2", "1/3", "1/4"]})
@@ -32,6 +34,7 @@ HUGE_CLOUD = json.dumps({"dim": 3, "vertices": [[0, 1, 2], [1, 0, 1], [2, "-3/2"
 CASES = [
     *([command, "--preset", name] for name in sorted(POLYTOPE_PRESETS)
       for command in ("volume", "barycenter", "semistable", "gap-check")),
+    ["gap-check", "--json", P2_MOD_MU3],
     ["sx", "--preset", "p3-blowup"],
     ["sx", "--preset", "po-o2"],
     ["sx", "--preset", "po-o2", "--format", "table"],
@@ -148,6 +151,8 @@ DIGESTS = {
         '262e5f0ce9e5a278945b3a8ef6845c3db0e48d86a7afde4e66f57dba6804be02',
     'gap-check --preset po-o2':
         '5ccad5e28a3530f9616a32979dcb3943253e351ea405106916fcc8bf31c475c8',
+    'gap-check --json \'{"dim": 2, "facets": [{"normal": [1, 1], "offset": "1"}, {"normal": [1, -2], "offset": "1"}, {"normal": [-2, 1], "offset": "1"}]}\'':
+        '64965330298efb06551d82837abf6f26847e291ad76cdd492529e1bc819c9588',
     'sx --preset p3-blowup':
         'ff7ecdb2f27a0c339331d48043ff67c2e88e407240a61c4918a8bf842360ac08',
     'sx --preset po-o2':

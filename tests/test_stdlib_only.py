@@ -57,7 +57,6 @@ def test_every_errors_class_is_raised():
 
 # library names that no library code reads yet, each with the planned work that reads it
 UNREFERENCED = {
-    "is_smooth": "the fan value's smoothness test (ROADMAP item 15)",
     "weighted_p112_polytope": "a golden sx row for a weighted projective plane (ROADMAP item 14)",
     "weighted_p113_polytope": "a golden sx row for a weighted projective plane (ROADMAP item 14)",
     "weighted_p112_centered": "the surface oracle of S(X) (ROADMAP item 8)",

@@ -94,14 +94,16 @@ class TestSingularities:
         assert not th.is_smooth(ToricLogFano(presets.weighted_p112_polytope()))
 
     @pytest.mark.parametrize("name", [*sorted(presets.POLYTOPE_PRESETS), "weighted-p112",
-                                      "cross-3"])
+                                      "cross-3", "p2-mod-mu3"])
     def test_determinants_equal_linear_map(self, name):
         """The integer determinants of the vertex cones and of the P^n test are
         those of Gauss-Jordan over ``Fraction`` on the same normals, on each
-        body and two unimodular images of it."""
+        body and two unimodular images of it.  P^2/mu_3 has normals summing
+        to zero but every vertex cone of |det| 3, so it is not P^2."""
         h = {"weighted-p112": presets.weighted_p112_polytope,
              "cross-3": lambda: HPolytope(3, tuple(((a, b, c), 1) for a in (1, -1)
                                                    for b in (1, -1) for c in (1, -1))),
+             "p2-mod-mu3": lambda: HPolytope(2, (((1, 1), 1), ((1, -2), 1), ((-2, 1), 1))),
              **presets.POLYTOPE_PRESETS}[name]()
         v, rng = geom.enumerate_vertices(h), random.Random(26)
         for body in [v, *(image(v, random_unimodular(rng, v.dim)) for _ in range(2))]:
