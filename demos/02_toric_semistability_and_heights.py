@@ -17,8 +17,7 @@ for label, poly in [("P^3", presets.pn_polytope(3)),
                     ("P(O+O(2))", presets.po_o2_polytope()),
                     ("P^2 x P^1", presets.pn_times_p1_polytope(3))]:
     t = ToricLogFano(poly)
-    pair = th.log_fano_volume(t)
-    print(f"{label:>10}: degree {pair.degree}, "
+    print(f"{label:>10}: degree {th.log_fano_degree(t)}, "
           f"K-semistable: {th.is_k_semistable(t)}")
 
 # The height of P^n and its normalization a_n = h / (n+1)^{n+1}.
@@ -35,20 +34,20 @@ for t in (F(1, 4), F(1, 2), F(3, 4), F(1)):
     print(f"  t = {t}: h = {rep.value:12.6f}")
 
 # Every toric log Fano height obeys the universal volume bound.
-vol = th.log_fano_volume(ToricLogFano(presets.pn_polytope(2)))
-bound = th.universal_height_bound(vol, 2)
+bound = th.universal_height_bound(2, th.pn_poly_volume(2))
 print(f"\nuniversal bound at the P^2 volume: {bound.value:.6f}"
       f"  >=  pn_height(2) = {th.pn_height(2).value:.6f}")
 
-# Diagnostics: vertex determinants detect singularities, integrality of
+# Diagnostics: the |det| of each vertex cone, which the moment polytope keeps
+# (None at a non-simple vertex), detects singularities; integrality of
 # vertices detects the Gorenstein property.
 p112 = ToricLogFano(presets.weighted_p112_polytope())
 print("\nP(1,1,2) vertex determinants:",
-      [r.det for r in th.vertex_singularity_report(p112)],
+      [d for _, d in p112.polytope.cones],
       "Gorenstein:", th.is_gorenstein(p112))
 p113 = ToricLogFano(presets.weighted_p113_polytope())
 print("P(1,1,3) vertex determinants:",
-      [r.det for r in th.vertex_singularity_report(p113)],
+      [d for _, d in p113.polytope.cones],
       "Gorenstein:", th.is_gorenstein(p113))
 
 # The volume-gap verdict for some K-semistable examples.

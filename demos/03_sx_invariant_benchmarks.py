@@ -10,7 +10,7 @@ root finder for w, and the radicals are printed beside it.
 from fanokit import geometry as geom
 from fanokit import presets
 from fanokit import sx_optimizer as sx
-from fanokit.toric_heights import ToricLogFano, log_fano_volume
+from fanokit.toric_heights import ToricLogFano, log_fano_degree
 
 # The preset bodies are the real moment polytopes: P^3 blown up in a point as
 # it is, P(O+O(2)) as its image under a determinant-2 map, a body symmetric
@@ -45,4 +45,4 @@ surfaces = [("P2", presets.p2_blowup_polytope(0))]
 surfaces += [(f"Bl_{m} P2", presets.p2_blowup_polytope(m)) for m in (1, 2, 3)]
 surfaces.append(("P1xP1", presets.p1xp1_polytope()))
 for label, h in surfaces:
-    print(f"  {label:>8}: degree {log_fano_volume(ToricLogFano(h)).degree}")
+    print(f"  {label:>8}: degree {log_fano_degree(ToricLogFano(h))}")

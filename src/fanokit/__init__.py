@@ -7,7 +7,7 @@ projective line)."""
 
 from .errors import FanokitError
 from .geometry import HPolytope, VPolytope
-from .toric_heights import HeightReport, ToricLogFano, VolumePair
+from .toric_heights import HeightReport, ToricLogFano
 
 __all__ = [
     "FanokitError",
@@ -15,7 +15,6 @@ __all__ = [
     "VPolytope",
     "HeightReport",
     "ToricLogFano",
-    "VolumePair",
 ]
 
 __version__ = "0.1.0"

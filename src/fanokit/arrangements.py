@@ -20,7 +20,7 @@ from .errors import (
     NumericalError,
     OutOfRange,
 )
-from .toric_heights import Convention, HeightReport, _log_fraction, pn_family_height
+from .toric_heights import Convention, HeightReport, _log_fraction, _to_float, pn_family_height
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class StabilityPolytope:
 def _nth_root_exact(x: Fraction, n: int) -> Fraction | None:
     def iroot(v: int) -> int | None:
         # integer Newton iteration from above: floor(v^(1/n)), no floats
-        if v == 0:
-            return 0
+        if v.bit_length() <= n:   # v < 2^n, so only 0 and 1 are nth powers
+            return v if v < 2 else None
         r = 1 << -(-v.bit_length() // n)
         while r > 1:
             s = ((n - 1) * r + v // r ** (n - 1)) // n
@@ -108,7 +108,10 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
     if m < 0:
         raise OutOfRange("m must be a nonnegative integer")
     d = Fraction(degree)
-    if not 0 < d <= Fraction(n + 1) ** n:
+    # d <= (n+1)^n in logarithms, n capped as in check_lead_range; the power is
+    # formed only when the two logarithms lie within 1 of each other
+    gap = min(n, 2**53) * math.log(n + 1) - _log_fraction(d) if d > 0 else -math.inf
+    if not (gap > 1 or (gap >= -1 and d <= (n + 1) ** n)):
         raise InvalidDegree("degree must lie in (0, (n+1)^n]")
     root = _nth_root_exact(d, n)
     if root is not None:
@@ -116,9 +119,9 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
         exact = True
     else:
         # through logarithms, since float(d) overflows past the double range;
-        # C > 0 exactly, so a rounding below zero is clamped
+        # C > 0 exactly, so a rounding below zero is clamped; an n past it is refused
         log_d = _log_fraction(d)
-        root = math.exp(log_d / n)
+        root = math.exp(log_d / _to_float(n))
         c = max(0.0, (n + 1) - root)
         exact = False
     if m < n + 1:

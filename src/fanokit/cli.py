@@ -156,8 +156,7 @@ def _cmd_scaled_height(args, data) -> dict:
 
 def _cmd_universal_bound(args, data) -> dict:
     v = jsonio.frac_from_json(args.volume)
-    pair = toric.VolumePair.from_poly_volume(args.n, v)
-    rep = toric.universal_height_bound(pair, args.n)
+    rep = toric.universal_height_bound(args.n, v)
     out = rep.to_json()
     out["n"] = args.n
     out["poly_volume"] = jsonio.frac_to_str(v)
@@ -167,7 +166,7 @@ def _cmd_universal_bound(args, data) -> dict:
 def _cmd_gap_check(args, data) -> dict:
     t = toric.ToricLogFano(_read_polytope(data, args))
     report = toric.gap_check(t)
-    sing = report.singularities
+    cones = t.polytope.cones
     gorenstein = None
     if all(f.offset == 1 for f in t.polytope.facets):
         gorenstein = toric.is_gorenstein(t)
@@ -181,8 +180,8 @@ def _cmd_gap_check(args, data) -> dict:
             else jsonio.frac_to_str(report.certificate_bound)
         ),
         "certificate_holds": report.certificate_holds,
-        "vertex_dets": [r.det for r in sing],
-        "all_vertices_simple": all(r.simple for r in sing),
+        "vertex_dets": [d for _, d in cones],
+        "all_vertices_simple": all(d is not None for _, d in cones),
         "gorenstein": gorenstein,
     }
 
@@ -298,7 +297,7 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
     row("cut weight w, P(O+O(2))", w["po-o2"], r2.cut_weight, 1e-10)
 
     def degree_of(h):
-        return toric.log_fano_volume(toric.ToricLogFano(h)).degree
+        return toric.log_fano_degree(toric.ToricLogFano(h))
 
     row("degree, P3 blown up in one point", 56, float(math.factorial(3) * geom.volume(blowup)), 0)
     row("degree, P(O+O(2))", 62, float(degree_of(presets.po_o2_polytope())), 0)

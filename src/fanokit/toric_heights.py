@@ -3,12 +3,14 @@ closed-form height formulas and bounds attached to them.
 
 A pair is one moment polytope, a ``VPolytope`` enumerated once when the pair
 is built; every test below reads its vertices and facets, and the volume,
-moment and vertex cones the polytope computes once and keeps.
+moment and vertex cones (``v.cones``) the polytope computes once and keeps.
+No value here copies them: a caller that reports the cones reads ``v.cones``.
 
-Volume conventions are carried explicitly throughout:
+Two volume conventions occur, and each function names the one it takes:
 
-* ``degree``       -- (-(K_X + Delta))^n,
-* ``poly_volume``  -- degree / n!, the Euclidean volume of the moment polytope.
+* ``degree``       -- (-(K_X + Delta))^n, from ``log_fano_degree``;
+* ``poly_volume``  -- degree / n!, the Euclidean volume of the moment polytope,
+  which every height below takes.
 
 Heights are evaluated in double precision.  The rational part of each
 formula is computed exactly and only the final transcendental combination is
@@ -24,7 +26,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import geometry as geom
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     NumericalError,
     OutOfRange,
 )
-from .geometry import HPolytope, Vec, VPolytope
+from .geometry import HPolytope, VPolytope
 
 _EPS = sys.float_info.epsilon
 
@@ -81,25 +82,6 @@ class HeightReport:
 
 
 @dataclass(frozen=True)
-class VolumePair:
-    """Degree and polytope-volume conventions of the same anticanonical volume."""
-
-    degree: Fraction
-    poly_volume: Fraction
-
-    def __post_init__(self):
-        if self.degree <= 0 or self.poly_volume <= 0:
-            raise NonpositiveVolume("anticanonical volume must be positive")
-
-    @classmethod
-    def from_poly_volume(cls, n: int, poly_volume: Fraction) -> "VolumePair":
-        if n < 1:
-            raise OutOfRange("n must be a positive integer")
-        check_lead_range(n, poly_volume)   # before the factorial n!, formed only for v > 0
-        return cls(math.factorial(n) * poly_volume if poly_volume > 0 else 0, poly_volume)
-
-
-@dataclass(frozen=True)
 class ToricLogFano:
     """Moment-polytope presentation of a toric log Fano pair.
 
@@ -129,26 +111,9 @@ def is_k_semistable(t: ToricLogFano) -> bool:
     return not any(geom.volume_and_moment(t.polytope)[1])
 
 
-def log_fano_volume(t: ToricLogFano) -> VolumePair:
-    return VolumePair.from_poly_volume(t.dim, geom.volume(t.polytope))
-
-
-class VertexSingularity(NamedTuple):
-    vertex: Vec
-    facet_indices: tuple[int, ...]
-    simple: bool
-    det: int | None  # |det| of the facet normals; None for non-simple vertices
-
-
-def vertex_singularity_report(t: ToricLogFano) -> tuple[VertexSingularity, ...]:
-    """Per-vertex |det| of the meeting facet normals.
-
-    The variety is smooth iff every entry has det 1, Q-factorial iff every
-    vertex is simple (exactly n facets meet).  Non-simple vertices are
-    flagged, not fatal.
-    """
-    return tuple(VertexSingularity(p, tight, d is not None, d)
-                 for p, (tight, d) in zip(t.polytope.vertices, t.polytope.cones))
+def log_fano_degree(t: ToricLogFano) -> Fraction:
+    """The degree (-(K_X + Delta))^n = n! vol of the moment polytope."""
+    return math.factorial(t.dim) * geom.volume(t.polytope)
 
 
 def is_smooth(t: ToricLogFano) -> bool:
@@ -238,9 +203,14 @@ def _toric_height(n: int, v: Fraction, log_c: float, convention: Convention,
                         _ulp_error(lead) * (abs(log_c) + abs(log_v)))
 
 
-def universal_height_bound(vol: VolumePair, n: int) -> HeightReport:
-    """Universal bound (n+1)!/2 * v * log((2 pi^2)^n / v), v = poly_volume."""
-    return _toric_height(n, Fraction(vol.poly_volume), n * math.log(2 * math.pi**2),
+def universal_height_bound(n: int, v: Fraction) -> HeightReport:
+    """Universal bound (n+1)!/2 * v * log((2 pi^2)^n / v) at poly-volume v."""
+    if n < 1:
+        raise OutOfRange("n must be a positive integer")
+    if v <= 0:
+        raise NonpositiveVolume("anticanonical volume must be positive")
+    check_lead_range(n, v)   # before n * log(2 pi^2), which overflows a float at n = 10^400
+    return _toric_height(n, v, n * math.log(2 * math.pi**2),
                          Convention.BOUND_ON_HEIGHT, "universal_toric_bound")
 
 
@@ -294,7 +264,6 @@ class GapReport:
     singular: bool
     certificate_bound: Fraction | None   # (1/2)(n+1)^n / n! when singular
     certificate_holds: bool | None
-    singularities: tuple[VertexSingularity, ...]
 
 
 def gap_check(t: ToricLogFano) -> GapReport:
@@ -308,7 +277,6 @@ def gap_check(t: ToricLogFano) -> GapReport:
         raise NotSemistable("gap check requires barycenter zero")
     vol, n = geom.volume(t.polytope), t.dim
     threshold = Fraction(2 * n**n, math.factorial(n))
-    report = vertex_singularity_report(t)
     singular = not is_smooth(t)
     cert_bound = Fraction((n + 1) ** n, 2 * math.factorial(n)) if singular else None
     cert_holds = (vol <= cert_bound) if singular else None
@@ -318,4 +286,4 @@ def gap_check(t: ToricLogFano) -> GapReport:
         verdict = GapVerdict.SATISFIES_GAP
     else:
         verdict = GapVerdict.VIOLATES_GAP
-    return GapReport(verdict, vol, threshold, singular, cert_bound, cert_holds, report)
+    return GapReport(verdict, vol, threshold, singular, cert_bound, cert_holds)

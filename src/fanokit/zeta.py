@@ -97,7 +97,7 @@ def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValu
         pw_tail = a ** (-s - 2 * m - 1)
         err_z = tail_coeff * abs(p_tail) * pw_tail
         err_dz = 2 * tail_coeff * (abs(dp_tail) + abs(p_tail) * la) * pw_tail
-        if max(err_z, err_dz) <= target or n >= 1 << 20:
+        if max(err_z, err_dz) <= target or n >= 1 << 14:
             break
         n *= 2
     if max(err_z, err_dz) > target:

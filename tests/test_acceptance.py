@@ -64,11 +64,9 @@ def test_criterion_2_closed_form_roots():
 
 
 def test_criterion_3_degrees():
-    d56 = th.log_fano_volume(
-        th.ToricLogFano(presets.p3_blowup_polytope())).degree
-    d62 = th.log_fano_volume(th.ToricLogFano(presets.po_o2_polytope())).degree
-    d54 = th.log_fano_volume(
-        th.ToricLogFano(presets.pn_times_p1_polytope(3))).degree
+    d56 = th.log_fano_degree(th.ToricLogFano(presets.p3_blowup_polytope()))
+    d62 = th.log_fano_degree(th.ToricLogFano(presets.po_o2_polytope()))
+    d54 = th.log_fano_degree(th.ToricLogFano(presets.pn_times_p1_polytope(3)))
     assert (d56, d62, d54) == (F(56), F(62), F(54))
     _report(3, "degrees 56, 62, 54 reproduced exactly as rationals")
 

@@ -170,6 +170,12 @@ class TestStabilityPolytope:
         with pytest.raises(InvalidDegree):
             arr.stability_polytope(2, 4, 10)
 
+    def test_degree_range_edge(self):
+        # the logarithms of d and (n+1)^n agree here, so the exact power decides
+        assert arr.stability_polytope(2, 4, 9).c_value == 0
+        with pytest.raises(InvalidDegree, match=r"degree must lie in \(0, \(n\+1\)\^n\]"):
+            arr.stability_polytope(2, 4, 9 + F(1, 10**30))
+
 
 class TestHeightBound:
     def test_equality_at_zero_weights(self):

@@ -349,20 +349,22 @@ class TestParserReuse:
         assert json.loads(out)["poly_volume"] == "32/3"
 
     def test_gap_check_reports_singularities_once(self, capsys, monkeypatch):
-        from fanokit import toric_heights
+        # one determinant per vertex cone of P^3, taken once and kept by the polytope
+        from fanokit import geometry
 
-        original = toric_heights.vertex_singularity_report
+        geometry._vertices_of.cache_clear()
+        original = geometry.integer_det
         calls = []
 
         def spy(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(toric_heights, "vertex_singularity_report", spy)
+        monkeypatch.setattr(geometry, "integer_det", spy)
         code, out, _ = run_cli(["gap-check", "--preset", "p3"], capsys)
         assert code == 0
         assert json.loads(out)["vertex_dets"] == [1, 1, 1, 1]
-        assert len(calls) == 1
+        assert len(calls) == 4
 
 
 class TestGapCheckInput:
@@ -748,7 +750,7 @@ OPERATION_COVERAGE = [
       "--cut-offset", "1"]),
     ("fanokit.geometry", "clip_family", ["sx", "--preset", "p3-blowup"]),
     ("fanokit.toric_heights", "is_k_semistable", ["semistable", "--json", P3_JSON]),
-    ("fanokit.toric_heights", "log_fano_volume", ["reproduce-paper"]),
+    ("fanokit.toric_heights", "log_fano_degree", ["reproduce-paper"]),
     ("fanokit.hypersurfaces", "pn_family_height",
      ["diagonal", "--json", '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}']),
     ("fanokit.toric_heights", "pn_height", ["pn-height", "--n", "2"]),
@@ -758,8 +760,6 @@ OPERATION_COVERAGE = [
     ("fanokit.toric_heights", "universal_height_bound",
      ["universal-bound", "--n", "1", "--volume", "2"]),
     ("fanokit.toric_heights", "gap_check", ["gap-check", "--json", P3_JSON]),
-    ("fanokit.toric_heights", "vertex_singularity_report",
-     ["gap-check", "--json", P3_JSON]),
     ("fanokit.toric_heights", "is_gorenstein", ["gap-check", "--json", P3_JSON]),
     ("fanokit.sx_optimizer", "sx_invariant", ["sx", "--preset", "p3-blowup"]),
     ("fanokit.arrangements", "is_arrangement_semistable",
@@ -1060,6 +1060,32 @@ class TestFormerFailures:
                                   "--degree", "2/1" + "0" * 50], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("fanokit: numerical failure: vertex (0, 1, 2) misses degree 1/5")
+
+    def test_unattainable_precision_refused_fast(self, capsys):
+        # the direct sum doubled up to 2^20 terms first: 16-20 s at 1e-100
+        start = time.perf_counter()
+        code, out, err = run_cli(["p1-zeta-height", "--json", '{"weights": ["1/3", "1/4", "1/5"]}',
+                                  "--precision", "1e-100"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "fanokit: numerical failure: Euler-Maclaurin tail bound above target\n"
+
+    @pytest.mark.parametrize("n", [10**6, 10**20])
+    def test_stability_polytope_large_n_fast(self, n, capsys):
+        # the range check formed (n+1)^n, 6.9 s at n = 10^6; the n-th root test
+        # formed 2^(n-1), which never ended at n = 10^20
+        start = time.perf_counter()
+        code, out, err = run_cli(["stability-polytope", "--n", str(n), "--m", "5",
+                                  "--degree", "2"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert json.loads(out)["vertex_count"] == 0
+
+    def test_stability_polytope_n_beyond_doubles_refused(self, capsys):
+        # the float level divided by n: an OverflowError traceback
+        result = run_cli(["stability-polytope", "--n", str(10**400), "--m", "5",
+                          "--degree", "2"], capsys)
+        assert result == (1, "", "fanokit: input error: result exceeds the double-precision range\n")
 
     def test_stability_polytope_tiny_degree_unchanged(self, capsys):
         code, out, err = run_cli(["stability-polytope", "--n", "2", "--m", "3",

@@ -60,6 +60,10 @@ CASES = [
     ["sx", "--json", HUGE_CLOUD],
     ["pn-height", "--n", "200000"],
     ["universal-bound", "--n", "1000000", "--volume", "1"],
+    # the refusals of universal_height_bound, in the order it checks them
+    ["universal-bound", "--n", "0", "--volume", "1"],
+    ["universal-bound", "--n", "1", "--volume", "0"],
+    ["universal-bound", "--n", "1", "--volume", "-1/2"],
 ]
 
 
@@ -203,6 +207,12 @@ DIGESTS = {
         '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
     'universal-bound --n 1000000 --volume 1':
         '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
+    'universal-bound --n 0 --volume 1':
+        'a88c0397df54056cb7927bb8bdb8924cbb9f3069cc2938615727b36174aa6218',
+    'universal-bound --n 1 --volume 0':
+        'f95040f89768a741be09c6d9415cc654aa1e6d413643e38269a2d0209986a694',
+    'universal-bound --n 1 --volume -1/2':
+        'c9f4b47a485029fb4da51fa9a5a068a17e6bc0d2281e130804cb25b82deda8b8',
 }
 
 

@@ -40,7 +40,7 @@ def _assert_covered(rep, ref):
 
 
 def _check_universal(n, v):
-    rep = th.universal_height_bound(th.VolumePair.from_poly_volume(n, v), n)
+    rep = th.universal_height_bound(n, v)
     _assert_covered(rep, _family(n, v, n * mpmath.log(2 * mpmath.pi**2)))
 
 

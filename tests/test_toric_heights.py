@@ -46,48 +46,45 @@ class TestSemistability:
     def test_invariance_under_unimodular_change(self):
         rng = random.Random(5)
         t = ToricLogFano(presets.p3_blowup_polytope())
-        vol = th.log_fano_volume(t)
+        degree = th.log_fano_degree(t)
         for _ in range(5):
             u = random_unimodular(rng, 3)
             moved = ToricLogFano(image(t.polytope, u))
             assert th.is_k_semistable(moved) == th.is_k_semistable(t)
-            assert th.log_fano_volume(moved) == vol
-            dets = sorted(r.det for r in th.vertex_singularity_report(moved))
-            assert dets == sorted(r.det for r in th.vertex_singularity_report(t))
+            assert th.log_fano_degree(moved) == degree
+            dets = sorted(d for _, d in moved.polytope.cones)
+            assert dets == sorted(d for _, d in t.polytope.cones)
 
 
 class TestVolumes:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_pn_degree(self, n):
-        pair = th.log_fano_volume(ToricLogFano(presets.pn_polytope(n)))
-        assert pair.degree == (n + 1) ** n
-        assert pair.poly_volume * math.factorial(n) == pair.degree
+        t = ToricLogFano(presets.pn_polytope(n))
+        assert th.log_fano_degree(t) == (n + 1) ** n
+        assert geom.volume(t.polytope) * math.factorial(n) == th.log_fano_degree(t)
 
     @pytest.mark.parametrize("n,expect", [(2, 8), (3, 54), (4, 512)])
     def test_product_degree(self, n, expect):
-        pair = th.log_fano_volume(ToricLogFano(presets.pn_times_p1_polytope(n)))
-        assert pair.degree == 2 * n**n == expect
+        degree = th.log_fano_degree(ToricLogFano(presets.pn_times_p1_polytope(n)))
+        assert degree == 2 * n**n == expect
 
     def test_benchmark_degrees(self):
-        assert th.log_fano_volume(
-            ToricLogFano(presets.p3_blowup_polytope())).degree == 56
-        assert th.log_fano_volume(
-            ToricLogFano(presets.po_o2_polytope())).degree == 62
+        assert th.log_fano_degree(ToricLogFano(presets.p3_blowup_polytope())) == 56
+        assert th.log_fano_degree(ToricLogFano(presets.po_o2_polytope())) == 62
 
 
 class TestSingularities:
     def test_pn_smooth(self):
-        rep = th.vertex_singularity_report(ToricLogFano(presets.pn_polytope(3)))
-        assert all(r.simple and r.det == 1 for r in rep)
+        cones = ToricLogFano(presets.pn_polytope(3)).polytope.cones
+        assert all(len(tight) == 3 and d == 1 for tight, d in cones)
 
     def test_weighted_p112(self):
-        rep = th.vertex_singularity_report(
-            ToricLogFano(presets.weighted_p112_polytope()))
-        assert sorted(r.det for r in rep) == [1, 1, 2]
+        cones = ToricLogFano(presets.weighted_p112_polytope()).polytope.cones
+        assert sorted(d for _, d in cones) == [1, 1, 2]
 
     def test_p1xp1_smooth(self):
-        rep = th.vertex_singularity_report(ToricLogFano(presets.p1xp1_polytope()))
-        assert all(r.det == 1 for r in rep)
+        cones = ToricLogFano(presets.p1xp1_polytope()).polytope.cones
+        assert all(d == 1 for _, d in cones)
 
     def test_is_smooth_predicate(self):
         assert th.is_smooth(ToricLogFano(presets.pn_polytope(2)))
@@ -107,10 +104,10 @@ class TestSingularities:
              **presets.POLYTOPE_PRESETS}[name]()
         v, rng = geom.enumerate_vertices(h), random.Random(26)
         for body in [v, *(image(v, random_unimodular(rng, v.dim)) for _ in range(2))]:
-            t = ToricLogFano(body)
-            for r in th.vertex_singularity_report(t):
-                normals = [body.facets[k].normal for k in r.facet_indices]
-                assert r.det == (abs(fraction_eliminate(normals)[2]) if r.simple else None)
+            for tight, d in ToricLogFano(body).polytope.cones:
+                normals = [body.facets[k].normal for k in tight]
+                simple = len(tight) == body.dim
+                assert d == (abs(fraction_eliminate(normals)[2]) if simple else None)
             normals, n = [f.normal for f in body.facets], body.dim
             assert th.is_pn_polytope(body) == (
                 len(normals) == n + 1 and not any(map(sum, zip(*normals)))
@@ -222,8 +219,7 @@ class TestAnConstant:
 
 class TestUniversalBound:
     def test_p1_value(self):
-        pair = th.VolumePair.from_poly_volume(1, F(2))
-        rep = th.universal_height_bound(pair, 1)
+        rep = th.universal_height_bound(1, F(2))
         assert rep.value == pytest.approx(2 * math.log(math.pi**2), abs=1e-10)
         assert th.pn_height(1).value <= rep.value
 
@@ -231,49 +227,45 @@ class TestUniversalBound:
         # v = (2 pi^2)^n makes the logarithm vanish; approximate v rationally
         n = 2
         v = F.from_float((2 * math.pi**2) ** n)
-        rep = th.universal_height_bound(th.VolumePair.from_poly_volume(n, v), n)
+        rep = th.universal_height_bound(n, v)
         assert abs(rep.value) < 1e-8
 
     def test_monotone_below_threshold(self):
         n = 2
         cap = (2 * math.pi**2) ** n / math.e
         vols = [F(k, 7) for k in range(1, int(7 * cap))][::9]
-        vals = [
-            th.universal_height_bound(th.VolumePair.from_poly_volume(n, v), n).value
-            for v in vols
-        ]
+        vals = [th.universal_height_bound(n, v).value for v in vols]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_sandwich_over_pn(self):
         for n in range(1, 7):
             v = F((n + 1) ** n, math.factorial(n))
-            bound = th.universal_height_bound(
-                th.VolumePair.from_poly_volume(n, v), n)
+            bound = th.universal_height_bound(n, v)
             assert th.pn_height(n).value <= bound.value
 
     def test_rejects_nonpositive_volume(self):
         with pytest.raises(NonpositiveVolume):
-            th.VolumePair.from_poly_volume(2, F(0))
+            th.universal_height_bound(2, F(0))
 
     def test_refuses_a_lead_beyond_doubles_before_the_factorial(self):
         # n! alone takes seconds at n = 10^6
         start = time.perf_counter()
         with pytest.raises(OutOfRange, match="double-precision range"):
-            th.VolumePair.from_poly_volume(10**6, F(1))
+            th.universal_height_bound(10**6, F(1))
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("v", [F(0), F(-3, 2)])
     def test_refuses_a_nonpositive_volume_before_the_factorial(self, v):
         start = time.perf_counter()
         with pytest.raises(NonpositiveVolume, match="anticanonical volume must be positive"):
-            th.VolumePair.from_poly_volume(10**6, v)
+            th.universal_height_bound(10**6, v)
         assert time.perf_counter() - start < 1
 
     def test_bound_refuses_a_lead_beyond_doubles_before_the_factorial(self):
-        # a pair built directly skips from_poly_volume; (n+1)! alone takes seconds
+        # also before n * log(2 pi^2), a float product that overflows at n = 10^400
         start = time.perf_counter()
         with pytest.raises(OutOfRange, match="double-precision range"):
-            th.universal_height_bound(th.VolumePair(F(1), F(1)), 10**6)
+            th.universal_height_bound(10**400, F(1))
         assert time.perf_counter() - start < 1
 
 
@@ -302,8 +294,7 @@ class TestScaledDivisorHeight:
         for n in range(1, 7):
             for t in (F(1, 10), F(1, 2), F(9, 10), F(1)):
                 v = t**n * F((n + 1) ** n, math.factorial(n))
-                bound = th.universal_height_bound(
-                    th.VolumePair.from_poly_volume(n, v), n)
+                bound = th.universal_height_bound(n, v)
                 assert th.scaled_divisor_height(n, t).value <= bound.value + 1e-9
 
     def test_range_check(self):
@@ -404,10 +395,11 @@ class TestGapCheck:
     def test_repeated_facet_is_one_facet(self):
         # x_1 >= -1 listed twice is still P^3: four facets, four smooth vertices
         h = presets.pn_polytope(3)
-        rep = th.gap_check(ToricLogFano(HPolytope(3, h.facets + h.facets[:1])))
+        t = ToricLogFano(HPolytope(3, h.facets + h.facets[:1]))
+        rep = th.gap_check(t)
         assert rep.verdict is GapVerdict.IS_PN
         assert not rep.singular
-        assert [r.det for r in rep.singularities] == [1, 1, 1, 1]
+        assert [d for _, d in t.polytope.cones] == [1, 1, 1, 1]
 
 
 class TestToricLogFanoValidation:
@@ -440,7 +432,7 @@ class TestToricLogFanoValidation:
         t = ToricLogFano(presets.pn_polytope(3))
         assert isinstance(t.polytope, geom.VPolytope)
         th.is_k_semistable(t)
-        th.log_fano_volume(t)
+        th.log_fano_degree(t)
         th.is_smooth(t)
         th.is_gorenstein(t)
         th.gap_check(t)

@@ -57,6 +57,11 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             zeta.hurwitz_zeta(-1, -0.5)
 
+    def test_deep_target_within_the_sum_ceiling(self):
+        # 1e-70 is met below the 2^14 terms the direct sum may take; 1e-100 is
+        # refused at once (tests/test_cli.py, TestFormerFailures)
+        assert zeta.hurwitz_zeta(-1, 0.5, 1e-70).value == pytest.approx(1 / 24, abs=1e-15)
+
     def test_recurrence(self):
         for s in (-1.0, 2.0):
             for k in range(1, 11):
