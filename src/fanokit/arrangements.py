@@ -131,13 +131,8 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
         raise OutOfRange(f"the stability polytope has C({m}, {n + 1}) = {count} vertices, "
                          f"more than the {MAX_STABILITY_VERTICES} this enumeration lists")
     level = c / (n + 1)
-    weight = Fraction(level)
-    if exact:
-        # every vertex permutes the weights of the first one, so only it is checked
-        first = WeightVector(n, (weight,) * (n + 1) + (Fraction(0),) * (m - n - 1))
-        if not (is_arrangement_semistable(first) and arrangement_degree(first) == d):
-            raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d} or semistability")
-    else:
+    weight, zero = Fraction(level), Fraction(0)
+    if not exact:
         # Irrational C: carried in floats, degree checked in logarithms.  To
         # first order in u = 2^-53, with k = n + 1, L = log_d and R = exp(L/n): L/n
         # and exp give root a relative error of (2 + |L|/n)u; k - root, / k
@@ -151,9 +146,17 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
         tol = 2.0**-52 * (3 * n + 4 * abs(log_d) + n * (n + 2) * c / root)
         if not rest > 0 or abs(n * math.log(rest) - log_d) > tol:
             raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d}")
-    verts = tuple(WeightVector(n, tuple(weight if i in subset else Fraction(0) for i in range(m)))
-                  for subset in itertools.combinations(range(m), n + 1))
-    return StabilityPolytope(n, m, d, c, exact, verts)
+    first = WeightVector(n, (weight,) * (n + 1) + (zero,) * (m - n - 1))
+    if exact and not (is_arrangement_semistable(first) and arrangement_degree(first) == d):
+        raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d} or semistability")
+    # every other vertex permutes the weights of the first one, so only it is checked
+    verts = [first]
+    for subset in itertools.islice(itertools.combinations(range(m), n + 1), 1, None):
+        v = object.__new__(WeightVector)   # __post_init__ skipped
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "weights", tuple(weight if i in subset else zero for i in range(m)))
+        verts.append(v)
+    return StabilityPolytope(n, m, d, c, exact, tuple(verts))
 
 
 def arrangement_height_bound(w: WeightVector) -> HeightReport:
@@ -187,32 +190,33 @@ def hypersimplex_decomposition(
     mu: Sequence[Fraction], k: int
 ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     """Write mu in the hypersimplex {0 <= mu_i <= 1, sum = k} as an exact
-    convex combination of 0/1 vectors with k ones (greedy peeling)."""
+    convex combination of 0/1 vectors with k ones (greedy peeling).
+
+    The peeling runs in integers: mu = u/p over one common denominator p,
+    and peeling theta = t/p off a support S leaves (u - t 1_S)/(p - t).  So
+    with p0 the first p, that part's coefficient is t/p0, and the last
+    part's is p/p0."""
     mu = [Fraction(x) for x in mu]
     m = len(mu)
     if sum(mu) != k or not all(0 <= x <= 1 for x in mu):
         raise OutOfRange(f"{[str(x) for x in mu]} is not in the hypersimplex of sum {k}")
+    p0 = p = math.lcm(*(x.denominator for x in mu))
+    u = [x.numerator * (p // x.denominator) for x in mu]
     parts: list[tuple[tuple[int, ...], Fraction]] = []
-    remaining = Fraction(1)
     for _ in range(m + 1):
-        order = sorted(range(m), key=lambda i: (-mu[i], i))
+        order = sorted(range(m), key=lambda i: (-u[i], i))
         support = tuple(sorted(order[:k]))
-        if all(mu[i] == 1 for i in support) and all(
-            mu[i] == 0 for i in order[k:]
-        ):
-            parts.append((support, remaining))
+        if all(u[i] == p for i in support) and all(u[i] == 0 for i in order[k:]):
+            parts.append((support, Fraction(p, p0)))
             return tuple(parts)
-        theta = min(mu[i] for i in support)
+        t = min(u[i] for i in support)
         if m > k:
-            theta = min(theta, 1 - max(mu[i] for i in order[k:]))
-        if not 0 < theta < 1:
-            raise NumericalError(f"peeling weight {theta} outside (0, 1)")
-        parts.append((support, theta * remaining))
-        mu = [
-            (mu[i] - theta) / (1 - theta) if i in support else mu[i] / (1 - theta)
-            for i in range(m)
-        ]
-        remaining *= 1 - theta
+            t = min(t, p - max(u[i] for i in order[k:]))
+        if not 0 < t < p:
+            raise NumericalError(f"peeling weight {Fraction(t, p)} outside (0, 1)")
+        parts.append((support, Fraction(t, p0)))
+        u = [ui - t if i in support else ui for i, ui in enumerate(u)]
+        p -= t
     raise NumericalError("hypersimplex peeling failed to terminate")
 
 

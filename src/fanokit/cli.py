@@ -189,6 +189,8 @@ def _cmd_gap_check(args, data) -> dict:
 def _cmd_stability_polytope(args, data) -> dict:
     sp = arr.stability_polytope(args.n, args.m, jsonio.frac_from_json(args.degree))
     c = jsonio.frac_to_str(sp.c_value) if sp.c_exact else float(sp.c_value)
+    # every vertex permutes the first one's weights: format each distinct one once
+    text = {x: jsonio.frac_to_str(x) for x in set(sp.vertices[0].weights)} if sp.vertices else {}
     return {
         "n": sp.n,
         "m": sp.m,
@@ -196,9 +198,7 @@ def _cmd_stability_polytope(args, data) -> dict:
         "c": c,
         "c_exact": sp.c_exact,
         "vertex_count": len(sp.vertices),
-        "vertices": [
-            [jsonio.frac_to_str(x) for x in v.weights] for v in sp.vertices
-        ],
+        "vertices": [[text[x] for x in v.weights] for v in sp.vertices],
     }
 
 

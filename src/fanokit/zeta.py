@@ -5,8 +5,9 @@ projective line with three weighted marked points.
 zeta(s, x), its s-derivative and an error bound on each, the certified
 Bernoulli tail remainder plus an accumulated rounding estimate.  Its one
 precision input is a target absolute error (default ``DEFAULT_TARGET``):
-the number of Bernoulli corrections is fixed and the number of directly
-summed terms grows until the tail bound meets the target.  The height
+the number of Bernoulli corrections is fixed, their coefficients
+B_2j/(2j)! and the tail's are computed once at import, and the number of
+directly summed terms grows until the tail bound meets the target.  The height
 formula needs F(x) = zeta(-1, x) + zeta'(-1, x), evaluated once per distinct
 argument of a height.  For weight sums above the Fano range the formula
 continues real-analytically, which is realized here with a one-step complex
@@ -55,14 +56,11 @@ DEFAULT_TARGET = 1e-12
 # N directly summed terms (doubled until the tail meets the target), M Bernoulli terms
 _SHIFT = 12
 _BERNOULLI_TERMS = 8
-
-
-def _rising_with_derivative(s: float, m: int) -> tuple[float, float]:
-    """(P, dP/ds) for P = s (s+1) ... (s+m-1); safe at zeros of P."""
-    p, dp = 1.0, 0.0
-    for i in range(m):
-        p, dp = p * (s + i), dp * (s + i) + p
-    return p, dp
+# B_2j / (2j)! for j = 1..M, and |B_2M+2| / (2M+2)! of the certified tail
+_EM_COEFFS = tuple(float(bernoulli_number(2 * j)) / math.factorial(2 * j)
+                   for j in range(1, _BERNOULLI_TERMS + 1))
+_TAIL_COEFF = (abs(float(bernoulli_number(2 * _BERNOULLI_TERMS + 2)))
+               / math.factorial(2 * _BERNOULLI_TERMS + 2))
 
 
 class ZetaValue(NamedTuple):
@@ -89,45 +87,40 @@ def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValu
     if s == 1:
         raise PoleAtOne("zeta(s, x) has its pole at s = 1")
     m, n = _BERNOULLI_TERMS, _SHIFT
-    tail_coeff = abs(float(bernoulli_number(2 * m + 2))) / math.factorial(2 * m + 2)
-    p_tail, dp_tail = _rising_with_derivative(s, 2 * m + 1)
+    # (P, dP/ds) for P = s (s+1) ... (s+i-1), i = 1, 3, ..., 2M+1; safe at zeros of P
+    rising = []
+    p, dp = 1.0, 0.0
+    for i in range(2 * m + 1):
+        p, dp = p * (s + i), dp * (s + i) + p
+        if i % 2 == 0:
+            rising.append((p, dp))
+    p_tail, dp_tail = rising[-1]
     while True:
         a = n + x
         la = math.log(a)
         pw_tail = a ** (-s - 2 * m - 1)
-        err_z = tail_coeff * abs(p_tail) * pw_tail
-        err_dz = 2 * tail_coeff * (abs(dp_tail) + abs(p_tail) * la) * pw_tail
+        err_z = _TAIL_COEFF * abs(p_tail) * pw_tail
+        err_dz = 2 * _TAIL_COEFF * (abs(dp_tail) + abs(p_tail) * la) * pw_tail
         if max(err_z, err_dz) <= target or n >= 1 << 14:
             break
         n *= 2
     if max(err_z, err_dz) > target:
         raise NonConvergence("Euler-Maclaurin tail bound above target")
 
-    z = dz = 0.0
-    mag_z = mag_dz = 0.0
-
-    def add(term_z: float, term_dz: float):
-        nonlocal z, dz, mag_z, mag_dz
-        z += term_z
-        dz += term_dz
-        mag_z += abs(term_z)
-        mag_dz += abs(term_dz)
-
+    # the direct terms, then the integral, the half term and the Bernoulli terms
+    z = dz = mag_z = mag_dz = 0.0
     for k in range(n):
         t = (k + x) ** (-s)
-        lt = math.log(k + x)
-        add(t, -lt * t)
-    a = n + x
-    la = math.log(a)
-    t0 = a ** (1 - s) / (s - 1)
-    add(t0, a ** (1 - s) * (-la / (s - 1) - 1 / (s - 1) ** 2))
+        dt = -math.log(k + x) * t
+        z, dz, mag_z, mag_dz = z + t, dz + dt, mag_z + abs(t), mag_dz + abs(dt)
     th = 0.5 * a ** (-s)
-    add(th, -la * th)
-    for j in range(1, m + 1):
-        p, dp = _rising_with_derivative(s, 2 * j - 1)
-        coeff = float(bernoulli_number(2 * j)) / math.factorial(2 * j)
+    terms = [(a ** (1 - s) / (s - 1), a ** (1 - s) * (-la / (s - 1) - 1 / (s - 1) ** 2)),
+             (th, -la * th)]
+    for j, coeff, (p, dp) in zip(range(1, m + 1), _EM_COEFFS, rising):
         pw = a ** (-s - 2 * j + 1)
-        add(coeff * p * pw, coeff * pw * (dp - p * la))
+        terms.append((coeff * p * pw, coeff * pw * (dp - p * la)))
+    for t, dt in terms:
+        z, dz, mag_z, mag_dz = z + t, dz + dt, mag_z + abs(t), mag_dz + abs(dt)
     return ZetaValue(z, dz, err_z + 8 * _EPS * mag_z, err_dz + 8 * _EPS * mag_dz)
 
 

@@ -8,8 +8,10 @@ exact clip per cut-off and the ``Fraction`` bisection of S(X) over it,
 Monte Carlo volume estimation, random polytope and unimodular-matrix
 generation, the simplex difference (a Delta_n - 1) \\
 (b Delta_n - 1) and its closed-form barycenter, lattice subpolygons and a
-GL(2, Z) normal form, and a floating-point half-space clipper used to
-sample candidate cuts independently of the exact kernel."""
+GL(2, Z) normal form, a floating-point half-space clipper used to
+sample candidate cuts independently of the exact kernel, the Hurwitz zeta
+pass that rebuilds its Euler-Maclaurin constants on every call, and the
+hypersimplex peeling in ``Fraction`` arithmetic."""
 from __future__ import annotations
 
 import itertools
@@ -21,7 +23,17 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from fanokit import geometry as geom
-from fanokit.errors import DegeneratePolytope, EmptyIntersection, UnboundedPolytope
+from fanokit.errors import (
+    DegeneratePolytope,
+    DomainError,
+    EmptyIntersection,
+    NonConvergence,
+    NumericalError,
+    OutOfRange,
+    PoleAtOne,
+    UnboundedPolytope,
+)
+from fanokit.zeta import ZetaValue, bernoulli_number
 
 
 def dot(u, v) -> Fraction:
@@ -417,3 +429,95 @@ class FloatClipper:
         tetra = np.abs(np.linalg.det(corners - center)) / math.factorial(self.dim)
         moment = tetra @ (corners.sum(axis=1) + center) / (self.dim + 1)
         return float(tetra.sum()), moment
+
+
+def _rising_with_derivative(s: float, m: int) -> tuple[float, float]:
+    """(P, dP/ds) for P = s (s+1) ... (s+m-1); safe at zeros of P."""
+    p, dp = 1.0, 0.0
+    for i in range(m):
+        p, dp = p * (s + i), dp * (s + i) + p
+    return p, dp
+
+
+def per_call_hurwitz_zeta(s: float, x: float, target: float = 1e-12) -> ZetaValue:
+    """Reference for ``zeta.hurwitz_zeta``: the same Euler-Maclaurin pass,
+    which converts the Bernoulli numbers, forms the factorials and reruns
+    each rising product on every call, and adds through a closure."""
+    if not 0 < target < math.inf:
+        raise OutOfRange("target must be positive and finite")
+    if x < 0:
+        raise DomainError("x must be nonnegative")
+    if x == 0:
+        x = 1.0
+    s, x = float(s), float(x)
+    if s == 1:
+        raise PoleAtOne("zeta(s, x) has its pole at s = 1")
+    m, n = 8, 12
+    tail_coeff = abs(float(bernoulli_number(2 * m + 2))) / math.factorial(2 * m + 2)
+    p_tail, dp_tail = _rising_with_derivative(s, 2 * m + 1)
+    while True:
+        a = n + x
+        la = math.log(a)
+        pw_tail = a ** (-s - 2 * m - 1)
+        err_z = tail_coeff * abs(p_tail) * pw_tail
+        err_dz = 2 * tail_coeff * (abs(dp_tail) + abs(p_tail) * la) * pw_tail
+        if max(err_z, err_dz) <= target or n >= 1 << 14:
+            break
+        n *= 2
+    if max(err_z, err_dz) > target:
+        raise NonConvergence("Euler-Maclaurin tail bound above target")
+
+    z = dz = 0.0
+    mag_z = mag_dz = 0.0
+
+    def add(term_z: float, term_dz: float):
+        nonlocal z, dz, mag_z, mag_dz
+        z += term_z
+        dz += term_dz
+        mag_z += abs(term_z)
+        mag_dz += abs(term_dz)
+
+    for k in range(n):
+        t = (k + x) ** (-s)
+        lt = math.log(k + x)
+        add(t, -lt * t)
+    a = n + x
+    la = math.log(a)
+    t0 = a ** (1 - s) / (s - 1)
+    add(t0, a ** (1 - s) * (-la / (s - 1) - 1 / (s - 1) ** 2))
+    th = 0.5 * a ** (-s)
+    add(th, -la * th)
+    for j in range(1, m + 1):
+        p, dp = _rising_with_derivative(s, 2 * j - 1)
+        coeff = float(bernoulli_number(2 * j)) / math.factorial(2 * j)
+        pw = a ** (-s - 2 * j + 1)
+        add(coeff * p * pw, coeff * pw * (dp - p * la))
+    eps = 2.0**-52
+    return ZetaValue(z, dz, err_z + 8 * eps * mag_z, err_dz + 8 * eps * mag_dz)
+
+
+def fraction_peel(mu, k):
+    """Reference for ``arrangements.hypersimplex_decomposition``: the same
+    greedy peeling with every coordinate and coefficient a ``Fraction``."""
+    mu = [Fraction(x) for x in mu]
+    m = len(mu)
+    if sum(mu) != k or not all(0 <= x <= 1 for x in mu):
+        raise OutOfRange(f"{[str(x) for x in mu]} is not in the hypersimplex of sum {k}")
+    parts = []
+    remaining = Fraction(1)
+    for _ in range(m + 1):
+        order = sorted(range(m), key=lambda i: (-mu[i], i))
+        support = tuple(sorted(order[:k]))
+        if all(mu[i] == 1 for i in support) and all(mu[i] == 0 for i in order[k:]):
+            parts.append((support, remaining))
+            return tuple(parts)
+        theta = min(mu[i] for i in support)
+        if m > k:
+            theta = min(theta, 1 - max(mu[i] for i in order[k:]))
+        if not 0 < theta < 1:
+            raise NumericalError(f"peeling weight {theta} outside (0, 1)")
+        parts.append((support, theta * remaining))
+        mu = [(mu[i] - theta) / (1 - theta) if i in support else mu[i] / (1 - theta)
+              for i in range(m)]
+        remaining *= 1 - theta
+    raise NumericalError("hypersimplex peeling failed to terminate")

@@ -13,7 +13,7 @@ from fanokit import toric_heights as th
 from fanokit.arrangements import WeightVector
 from fanokit.errors import InvalidDegree, InvalidWeight, NotFano, NotSemistable, OutOfRange
 
-from helpers import brute_force_full_weight_condition
+from helpers import brute_force_full_weight_condition, fraction_peel
 
 
 def rational_degree(rng: random.Random, n: int) -> F:
@@ -327,3 +327,124 @@ class TestIrrationalLevelCheck:
             if degree <= (n + 1) ** n:
                 sp = arr.stability_polytope(n, n + 1, degree)
                 assert len(sp.vertices) == 1
+
+
+def outcome(call):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def hypersimplex_point(rng: random.Random, m: int, k: int) -> list[F]:
+    """A random rational point of the hypersimplex {0 <= mu_i <= 1, sum = k}
+    in R^m: a mixture of 0/1 vectors with k ones, sometimes nudged off it."""
+    coeffs = [F(rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+    mu = [F(0)] * m
+    for c in coeffs:
+        for i in rng.sample(range(m), k):
+            mu[i] += c / sum(coeffs)
+    if rng.random() < 0.2:
+        mu[rng.randrange(m)] += F(rng.choice([-1, 1]), rng.randint(1, 30))
+    return mu
+
+
+class TestIntegerPeel:
+    """The peeling in integers against the same peeling in Fractions."""
+
+    @staticmethod
+    def check(mu, k):
+        got = outcome(lambda: arr.hypersimplex_decomposition(mu, k))
+        assert got == outcome(lambda: fraction_peel(mu, k)), (mu, k)
+        if isinstance(got[0], type):
+            return
+        rebuilt = [F(0)] * len(mu)
+        for support, c in got:
+            assert len(support) == k and c > 0
+            for i in support:
+                rebuilt[i] += c
+        assert rebuilt == [F(x) for x in mu]
+        assert sum(c for _, c in got) == 1
+
+    def test_seeded_points(self):
+        rng = random.Random(34)
+        for _ in range(2000):
+            m = rng.randint(1, 7)
+            self.check(hypersimplex_point(rng, m, rng.randint(0, m)), rng.randint(0, m))
+
+    def test_seeded_points_of_the_right_sum(self):
+        rng = random.Random(35)
+        for _ in range(1000):
+            m = rng.randint(1, 7)
+            k = rng.randint(0, m)
+            self.check(hypersimplex_point(rng, m, k), k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(0, m), st.integers(0, 2**32))))
+    def test_hypothesis_points(self, mk):
+        m, k, seed = mk
+        self.check(hypersimplex_point(random.Random(seed), m, k), k)
+
+    def test_reduce_to_toric_on_random_weight_vectors(self, monkeypatch):
+        rng = random.Random(36)
+        vectors = []
+        for _ in range(1000):
+            n = rng.randint(1, 3)
+            q = rng.choice([2, 3, 4, 6, 12, 35])
+            vectors.append(WeightVector(n, tuple(F(rng.randrange(q), q)
+                                                 for _ in range(rng.randint(1, 6)))))
+        got = [outcome(lambda: arr.reduce_to_toric(w)) for w in vectors]
+        monkeypatch.setattr(arr, "hypersimplex_decomposition", fraction_peel)
+        assert got == [outcome(lambda: arr.reduce_to_toric(w)) for w in vectors]
+        kinds = {type(r) if isinstance(r, arr.ToricReduction) else r[0] for r in got}
+        assert kinds == {arr.ToricReduction, NotSemistable, NotFano}
+
+
+class TestUncheckedVertices:
+    """stability_polytope checks its first vertex and builds the others,
+    its permutations, without WeightVector's checks."""
+
+    CASES = [(1, 3, 1), (2, 5, 4), (2, 4, 2), (3, 6, 10), (2, 2, 4), (3, 3, F(7, 3)),
+             (1, 6, F(1, 9)), (3, 5, 64), (2, 6, F(81, 16))]
+
+    @staticmethod
+    def seeded_cases():
+        rng = random.Random(37)
+        cases = list(TestUncheckedVertices.CASES)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            m = rng.randint(0, 7)
+            d = rational_degree(rng, n) if rng.random() < 0.5 else \
+                F(rng.randint(1, 9 * (n + 1) ** n), 9)
+            cases.append((n, m, d))
+        return cases
+
+    def test_vertices_equal_checked_weight_vectors(self):
+        branches = set()
+        for n, m, d in self.seeded_cases():
+            sp = arr.stability_polytope(n, m, d)
+            branches.add((sp.c_exact, m < n + 1))
+            supports = [tuple(i for i, w in enumerate(v.weights) if w) for v in sp.vertices]
+            if sp.c_value:
+                assert supports == list(itertools.combinations(range(m), n + 1))
+            for v in sp.vertices:
+                checked = WeightVector(n, v.weights)
+                assert v == checked and hash(v) == hash(checked)
+                assert all(type(w) is F for w in v.weights)
+        assert branches == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_at_most_two_checks_per_call(self, monkeypatch):
+        calls = []
+        original = WeightVector.__post_init__
+
+        def spy(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(WeightVector, "__post_init__", spy)
+        for n, m, d in self.seeded_cases():
+            calls.clear()
+            arr.stability_polytope(n, m, d)
+            assert len(calls) <= 2, (n, m, d)

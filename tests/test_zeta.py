@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -8,6 +10,8 @@ from fanokit import toric_heights as th
 from fanokit import zeta
 from fanokit.errors import DomainError, OutOfRange, PoleAtOne, ZeroVolume
 from fanokit.zeta import ZetaHeightInput
+
+from helpers import per_call_hurwitz_zeta
 
 # zeta'(-1, 1) = 1/12 - log(A), Glaisher-Kinkelin constant A, computed
 # independently to 30 digits
@@ -74,6 +78,57 @@ class TestHurwitzZeta:
         for x in (0.25, 0.7, 1.3):
             z = zeta.hurwitz_zeta(-1, x)
             assert abs(z.value - (-bernoulli2(x) / 2)) <= z.error
+
+
+def bits(call):
+    """The floats a call returns, bit for bit, or the class and message it raises."""
+    try:
+        result = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    fields = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
+    return tuple(v.hex() if isinstance(v, float) else v for v in fields)
+
+
+class TestConstantsOnce:
+    """The pass with its Euler-Maclaurin constants built at import against
+    the per-call body that rebuilt them: every output bit for bit."""
+
+    S_GRID = (-1.0, -1 - 1e-5, -1 + 1e-5, -0.5, 0.3, 2.0, 3.5)
+    TARGETS = (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-30, 1e-50)
+
+    def test_pass_matches_the_per_call_body(self):
+        for s, k, target in itertools.product(self.S_GRID, range(97), self.TARGETS):
+            x = k / 24
+            assert bits(lambda: zeta.hurwitz_zeta(s, x, target)) == \
+                bits(lambda: per_call_hurwitz_zeta(s, x, target)), (s, x, target)
+
+    def test_guards_match_the_per_call_body(self):
+        for args in [(2.0, 0.5, 0.0), (2.0, 0.5, math.inf), (2.0, 0.5, -1.0), (2.0, -0.5),
+                     (1.0, 0.5), (1, 0.0), (-1.0, 0.5, 1e-100)]:
+            got = bits(lambda: zeta.hurwitz_zeta(*args))
+            assert got == bits(lambda: per_call_hurwitz_zeta(*args))
+            assert isinstance(got[0], type), args
+
+    def test_heights_on_the_twelfths_grid(self, monkeypatch):
+        grid = list(itertools.product([F(k, 12) for k in range(13)], repeat=3))
+        new = [bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w))) for w in grid]
+        monkeypatch.setattr(zeta, "hurwitz_zeta", per_call_hurwitz_zeta)
+        old = [bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w))) for w in grid]
+        assert new == old
+
+    def test_no_bernoulli_number_after_import(self, monkeypatch):
+        calls = []
+        original = zeta.bernoulli_number
+
+        def spy(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(zeta, "bernoulli_number", spy)
+        zeta.p1_canonical_height(ZetaHeightInput(F(1, 2), F(1, 3), F(1, 5)))
+        zeta.p1_canonical_height(ZetaHeightInput(F(9, 10), F(9, 10), F(9, 10)), 1e-8)
+        assert calls == []
 
 
 class TestDerivative:
