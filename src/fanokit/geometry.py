@@ -10,21 +10,22 @@ so that for a moment polytope of a toric log Fano pair the offset is the
 log discrepancy coefficient of the corresponding facet divisor.
 
 A ``VPolytope`` carries its vertices, its facets and their incidence
-together.  Facets are found once, by ``facets_from_points`` for a point
+together.  Facets are found once, by ``VPolytope.from_points`` for a point
 cloud or by ``enumerate_vertices`` for an H-polytope, both one integer
 double-description routine, ``_extreme_rays``; a half-space cut enumerates
-afresh.  The incidence is decided once, as bit masks: ``enumerate_vertices``
-takes it from the double description's tight rows, the constructor from the
-points scaled to integers.  Volume and moment come from one pulling
-triangulation over it, and ``clip_family`` reads each slab's cut off it and
-fits it in integers, with no clip.  All Gaussian elimination, every
-determinant included, is one fraction-free routine, ``_bareiss``, forward
-unless its rows are read; the volume runs its recurrence a row at a time.
+afresh.  The incidence has one source, the double description's tight rows,
+as bit masks, and one builder, ``_polytope``, makes every value from them.
+Volume and moment come from one pulling triangulation over the masks, and
+``clip_family`` reads each slab's cut off them and fits it in integers, with
+no clip.  All Gaussian elimination, every determinant included, is one
+fraction-free routine, ``_bareiss``, forward unless its rows are read; the
+volume runs its recurrence a row at a time.
 
 Every operation is a pure function on immutable values (a ``VPolytope``
 keeps its volume, moment and vertex cones once computed, a clip family its
-slabs) and touches no floating point.  Each value checks its input when it
-is built and raises an ``errors.InputError`` subclass.
+slabs) and touches no floating point.  ``HPolytope``, ``from_points`` and
+``enumerate_vertices`` check their input and raise an ``errors.InputError``
+subclass; the ``VPolytope`` constructor only stores what ``_polytope`` built.
 """
 from __future__ import annotations
 
@@ -204,58 +205,18 @@ class HPolytope:
 @dataclass(frozen=True)
 class VPolytope:
     """Both representations of one full-dimensional polytope and their
-    incidence, decided once when the value is built.
-
-    The input is points whose hull it is and valid inequalities that include
-    every facet.  Each point p is read as the integer row (q p, q), q > 0 the
-    common denominator, so <l, p> >= -a is tight on p iff <l, q p> den(a) ==
-    -num(a) q; ``enumerate_vertices`` hands ``_reduce`` the rows and tight
-    masks of its double description instead.  Either way a point is kept iff
-    no other point is tight on every inequality tight on it, an inequality iff
-    its set of kept points is nonempty and maximal.  ``vertices`` and
-    ``facets`` come out sorted, ``rows`` by vertex, over the vertices' own
-    least common denominator, and ``masks`` by facet.  Volume, moment and
-    ``cones`` are computed on first use and kept with the value; a cut is a
-    new value and computes its own.
+    incidence, as ``_polytope`` builds them: ``vertices`` and ``facets``
+    sorted, ``rows`` the integer rows (q p, q) of the vertices over their
+    least common denominator, and ``masks`` the vertex bit mask of each
+    facet.  Volume, moment and ``cones`` are computed on first use and kept
+    with the value; a cut is a new value and computes its own.
     """
 
     dim: int
     vertices: tuple[Vec, ...]
     facets: tuple[Facet, ...]
-    rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        _check_shape(self.dim, self.vertices, "vertex")
-        pts = [[_ratio(x) for x in p] for p in self.vertices]
-        q = lcm(*(b for p in pts for _, b in p))
-        rows = {tuple(a * (q // b) for a, b in p) + (q,) for p in pts}
-        if _affine_rank(rows) < self.dim:
-            raise DegeneratePolytope("polytope is not full-dimensional")
-        self._reduce([(r, sum(1 << k for k, (l, a) in enumerate(self.facets)
-                              if sum(map(mul, l, r)) * a.denominator == -a.numerator * q))
-                      for r in rows], self.facets)
-
-    def _reduce(self, points: list, ineqs: Sequence[Facet]) -> None:
-        # points are pairs (row (q p, q), bit mask of the ineqs tight on p)
-        points = sorted(points)
-        rows = [r for r, _ in points]
-        # (inequality, its bit), sorted, with either bit of a repeated one
-        ineqs = sorted({f: k for k, f in enumerate(ineqs)}.items())
-        masks = [sum(1 << i for i, (_, t) in enumerate(points) if t >> k & 1) for _, k in ineqs]
-        keep = [i for i in range(len(rows))
-                if reduce(and_, (m for m in masks if m >> i & 1), (1 << len(rows)) - 1) == 1 << i]
-        masks = [sum(1 << j for j, i in enumerate(keep) if m >> i & 1) for m in masks]
-        facets = [k for k, m in enumerate(masks) if m and not any(m & u == m != u for u in masks)]
-        rows = [rows[i] for i in keep]
-        if (g := gcd(*(x for r in rows for x in r))) > 1:   # q took in dropped points too
-            rows = [tuple(x // g for x in r) for r in rows]
-        q = rows[0][-1]
-        object.__setattr__(self, "vertices", tuple(tuple(Fraction(x, q) for x in r[:-1])
-                                                   for r in rows))
-        object.__setattr__(self, "facets", tuple(ineqs[k][0] for k in facets))
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "masks", tuple(masks[k] for k in facets))
+    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def _integral(self) -> tuple[Fraction, Vec]:
@@ -279,29 +240,45 @@ class VPolytope:
 
     @classmethod
     def from_points(cls, dim: int, points: Iterable[Sequence]) -> "VPolytope":
-        """The hull of an arbitrary point cloud."""
+        """The hull of an arbitrary point cloud: its facets are the extreme
+        rays (l, a) of the cone of inequalities <l, p> + a >= 0 that hold at
+        every point, and a point is tight on the rays whose masks hold it."""
         pts = sorted({vec(p) for p in points})
         # before double description, which refuses a cloud that spans less
         _check_shape(dim, pts, "point")
-        return cls(dim, tuple(pts), facets_from_points(dim, pts))
+        q = lcm(*(x.denominator for p in pts for x in p))
+        rows = [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in pts]
+        rays = _extreme_rays(rows, dim + 1)
+        return _polytope(dim, [(r, sum(1 << k for k, (_, t) in enumerate(rays) if t >> i & 1))
+                               for i, r in enumerate(rows)],
+                         [make_facet(y[:dim], y[dim]) for y, _ in rays])
 
 
-def _affine_rank(rows: Sequence[Sequence[int]]) -> int:
-    # the affine rank of points is the rank of their integer rows (q p, q), less one
-    return len(_bareiss(list(rows))[0]) - 1
+def _polytope(dim: int, points: list, ineqs: Sequence[Facet]) -> VPolytope:
+    """The one builder of a ``VPolytope``, from the points whose hull it is,
+    each a pair (integer row (q p, q), bit mask of the ineqs tight on p), and
+    valid inequalities that include every facet.  A point is kept iff no
+    other point is tight on every inequality tight on it, an inequality iff
+    its set of kept points is nonempty and maximal."""
+    points = sorted(points)
+    rows = [r for r, _ in points]
+    # (inequality, its bit), sorted, with either bit of a repeated one
+    ineqs = sorted({f: k for k, f in enumerate(ineqs)}.items())
+    masks = [sum(1 << i for i, (_, t) in enumerate(points) if t >> k & 1) for _, k in ineqs]
+    keep = [i for i in range(len(rows))
+            if reduce(and_, (m for m in masks if m >> i & 1), (1 << len(rows)) - 1) == 1 << i]
+    masks = [sum(1 << j for j, i in enumerate(keep) if m >> i & 1) for m in masks]
+    facets = [k for k, m in enumerate(masks) if m and not any(m & u == m != u for u in masks)]
+    rows = [rows[i] for i in keep]
+    if (g := gcd(*(x for r in rows for x in r))) > 1:   # q took in dropped points too
+        rows = [tuple(x // g for x in r) for r in rows]
+    q = rows[0][-1]
+    return VPolytope(dim, tuple(tuple(Fraction(x, q) for x in r[:-1]) for r in rows),
+                     tuple(ineqs[k][0] for k in facets), tuple(rows),
+                     tuple(masks[k] for k in facets))
 
 
-# -- H <-> V conversion --------------------------------------------------------
-
-def facets_from_points(dim: int, points: Sequence[Sequence]) -> tuple[Facet, ...]:
-    """Supporting half-spaces of conv(points), irredundant, canonical, sorted.
-
-    The facets are the extreme rays (l, a) of the cone of inequalities
-    <l, p> + a >= 0 that hold at every point.
-    """
-    rows = [primitive_int_vector((*p, 1)) for p in points]
-    return tuple(sorted(make_facet(y[:dim], y[dim]) for y, _ in _extreme_rays(rows, dim + 1)))
-
+# -- H -> V conversion ---------------------------------------------------------
 
 @lru_cache(maxsize=512)
 def _vertices_of(h: HPolytope) -> VPolytope:
@@ -321,10 +298,8 @@ def _vertices_of(h: HPolytope) -> VPolytope:
     # flat iff some inequality is an implicit equality, tight at every vertex
     if reduce(and_, (t for _, t in rays)):
         raise DegeneratePolytope("polytope is not full-dimensional")
-    q, v = lcm(*(y[n] for y, _ in rays)), object.__new__(VPolytope)   # __post_init__ skipped
-    object.__setattr__(v, "dim", n)
-    v._reduce([(tuple(x * (q // y[n]) for x in y), t) for y, t in rays], h.facets)
-    return v
+    q = lcm(*(y[n] for y, _ in rays))
+    return _polytope(n, [(tuple(x * (q // y[n]) for x in y), t) for y, t in rays], h.facets)
 
 
 def enumerate_vertices(h: HPolytope) -> VPolytope:

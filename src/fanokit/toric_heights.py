@@ -49,8 +49,9 @@ def _to_float(x: Fraction) -> float:
 
 
 def _ulp_error(scale: float) -> float:
-    """Crude but safe rounding bound: eight half-ulps at the given magnitude."""
-    return abs(scale) * (8 * _EPS)
+    """Crude but safe rounding bound: eight half-ulps at the given magnitude,
+    and eight ulps of a subnormal, whose relative error can reach 1."""
+    return abs(scale) * (8 * _EPS) + 8 * math.ulp(0.0)
 
 
 class Convention(str, enum.Enum):

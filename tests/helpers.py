@@ -1,9 +1,11 @@
 """Shared test oracles: ``Fraction`` vector arithmetic, linear maps on
 points and the hull of a polytope's image under one, translation, the
-sign of a clip family's moment at one cut-off, Gauss-Jordan elimination
+sign of a clip family's moment at one cut-off, a record of the kernel's
+eliminations, Gauss-Jordan elimination
 over ``Fraction``, volume and moment with every
 pulling simplex eliminated from scratch, brute-force exact H->V and
-V->H conversion, the vertex-facet incidence by ``Fraction`` dots, an
+V->H conversion, the vertex-facet incidence by ``Fraction`` dots and by
+integer rows with one rank, an
 exact clip per cut-off and the ``Fraction`` bisection of S(X) over it,
 Monte Carlo volume estimation, random polytope and unimodular-matrix
 generation, the simplex difference (a Delta_n - 1) \\
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -56,11 +59,33 @@ def image(v: geom.VPolytope, m) -> geom.VPolytope:
 
 
 def translate(v: geom.VPolytope, shift) -> geom.VPolytope:
-    """v moved by shift, built by the ``VPolytope`` constructor from the
-    moved vertices and the moved facets."""
-    s = geom.vec(shift)
-    facets = tuple(geom.Facet(l, a - dot(l, s)) for l, a in v.facets)
-    return geom.VPolytope(v.dim, tuple(vadd(p, s) for p in v.vertices), facets)
+    """v moved by shift: the hull of its moved vertices."""
+    return geom.VPolytope.from_points(v.dim, [vadd(p, shift) for p in v.vertices])
+
+
+def spy_eliminations(monkeypatch) -> list[str]:
+    """The eliminations of ``geometry`` from now on, in order: "rays" for each
+    double description (``_extreme_rays``) and "bareiss" for each
+    ``_bareiss`` run outside one."""
+    calls, depth = [], [0]
+    rays, bareiss = geom._extreme_rays, geom._bareiss
+
+    def spy_rays(*args):
+        calls.append("rays")
+        depth[0] += 1
+        try:
+            return rays(*args)
+        finally:
+            depth[0] -= 1
+
+    def spy_bareiss(*args, **kwargs):
+        if not depth[0]:
+            calls.append("bareiss")
+        return bareiss(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "_extreme_rays", spy_rays)
+    monkeypatch.setattr(geom, "_bareiss", spy_bareiss)
+    return calls
 
 
 def moment_sign(family: geom.ClipFamily, p: int, q: int) -> int:
@@ -197,6 +222,37 @@ def fraction_incidence(points, inequalities):
     facets = [k for k, t in enumerate(on) if t and not any(t < u for u in on)]
     return (tuple(verts), tuple(ineqs[k] for k in facets),
             tuple(sum(1 << i for i in on[k]) for k in facets))
+
+
+def integer_incidence(dim, points, inequalities):
+    """Reference for the ``VPolytope`` that ``from_points`` builds from a
+    double description: each point p read as the integer row (q p, q), q > 0
+    the common denominator of the cloud, so that <l, p> >= -a is tight on p
+    iff <l, q p> den(a) == -num(a) q, tested per inequality; one rank of the
+    rows, DegeneratePolytope when it is below dim + 1.  A point is kept iff
+    no other point is tight on every inequality tight on it, an inequality
+    iff its set of kept points is nonempty and maximal.  Returns (sorted
+    vertices, sorted facets, the vertex rows over their least common
+    denominator, one vertex bit mask per facet)."""
+    pts = sorted({geom.vec(p) for p in points})
+    q = math.lcm(*(x.denominator for p in pts for x in p))
+    rows = [tuple(x.numerator * (q // x.denominator) for x in p) + (q,) for p in pts]
+    if len(geom._bareiss([list(r) for r in rows])[0]) < dim + 1:
+        raise DegeneratePolytope("polytope is not full-dimensional")
+    ineqs = sorted(set(inequalities))
+    on = [{i for i, r in enumerate(rows)
+           if sum(map(operator.mul, f.normal, r)) * f.offset.denominator == -f.offset.numerator * q}
+          for f in ineqs]
+    tight = [{k for k, t in enumerate(on) if i in t} for i in range(len(rows))]
+    keep = [i for i in range(len(rows))
+            if not any(j != i and tight[i] <= u for j, u in enumerate(tight))]
+    on = [frozenset(j for j, i in enumerate(keep) if i in t) for t in on]
+    facets = [k for k, t in enumerate(on) if t and not any(t < u for u in on)]
+    kept = [rows[i] for i in keep]
+    g = math.gcd(*(x for r in kept for x in r))
+    return (tuple(pts[i] for i in keep), tuple(ineqs[k] for k in facets),
+            tuple(tuple(x // g for x in r) for r in kept),
+            tuple(sum(1 << j for j in on[k]) for k in facets))
 
 
 def clip_volume_and_moment(base, normal, cutoff):

@@ -13,6 +13,8 @@ import pytest
 
 from fanokit import cli
 
+from helpers import spy_eliminations
+
 
 def run_cli(argv, capsys):
     code = cli.run(argv)
@@ -289,22 +291,13 @@ class TestErrorHandling:
 
 class TestPointCloudInput:
     def test_volume_hulls_the_cloud_once(self, capsys, monkeypatch):
-        from fanokit import geometry
-
-        original = geometry.facets_from_points
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(geometry, "facets_from_points", spy)
+        calls = spy_eliminations(monkeypatch)
         cloud = [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)] + [[1, 1, 1]]
         code, out, _ = run_cli(["volume", "--json", json.dumps({"dim": 3, "vertices": cloud})],
                                capsys)
         assert code == 0
         assert json.loads(out)["poly_volume"] == "8"
-        assert len(calls) == 1
+        assert calls == ["rays"]
 
 
     @pytest.mark.parametrize("command, expected", [

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import itertools
@@ -36,11 +37,13 @@ from helpers import (
     fraction_eliminate,
     fraction_incidence,
     image,
+    integer_incidence,
     mc_volume_estimate,
     moment_sign,
     per_simplex_volume_and_moment,
     random_rational_polytope,
     random_unimodular,
+    spy_eliminations,
     translate,
     vadd,
 )
@@ -146,7 +149,7 @@ class TestVolume:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePolytope):
-            VPolytope(2, ((F(0), F(0)), (F(1), F(0)), (F(2), F(0))), ())
+            VPolytope.from_points(2, ((F(0), F(0)), (F(1), F(0)), (F(2), F(0))))
 
     def test_additivity_under_hyperplane_split(self):
         rng = random.Random(23)
@@ -283,7 +286,7 @@ def assert_incidence(v, points, inequalities):
     vertices, facets and vertex masks, with its facets a fresh hull of its
     vertices and its rows the vertices over their least common denominator."""
     assert (v.vertices, v.facets, v.masks) == fraction_incidence(points, inequalities)
-    assert v.facets == geom.facets_from_points(v.dim, v.vertices)
+    assert v.facets == VPolytope.from_points(v.dim, v.vertices).facets
     assert [tuple(F(x, r[-1]) for x in r[:-1]) for r in v.rows] == list(v.vertices)
     assert math.gcd(*(x for r in v.rows for x in r)) == 1
 
@@ -308,7 +311,7 @@ class TestFacetsCarried:
         except DegeneratePolytope:
             return
         assert_facets_invariant(v)
-        assert_incidence(v, pts, geom.facets_from_points(dim, pts))
+        assert_incidence(v, pts, brute_force_facets(dim, pts))
         # a redundant inequality and a repeated one must not become facets
         loose = geom.Facet(v.facets[0].normal, v.facets[0].offset + 1)
         h = HPolytope(dim, v.facets + (loose, v.facets[-1]))
@@ -353,11 +356,62 @@ class TestFacetsCarried:
 
     def test_equality_hash_and_repr_ignore_the_incidence(self):
         v = geom.enumerate_vertices(unit_cube(3))
-        w = VPolytope(3, v.vertices, v.facets)
-        object.__setattr__(w, "rows", ())
-        object.__setattr__(w, "masks", ())
+        w = dataclasses.replace(VPolytope.from_points(3, v.vertices), rows=(), masks=())
         assert w == v and hash(w) == hash(v) and repr(w) == repr(v)
         assert "masks" not in repr(v) and "rows" not in repr(v)
+
+
+def centroid(points):
+    return tuple(sum(c, F(0)) / len(points) for c in zip(*points))
+
+
+@st.composite
+def rich_clouds(draw):
+    """A cloud in dimension 1 to 4 with rational points inside its hull (the
+    centroids of some of its points, and of all), some of them repeated."""
+    dim = draw(st.integers(1, 4))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 3))
+    subsets = draw(st.lists(st.lists(st.sampled_from(pts), min_size=2, max_size=dim + 1),
+                            max_size=3))
+    inner = [centroid(s) for s in subsets] + [centroid(pts)]
+    repeats = draw(st.lists(st.sampled_from(pts + inner), max_size=2))
+    return dim, draw(st.permutations(pts + inner + repeats))
+
+
+class TestOneBuilder:
+    """Every ``VPolytope`` comes from ``_polytope``.  ``from_points`` reads
+    the incidence off the cloud's double description, and it is exactly what
+    integer rows, a tight test per inequality and one rank give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rich_clouds())
+    def test_from_points_matches_the_constructor_rule(self, cloud):
+        dim, pts = cloud
+        try:
+            expect = integer_incidence(dim, pts, brute_force_facets(dim, pts))
+        except DegeneratePolytope:
+            with pytest.raises(DegeneratePolytope):
+                VPolytope.from_points(dim, pts)
+            return
+        v = VPolytope.from_points(dim, pts)
+        assert (v.vertices, v.facets, v.rows, v.masks) == expect
+        # a point inside each facet, the centroid of its vertices, is no vertex
+        faces = [centroid([p for i, p in enumerate(v.vertices) if m >> i & 1]) for m in v.masks]
+        w = VPolytope.from_points(dim, faces + pts)
+        assert (w.vertices, w.facets, w.rows, w.masks) == expect
+        assert integer_incidence(dim, faces + pts, v.facets) == expect
+
+    def test_every_value_comes_from_the_builder(self, monkeypatch):
+        built, original = [], geom._polytope
+        monkeypatch.setattr(geom, "_polytope", lambda *args: built.append(original(*args))
+                            or built[-1])
+        geom._vertices_of.cache_clear()
+        v = geom.enumerate_vertices(unit_cube(3))
+        cloud = VPolytope.from_points(3, CUBE_3 + [(HALF,) * 3])
+        cut = geom.intersect_halfspace(v, (1, 1, 1), F(3, 2))
+        assert len(built) == 3 and all(a is b for a, b in zip(built, (v, cloud, cut)))
+        assert cloud == v != cut
 
 
 class TestFiveDimensional:
@@ -455,11 +509,13 @@ class TestIncidenceFromDoubleDescription:
         assert first_basis_det(INCIDENCE_CASES["negative-basis"]) < 0
 
     def test_no_inequality_evaluated(self, monkeypatch):
+        # one double description and no other elimination: no rank, no tight test
         h = INCIDENCE_CASES["p3-blowup-image-0"]
         geom._vertices_of.cache_clear()
-        monkeypatch.setattr(VPolytope, "__post_init__", None)   # a call would fail
+        calls = spy_eliminations(monkeypatch)
         v = geom.enumerate_vertices(h)
         monkeypatch.undo()
+        assert calls == ["rays"]
         assert_incidence(v, brute_force_vertices(h)[0], h.facets)
 
     @pytest.mark.parametrize("h, error, message", [
@@ -533,8 +589,8 @@ class TestDoubleDescription:
     ], ids=["repeated-apex", "cube-with-centers"])
     def test_v_to_h_matches_oracle(self, pts):
         facets = brute_force_facets(3, pts)
-        assert geom.facets_from_points(3, pts) == facets
         v = VPolytope.from_points(3, pts)
+        assert v.facets == facets
         assert (v.vertices, v.facets) == brute_force_vertices(HPolytope(3, facets))
         assert_incidence(v, pts, facets)
 
@@ -745,7 +801,7 @@ class TestOneIntegrationPerValue:
         vol, mom = integral = geom.volume_and_moment(v)
         assert geom.volume_and_moment(v) is integral and v.cones is v.cones
         assert geom.volume(v) == vol and geom.barycenter(v) == tuple(m / vol for m in mom)
-        fresh = VPolytope(v.dim, v.vertices, v.facets)   # equal, but not yet integrated
+        fresh = VPolytope.from_points(v.dim, v.vertices)   # equal, but not yet integrated
         assert not MEMOS & set(vars(fresh))
         assert geom.volume_and_moment(fresh) == integral and fresh.cones == v.cones
         if v.dim == 1:   # an interval [a, b]
@@ -768,7 +824,7 @@ class TestOneIntegrationPerValue:
         assert v.cones
         clipped = geom.intersect_halfspace(v, (1, 0, 0), F(1, 2))
         assert clipped != v and not MEMOS & set(vars(clipped))
-        assert clipped.cones == VPolytope(3, clipped.vertices, clipped.facets).cones
+        assert clipped.cones == VPolytope.from_points(3, clipped.vertices).cones
         ref_vol, ref_mom = delaunay_volume_and_moment(clipped)
         clip_vol, clip_mom = geom.volume_and_moment(clipped)
         assert float(clip_vol) == pytest.approx(ref_vol, rel=1e-9) and clip_vol < vol
@@ -1058,7 +1114,7 @@ class TestConstructorsCheckTheirInput:
         (lambda: VPolytope.from_points(2, [(0, 0), (1, 0), (0, 1, 1)]), DimensionMismatch),
         (lambda: VPolytope.from_points(True, [(0,), (1,)]), DimensionMismatch),
         (lambda: VPolytope.from_points(2, [(0, 0), (1, 1), (2, 2)]), DegeneratePolytope),
-        (lambda: VPolytope(2, ((0, 0), (1, 0), (0, 1, 0)), ()), DimensionMismatch),
+        (lambda: VPolytope.from_points(2, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]), DimensionMismatch),
         (lambda: HPolytope(2, (((1, 0, 0), 1), ((-1, 0), 1))), DimensionMismatch),
         (lambda: HPolytope(0, ()), DimensionMismatch),
         (lambda: HPolytope("2", (((1, 0), 1),)), DimensionMismatch),
@@ -1076,8 +1132,7 @@ class TestConstructorsCheckTheirInput:
         mixed = (F(-1, 2), "3/4", 0.25, Decimal("-1.5"), 2, True)
         assert geom.primitive_int_vector(mixed) == (-2, 3, 1, -6, 8, 4)
         assert geom.make_facet(mixed, "-3/8") == geom.make_facet((-2, 3, 1, -6, 8, 4), F(-3, 2))
-        ends = (geom.make_facet((1,), F(-1, 2)), geom.make_facet((-1,), 0.75))
-        v = VPolytope(1, ((F(1, 2),), ("3/4",), (Decimal("0.5"),), (F(5, 8),)), ends)
+        v = VPolytope.from_points(1, ((F(1, 2),), ("3/4",), (Decimal("0.5"),), (F(5, 8),)))
         assert (v.vertices, v.rows) == (((F(1, 2),), (F(3, 4),)), ((2, 4), (3, 4)))
 
     def test_rows_take_the_denominator_of_the_kept_points(self):
@@ -1086,7 +1141,7 @@ class TestConstructorsCheckTheirInput:
         assert v.rows == ((0, 0, 1), (0, 1, 1), (1, 0, 1))
 
     def test_cloud_lengths_checked_before_double_description(self, monkeypatch):
-        monkeypatch.setattr(geom, "facets_from_points", None)   # a call would fail
+        monkeypatch.setattr(geom, "_extreme_rays", None)   # a call would fail
         with pytest.raises(DimensionMismatch):
             VPolytope.from_points(2, [(0, 0), (1, 0), (0, 1, 1)])
 
@@ -1096,19 +1151,17 @@ class TestConstructorsCheckTheirInput:
             geom.intersect_halfspace(v, (1, 1), 0)
 
     def test_full_dimensionality_checked_once_per_value(self, monkeypatch):
-        # the H->V path reads it off the tight masks, the constructor takes one rank
+        # every value reads it off its one double description: no rank besides
         geom._vertices_of.cache_clear()
-        calls = []
-        original = geom._affine_rank
-        monkeypatch.setattr(geom, "_affine_rank", lambda pts: calls.append(1) or original(pts))
+        calls = spy_eliminations(monkeypatch)
         v = geom.enumerate_vertices(unit_cube(3))
         geom.volume_and_moment(v)
         clip_volume_and_moment(v, (1, 1, 1), F(17, 11))   # not a cached clip
-        assert calls == []
+        assert calls == ["rays"] * 2
         image(v, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-        assert len(calls) == 1
+        assert calls == ["rays"] * 3
         VPolytope.from_points(3, CUBE_3)
-        assert len(calls) == 2
+        assert calls == ["rays"] * 4
 
     @pytest.mark.parametrize("facets", [
         (((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)),

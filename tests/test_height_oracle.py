@@ -92,3 +92,15 @@ def test_fermat_bound():
         for d in range(1, n + 2):
             fb = hyp.fermat_height_bound(n, d)
             _assert_covered(fb.report, _pn_family(n, fb.lam * th.pn_poly_volume(n)))
+
+
+def test_subnormal_leads():
+    # a lead (n+1)!/2 * v below the normal range carries fewer than 53 bits,
+    # and its relative bound underflows to 0
+    for t in (F(1, 3 * 10**309), F(1, 3 * 10**312), F(1, 10**320)):
+        _assert_covered(th.scaled_divisor_height(1, t), _pn_family(1, t * th.pn_poly_volume(1)))
+    _assert_covered(th.scaled_divisor_height(2, F(1, 10**160)),
+                    _pn_family(2, F(1, 10**320) * th.pn_poly_volume(2)))
+    for v in (F(1, 10**400), F(1, 10**310), F(7, 10**320)):
+        _check_universal(1, v)
+    _check_universal(3, F(1, 10**315))
