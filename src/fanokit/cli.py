@@ -167,18 +167,14 @@ def _cmd_gap_check(args, data) -> dict:
     t = toric.ToricLogFano(_read_polytope(data, args))
     report = toric.gap_check(t)
     cones = t.polytope.cones
-    gorenstein = None
-    if all(f.offset == 1 for f in t.polytope.facets):
-        gorenstein = toric.is_gorenstein(t)
+    gorenstein = toric.is_gorenstein(t) if all(f.offset == 1 for f in t.polytope.facets) else None
     return {
         "verdict": report.verdict.value,
         "poly_volume": jsonio.frac_to_str(report.poly_volume),
         "gap_threshold": jsonio.frac_to_str(report.gap_threshold),
         "singular": report.singular,
-        "certificate_bound": (
-            None if report.certificate_bound is None
-            else jsonio.frac_to_str(report.certificate_bound)
-        ),
+        "certificate_bound": (None if report.certificate_bound is None
+                              else jsonio.frac_to_str(report.certificate_bound)),
         "certificate_holds": report.certificate_holds,
         "vertex_dets": [d for _, d in cones],
         "all_vertices_simple": all(d is not None for _, d in cones),
@@ -271,14 +267,8 @@ def _reproduce_rows(perturb: bool) -> list[dict]:
 
     def row(name: str, reference, computed, tol):
         ref_f, got_f = float(reference), float(computed)
-        ok = abs(ref_f - got_f) <= tol + 1e-15
-        rows.append({
-            "name": name,
-            "reference": ref_f,
-            "computed": got_f,
-            "tolerance": tol,
-            "pass": ok,
-        })
+        rows.append({"name": name, "reference": ref_f, "computed": got_f, "tolerance": tol,
+                     "pass": abs(ref_f - got_f) <= tol + 1e-15})
 
     h = presets.p3_blowup_polytope()
     if perturb:
@@ -347,15 +337,19 @@ def _cmd_reproduce_paper(args, data) -> dict:
 
 # -- output ---------------------------------------------------------------------
 
+def _cell(x) -> str:
+    return str(jsonio.round_float(x) if isinstance(x, float) else x)
+
+
 def _flatten(prefix: str, obj, out: list[tuple[str, str]]):
     if isinstance(obj, dict):
         for k in sorted(obj):
             _flatten(f"{prefix}.{k}" if prefix else k, obj[k], out)
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, out)
     else:
-        out.append((prefix, "" if obj is None else str(obj)))
+        out.append((prefix, "" if obj is None else _cell(obj)))
 
 
 def _emit(payload: dict, fmt: str) -> str:
@@ -364,10 +358,10 @@ def _emit(payload: dict, fmt: str) -> str:
     rows = payload.get("rows")
     if isinstance(rows, list) and rows and isinstance(rows[0], dict):
         headers = list(rows[0])
-        table = [[str(jsonio.round_floats(r[h])) for h in headers] for r in rows]
+        table = [[_cell(r[h]) for h in headers] for r in rows]
     else:
         flat: list[tuple[str, str]] = []
-        _flatten("", jsonio.round_floats(payload), flat)
+        _flatten("", payload, flat)
         headers = ["key", "value"]
         table = [[k, v] for k, v in flat]
     if fmt == "csv":
@@ -422,7 +416,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="fanokit",
         description="K-semistability tests and height bounds for toric log Fano data",
@@ -430,6 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(subcommand=name)   # for a parse by this parser alone
         p.add_argument("--input", help="path to a JSON input file")
         p.add_argument("--json", help="inline JSON input")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
@@ -437,17 +433,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; batch items run in order")
         for flags, kwargs in options:
             p.add_argument(*flags, **kwargs)
-    return parser
+    return parser, sub.choices
 
 
-# parse_args fills a fresh namespace on every call, so one parser serves all runs
-_PARSER = _build_parser()
+# parsing fills a fresh namespace on every call, so one parser serves all runs
+_PARSER, _SUBPARSERS = _build_parser()
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv, dispatch, print the report; returns the exit code."""
+    """Parse argv, dispatch, print the report; returns the exit code.  One pass
+    parses argv[1:] by the subparser argv[0] names; any other argv, or one with
+    arguments left over, goes through the top-level parser as a whole."""
     try:
-        args = _PARSER.parse_args(argv)
+        sub = _SUBPARSERS.get(argv[0]) if argv else None
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+        if sub is None or rest:
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     handler = _COMMANDS[args.subcommand][0]

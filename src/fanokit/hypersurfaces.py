@@ -49,10 +49,10 @@ class DiagonalHypersurfaceSpec:
 
 
 def diagonal_height_correction(spec: DiagonalHypersurfaceSpec) -> float:
-    """(1-d) (n+2-d)^n sum_i log|a_i|; always <= 0, zero iff d = 1 or all
-    |a_i| = 1.  Added to pn_height(n), this bounds the canonical height."""
+    """(1-d) (n+2-d)^n sum_i log|a_i|; always <= 0, zero (+0.0) iff d = 1 or
+    all |a_i| = 1.  Added to pn_height(n), this bounds the canonical height."""
     n, d = spec.n, spec.d
-    return (1 - d) * (n + 2 - d) ** n * spec.log_coefficient_sum()
+    return (1 - d) * (n + 2 - d) ** n * spec.log_coefficient_sum() + 0.0   # -0.0 + 0.0 is +0.0
 
 
 def fermat_reduction_delta(spec: DiagonalHypersurfaceSpec) -> float:
@@ -76,8 +76,8 @@ def general_linear_height_delta(n: int, d: int, det_t_modulus: float) -> float:
         raise OutOfRange("|det T| must be positive")
     if det_t_modulus == math.inf:
         raise OutOfRange("|det T| must be finite")
-    # the factor is the integer d (1-d) (n+2-d)^n
-    return 2 * d * (1 - d) * (n + 2 - d) ** n * math.log(det_t_modulus)
+    # the factor is the integer d (1-d) (n+2-d)^n; + 0.0 as in diagonal_height_correction
+    return 2 * d * (1 - d) * (n + 2 - d) ** n * math.log(det_t_modulus) + 0.0
 
 
 def branch_arrangement(spec: DiagonalHypersurfaceSpec) -> WeightVector:

@@ -4,11 +4,16 @@ Polytopes:  {"dim": n, "facets": [{"normal": [int, ...], "offset": "p/q"}]}
         or  {"dim": n, "vertices": [["p/q", ...], ...]}
 Rationals are serialized as strings "p/q" (or "p" for integers); integers
 are also accepted on input.
+
+Reports are encoded in one pass, byte-identical to ``json.dumps(payload,
+sort_keys=True, indent=2)`` with every float rounded by ``round_float``; the
+walk makes no closures, so it leaves nothing for the cyclic collector.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import InputError
@@ -73,16 +78,40 @@ def round_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def round_floats(obj):
-    """Every float in a JSON-like value rounded by ``round_float``."""
-    if isinstance(obj, float):
-        return round_float(obj)
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
-    return obj
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}   # JSON's spelling
+
+
+def _encode(obj, newline: str, out: list[str]) -> None:
+    """Append the JSON of ``obj`` to ``out``; ``newline`` starts its lines."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, float):
+        text = repr(round_float(obj))
+        out.append(_FLOAT_NAMES.get(text, text))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner, sep = newline + "  ", "{"
+        for key, value in sorted(obj.items()):   # the keys are strings
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _encode(value, inner, out)
+            sep = ","
+        out.append(newline + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for value in obj:
+            out.append(sep + inner)
+            _encode(value, inner, out)
+            sep = ","
+        out.append(newline + "]" if obj else "[]")
+    else:
+        json.dumps(obj)   # raises json's TypeError for a type it cannot encode
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(round_floats(payload), sort_keys=True, indent=2)
+    """The report as indented JSON, in one pass; see the module docstring."""
+    out: list[str] = []
+    _encode(payload, "\n", out)
+    return "".join(out)

@@ -32,7 +32,6 @@ from .errors import (
     NonpositiveVolume,
     NotAnticanonical,
     NotSemistable,
-    NumericalError,
     OutOfRange,
 )
 from .geometry import HPolytope, VPolytope
@@ -171,11 +170,10 @@ def pn_height(n: int) -> HeightReport:
 
 
 def a_n_constant(n: int, height: HeightReport | None = None) -> float:
-    """Normalized P^n height pn_height(n) / (n+1)^{n+1}, read off ``height`` if given."""
-    a = (height or pn_height(n)).value / (n + 1) ** (n + 1)
-    if 2 * a < 1:
-        raise NumericalError("normalized height dropped below 1/2")
-    return a
+    """Normalized P^n height pn_height(n) / (n+1)^{n+1}, read off ``height`` if given;
+    2 a_n = f(n) = (n+1) H_n - n + log(pi^n / n!) > 1, as f(1) = 1 + log pi and
+    f(n+1) - f(n) = H_{n+1} + log pi - log(n+1) > 0, since H_{n+1} > log(n+1)."""
+    return (height or pn_height(n)).value / (n + 1) ** (n + 1)
 
 
 def _log_fraction(x: Fraction) -> float:

@@ -182,7 +182,15 @@ class TestSubcommands:
         assert payload["strict"] is True
         assert payload["lambda"] == pytest.approx(1 / 3, abs=1e-12)
 
-    def test_p1_zeta_height(self, capsys):
+    def test_diagonal_zero_correction_is_positive_zero(self, capsys):
+        # (1 - d) (n+2-d)^n * 0.0 is -0.0 for d >= 2; so is the general delta at |det T| = 1
+        code, out, err = run_cli(
+            ["diagonal", "--json", '{"n": 1, "d": 2, "a": [1, 1, 1]}', "--det-t", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert "-0.0" not in out
+        for key in ("correction", "fermat_delta", "general_delta"):
+            assert f'"{key}": 0.0,' in out
+
         code, out, _ = run_cli(
             ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"]}'],
             capsys)

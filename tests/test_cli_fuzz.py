@@ -1,6 +1,8 @@
 """Random argv and JSON for every subcommand: ``cli.run`` never raises, exits
 0, 1 or 2, a nonzero exit leaves stdout empty and stderr free of a
 traceback, and a JSON report on exit 0 is strict JSON (no NaN or Infinity).
+The one-pass parse gives the same exit code, stdout and stderr as the parse
+of the whole argv by the top-level parser.
 Inputs stay small (dimension <= 3, at most 8 facets or points, small n), so
 the per-example deadline is also a budget on every path; a small share of
 polytope coordinates and offsets leaves the double range."""
@@ -8,6 +10,7 @@ import contextlib
 import io
 import json
 from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -149,3 +152,36 @@ def test_cli_exits_cleanly(command, data):
         assert err.getvalue()
     elif not any(a.startswith("--format=") and a != "--format=json" for a in args):
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+def _outcome(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _outcome_of_the_top_level_parse(args):
+    # with no subparser to parse argv[1:] alone, run parses every argv whole
+    with mock.patch.object(cli, "_SUBPARSERS", {}):
+        return _outcome(args)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+@settings(max_examples=15, deadline=timedelta(seconds=2), derandomize=True,
+          database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_pass_parse_matches_the_top_level_parse(command, data):
+    args = data.draw(argv(command))
+    assert _outcome(args) == _outcome_of_the_top_level_parse(args)
+
+
+@pytest.mark.parametrize("args", [
+    [], ["-h"], ["--help"], ["nope"], ["--format", "json", "volume"], ["volume", "-h"],
+    ["pn-height"], ["pn-height", "--n", "3", "extra"], ["pn-height", "--n", "3", "--n", "4"],
+    ["volume", "--pre", "p3"], ["volume", "--", "--preset", "p3"],
+    ["volume", "--preset", "p3", "--"],
+    ["pn-height", "--n=-1"], ["universal-bound", "--n", "1", "--volume", "1", "--bogus", "1"],
+], ids=str)
+def test_one_pass_parse_matches_on_usage_errors(args):
+    assert _outcome(args) == _outcome_of_the_top_level_parse(args)

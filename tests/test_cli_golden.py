@@ -3,10 +3,12 @@ list of argv.  A change that alters an output on purpose updates its digest
 here and names the change in CHANGES.md.  ``python tests/test_cli_golden.py``
 prints the digests of the current tree in the form of ``DIGESTS``."""
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import shlex
+from unittest import mock
 
 import pytest
 
@@ -67,11 +69,15 @@ CASES = [
 ]
 
 
-def digest(argv) -> str:
+def run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(list(argv))
-    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(argv) -> str:
+    return hashlib.sha256(json.dumps(run(argv)).encode()).hexdigest()
 
 
 DIGESTS = {
@@ -223,6 +229,31 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("argv", CASES, ids=[shlex.join(a)[:48] for a in CASES])
 def test_output_unchanged(argv):
     assert digest(argv) == DIGESTS[shlex.join(argv)]
+
+
+@pytest.mark.parametrize("argv", CASES, ids=[shlex.join(a)[:48] for a in CASES])
+def test_top_level_parse_gives_the_same_output(argv):
+    # with no subparser to parse argv[1:] alone, run parses every argv whole
+    with mock.patch.object(cli, "_SUBPARSERS", {}):
+        assert digest(argv) == DIGESTS[shlex.join(argv)]
+
+
+def test_reports_leave_no_cyclic_garbage():
+    # a cycle per report would put a collection inside a timed request
+    succeeding = [argv for argv in CASES if run(argv)[0] == 0]   # also the warm-up
+    gc.collect()
+    gc.disable()
+    gc.freeze()   # so that each collection below walks only what the run made
+    try:
+        left = {}
+        for argv in succeeding:
+            run(argv)
+            left[shlex.join(argv)] = gc.collect()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert len(succeeding) > 40
+    assert {argv: n for argv, n in left.items() if n} == {}
 
 
 if __name__ == "__main__":

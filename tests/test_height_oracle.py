@@ -10,6 +10,7 @@ import random
 from fractions import Fraction as F
 
 import mpmath
+import pytest
 
 from fanokit import arrangements as arr
 from fanokit import hypersurfaces as hyp
@@ -17,6 +18,13 @@ from fanokit import toric_heights as th
 from fanokit.arrangements import WeightVector
 
 mpmath.mp.dps = 50
+
+
+@pytest.fixture(autouse=True)
+def _fifty_digits():
+    # another module may set mp.dps when it is imported, after this one
+    with mpmath.workdps(50):
+        yield
 
 
 def _mp(x: F):
@@ -104,3 +112,23 @@ def test_subnormal_leads():
     for v in (F(1, 10**400), F(1, 10**310), F(7, 10**320)):
         _check_universal(1, v)
     _check_universal(3, F(1, 10**315))
+
+
+def test_a_n_constant_increments():
+    # the proof in a_n_constant's docstring: f(n) = 2 a_n starts at 1 + log pi
+    # and each step f(n+1) - f(n) = H_{n+1} + log pi - log(n+1) is positive
+    log_pi = mpmath.log(mpmath.pi)
+
+    def f(n):
+        return (n + 1) * mpmath.harmonic(n) - n + n * log_pi - mpmath.loggamma(n + 1)
+
+    tiny = mpmath.mpf(10) ** -40
+    assert abs(f(1) - 1 - log_pi) < tiny
+    here = f(1)
+    for n in range(1, 2000):
+        step = mpmath.harmonic(n + 1) + log_pi - mpmath.log(n + 1)
+        after = f(n + 1)
+        assert step > 0 and abs(after - here - step) < tiny, n
+        if n <= 141:   # where pn_height is a finite double
+            assert abs(2 * th.a_n_constant(n) - here) <= 1e-13 * here, n
+        here = after
