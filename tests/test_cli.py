@@ -191,6 +191,7 @@ class TestSubcommands:
         for key in ("correction", "fermat_delta", "general_delta"):
             assert f'"{key}": 0.0,' in out
 
+    def test_p1_zeta_height(self, capsys):
         code, out, _ = run_cli(
             ["p1-zeta-height", "--json", '{"weights": ["0", "0", "0"]}'],
             capsys)
