@@ -111,7 +111,8 @@ def _encode(obj, newline: str, out: list[str]) -> None:
 
 
 def dumps(payload: dict) -> str:
-    """The report as indented JSON, in one pass; see the module docstring."""
+    """The report in one pass: the bytes of ``json.dumps(payload, sort_keys=True,
+    indent=2)`` with every float rounded by ``round_float``."""
     out: list[str] = []
     _encode(payload, "\n", out)
     return "".join(out)
