@@ -5,6 +5,8 @@ controlled by the height of projective space plus an explicit correction
 in the coefficients; the sharper route goes through the degree-d cover of
 the degree-one model branched over n+2 hyperplanes.
 """
+from fractions import Fraction
+
 from fanokit import arrangements as arr
 from fanokit import hypersurfaces as hyp
 from fanokit import toric_heights as th
@@ -19,10 +21,10 @@ for n, d, a in [(2, 1, (3, 1, 1, 1)),
     bound = hyp.diagonal_theorem_bound(spec)
     print(f"n={n} d={d} a={a}:")
     print(f"   correction   {bound.correction:12.6f}"
-          f"   (exact reduction delta {bound.fermat_delta:.6f})")
+          f"   (exact reduction delta {2 * bound.correction:.6f})")
     print(f"   bound        {bound.report.value:12.6f}"
           f"   strict: {bound.strict}")
-    print(f"   tighter      {bound.chain_value:12.6f}"
+    print(f"   tighter      {bound.fermat.value + 2 * bound.correction:12.6f}"
           f"   vs pn_height({n}) = {th.pn_height(n).value:.6f}")
 
 # the branch divisor of the cover is always a semistable arrangement
@@ -35,12 +37,12 @@ for d in (1, 2, 3):
 # volume ratio bookkeeping: the cover has topological degree d^{n+1}
 print("\ncover degree checks (topological vs volume ratio):")
 for n, d in [(2, 2), (2, 3), (3, 4)]:
-    topo, ratio = hyp.cover_volume_ratio_check(n, d)
-    print(f"   n={n} d={d}: {topo} == {ratio}")
+    ratio = Fraction(d * (n + 2 - d) ** n) / Fraction(n + 2 - d, d) ** n
+    print(f"   n={n} d={d}: {d ** (n + 1)} == {ratio}")
 
 # the degree ratio lambda and the Fermat bound it produces
 print("\nlambda = V(X)/V(P^n) and the Fermat bound:")
 for n, d in [(1, 2), (2, 2), (2, 3), (3, 4)]:
-    fb = hyp.fermat_height_bound(n, d)
-    print(f"   n={n} d={d}: lambda = {fb.lam}  bound = {fb.report.value:.6f}"
-          f"  strict: {fb.strict}")
+    lam = hyp.lambda_ratio(n, d)
+    print(f"   n={n} d={d}: lambda = {lam}  bound = {hyp.fermat_height_bound(n, d).value:.6f}"
+          f"  strict: {lam < 1}")

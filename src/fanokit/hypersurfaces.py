@@ -5,9 +5,10 @@
 The absolute canonical height of such a hypersurface is never claimed;
 everything is expressed as a correction relative to the unit-coefficient
 (Fermat) case or as a bound relative to the P^n height, which is all the
-closed-form chain provides.  The Fermat cover bound is the P^n divisor family
-of ``toric_heights`` at volume lambda * v_0, and the Fermat reduction delta is
-twice the diagonal correction.
+closed-form chain provides.  Each bound is one ``HeightReport``; the Fermat
+cover bound is the P^n divisor family of ``toric_heights`` at volume
+lambda * v_0.  The reduction delta 2 * correction, the chain through the
+Fermat bound and the cover degree d^{n+1} are left to the caller.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangements import WeightVector, is_arrangement_semistable
-from .errors import InputError, NumericalError, OutOfRange
+from .arrangements import WeightVector
+from .errors import InputError, OutOfRange
 from .toric_heights import (Convention, HeightReport, _ulp_error, pn_family_height,
                             pn_height, pn_poly_volume)
 
@@ -44,27 +45,19 @@ class DiagonalHypersurfaceSpec:
         if any(a == 0 for a in coeffs):
             raise InputError("coefficients must be nonzero")
 
-    def log_coefficient_sum(self) -> float:
-        return sum(math.log(abs(a)) for a in self.coefficients)
-
 
 def diagonal_height_correction(spec: DiagonalHypersurfaceSpec) -> float:
     """(1-d) (n+2-d)^n sum_i log|a_i|; always <= 0, zero (+0.0) iff d = 1 or
-    all |a_i| = 1.  Added to pn_height(n), this bounds the canonical height."""
-    n, d = spec.n, spec.d
-    return (1 - d) * (n + 2 - d) ** n * spec.log_coefficient_sum() + 0.0   # -0.0 + 0.0 is +0.0
-
-
-def fermat_reduction_delta(spec: DiagonalHypersurfaceSpec) -> float:
-    """Exact change of canonical height when scaling coefficients away from
-    the Fermat case:
+    all |a_i| = 1.  Added to pn_height(n), this bounds the canonical height.
+    Twice it is the exact change of canonical height when scaling the
+    coefficients away from the Fermat case (doubling a float is exact):
 
         h_can(X_a) - h_can(X_1)
-          = (n+1)(n+2-d)^n d ((n+2-d)/(n+1) - 1) d^{-1} sum log|a_i|^2,
-
-    which simplifies to 2 (1-d) (n+2-d)^n sum log|a_i|, twice the
-    diagonal_height_correction (doubling a float is exact)."""
-    return 2 * diagonal_height_correction(spec)
+          = (n+1)(n+2-d)^n d ((n+2-d)/(n+1) - 1) d^{-1} sum log|a_i|^2
+          = 2 (1-d) (n+2-d)^n sum log|a_i|."""
+    n, d = spec.n, spec.d
+    log_sum = sum(math.log(abs(a)) for a in spec.coefficients)
+    return (1 - d) * (n + 2 - d) ** n * log_sum + 0.0   # -0.0 + 0.0 is +0.0
 
 
 def general_linear_height_delta(n: int, d: int, det_t_modulus: float) -> float:
@@ -83,11 +76,9 @@ def general_linear_height_delta(n: int, d: int, det_t_modulus: float) -> float:
 def branch_arrangement(spec: DiagonalHypersurfaceSpec) -> WeightVector:
     """The hyperplane arrangement on P^n induced by the branch divisor of the
     degree-d cover of the degree-one model: n+2 hyperplanes, each with weight
-    1 - 1/d; always K-semistable."""
-    w = WeightVector(spec.n, (1 - Fraction(1, spec.d),) * (spec.n + 2))
-    if not is_arrangement_semistable(w):
-        raise NumericalError(f"branch arrangement {w.weights} is not semistable")
-    return w
+    w = 1 - 1/d.  It is always K-semistable: the test w_i <= (1/(n+1)) sum_j w_j
+    reads w <= (n+2) w / (n+1), which holds since w >= 0."""
+    return WeightVector(spec.n, (1 - Fraction(1, spec.d),) * (spec.n + 2))
 
 
 def lambda_ratio(n: int, d: int) -> Fraction:
@@ -97,65 +88,43 @@ def lambda_ratio(n: int, d: int) -> Fraction:
     return Fraction(d * (n + 2 - d) ** n, (n + 1) ** n)
 
 
-@dataclass(frozen=True)
-class FermatHeightBound:
-    report: HeightReport
-    lam: Fraction
-    strict: bool
-
-
-def fermat_height_bound(n: int, d: int, height: HeightReport | None = None) -> FermatHeightBound:
-    """Bound for the degree-d Fermat hypersurface:
+def fermat_height_bound(n: int, d: int, height: HeightReport | None = None) -> HeightReport:
+    """Bound for the degree-d Fermat hypersurface, with lambda = lambda_ratio(n, d):
 
         h_can(X) <= lambda pn_height(n) - (1/2) (n+1)! v_X log(lambda),
 
     with v_X = d (n+2-d)^n / n! in polytope-volume units; this is exactly
     the P^n divisor family at volume lambda * v_0 and reduces to pn_height
-    at d = 1.  Strict iff lambda < 1 (the conic n = 1, d = 2 has lambda = 1:
+    at d = 1.  Equality iff lambda = 1 (the conic n = 1, d = 2 has lambda = 1:
     it is the line re-embedded).  ``height`` is pn_height(n) when the caller
     holds it already."""
-    lam = lambda_ratio(n, d)
-    report = pn_family_height(n, lam * pn_poly_volume(n), Convention.BOUND_ON_HEIGHT,
-                              "fermat_cover_bound", height)
-    return FermatHeightBound(report, lam, strict=lam < 1)
-
-
-def cover_volume_ratio_check(n: int, d: int) -> tuple[Fraction, Fraction]:
-    """Topological-degree bookkeeping for the degree-d cover of the
-    degree-one model: returns (d^{n+1}, V(X)/V(Y, Delta)); the two must
-    agree.  V(X) = d (n+2-d)^n and V(Y, Delta) = ((n+2-d)/d)^n."""
-    vx = Fraction(d * (n + 2 - d) ** n)
-    vy = Fraction(n + 2 - d, d) ** n
-    return Fraction(d) ** (n + 1), vx / vy
+    return pn_family_height(n, lambda_ratio(n, d) * pn_poly_volume(n),
+                            Convention.BOUND_ON_HEIGHT, "fermat_cover_bound", height)
 
 
 @dataclass(frozen=True)
 class DiagonalBound:
-    """OutOfRange when a printed number is not a finite double, as in
-    ``HeightReport``."""
+    """OutOfRange when a printed number is not a finite double, as in ``HeightReport``."""
 
     report: HeightReport
     correction: float
     strict: bool
-    fermat_delta: float
-    chain_value: float  # fermat.report.value + fermat_delta
-    fermat: FermatHeightBound
+    fermat: HeightReport
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.correction, self.fermat_delta, self.chain_value))):
+        # fermat.value is finite, so this sum, the printed chain bound, is finite
+        # iff correction, 2 * correction (the printed delta) and the chain all are
+        if not math.isfinite(self.fermat.value + 2 * self.correction):
             raise OutOfRange("result exceeds the double-precision range")
 
 
 def diagonal_theorem_bound(spec: DiagonalHypersurfaceSpec) -> DiagonalBound:
-    """Canonical-height bound pn_height(n) + diagonal_height_correction,
-    strict when d >= 2, with the Fermat cover bound and the sharper chain
-    through it beside it."""
+    """Canonical-height bound pn_height(n) + diagonal_height_correction, strict
+    when d >= 2, beside the Fermat cover bound; the chain is fermat + 2 * correction."""
     base = pn_height(spec.n)
     corr = diagonal_height_correction(spec)
-    delta = fermat_reduction_delta(spec)
     value = base.value + corr
     err = base.abs_error + _ulp_error(abs(corr) + abs(value))
     report = HeightReport(value, Convention.BOUND_ON_HEIGHT,
                           "diagonal_hypersurface_bound", err)
-    fermat = fermat_height_bound(spec.n, spec.d, base)
-    return DiagonalBound(report, corr, spec.d >= 2, delta, fermat.report.value + delta, fermat)
+    return DiagonalBound(report, corr, spec.d >= 2, fermat_height_bound(spec.n, spec.d, base))

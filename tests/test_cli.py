@@ -3,10 +3,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -689,6 +691,50 @@ SX_OUTPUTS = [
 ]
 
 
+class TestDiagonalDerivedFields:
+    """The fields that diagonal derives from its two height reports by algebra.
+    Printed floats carry 12 significant digits, so each is compared, exactly,
+    with the rounding of the library's double."""
+
+    def test_seeded_grid(self, capsys):
+        from fanokit import hypersurfaces as hyp
+        from fanokit.jsonio import round_float
+
+        rng = random.Random(37)
+        digits = [x for x in range(-9, 10) if x]
+        for n in range(1, 5):
+            for d in range(1, n + 2):
+                for _ in range(4):
+                    a = [rng.choice(digits) for _ in range(n + 2)]
+                    code, out, err = run_cli(
+                        ["diagonal", "--json", json.dumps({"n": n, "d": d, "a": a})], capsys)
+                    assert (code, err) == (0, "")
+                    got = json.loads(out)
+                    bound = hyp.diagonal_theorem_bound(hyp.DiagonalHypersurfaceSpec(n, d, a))
+                    delta = 2 * bound.correction
+                    assert got["correction"] == round_float(bound.correction)
+                    assert got["fermat_delta"] == round_float(delta)
+                    assert got["fermat_bound"]["value"] == round_float(bound.fermat.value)
+                    assert got["chain_bound"] == round_float(bound.fermat.value + delta)
+                    # the identity itself: TestCoverBookkeeping in test_hypersurfaces.py
+                    degree = str(d ** (n + 1))
+                    assert got["cover_degree_check"] == {"topological": degree,
+                                                         "volume_ratio": degree}
+                    assert got["lambda"] == round_float(
+                        float(Fraction(d * (n + 2 - d) ** n, (n + 1) ** n)))
+                    assert got["strict"] is (d >= 2)
+
+    @pytest.mark.parametrize("correction", [1e308, -1e308, math.inf, math.nan])
+    def test_delta_beyond_the_double_range_refused(self, correction):
+        from fanokit import hypersurfaces as hyp
+        from fanokit.errors import OutOfRange
+
+        fermat = hyp.fermat_height_bound(2, 3)
+        hyp.DiagonalBound(fermat, 1e307, True, fermat)   # twice it is finite
+        with pytest.raises(OutOfRange, match="double-precision range"):
+            hyp.DiagonalBound(fermat, correction, True, fermat)
+
+
 class TestSxOutput:
     @pytest.mark.parametrize("polytope, expected", SX_OUTPUTS,
                              ids=["p3-blowup", "po-o2", "po-o2-image"])
@@ -776,8 +822,6 @@ OPERATION_COVERAGE = [
      ["arrangement-bound", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}']),
     ("fanokit.hypersurfaces", "diagonal_height_correction",
      ["diagonal", "--json", '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}']),
-    ("fanokit.hypersurfaces", "fermat_reduction_delta",
-     ["diagonal", "--json", '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}']),
     ("fanokit.hypersurfaces", "general_linear_height_delta",
      ["diagonal", "--json", '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}',
       "--det-t", "2.0"]),
@@ -796,8 +840,6 @@ OPERATION_COVERAGE = [
     ("fanokit.zeta", "mabuchi_p1_constant", ["reproduce-paper"]),
     ("fanokit.arrangements", "hypersimplex_decomposition",
      ["arrangement-bound", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}']),
-    ("fanokit.hypersurfaces", "cover_volume_ratio_check",
-     ["diagonal", "--json", '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}']),
     ("fanokit.hypersurfaces", "lambda_ratio",
      ["diagonal", "--json", '{"n": 2, "d": 3, "a": [1, 1, 1, 8]}']),
 ]
@@ -858,6 +900,20 @@ class TestInputPaths:
         code, out, err = run_cli(["volume", "--input", str(tmp_path / "absent.json")], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("fanokit: input error: cannot read ")
+
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal beyond Python's 4,300-digit conversion limit
+    @pytest.mark.parametrize("command, text", [
+        ("diagonal", '{"n": 1, "d": 2, "a": [1, 1, %s]}' % ("1" * 5000)),
+        ("volume", '{"dim": 1, "vertices": [[0], [%s]]}' % ("1" * 5000)),
+    ], ids=["diagonal", "volume"])
+    def test_integer_beyond_the_digit_limit_refused(self, command, text, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in ([command, "--json", text], [command, "--input", str(path)]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("fanokit: input error: malformed JSON: Exceeds the limit")
 
     @pytest.mark.parametrize("argv, message", [
         (["volume", "--input", "p3.json", "--json", P3_JSON], "use --input or --json, not both"),

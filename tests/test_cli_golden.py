@@ -27,6 +27,12 @@ PO_O2 = _facets(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [-1, -1, 2]])
 P2_MOD_MU3 = _facets(2, [[1, 1], [1, -2], [-2, 1]])
 WEIGHTS = json.dumps({"n": 2, "weights": ["1/2", "1/2", "1/2", "1/2"]})
 DIAGONAL = json.dumps({"n": 2, "d": 3, "a": [1, 1, 1, 8]})
+# the conic (lambda = 1, correction 0.0), d = 1 with negative coefficients, d = n + 1
+DIAGONAL_EDGES = [json.dumps({"n": 1, "d": 2, "a": [1, 1, 1]}),
+                  json.dumps({"n": 3, "d": 1, "a": [2, -3, 5, 7, 11]}),
+                  json.dumps({"n": 4, "d": 5, "a": [-9, 2, 3, 5, 7, 1]})]
+# the correction is -9.0e307, finite; twice it is not, so the report is refused
+DIAGONAL_BEYOND_DOUBLE = json.dumps({"n": 141, "d": 2, "a": [10**250] * 143})
 P1_WEIGHTS = json.dumps({"weights": ["1/2", "1/3", "1/4"]})
 OFF_ORIGIN = json.dumps({"dim": 2, "vertices": [[1, 1], [1, 2], [2, 1], [2, 2]]})
 # its top cut level, about 10^320, lies beyond the double range
@@ -53,6 +59,8 @@ CASES = [
     ["stability-polytope", "--n", "2", "--m", "4", "--degree", "2"],
     ["arrangement-bound", "--json", WEIGHTS],
     ["diagonal", "--json", DIAGONAL, "--det-t", "2.0"],
+    *(["diagonal", "--json", spec] for spec in DIAGONAL_EDGES),
+    ["diagonal", "--json", DIAGONAL_BEYOND_DOUBLE],
     ["p1-zeta-height", "--json", P1_WEIGHTS],
     ["p1-zeta-height", "--json", P1_WEIGHTS, "--precision", "1e-8"],
     ["volume", "--json", json.dumps({"batch": [json.loads(P2), json.loads(P3)]})],
@@ -195,6 +203,14 @@ DIGESTS = {
         '3d1318777c956bf3aee9ebe6ec21293694e0ef48c83801d74c98863eca68301f',
     'diagonal --json \'{"n": 2, "d": 3, "a": [1, 1, 1, 8]}\' --det-t 2.0':
         '440e500477e624de4da4b8b3a0ef9f2473dc08a54bd62541ad50851af6478180',
+    'diagonal --json \'{"n": 1, "d": 2, "a": [1, 1, 1]}\'':
+        'a1e33865fe52240ea20105499c706e8e46b6d37c94c632a5d50ac845e4b99499',
+    'diagonal --json \'{"n": 3, "d": 1, "a": [2, -3, 5, 7, 11]}\'':
+        'a949cafdb36f02147576edf6c2604070424c42c61ba102406387d1fe28407980',
+    'diagonal --json \'{"n": 4, "d": 5, "a": [-9, 2, 3, 5, 7, 1]}\'':
+        'd7eb44d4049a7563244b87dce00799d427abd42fb7b1df5e7c4e2ab00a8359bd',
+    shlex.join(["diagonal", "--json", DIAGONAL_BEYOND_DOUBLE]):
+        '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
     'p1-zeta-height --json \'{"weights": ["1/2", "1/3", "1/4"]}\'':
         'b038737a97b0c546aad909916eec80352e226cb3ff647a888b5d8c89da543c08',
     'p1-zeta-height --json \'{"weights": ["1/2", "1/3", "1/4"]}\' --precision 1e-8':

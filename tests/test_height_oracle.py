@@ -98,8 +98,8 @@ def test_arrangement_bound():
 def test_fermat_bound():
     for n in range(1, 21):
         for d in range(1, n + 2):
-            fb = hyp.fermat_height_bound(n, d)
-            _assert_covered(fb.report, _pn_family(n, fb.lam * th.pn_poly_volume(n)))
+            _assert_covered(hyp.fermat_height_bound(n, d),
+                            _pn_family(n, hyp.lambda_ratio(n, d) * th.pn_poly_volume(n)))
 
 
 def test_subnormal_leads():

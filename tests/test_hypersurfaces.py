@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from fanokit import arrangements as arr
+from fanokit import cli
 from fanokit import hypersurfaces as hyp
 from fanokit import toric_heights as th
 from fanokit.errors import InputError, OutOfRange
@@ -59,23 +63,33 @@ class TestCorrection:
         assert c6 == pytest.approx(c2 + c3, abs=1e-12)
 
 
+def _fermat_delta(n, d, a):
+    """The reduction delta that ``diagonal`` prints, to 12 significant digits."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["diagonal", "--json", json.dumps({"n": n, "d": d, "a": list(a)})]) == 0
+    return json.loads(out.getvalue())["fermat_delta"]
+
+
 class TestFermatReduction:
     def test_unit_coefficients(self):
-        spec = DiagonalHypersurfaceSpec(2, 2, (1, 1, -1, 1))
-        assert hyp.fermat_reduction_delta(spec) == 0.0
+        assert _fermat_delta(2, 2, (1, 1, -1, 1)) == 0.0
 
     def test_top_degree_single_two(self):
         for n in (1, 2, 3):
-            spec = DiagonalHypersurfaceSpec(n, n + 1, (2,) + (1,) * (n + 1))
-            assert hyp.fermat_reduction_delta(spec) == pytest.approx(
-                -2 * n * math.log(2), abs=1e-12)
+            assert _fermat_delta(n, n + 1, (2,) + (1,) * (n + 1)) == pytest.approx(
+                -2 * n * math.log(2), rel=1e-11)
 
     def test_twice_the_correction(self):
+        # the closed form in diagonal_height_correction's docstring
         for n in (1, 2, 3):
             for d in range(1, n + 2):
-                spec = DiagonalHypersurfaceSpec(n, d, (5, -3) + (1,) * n)
-                assert hyp.fermat_reduction_delta(spec) == pytest.approx(
-                    2 * hyp.diagonal_height_correction(spec), abs=1e-12)
+                a = (5, -3) + (1,) * n
+                closed = ((n + 1) * (n + 2 - d) ** n * d * ((n + 2 - d) / (n + 1) - 1) / d
+                          * sum(math.log(x * x) for x in a))
+                corr = hyp.diagonal_height_correction(DiagonalHypersurfaceSpec(n, d, a))
+                assert _fermat_delta(n, d, a) == pytest.approx(closed, rel=1e-11, abs=1e-12)
+                assert 2 * corr == pytest.approx(closed, rel=1e-12, abs=1e-12)
 
 
 class TestGeneralLinearDelta:
@@ -86,11 +100,12 @@ class TestGeneralLinearDelta:
         assert hyp.general_linear_height_delta(3, 1, 7.5) == 0.0
 
     def test_consistent_with_fermat_reduction(self):
+        # the reduction delta is twice the correction
         for n, d, a in ((2, 3, (2, 3, 1, 1)), (3, 2, (4, 1, 1, 1, 5))):
             spec = DiagonalHypersurfaceSpec(n, d, a)
             det_mod = math.prod(abs(x) for x in a) ** (1 / d)
             assert hyp.general_linear_height_delta(n, d, det_mod) == pytest.approx(
-                hyp.fermat_reduction_delta(spec), rel=1e-12)
+                2 * hyp.diagonal_height_correction(spec), rel=1e-12)
 
 
 class TestBranchArrangement:
@@ -129,27 +144,27 @@ class TestLambdaRatio:
 
 
 class TestFermatBound:
+    # the bound is strict iff lambda < 1
     def test_degree_one_equality(self):
         for n in (1, 2, 3):
-            fb = hyp.fermat_height_bound(n, 1)
-            assert fb.lam == 1
-            assert not fb.strict
-            assert fb.report.value == pytest.approx(th.pn_height(n).value, rel=1e-12)
+            assert hyp.lambda_ratio(n, 1) == 1
+            assert hyp.fermat_height_bound(n, 1).value == pytest.approx(
+                th.pn_height(n).value, rel=1e-12)
 
     def test_conic_coincidence(self):
-        fb = hyp.fermat_height_bound(1, 2)
-        assert fb.lam == 1
-        assert not fb.strict
-        assert fb.report.value == pytest.approx(th.pn_height(1).value, rel=1e-12)
+        assert hyp.lambda_ratio(1, 2) == 1
+        assert hyp.fermat_height_bound(1, 2).value == pytest.approx(
+            th.pn_height(1).value, rel=1e-12)
 
     def test_cubic_surface_strict(self):
-        fb = hyp.fermat_height_bound(2, 3)
-        assert fb.strict and fb.lam == F(1, 3)
+        lam = hyp.lambda_ratio(2, 3)
+        assert lam == F(1, 3)
         v_x = F(3, 2)  # d (n+2-d)^n / n!
-        expect = (float(fb.lam) * th.pn_height(2).value
-                  - 0.5 * math.factorial(3) * float(v_x) * math.log(float(fb.lam)))
-        assert fb.report.value == pytest.approx(expect, rel=1e-12)
-        assert fb.report.value < th.pn_height(2).value
+        expect = (float(lam) * th.pn_height(2).value
+                  - 0.5 * math.factorial(3) * float(v_x) * math.log(float(lam)))
+        value = hyp.fermat_height_bound(2, 3).value
+        assert value == pytest.approx(expect, rel=1e-12)
+        assert value < th.pn_height(2).value
 
     def test_increasing_in_lambda(self):
         # lambda -> lambda h - (1/2)(n+1)! v0 lambda log(lambda) on (0, 1]
@@ -166,15 +181,16 @@ class TestFermatBound:
             for d in range(2, n + 2):
                 if (n, d) == (1, 2):
                     continue
-                assert hyp.fermat_height_bound(n, d).report.value < th.pn_height(n).value
+                assert hyp.fermat_height_bound(n, d).value < th.pn_height(n).value
 
 
 class TestCoverBookkeeping:
     def test_topological_degree_matches_volume_ratio(self):
+        # V(X) / V(Y, Delta) = d (n+2-d)^n / ((n+2-d)/d)^n = d^{n+1}, which
+        # diagonal prints as both cover_degree_check fields
         for n in range(1, 6):
             for d in range(1, n + 2):
-                topo, ratio = hyp.cover_volume_ratio_check(n, d)
-                assert topo == ratio == F(d) ** (n + 1)
+                assert F(d * (n + 2 - d) ** n) / F(n + 2 - d, d) ** n == F(d) ** (n + 1)
 
 
 class TestTheoremBound:
@@ -201,7 +217,7 @@ class TestTheoremBound:
                         (2, 2, (1, 1, 1, 1))):
             spec = DiagonalHypersurfaceSpec(n, d, a)
             bound = hyp.diagonal_theorem_bound(spec)
-            assert bound.chain_value <= bound.report.value + 1e-9
+            assert bound.fermat.value + 2 * bound.correction <= bound.report.value + 1e-9
 
     def test_every_bound_below_pn(self):
         for n in (1, 2, 3):
