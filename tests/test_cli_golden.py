@@ -34,6 +34,10 @@ DIAGONAL_EDGES = [json.dumps({"n": 1, "d": 2, "a": [1, 1, 1]}),
 # the correction is -9.0e307, finite; twice it is not, so the report is refused
 DIAGONAL_BEYOND_DOUBLE = json.dumps({"n": 141, "d": 2, "a": [10**250] * 143})
 P1_WEIGHTS = json.dumps({"weights": ["1/2", "1/3", "1/4"]})
+# V = -1/3: the continuation branch; the second spec sets its target in the JSON
+P1_CONTINUATION = json.dumps({"weights": ["11/12", "3/4", "2/3"]})
+P1_JSON_PRECISION = json.dumps({"weights": ["1/2", "1/3", "1/4"], "precision": 1e-6})
+WEIGHTS_N3 = json.dumps({"n": 3, "weights": ["1/2", "1/2", "1/2", "1/2", "1/2"]})
 OFF_ORIGIN = json.dumps({"dim": 2, "vertices": [[1, 1], [1, 2], [2, 1], [2, 2]]})
 # its top cut level, about 10^320, lies beyond the double range
 HUGE_CLOUD = json.dumps({"dim": 3, "vertices": [[0, 1, 2], [1, 0, 1], [2, "-3/2", 0],
@@ -53,16 +57,23 @@ CASES = [
     ["reproduce-paper", "--format", "table"],
     ["reproduce-paper", "--perturb"],
     ["pn-height", "--n", "3"],
+    # n = 141 is the last height inside the double range
+    *(["pn-height", "--n", str(n)] for n in (1, 60, 141, 142)),
     ["scaled-height", "--n", "3", "--t", "1/2"],
+    ["scaled-height", "--n", "8", "--t", "7/12"],
     ["universal-bound", "--n", "3", "--volume", "31/3"],
     ["stability-polytope", "--n", "2", "--m", "4", "--degree", "4"],
     ["stability-polytope", "--n", "2", "--m", "4", "--degree", "2"],
     ["arrangement-bound", "--json", WEIGHTS],
+    ["arrangement-bound", "--json", WEIGHTS_N3],
     ["diagonal", "--json", DIAGONAL, "--det-t", "2.0"],
     *(["diagonal", "--json", spec] for spec in DIAGONAL_EDGES),
     ["diagonal", "--json", DIAGONAL_BEYOND_DOUBLE],
     ["p1-zeta-height", "--json", P1_WEIGHTS],
     ["p1-zeta-height", "--json", P1_WEIGHTS, "--precision", "1e-8"],
+    ["p1-zeta-height", "--json", P1_WEIGHTS, "--precision", "1e-10"],
+    ["p1-zeta-height", "--json", P1_JSON_PRECISION],
+    ["p1-zeta-height", "--json", P1_CONTINUATION],
     ["volume", "--json", json.dumps({"batch": [json.loads(P2), json.loads(P3)]})],
     ["volume", "--preset", "p3", "--cut-normal", "1,1,1", "--cut-offset", "1/2"],
     ["volume", "--json", "[1, 2]"],
@@ -191,8 +202,18 @@ DIGESTS = {
         'd7a8f3674472343549981bd1bb475f4fd0b52f174fea4dbfde687a4a59d08a82',
     'pn-height --n 3':
         '428f06a7346f336d6b0b8bb10971f94206791bc10e41410f9f92da6c348e080c',
+    'pn-height --n 1':
+        '6e0db2231797b1b0d376ee7643451a1726e5a558217a0b6f8fa262c9b1aa6b2d',
+    'pn-height --n 60':
+        '0d4adb55419d121d41c3d7c60be7e77b41fc5b484b8e81855e00434c9ab030c2',
+    'pn-height --n 141':
+        '77bb9fe2dd20288167e7ffdb01051133a54527ef675e4bba2dd1809c387d3827',
+    'pn-height --n 142':
+        '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
     'scaled-height --n 3 --t 1/2':
         'e838e2e1a3dce77baa97b5c746e95b4ea87607bccc501673e42acc0eda56240f',
+    'scaled-height --n 8 --t 7/12':
+        'bfea7ee17742133ec8183715f6c95a09178a2d75e38e5adc37ef53dc0deaf8a0',
     'universal-bound --n 3 --volume 31/3':
         '286ea7cd439fe3afdfe27d9fed5615e5253fc9cec92118e40b1191731c7960ae',
     'stability-polytope --n 2 --m 4 --degree 4':
@@ -201,6 +222,8 @@ DIGESTS = {
         '634e157177499669d0f84216161904bc442046c2d7614986061e5712e66c5c9e',
     'arrangement-bound --json \'{"n": 2, "weights": ["1/2", "1/2", "1/2", "1/2"]}\'':
         '3d1318777c956bf3aee9ebe6ec21293694e0ef48c83801d74c98863eca68301f',
+    'arrangement-bound --json \'{"n": 3, "weights": ["1/2", "1/2", "1/2", "1/2", "1/2"]}\'':
+        '1260b9d4bd9194c19f1288c55fc019a902dfb04442a36fe7e39d998b3c1fea89',
     'diagonal --json \'{"n": 2, "d": 3, "a": [1, 1, 1, 8]}\' --det-t 2.0':
         '440e500477e624de4da4b8b3a0ef9f2473dc08a54bd62541ad50851af6478180',
     'diagonal --json \'{"n": 1, "d": 2, "a": [1, 1, 1]}\'':
@@ -215,6 +238,12 @@ DIGESTS = {
         'b038737a97b0c546aad909916eec80352e226cb3ff647a888b5d8c89da543c08',
     'p1-zeta-height --json \'{"weights": ["1/2", "1/3", "1/4"]}\' --precision 1e-8':
         'e10e6f61f59d75168a906a8408151c64ec88123cfb86cb3ab3c1e3fdb15a64c5',
+    'p1-zeta-height --json \'{"weights": ["1/2", "1/3", "1/4"]}\' --precision 1e-10':
+        'cde8b4bfaa554e4174e645b3161823bc886a9c184403428f5cc2ee40b61a89d4',
+    'p1-zeta-height --json \'{"weights": ["1/2", "1/3", "1/4"], "precision": 1e-06}\'':
+        'fc84ac0e90aa04806979615b3b9351ca0d28031078501bfd80071973404e1a54',
+    'p1-zeta-height --json \'{"weights": ["11/12", "3/4", "2/3"]}\'':
+        '77450dbd185f7713932b34ee6dae444c55709024c8c55bcfd3b6b65e3d10dcca',
     'volume --json \'{"batch": [{"dim": 2, "facets": [{"normal": [1, 0], "offset": "1"}, {"normal": [0, 1], "offset": "1"}, {"normal": [-1, -1], "offset": "1"}]}, {"dim": 3, "facets": [{"normal": [1, 0, 0], "offset": "1"}, {"normal": [0, 1, 0], "offset": "1"}, {"normal": [0, 0, 1], "offset": "1"}, {"normal": [-1, -1, -1], "offset": "1"}]}]}\'':
         '412ee0a666d7ea6bd8eb038c787b2fccd7e981036dcd5d3a754d5fa3096fa64a',
     'volume --preset p3 --cut-normal 1,1,1 --cut-offset 1/2':
