@@ -153,12 +153,13 @@ def _check_pn_n(n: int) -> None:
 
 def pn_height(n: int) -> HeightReport:
     """Height of projective n-space over Z with the volume-normalized
-    Fubini-Study metric:
+    Fubini-Study metric, H_n = sum 1/k taken as one integer sum over lcm(1..n):
 
-        (1/2) (n+1)^{n+1} ( (n+1) H_n - n + log(pi^n / n!) ),  H_n = sum 1/k.
+        (1/2) (n+1)^{n+1} ( (n+1) H_n - n + log(pi^n / n!) ).
     """
     _check_pn_n(n)
-    harmonic = sum(Fraction(1, k) for k in range(1, n + 1))
+    lcm = math.lcm(*range(1, n + 1))
+    harmonic = Fraction(sum(lcm // k for k in range(1, n + 1)), lcm)
     lead = Fraction((n + 1) ** (n + 1), 2)
     rational_part = (n + 1) * harmonic - n
     log_part = n * math.log(math.pi) - math.log(math.factorial(n))

@@ -5,14 +5,14 @@ projective line with three weighted marked points.
 zeta(s, x), its s-derivative and an error bound on each, the certified
 Bernoulli tail remainder plus an accumulated rounding estimate.  Its one
 precision input is a target absolute error (default ``DEFAULT_TARGET``):
-the number of Bernoulli corrections is fixed, their coefficients
-B_2j/(2j)! and the tail's are computed once at import, and the number of
-directly summed terms grows until the tail bound meets the target.  The height
-formula needs F(x) = zeta(-1, x) + zeta'(-1, x), evaluated once per distinct
-argument of a height.  For weight sums above the Fano range the formula
-continues real-analytically, which is realized here with a one-step complex
-shift whose imaginary part cancels against the complex logarithm of the
-(negative) degree.
+the number of Bernoulli corrections is fixed, their coefficients B_2j/(2j)!
+and the tail's are computed once at import and the rest that depends on s
+alone once per s (``_pass_constants``), and the number of directly summed
+terms grows until the tail bound meets the target.  The height formula needs
+F(x) = zeta(-1, x) + zeta'(-1, x), evaluated once per distinct argument of a
+height.  For weight sums above the Fano range the formula continues
+real-analytically, which is realized here with a one-step complex shift whose
+imaginary part cancels against the complex logarithm of the (negative) degree.
 """
 from __future__ import annotations
 
@@ -72,6 +72,21 @@ class ZetaValue(NamedTuple):
     derivative_error: float
 
 
+@lru_cache(maxsize=16)
+def _pass_constants(s: float) -> tuple:
+    """What an Euler-Maclaurin pass reads that depends on s alone, from the
+    (P, dP/ds) of P = s (s+1) ... (s+i-1), i = 1, 3, ..., 2M+1; safe at zeros of P."""
+    m, rising = _BERNOULLI_TERMS, []
+    p, dp = 1.0, 0.0
+    for i in range(2 * m + 1):
+        p, dp = p * (s + i), dp * (s + i) + p
+        if i % 2 == 0:
+            rising.append((p, dp))
+    return (-s, 1 - s, -s - 2 * m - 1, s - 1, 1 / (s - 1) ** 2, abs(p), abs(dp),
+            _TAIL_COEFF * abs(p), tuple((c * p, c, p, dp, -s - 2 * j + 1) for j, (c, (p, dp))
+                                        in enumerate(zip(_EM_COEFFS, rising), 1)))
+
+
 def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValue:
     """zeta(s, x) and d/ds zeta(s, x) for real s != 1 and x >= 0 (x = 0 via
     zeta(s, 1), the continuation value used throughout), from one
@@ -84,23 +99,18 @@ def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValu
     if x == 0:
         x = 1.0
     s, x = float(s), float(x)
+    if not (math.isfinite(s) and math.isfinite(x)):
+        raise DomainError("s and x must be finite")
     if s == 1:
         raise PoleAtOne("zeta(s, x) has its pole at s = 1")
-    m, n = _BERNOULLI_TERMS, _SHIFT
-    # (P, dP/ds) for P = s (s+1) ... (s+i-1), i = 1, 3, ..., 2M+1; safe at zeros of P
-    rising = []
-    p, dp = 1.0, 0.0
-    for i in range(2 * m + 1):
-        p, dp = p * (s + i), dp * (s + i) + p
-        if i % 2 == 0:
-            rising.append((p, dp))
-    p_tail, dp_tail = rising[-1]
+    neg_s, one_s, tail_exp, s1, inv_s1_sq, abs_p, abs_dp, tail_p, terms = _pass_constants(s)
+    log, n = math.log, _SHIFT
     while True:
         a = n + x
-        la = math.log(a)
-        pw_tail = a ** (-s - 2 * m - 1)
-        err_z = _TAIL_COEFF * abs(p_tail) * pw_tail
-        err_dz = 2 * _TAIL_COEFF * (abs(dp_tail) + abs(p_tail) * la) * pw_tail
+        la = log(a)
+        pw_tail = a ** tail_exp
+        err_z = tail_p * pw_tail
+        err_dz = 2 * _TAIL_COEFF * (abs_dp + abs_p * la) * pw_tail
         if max(err_z, err_dz) <= target or n >= 1 << 14:
             break
         n *= 2
@@ -110,17 +120,21 @@ def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValu
     # the direct terms, then the integral, the half term and the Bernoulli terms
     z = dz = mag_z = mag_dz = 0.0
     for k in range(n):
-        t = (k + x) ** (-s)
-        dt = -math.log(k + x) * t
-        z, dz, mag_z, mag_dz = z + t, dz + dt, mag_z + abs(t), mag_dz + abs(dt)
-    th = 0.5 * a ** (-s)
-    terms = [(a ** (1 - s) / (s - 1), a ** (1 - s) * (-la / (s - 1) - 1 / (s - 1) ** 2)),
-             (th, -la * th)]
-    for j, coeff, (p, dp) in zip(range(1, m + 1), _EM_COEFFS, rising):
-        pw = a ** (-s - 2 * j + 1)
-        terms.append((coeff * p * pw, coeff * pw * (dp - p * la)))
-    for t, dt in terms:
-        z, dz, mag_z, mag_dz = z + t, dz + dt, mag_z + abs(t), mag_dz + abs(dt)
+        y = k + x
+        t = y ** neg_s
+        dt = -log(y) * t
+        z += t
+        dz += dt
+        mag_z += abs(t)
+        mag_dz += abs(dt)
+    pa = a ** one_s
+    th = 0.5 * a ** neg_s
+    for t, dt in [(pa / s1, pa * (-la / s1 - inv_s1_sq)), (th, -la * th),
+                  *((cp * (pw := a ** e), c * pw * (dp - p * la)) for cp, c, p, dp, e in terms)]:
+        z += t
+        dz += dt
+        mag_z += abs(t)
+        mag_dz += abs(dt)
     return ZetaValue(z, dz, err_z + 8 * _EPS * mag_z, err_dz + 8 * _EPS * mag_dz)
 
 

@@ -12,7 +12,8 @@ generation, the simplex difference (a Delta_n - 1) \\
 (b Delta_n - 1) and its closed-form barycenter, lattice subpolygons and a
 GL(2, Z) normal form, a floating-point half-space clipper used to
 sample candidate cuts independently of the exact kernel, the Hurwitz zeta
-pass that rebuilds its Euler-Maclaurin constants on every call, and the
+pass that rebuilds its Euler-Maclaurin constants on every call, the P^n
+height with H_n summed term by term in ``Fraction``, and the
 hypersimplex peeling in ``Fraction`` arithmetic."""
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from fanokit.errors import (
     PoleAtOne,
     UnboundedPolytope,
 )
+from fanokit.toric_heights import Convention, HeightReport, _check_pn_n, _ulp_error
 from fanokit.zeta import ZetaValue, bernoulli_number
 
 
@@ -506,6 +508,8 @@ def per_call_hurwitz_zeta(s: float, x: float, target: float = 1e-12) -> ZetaValu
     if x == 0:
         x = 1.0
     s, x = float(s), float(x)
+    if not (math.isfinite(s) and math.isfinite(x)):
+        raise DomainError("s and x must be finite")
     if s == 1:
         raise PoleAtOne("zeta(s, x) has its pole at s = 1")
     m, n = 8, 12
@@ -550,6 +554,20 @@ def per_call_hurwitz_zeta(s: float, x: float, target: float = 1e-12) -> ZetaValu
         add(coeff * p * pw, coeff * pw * (dp - p * la))
     eps = 2.0**-52
     return ZetaValue(z, dz, err_z + 8 * eps * mag_z, err_dz + 8 * eps * mag_dz)
+
+
+def fraction_sum_pn_height(n: int) -> HeightReport:
+    """Reference for ``toric_heights.pn_height``: the same formula with H_n
+    added as n ``Fraction`` terms, one reduction per term."""
+    _check_pn_n(n)
+    harmonic = sum(Fraction(1, k) for k in range(1, n + 1))
+    lead = Fraction((n + 1) ** (n + 1), 2)
+    rational_part = (n + 1) * harmonic - n
+    log_part = n * math.log(math.pi) - math.log(math.factorial(n))
+    lead_f = float(lead)
+    value = lead_f * (float(rational_part) + log_part)
+    err = _ulp_error(lead_f) * (abs(float(rational_part)) + abs(log_part))
+    return HeightReport(value, Convention.RAW_HEIGHT, "pn_fubini_study", err)
 
 
 def fraction_peel(mu, k):

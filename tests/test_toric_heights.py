@@ -20,6 +20,7 @@ from fanokit.toric_heights import GapVerdict, ToricLogFano
 from helpers import (
     boundary_points,
     fraction_eliminate,
+    fraction_sum_pn_height,
     gl2z_normal_form,
     image,
     lattice_subpolygons,
@@ -199,6 +200,21 @@ class TestPnHeight:
     def test_rejects_nonpositive(self):
         with pytest.raises(OutOfRange):
             th.pn_height(0)
+
+    def test_integer_harmonic_sum_matches_the_fraction_sum(self):
+        for n in range(1, 142):
+            got, ref = th.pn_height(n), fraction_sum_pn_height(n)
+            assert (got.value.hex(), got.abs_error.hex()) == \
+                (ref.value.hex(), ref.abs_error.hex()), n
+            assert got == ref
+
+    @pytest.mark.parametrize("n", [0, 142, 143])
+    def test_refusals_match_the_fraction_sum(self, n):
+        with pytest.raises(OutOfRange) as got:
+            th.pn_height(n)
+        with pytest.raises(OutOfRange) as ref:
+            fraction_sum_pn_height(n)
+        assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("value, error", [(math.inf, 1.0), (1.0, math.inf),
                                               (math.nan, 1.0), (1.0, math.nan)])

@@ -131,6 +131,45 @@ class TestConstantsOnce:
         assert calls == []
 
 
+class TestOneTablePerS:
+    """The pass that reads its s-only values from one cached table against
+    the per-call body: bit for bit where the heights call it, at s = -1."""
+
+    NON_FINITE = [(-1.0, math.inf), (math.nan, 0.5), (-1.0, math.nan),
+                  (math.inf, 0.5), (-math.inf, 0.5)]
+
+    @pytest.mark.parametrize("s, x", NON_FINITE)
+    def test_non_finite_arguments_are_refused(self, s, x):
+        with pytest.raises(DomainError, match="finite"):
+            zeta.hurwitz_zeta(s, x)
+        assert bits(lambda: zeta.hurwitz_zeta(s, x)) == bits(lambda: per_call_hurwitz_zeta(s, x))
+
+    @pytest.mark.parametrize("target", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_seeded_arguments_at_the_workload_targets(self, target):
+        rng = random.Random(38)
+        for x in (rng.uniform(0.0, 3.0) for _ in range(2000)):
+            assert bits(lambda: zeta.hurwitz_zeta(-1.0, x, target)) == \
+                bits(lambda: per_call_hurwitz_zeta(-1.0, x, target)), (x, target)
+
+    def test_signed_zeros_share_a_table(self):
+        # 0.0 == -0.0, so one key serves both; the pass must not tell them apart
+        for first, second in [(0.0, -0.0), (-0.0, 0.0)]:
+            zeta._pass_constants.cache_clear()
+            for s in (first, second):
+                for x in (0.0, 0.3, 1.7):
+                    assert bits(lambda: zeta.hurwitz_zeta(s, x)) == \
+                        bits(lambda: per_call_hurwitz_zeta(s, x)), (first, s, x)
+            assert zeta._pass_constants.cache_info().misses == 1
+
+    def test_table_is_built_once_over_the_twelfths_grid(self):
+        zeta._pass_constants.cache_clear()
+        for w in itertools.product([F(k, 12) for k in range(13)], repeat=3):
+            bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w)))
+        info = zeta._pass_constants.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits > 2000
+
+
 class TestDerivative:
     def test_glaisher_value(self):
         got = zeta.hurwitz_zeta(-1, 1.0).derivative
