@@ -88,7 +88,7 @@ def _pass_constants(s: float) -> tuple:
 
 
 def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValue:
-    """zeta(s, x) and d/ds zeta(s, x) for real s != 1 and x >= 0 (x = 0 via
+    """zeta(s, x) and d/ds zeta(s, x) for finite s != 1 and finite x >= 0 (x = 0 via
     zeta(s, 1), the continuation value used throughout), from one
     Euler-Maclaurin pass differentiated term by term whose certified tail
     meets the target absolute error."""
