@@ -195,7 +195,13 @@ def hypersimplex_decomposition(
     The peeling runs in integers: mu = u/p over one common denominator p,
     and peeling theta = t/p off a support S leaves (u - t 1_S)/(p - t).  So
     with p0 the first p, that part's coefficient is t/p0, and the last
-    part's is p/p0."""
+    part's is p/p0.
+
+    No failure path is needed.  A peel keeps 0 <= u_i <= p and sum(u) = k p,
+    so while one is pending some u_i in S (the k largest) is below p, none in
+    S is 0 and none off S is p: m > k and 0 < t < p.  Each peel pins the entry
+    t is read from at 0 (off S) or p (in S) for good, and while one is pending
+    two entries are unpinned (p divides sum(u)): at most m - 1 peels."""
     mu = [Fraction(x) for x in mu]
     m = len(mu)
     if sum(mu) != k or not all(0 <= x <= 1 for x in mu):
@@ -203,21 +209,16 @@ def hypersimplex_decomposition(
     p0 = p = math.lcm(*(x.denominator for x in mu))
     u = [x.numerator * (p // x.denominator) for x in mu]
     parts: list[tuple[tuple[int, ...], Fraction]] = []
-    for _ in range(m + 1):
+    while True:
         order = sorted(range(m), key=lambda i: (-u[i], i))
         support = tuple(sorted(order[:k]))
         if all(u[i] == p for i in support) and all(u[i] == 0 for i in order[k:]):
             parts.append((support, Fraction(p, p0)))
             return tuple(parts)
-        t = min(u[i] for i in support)
-        if m > k:
-            t = min(t, p - max(u[i] for i in order[k:]))
-        if not 0 < t < p:
-            raise NumericalError(f"peeling weight {Fraction(t, p)} outside (0, 1)")
+        t = min(u[order[k - 1]], p - u[order[k]])    # min over S, p - max off S
         parts.append((support, Fraction(t, p0)))
         u = [ui - t if i in support else ui for i, ui in enumerate(u)]
         p -= t
-    raise NumericalError("hypersimplex peeling failed to terminate")
 
 
 def reduce_to_toric(w: WeightVector) -> ToricReduction:

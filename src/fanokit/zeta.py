@@ -10,13 +10,12 @@ and the tail's are computed once at import and the rest that depends on s
 alone once per s (``_pass_constants``), and the number of directly summed
 terms grows until the tail bound meets the target.  The height formula needs
 F(x) = zeta(-1, x) + zeta'(-1, x), evaluated once per distinct argument of a
-height.  For weight sums above the Fano range the formula continues
-real-analytically, which is realized here with a one-step complex shift whose
-imaginary part cancels against the complex logarithm of the (negative) degree.
+height.  Its domain, 2 w_i <= sum(w) for every i, is decided in integers
+before any F is evaluated, and on it the height is evaluated in real floats,
+past degree zero too (``p1_canonical_height`` has the proof).
 """
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -96,9 +95,10 @@ def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValu
         raise OutOfRange("target must be positive and finite")
     if x < 0:
         raise DomainError("x must be nonnegative")
-    if x == 0:
-        x = 1.0
-    s, x = float(s), float(x)
+    try:
+        s, x = float(s), float(x or 1.0)    # x = 0 is read as x = 1
+    except OverflowError:
+        raise DomainError("s and x must be finite") from None
     if not (math.isfinite(s) and math.isfinite(x)):
         raise DomainError("s and x must be finite")
     if s == 1:
@@ -185,10 +185,21 @@ def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) ->
 
     gamma(a, b) = F(b) + F(1-b) - F(a) - F(1-a).
 
-    For V < 0 the same expression is evaluated through its real-analytic
-    continuation (the imaginary parts cancel exactly) and reported on the
-    distinct continuation branch.
+    It is real exactly on the arrangement locus 2 w_i <= sum(w), decided in
+    integers before any F is evaluated (DomainError off it).  With {i, j, k} =
+    {1, 2, 3}, b = w_i + V/2 = 1 + (w_i - w_j - w_k)/2 is in [0, 1] iff
+    2 w_i <= sum(w), as w_j + w_k - w_i <= 2; else F(1 - b) has the imaginary
+    part pi (b - 1), which nothing cancels.  w_i, 1 - w_i, 1 - V/2 are >= 0.
+    The one negative argument left, V/2 when V < 0, enters by the shift
+    F(x) = F(x+1) + x - x Log x, whose imaginary part -pi V/2 cancels against
+    -(1/2) Log(V/2): -pi/2 + pi (V/2)/V = 0.  So the height is the sum of the
+    real parts (log|x| for Log x); for V < 0 on the continuation branch.
     """
+    (n1, d1), (n2, d2), (n3, d3) = (w.as_integer_ratio() for w in inp.weights)
+    parts = (n1 * d2 * d3, n2 * d1 * d3, n3 * d1 * d2)
+    if 2 * max(parts) > sum(parts):
+        raise DomainError("height formula left its real-analytic domain "
+                          "(weights are far from K-semistable)")
     v = float(inp.v)
     if v == 0:
         raise ZeroVolume("V = 2 - sum(w) must be nonzero")
@@ -197,44 +208,30 @@ def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) ->
     # F on [0, inf), keyed on the argument hurwitz_zeta sees: one pass each
     memo: dict[float, float] = {}
 
-    def f(x: float) -> tuple[complex, float]:
-        # F continued to x > -1 (principal branch below 0), and its error bound
-        if x <= -1:
-            raise DomainError("continuation implemented for x > -1 only")
+    def f(x: float) -> tuple[float, float]:
+        # F continued to x >= -1/2 (real part below 0), and its error bound
         y = (x if x >= 0 else x + 1.0) or 1.0    # F(0) = F(1)
         if y not in memo:
             memo[y] = f_value(y, target)
         # both summands honor the target; rounding contributes ~1e2 eps
         err = 2 * target + 256 * _EPS
         if x >= 0:
-            return complex(memo[y]), err
-        # zeta(s,x) = x^{-s} + zeta(s,x+1):   at s = -1,
-        # zeta(-1,x) = x + zeta(-1,x+1),  zeta'(-1,x) = -x Log x + zeta'(-1,x+1)
-        log_x = cmath.log(complex(x))
-        return complex(memo[y]) + x - x * log_x, err + 8 * _EPS * abs(x) * (1 + abs(log_x))
+            return memo[y], err
+        # the shift zeta(s,x) = x^{-s} + zeta(s,x+1) and its s-derivative at s = -1
+        log_x = math.log(-x)
+        return memo[y] + x - x * log_x, err + 8 * _EPS * abs(x) * (1 + math.hypot(log_x, math.pi))
 
-    total = complex(0)
-    err = 0.0
+    total = err = 0.0
     for a, b in [(0.0, h)] + [(float(w), float(w) + h) for w in inp.weights]:
         (fb, e1), (f1b, e2), (fa, e3), (f1a, e4) = (f(x) for x in (b, 1 - b, a, 1 - a))
         # gamma(a, b), in paired differences so that gamma(a, a) cancels exactly
         total += (fb - fa) + (f1b - f1a)
         err += e1 + e2 + e3 + e4
-    bracket = 0.5 * (1 + math.log(math.pi) - cmath.log(complex(h))) - total / v
-    value_c = 2 * v * bracket
-    abs_err = 2 * abs(v) * (err / abs(v) + 16 * _EPS * abs(bracket)) + 8 * _EPS * abs(value_c)
-    if abs(value_c.imag) > max(1e-9, 100 * abs_err):
-        raise DomainError(
-            "height formula left its real-analytic domain "
-            "(weights are far from K-semistable)"
-        )
+    bracket = 0.5 * (1 + math.log(math.pi) - math.log(abs(h))) - total / v
+    value = 2 * v * bracket
+    abs_err = 2 * abs(v) * (err / abs(v) + 16 * _EPS * abs(bracket)) + 8 * _EPS * abs(value)
     branch = "fano" if v > 0 else "continuation"
-    return HeightReport(
-        value_c.real,
-        Convention.RAW_HEIGHT,
-        f"p1_three_points_zeta[{branch}]",
-        abs_err,
-    )
+    return HeightReport(value, Convention.RAW_HEIGHT, f"p1_three_points_zeta[{branch}]", abs_err)
 
 
 def mabuchi_p1_constant() -> float:

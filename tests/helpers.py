@@ -12,11 +12,13 @@ generation, the simplex difference (a Delta_n - 1) \\
 (b Delta_n - 1) and its closed-form barycenter, lattice subpolygons and a
 GL(2, Z) normal form, a floating-point half-space clipper used to
 sample candidate cuts independently of the exact kernel, the Hurwitz zeta
-pass that rebuilds its Euler-Maclaurin constants on every call, the P^n
+pass that rebuilds its Euler-Maclaurin constants on every call, the
+three-point P^1 height in complex floats, the P^n
 height with H_n summed term by term in ``Fraction``, and the
 hypersimplex peeling in ``Fraction`` arithmetic."""
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -27,6 +29,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from fanokit import geometry as geom
+from fanokit import zeta
 from fanokit.errors import (
     DegeneratePolytope,
     DomainError,
@@ -36,6 +39,7 @@ from fanokit.errors import (
     OutOfRange,
     PoleAtOne,
     UnboundedPolytope,
+    ZeroVolume,
 )
 from fanokit.toric_heights import Convention, HeightReport, _check_pn_n, _ulp_error
 from fanokit.zeta import ZetaValue, bernoulli_number
@@ -507,7 +511,10 @@ def per_call_hurwitz_zeta(s: float, x: float, target: float = 1e-12) -> ZetaValu
         raise DomainError("x must be nonnegative")
     if x == 0:
         x = 1.0
-    s, x = float(s), float(x)
+    try:
+        s, x = float(s), float(x)
+    except OverflowError:
+        raise DomainError("s and x must be finite") from None
     if not (math.isfinite(s) and math.isfinite(x)):
         raise DomainError("s and x must be finite")
     if s == 1:
@@ -554,6 +561,48 @@ def per_call_hurwitz_zeta(s: float, x: float, target: float = 1e-12) -> ZetaValu
         add(coeff * p * pw, coeff * pw * (dp - p * la))
     eps = 2.0**-52
     return ZetaValue(z, dz, err_z + 8 * eps * mag_z, err_dz + 8 * eps * mag_dz)
+
+
+def complex_p1_canonical_height(inp, target: float = 1e-12) -> HeightReport:
+    """Reference for ``zeta.p1_canonical_height``: the same formula in complex
+    floats, F continued below 0 through cmath's principal logarithm, with the
+    domain decided by the size of the imaginary part that is left."""
+    v = float(inp.v)
+    if v == 0:
+        raise ZeroVolume("V = 2 - sum(w) must be nonzero")
+    h = v / 2
+    eps = 2.0**-52
+    memo: dict[float, float] = {}
+
+    def f(x: float) -> tuple[complex, float]:
+        if x <= -1:
+            raise DomainError("continuation implemented for x > -1 only")
+        y = (x if x >= 0 else x + 1.0) or 1.0
+        if y not in memo:
+            memo[y] = zeta.f_value(y, target)
+        err = 2 * target + 256 * eps
+        if x >= 0:
+            return complex(memo[y]), err
+        log_x = cmath.log(complex(x))
+        return complex(memo[y]) + x - x * log_x, err + 8 * eps * abs(x) * (1 + abs(log_x))
+
+    total = complex(0)
+    err = 0.0
+    for a, b in [(0.0, h)] + [(float(w), float(w) + h) for w in inp.weights]:
+        (fb, e1), (f1b, e2), (fa, e3), (f1a, e4) = (f(x) for x in (b, 1 - b, a, 1 - a))
+        total += (fb - fa) + (f1b - f1a)
+        err += e1 + e2 + e3 + e4
+    bracket = 0.5 * (1 + math.log(math.pi) - cmath.log(complex(h))) - total / v
+    value_c = 2 * v * bracket
+    abs_err = 2 * abs(v) * (err / abs(v) + 16 * eps * abs(bracket)) + 8 * eps * abs(value_c)
+    if abs(value_c.imag) > max(1e-9, 100 * abs_err):
+        raise DomainError(
+            "height formula left its real-analytic domain "
+            "(weights are far from K-semistable)"
+        )
+    branch = "fano" if v > 0 else "continuation"
+    return HeightReport(value_c.real, Convention.RAW_HEIGHT,
+                        f"p1_three_points_zeta[{branch}]", abs_err)
 
 
 def fraction_sum_pn_height(n: int) -> HeightReport:

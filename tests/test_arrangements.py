@@ -366,6 +366,7 @@ class TestIntegerPeel:
                 rebuilt[i] += c
         assert rebuilt == [F(x) for x in mu]
         assert sum(c for _, c in got) == 1
+        assert len(got) <= max(len(mu), 1)
 
     def test_seeded_points(self):
         rng = random.Random(34)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -463,6 +464,18 @@ class TestP1ZetaHeightOutput:
     def test_pinned_stdout(self, data, expected, capsys):
         code, out, err = run_cli(["p1-zeta-height", "--json", json.dumps(data)], capsys)
         assert (code, out, err) == (0, expected, "")
+
+    def test_answered_reports_are_semistable_iff_no_weight_is_one(self, capsys):
+        # an answered triple lies on 2 w_i <= sum(w), the n = 1 arrangement
+        # locus, so the advisory flag reads only whether some weight is 1
+        answered = 0
+        for w in itertools.product([Fraction(k, 12) for k in range(13)], repeat=3):
+            data = {"weights": [str(x) for x in w]}
+            code, out, _ = run_cli(["p1-zeta-height", "--json", json.dumps(data)], capsys)
+            if code == 0:
+                answered += 1
+                assert json.loads(out)["semistable_advisory"] == all(x < 1 for x in w), w
+        assert answered == 1014
 
 
 class TestDeterminism:

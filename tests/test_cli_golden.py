@@ -37,6 +37,8 @@ P1_WEIGHTS = json.dumps({"weights": ["1/2", "1/3", "1/4"]})
 # V = -1/3: the continuation branch; the second spec sets its target in the JSON
 P1_CONTINUATION = json.dumps({"weights": ["11/12", "3/4", "2/3"]})
 P1_JSON_PRECISION = json.dumps({"weights": ["1/2", "1/3", "1/4"], "precision": 1e-6})
+# 2 w_1 > sum(w) by 1/1000: refused at every target
+P1_NEAR_MISS = json.dumps({"weights": ["1/2", "1/4", "249/1000"]})
 WEIGHTS_N3 = json.dumps({"n": 3, "weights": ["1/2", "1/2", "1/2", "1/2", "1/2"]})
 OFF_ORIGIN = json.dumps({"dim": 2, "vertices": [[1, 1], [1, 2], [2, 1], [2, 2]]})
 # its top cut level, about 10^320, lies beyond the double range
@@ -74,6 +76,7 @@ CASES = [
     ["p1-zeta-height", "--json", P1_WEIGHTS, "--precision", "1e-10"],
     ["p1-zeta-height", "--json", P1_JSON_PRECISION],
     ["p1-zeta-height", "--json", P1_CONTINUATION],
+    ["p1-zeta-height", "--json", P1_NEAR_MISS, "--precision", "1e-6"],
     ["volume", "--json", json.dumps({"batch": [json.loads(P2), json.loads(P3)]})],
     ["volume", "--preset", "p3", "--cut-normal", "1,1,1", "--cut-offset", "1/2"],
     ["volume", "--json", "[1, 2]"],
@@ -244,6 +247,8 @@ DIGESTS = {
         'fc84ac0e90aa04806979615b3b9351ca0d28031078501bfd80071973404e1a54',
     'p1-zeta-height --json \'{"weights": ["11/12", "3/4", "2/3"]}\'':
         '77450dbd185f7713932b34ee6dae444c55709024c8c55bcfd3b6b65e3d10dcca',
+    'p1-zeta-height --json \'{"weights": ["1/2", "1/4", "249/1000"]}\' --precision 1e-6':
+        'a237db384e7af205dbab0bc236e959f72c257a780913bfffe9ae427f4e4f741b',
     'volume --json \'{"batch": [{"dim": 2, "facets": [{"normal": [1, 0], "offset": "1"}, {"normal": [0, 1], "offset": "1"}, {"normal": [-1, -1], "offset": "1"}]}, {"dim": 3, "facets": [{"normal": [1, 0, 0], "offset": "1"}, {"normal": [0, 1, 0], "offset": "1"}, {"normal": [0, 0, 1], "offset": "1"}, {"normal": [-1, -1, -1], "offset": "1"}]}]}\'':
         '412ee0a666d7ea6bd8eb038c787b2fccd7e981036dcd5d3a754d5fa3096fa64a',
     'volume --preset p3 --cut-normal 1,1,1 --cut-offset 1/2':

@@ -11,7 +11,7 @@ from fanokit import zeta
 from fanokit.errors import DomainError, OutOfRange, PoleAtOne, ZeroVolume
 from fanokit.zeta import ZetaHeightInput
 
-from helpers import per_call_hurwitz_zeta
+from helpers import complex_p1_canonical_height, per_call_hurwitz_zeta
 
 # zeta'(-1, 1) = 1/12 - log(A), Glaisher-Kinkelin constant A, computed
 # independently to 30 digits
@@ -105,7 +105,9 @@ class TestConstantsOnce:
 
     def test_guards_match_the_per_call_body(self):
         for args in [(2.0, 0.5, 0.0), (2.0, 0.5, math.inf), (2.0, 0.5, -1.0), (2.0, -0.5),
-                     (1.0, 0.5), (1, 0.0), (-1.0, 0.5, 1e-100)]:
+                     (1.0, 0.5), (1, 0.0), (-1.0, 0.5, 1e-100),
+                     # beyond the double range: float() overflows, refused as non-finite
+                     (10**400, 0.5), (-1.0, 10**400), (-1.0, F(10**400, 3))]:
             got = bits(lambda: zeta.hurwitz_zeta(*args))
             assert got == bits(lambda: per_call_hurwitz_zeta(*args))
             assert isinstance(got[0], type), args
@@ -168,6 +170,74 @@ class TestOneTablePerS:
         info = zeta._pass_constants.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert info.hits > 2000
+
+
+TWELFTHS = list(itertools.product([F(k, 12) for k in range(13)], repeat=3))
+
+
+def seeded_997ths():
+    rng = random.Random(39)
+    return [tuple(F(rng.randint(0, 997), 997) for _ in range(3)) for _ in range(10_000)]
+
+
+def off_domain(w) -> bool:
+    return 2 * max(w) > sum(w)
+
+
+class TestExactDomain:
+    """The height in real floats, refused exactly off 2 w_i <= sum(w), against
+    the complex evaluation that decided its domain by a float tolerance."""
+
+    TARGETS = (1e-6, 1e-12)
+    # off the locus by 1/1000 and by 10^-10 of a unit: both were answered at
+    # some target when the imaginary part decided
+    NEAR_MISSES = [(F(1, 2), F(1, 4), F(249, 1000)),
+                   (F(1, 2), F(1, 4), F(2499999999, 10**10))]
+
+    @pytest.mark.parametrize("target", [1.0, 1e-3, 1e-6, 1e-8, 1e-12, 1e-30, 1e-100])
+    @pytest.mark.parametrize("w", NEAR_MISSES, ids=["1/1000", "1e-10"])
+    def test_near_misses_are_refused_at_every_target(self, w, target):
+        with pytest.raises(DomainError, match="real-analytic domain"):
+            zeta.p1_canonical_height(ZetaHeightInput(*w), target)
+
+    @pytest.mark.parametrize("w", [(F(1, 2), F(1, 4), F(1, 4)), (F(5, 6), F(1, 2), F(1, 3)),
+                                   (F(2, 3), F(1, 3), F(1, 3)), (F(1, 2), F(1, 2), F(0)),
+                                   (F(1, 3), F(1, 3), F(2, 3))])
+    def test_boundary_triples_are_answered(self, w):
+        # w_i = w_j + w_k: F(1 - b) sits at 0, or a rounding below it
+        rep = zeta.p1_canonical_height(ZetaHeightInput(*w))
+        assert math.isfinite(rep.value) and rep.formula.endswith("[fano]")
+        assert bits(lambda: rep) == bits(lambda: complex_p1_canonical_height(ZetaHeightInput(*w)))
+
+    @staticmethod
+    def answered(w, target):
+        # refused iff off the locus, at any target; V = 0 has its own refusal
+        if off_domain(w):
+            with pytest.raises(DomainError, match="real-analytic domain"):
+                zeta.p1_canonical_height(ZetaHeightInput(*w), target)
+            return False
+        return sum(w) != 2
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_twelfths_refused_off_the_locus_and_bit_identical_on_it(self, target):
+        grid = [w for w in TWELFTHS if self.answered(w, target)]
+        assert len(grid) == 1014
+        for w in grid:
+            inp = ZetaHeightInput(*w)
+            assert bits(lambda: zeta.p1_canonical_height(inp, target)) == \
+                bits(lambda: complex_p1_canonical_height(inp, target)), (w, target)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_seeded_997ths_refused_off_the_locus_and_close_on_it(self, target):
+        # the complex logarithm takes log|x| through log1p near |x| = 1, so a
+        # value may move by an ulp or two; the error bound may not move at all
+        for w in seeded_997ths():
+            if self.answered(w, target):
+                inp = ZetaHeightInput(*w)
+                got = zeta.p1_canonical_height(inp, target)
+                ref = complex_p1_canonical_height(inp, target)
+                assert got.abs_error == ref.abs_error, w
+                assert abs(got.value - ref.value) <= 4 * math.ulp(ref.value), w
 
 
 class TestDerivative:
