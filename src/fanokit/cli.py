@@ -113,7 +113,7 @@ def _cmd_volume(args, data) -> dict:
         v = geom.intersect_halfspace(v, normal, jsonio.frac_from_json(args.cut_offset))
     vol = geom.volume(v)
     return {
-        "vertex_count": len(v.vertices),
+        "vertex_count": len(v.rows),
         "poly_volume": jsonio.frac_to_str(vol),
         "degree": jsonio.frac_to_str(math.factorial(v.dim) * vol),
     }

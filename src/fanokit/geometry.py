@@ -1,17 +1,17 @@
 """Exact rational convex-polytope kernel.
 
 Polytopes are full-dimensional and bounded, in small dimension.  All
-coordinates are ``fractions.Fraction``; facet normals are primitive
-integer vectors.  A half-space representation stores inequalities
+coordinates are exact, ``fractions.Fraction`` or ``int``; facet normals are
+primitive integer vectors.  A half-space representation stores inequalities
 
     <normal, p> >= -offset
 
 so that for a moment polytope of a toric log Fano pair the offset is the
 log discrepancy coefficient of the corresponding facet divisor.
 
-A ``VPolytope`` carries its vertices, its facets and their incidence
-together.  Facets are found once, by ``VPolytope.from_points`` for a point
-cloud or by ``enumerate_vertices`` for an H-polytope, both one integer
+A ``VPolytope`` carries its vertices, as integer rows, its facets and their
+incidence together.  Facets are found once, by ``VPolytope.from_points`` for a
+point cloud or by ``enumerate_vertices`` for an H-polytope, both one integer
 double-description routine, ``_extreme_rays``; a half-space cut enumerates
 afresh.  The incidence has one source, the double description's tight rows,
 as bit masks, and one builder, ``_polytope``, makes every value from them.
@@ -22,10 +22,10 @@ fraction-free routine, ``_bareiss``, forward unless its rows are read; the
 volume runs its recurrence a row at a time.
 
 Every operation is a pure function on immutable values (a ``VPolytope``
-keeps its volume, moment and vertex cones once computed, a clip family its
-slabs) and touches no floating point.  ``HPolytope``, ``from_points`` and
-``enumerate_vertices`` check their input and raise an ``errors.InputError``
-subclass; the ``VPolytope`` constructor only stores what ``_polytope`` built.
+keeps its vertex coordinates, volume, moment and vertex cones once computed,
+a clip family its slabs) and touches no floating point.  ``HPolytope``,
+``from_points`` and ``enumerate_vertices`` check their input and raise an
+``errors.InputError`` subclass; ``VPolytope`` only stores what ``_polytope`` built.
 """
 from __future__ import annotations
 
@@ -123,15 +123,15 @@ def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[tuple[int
     both are tight on.  DegeneratePolytope when the rows do not span;
     OutOfRange past MAX_RAYS rays or MAX_RAY_TESTS tests for one row.
     """
-    basis = _bareiss(list(zip(*rows)))[0]   # pivot columns of the transpose
-    if len(basis) < d:
+    # [R^T | I] goes to [L R^T | L]: its pivots in R^T are the first basis B of the rows, and
+    # L B^T = det I, so row j of L, signed as det, is positive on basis row j only
+    aug = [[r[i] for r in rows] + [int(i == j) for j in range(d)] for i in range(d)]
+    basis, _, det = _bareiss(aug, jordan=True)
+    if basis[-1] >= len(rows):   # a pivot in I
         raise DegeneratePolytope("inequalities or points do not span the space")
-    # [B | I] goes to [det I | det B^-1]: column j, signed as det, is positive on row j only
-    aug = [list(rows[b]) + [int(i == j) for j in range(d)] for i, b in enumerate(basis)]
-    o = 1 if _bareiss(aug, jordan=True)[2] > 0 else -1
-    start = sum(1 << b for b in basis)
-    rays = [(tuple(x // (o * gcd(*c)) for x in c), start & ~(1 << b))
-            for c, b in zip(zip(*(r[d:] for r in aug)), basis)]
+    o, start = (1 if det > 0 else -1), sum(1 << b for b in basis)
+    rays = [(tuple(x // g for x in r[-d:]), start & ~(1 << b))
+            for r, b in zip(aug, basis) for g in (o * gcd(*r[-d:]),)]
     for k, row in enumerate(rows):
         if start >> k & 1:
             continue
@@ -170,6 +170,8 @@ def make_facet(normal: Sequence, offset) -> Facet:
     if all(type(x) is int for x in normal):   # normal = g prim
         if not (g := gcd(*normal)):
             raise OutOfRange("normal vector must be nonzero")
+        if g == 1 and type(offset) in (int, Fraction):   # kept as given
+            return Facet(tuple(normal), offset)
         c, e = _ratio(offset)
         return Facet(tuple(x // g for x in normal), Fraction(c, e * g))
     prim = primitive_int_vector(normal)
@@ -202,21 +204,27 @@ class HPolytope:
         object.__setattr__(self, "facets", canon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class VPolytope:
     """Both representations of one full-dimensional polytope and their
-    incidence, as ``_polytope`` builds them: ``vertices`` and ``facets``
-    sorted, ``rows`` the integer rows (q p, q) of the vertices over their
-    least common denominator, and ``masks`` the vertex bit mask of each
-    facet.  Volume, moment and ``cones`` are computed on first use and kept
-    with the value; a cut is a new value and computes its own.
+    incidence, as ``_polytope`` builds them: ``facets`` and ``rows``, the integer
+    rows (q p, q) of the vertices p over their least common denominator q,
+    sorted, which decide equality, and ``masks`` the vertex bit mask of each
+    facet.  ``vertices``, volume, moment and ``cones`` are computed on first
+    read and kept with the value; a cut is a new value and computes its own.
     """
 
     dim: int
-    vertices: tuple[Vec, ...]
     facets: tuple[Facet, ...]
-    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    masks: tuple[int, ...] = field(compare=False, repr=False)
+    rows: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...] = field(compare=False)
+
+    def __repr__(self) -> str:
+        return f"VPolytope(dim={self.dim!r}, vertices={self.vertices!r}, facets={self.facets!r})"
+
+    @cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        return tuple(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in self.rows)
 
     @cached_property
     def _integral(self) -> tuple[Fraction, Vec]:
@@ -234,7 +242,7 @@ class VPolytope:
         """Per vertex, the indices of the facets tight there and the |det| of
         their normals when exactly ``dim`` are (None otherwise)."""
         tight = [tuple(k for k, m in enumerate(self.masks) if m >> i & 1)
-                 for i in range(len(self.vertices))]
+                 for i in range(len(self.rows))]
         return tuple((t, abs(integer_det([self.facets[k].normal for k in t]))
                       if len(t) == self.dim else None) for t in tight)
 
@@ -263,7 +271,8 @@ def _polytope(dim: int, points: list, ineqs: Sequence[Facet]) -> VPolytope:
     points = sorted(points)
     rows = [r for r, _ in points]
     # (inequality, its bit), sorted, with either bit of a repeated one
-    ineqs = sorted({f: k for k, f in enumerate(ineqs)}.items())
+    order = sorted(range(len(ineqs)), key=ineqs.__getitem__)
+    ineqs = [(ineqs[k], k) for i, k in enumerate(order) if not i or ineqs[k] != ineqs[order[i - 1]]]
     masks = [sum(1 << i for i, (_, t) in enumerate(points) if t >> k & 1) for _, k in ineqs]
     keep = [i for i in range(len(rows))
             if reduce(and_, (m for m in masks if m >> i & 1), (1 << len(rows)) - 1) == 1 << i]
@@ -272,9 +281,7 @@ def _polytope(dim: int, points: list, ineqs: Sequence[Facet]) -> VPolytope:
     rows = [rows[i] for i in keep]
     if (g := gcd(*(x for r in rows for x in r))) > 1:   # q took in dropped points too
         rows = [tuple(x // g for x in r) for r in rows]
-    q = rows[0][-1]
-    return VPolytope(dim, tuple(tuple(Fraction(x, q) for x in r[:-1]) for r in rows),
-                     tuple(ineqs[k][0] for k in facets), tuple(rows),
+    return VPolytope(dim, tuple(ineqs[k][0] for k in facets), tuple(rows),
                      tuple(masks[k] for k in facets))
 
 
@@ -390,7 +397,8 @@ def volume(v: VPolytope) -> Fraction:
 def barycenter(v: VPolytope) -> Vec:
     """Exact centroid; independent of any triangulation choice."""
     vol, mom = volume_and_moment(v)
-    return tuple(m / vol for m in mom)
+    a, b = vol.as_integer_ratio()
+    return tuple(Fraction(m.numerator * b, m.denominator * a) for m in mom)
 
 
 # -- clipping -------------------------------------------------------------------

@@ -21,8 +21,8 @@ from .geometry import HPolytope, VPolytope
 
 
 def frac_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    n, d = x.as_integer_ratio()
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def frac_from_json(x: Any) -> Fraction:
@@ -42,6 +42,8 @@ def polytope_from_json(data: Any) -> HPolytope | VPolytope:
     """The polytope of a JSON object; the geometry constructors check its dimension."""
     if not isinstance(data, dict):
         raise InputError("polytope JSON must be an object")
+    if "facets" in data and "vertices" in data:
+        raise InputError("give 'facets' or 'vertices', not both")
     for key in ("facets", "vertices"):
         if key in data and not isinstance(data[key], list):
             raise InputError(f"'{key}' must be a list")
@@ -53,7 +55,8 @@ def polytope_from_json(data: Any) -> HPolytope | VPolytope:
             normal = f["normal"]
             if not isinstance(normal, list) or not all(type(a) is int for a in normal):
                 raise InputError("facet normal must be a list of integers")
-            facets.append((tuple(normal), frac_from_json(f["offset"])))
+            a = f["offset"]   # an int goes on as it is, and make_facet keeps it
+            facets.append((tuple(normal), a if type(a) is int else frac_from_json(a)))
         return HPolytope(data.get("dim"), tuple(facets))
     if "vertices" in data:
         verts = []

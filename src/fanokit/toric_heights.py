@@ -94,10 +94,8 @@ class ToricLogFano:
 
     def __post_init__(self):
         for f in self.polytope.facets:
-            if not 0 < f.offset <= 1:
-                raise OutOfRange(
-                    f"facet offset {f.offset} outside (0, 1]"
-                )
+            if not 0 < f.offset.numerator <= f.offset.denominator:
+                raise OutOfRange(f"facet offset {f.offset} outside (0, 1]")
         if isinstance(self.polytope, HPolytope):
             object.__setattr__(self, "polytope", geom.enumerate_vertices(self.polytope))
 
@@ -125,7 +123,7 @@ def is_gorenstein(t: ToricLogFano) -> bool:
     """Reflexivity test: all vertices integral.  Requires a_F = 1 throughout."""
     if any(f.offset != 1 for f in t.polytope.facets):
         raise NotAnticanonical("Gorenstein test applies to the a_F = 1 polytope")
-    return all(x.denominator == 1 for p in t.polytope.vertices for x in p)
+    return t.polytope.rows[0][-1] == 1   # the vertices' least common denominator
 
 
 def is_pn_polytope(v: VPolytope) -> bool:

@@ -198,8 +198,9 @@ def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) ->
     (n1, d1), (n2, d2), (n3, d3) = (w.as_integer_ratio() for w in inp.weights)
     parts = (n1 * d2 * d3, n2 * d1 * d3, n3 * d1 * d2)
     if 2 * max(parts) > sum(parts):
-        raise DomainError("height formula left its real-analytic domain "
-                          "(weights are far from K-semistable)")
+        i = parts.index(max(parts))
+        raise DomainError(f"height formula left its real-analytic domain: 2*w{i + 1} = "
+                          f"{2 * inp.weights[i]} > w1 + w2 + w3 = {sum(inp.weights)}")
     v = float(inp.v)
     if v == 0:
         raise ZeroVolume("V = 2 - sum(w) must be nonzero")

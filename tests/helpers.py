@@ -1,6 +1,7 @@
 """Shared test oracles: ``Fraction`` vector arithmetic, linear maps on
 points and the hull of a polytope's image under one, translation, the
 sign of a clip family's moment at one cut-off, a record of the kernel's
+eliminations, the double description with its start cone found in two
 eliminations, Gauss-Jordan elimination
 over ``Fraction``, volume and moment with every
 pulling simplex eliminated from scratch, brute-force exact H->V and
@@ -92,6 +93,45 @@ def spy_eliminations(monkeypatch) -> list[str]:
     monkeypatch.setattr(geom, "_extreme_rays", spy_rays)
     monkeypatch.setattr(geom, "_bareiss", spy_bareiss)
     return calls
+
+
+def two_pass_extreme_rays(rows, d):
+    """Reference for ``geometry._extreme_rays``: the basis is the pivot columns
+    of a forward pass over the transpose, and the start rays the columns of
+    det B^-1, from a second, Jordan pass over [B | I]; the rows are then
+    added one at a time as there."""
+    basis = geom._bareiss(list(zip(*rows)))[0]
+    if len(basis) < d:
+        raise DegeneratePolytope("inequalities or points do not span the space")
+    aug = [list(rows[b]) + [int(i == j) for j in range(d)] for i, b in enumerate(basis)]
+    o = 1 if geom._bareiss(aug, jordan=True)[2] > 0 else -1
+    start = sum(1 << b for b in basis)
+    rays = [(tuple(x // (o * math.gcd(*c)) for x in c), start & ~(1 << b))
+            for c, b in zip(zip(*(r[d:] for r in aug)), basis)]
+    for k, row in enumerate(rows):
+        if start >> k & 1:
+            continue
+        s = [sum(map(operator.mul, row, y)) for y, _ in rays]
+        plus, minus = [i for i, x in enumerate(s) if x > 0], [j for j, x in enumerate(s) if x < 0]
+        tests = len(plus) * len(minus) * len(rays)
+        if len(rays) > geom.MAX_RAYS or tests > geom.MAX_RAY_TESTS:
+            raise OutOfRange(f"the double description holds {len(rays)} rays and would make "
+                             f"{tests} ray tests, past its budget of {geom.MAX_RAYS} rays or "
+                             f"{geom.MAX_RAY_TESTS} tests")
+        new = [(y, t | 1 << k if x == 0 else t) for (y, t), x in zip(rays, s) if x >= 0]
+        for i in plus:
+            (yp, tp), sp = rays[i], s[i]
+            for j in minus:
+                common = tp & rays[j][1]
+                if (common.bit_count() < d - 2
+                        or any(t & common == common for c, (_, t) in enumerate(rays)
+                               if c != i and c != j)):
+                    continue
+                y = [sp * b - s[j] * a for a, b in zip(yp, rays[j][0])]
+                g = math.gcd(*y)
+                new.append((tuple(a // g for a in y), common | 1 << k))
+        rays = new
+    return rays
 
 
 def moment_sign(family: geom.ClipFamily, p: int, q: int) -> int:

@@ -301,6 +301,38 @@ class TestErrorHandling:
         assert f"the following arguments are required: {missing}" in err
 
 
+class TestPolytopeInput:
+    def test_facets_and_vertices_together_are_refused(self, capsys):
+        data = {"dim": 2, "facets": json.loads(P2_JSON)["facets"],
+                "vertices": [[-1, -1], [2, -1], [-1, 2]]}
+        for command in ("volume", "barycenter", "semistable", "gap-check", "sx"):
+            code, out, err = run_cli([command, "--json", json.dumps(data)], capsys)
+            assert (code, out, err) == (1, "", "fanokit: input error: give 'facets' or "
+                                               "'vertices', not both\n")
+            # either key alone is answered
+            for key in ("facets", "vertices"):
+                alone = {"dim": 2, key: data[key]}
+                assert run_cli([command, "--json", json.dumps(alone)], capsys)[0] == 0
+
+    def test_batch_reads_no_vertex_coordinates(self, capsys, monkeypatch):
+        # the answers read the integer rows: no value makes its Fraction vertices
+        from fanokit import geometry
+
+        made = []
+        build = geometry._polytope
+        monkeypatch.setattr(geometry, "_polytope", lambda *a: made.append(build(*a)) or made[-1])
+        geometry._vertices_of.cache_clear()
+        square = {"dim": 2, "vertices": [[-1, -1], [-1, 1], [1, -1], [1, 1], [0, 0]]}
+        items = [json.loads(P2_JSON), json.loads(P3_JSON), square] * 2
+        for command, key in [("volume", "poly_volume"), ("barycenter", "is_origin"),
+                             ("semistable", "semistable"), ("gap-check", "verdict")]:
+            code, out, _ = run_cli([command, "--json", json.dumps({"batch": items})], capsys)
+            assert code == 0 and len(json.loads(out)["results"]) == 6
+            assert all(key in r for r in json.loads(out)["results"])
+        assert len(made) >= 3
+        assert not any("vertices" in vars(v) for v in made)
+
+
 class TestPointCloudInput:
     def test_volume_hulls_the_cloud_once(self, capsys, monkeypatch):
         calls = spy_eliminations(monkeypatch)
@@ -464,6 +496,18 @@ class TestP1ZetaHeightOutput:
     def test_pinned_stdout(self, data, expected, capsys):
         code, out, err = run_cli(["p1-zeta-height", "--json", json.dumps(data)], capsys)
         assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("weights, message", [
+        (["1/2", "1/4", "2499999999/10000000000"],
+         "2*w1 = 1 > w1 + w2 + w3 = 9999999999/10000000000"),
+        (["1/4", "3/4", "1/3"], "2*w2 = 3/2 > w1 + w2 + w3 = 4/3"),
+        (["0", "0", "1"], "2*w3 = 2 > w1 + w2 + w3 = 1"),
+    ], ids=["1e-10", "w2", "w3"])
+    def test_refusal_names_the_failed_inequality(self, weights, message, capsys):
+        code, out, err = run_cli(["p1-zeta-height", "--json", json.dumps({"weights": weights})],
+                                 capsys)
+        assert (code, out, err) == (1, "", "fanokit: input error: height formula left its "
+                                           f"real-analytic domain: {message}\n")
 
     def test_answered_reports_are_semistable_iff_no_weight_is_one(self, capsys):
         # an answered triple lies on 2 w_i <= sum(w), the n = 1 arrangement

@@ -39,6 +39,8 @@ P1_CONTINUATION = json.dumps({"weights": ["11/12", "3/4", "2/3"]})
 P1_JSON_PRECISION = json.dumps({"weights": ["1/2", "1/3", "1/4"], "precision": 1e-6})
 # 2 w_1 > sum(w) by 1/1000: refused at every target
 P1_NEAR_MISS = json.dumps({"weights": ["1/2", "1/4", "249/1000"]})
+# a polytope given twice, as facets and as vertices: refused, not read as its facets
+BOTH_KEYS = json.dumps({**json.loads(P2), "vertices": [[-1, -1], [2, -1], [-1, 2]]})
 WEIGHTS_N3 = json.dumps({"n": 3, "weights": ["1/2", "1/2", "1/2", "1/2", "1/2"]})
 OFF_ORIGIN = json.dumps({"dim": 2, "vertices": [[1, 1], [1, 2], [2, 1], [2, 2]]})
 # its top cut level, about 10^320, lies beyond the double range
@@ -80,6 +82,7 @@ CASES = [
     ["volume", "--json", json.dumps({"batch": [json.loads(P2), json.loads(P3)]})],
     ["volume", "--preset", "p3", "--cut-normal", "1,1,1", "--cut-offset", "1/2"],
     ["volume", "--json", "[1, 2]"],
+    ["volume", "--json", BOTH_KEYS],
     ["sx", "--json", OFF_ORIGIN],
     ["sx", "--json", HUGE_CLOUD],
     ["pn-height", "--n", "200000"],
@@ -248,13 +251,15 @@ DIGESTS = {
     'p1-zeta-height --json \'{"weights": ["11/12", "3/4", "2/3"]}\'':
         '77450dbd185f7713932b34ee6dae444c55709024c8c55bcfd3b6b65e3d10dcca',
     'p1-zeta-height --json \'{"weights": ["1/2", "1/4", "249/1000"]}\' --precision 1e-6':
-        'a237db384e7af205dbab0bc236e959f72c257a780913bfffe9ae427f4e4f741b',
+        '4e4dd4511a178a0a5f601dc0309877d5d8faa01c59f96a777e9765ab1f453015',
     'volume --json \'{"batch": [{"dim": 2, "facets": [{"normal": [1, 0], "offset": "1"}, {"normal": [0, 1], "offset": "1"}, {"normal": [-1, -1], "offset": "1"}]}, {"dim": 3, "facets": [{"normal": [1, 0, 0], "offset": "1"}, {"normal": [0, 1, 0], "offset": "1"}, {"normal": [0, 0, 1], "offset": "1"}, {"normal": [-1, -1, -1], "offset": "1"}]}]}\'':
         '412ee0a666d7ea6bd8eb038c787b2fccd7e981036dcd5d3a754d5fa3096fa64a',
     'volume --preset p3 --cut-normal 1,1,1 --cut-offset 1/2':
         '6489d36e4232a5cdec2ced161fad8b770055dd8126cb4e0055313eb920738f76',
     "volume --json '[1, 2]'":
         '114635d5f60097567305d7eba3a9783b44f601f03b5344e68c822cfce35c4007',
+    shlex.join(["volume", "--json", BOTH_KEYS]):
+        '053630fd05985f7e45539e35d36dc495d554ee3fc77852e78a3563d3c54abd82',
     'sx --json \'{"dim": 2, "vertices": [[1, 1], [1, 2], [2, 1], [2, 2]]}\'':
         'ce8b1ec352278bc59ddc9a1543fef2b74876583a7626ac55e2528048990abf12',
     'sx --json \'{"dim": 3, "vertices": [[0, 1, 2], [1, 0, 1], [2, "-3/2", 0], [0, -1, "-100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"], [-3, -1, "100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"]]}\'':

@@ -45,6 +45,7 @@ from helpers import (
     random_unimodular,
     spy_eliminations,
     translate,
+    two_pass_extreme_rays,
     vadd,
 )
 
@@ -356,8 +357,27 @@ class TestFacetsCarried:
 
     def test_equality_hash_and_repr_ignore_the_incidence(self):
         v = geom.enumerate_vertices(unit_cube(3))
-        w = dataclasses.replace(VPolytope.from_points(3, v.vertices), rows=(), masks=())
-        assert w == v and hash(w) == hash(v) and repr(w) == repr(v)
+        w = VPolytope.from_points(3, v.vertices)
+        # equality and hash read dim, facets and the integer rows, not the vertices
+        assert w is not v and w == v and hash(w) == hash(v) and "vertices" not in vars(w)
+        assert repr(w) == repr(v)
+        unmasked = dataclasses.replace(w, masks=())
+        assert unmasked == v and hash(unmasked) == hash(v)
+        # equal iff vertices and facets are, over hulls of the same and of moved vertices
+        third, half = (F(1, 3), 0, F(-2)), (F(1, 2), F(1, 2), 0)
+        moved = translate(v, third)
+        values = [v, w, unmasked, moved, translate(moved, [-x for x in third]),
+                  translate(v, half), translate(translate(v, half), third),
+                  translate(moved, half), dataclasses.replace(v, facets=v.facets[1:]),
+                  dataclasses.replace(v, rows=moved.rows)]
+        for a, b in itertools.product(values, repeat=2):
+            same = (a.dim, a.vertices, a.facets) == (b.dim, b.vertices, b.facets)
+            assert (a == b) == same
+            if same:
+                assert hash(a) == hash(b)
+        assert sum(a == v for a in values) == 4
+        # the repr is the seed's: dim, vertices and facets, neither rows nor masks
+        assert repr(v) == f"VPolytope(dim=3, vertices={v.vertices!r}, facets={v.facets!r})"
         assert "masks" not in repr(v) and "rows" not in repr(v)
 
 
@@ -1201,6 +1221,7 @@ class TestIntegerMakeFacet:
         assert any(x < 0 for n in normals for x in n)
         assert any(math.gcd(*n) > 1 for n in normals)
         assert any(abs(x).bit_length() >= 100 for n in normals for x in n)
+        assert any(math.gcd(*n) == 1 for n in normals)
         for normal in normals:
             g = math.gcd(*normal)
             for offset in self.OFFSETS:
@@ -1210,7 +1231,22 @@ class TestIntegerMakeFacet:
                 assert general == [1]
                 general.clear()
                 assert fast.normal == tuple(x // g for x in normal) and math.gcd(*fast.normal) == 1
-                assert type(fast.offset) is F and fast.offset == F(offset) / g
+                assert fast.offset == F(offset) / g
+                # an int or Fraction offset of a primitive normal is kept as given
+                if g == 1 and type(offset) in (int, F):
+                    assert fast.offset is offset
+                else:
+                    assert type(fast.offset) is F
+
+    @pytest.mark.parametrize("offset", [7, -3, F(-5, 12), "-5/12", 0.375, True, Decimal("2.5")],
+                             ids=["int", "negative-int", "fraction", "string", "float", "bool",
+                                  "decimal"])
+    def test_primitive_normal_fast_path_equals_the_general_path(self, offset):
+        for normal in [(2, -3, 5), (1,), (0, -1), (10**30 + 1, 10**30)]:
+            fast = geom.make_facet(normal, offset)
+            assert fast == geom.make_facet(tuple(F(x) for x in normal), offset)
+            assert fast.normal == normal and fast.offset == F(offset)
+            assert (fast.offset is offset) == (type(offset) in (int, F))
 
     @pytest.mark.parametrize("normal", [(0,), (0, 0, 0), (), (F(0), 0), (False, False)],
                              ids=["int", "ints", "empty", "fraction", "bool"])
@@ -1225,3 +1261,91 @@ class TestIntegerMakeFacet:
         assert geom.make_facet((True, 2), "1/2") == geom.make_facet((F(1), F(2)), "1/2")
         assert general == [(True, 2), (F(1), F(2))]
         assert geom.make_facet((True, -2), 3) == ((1, -2), 3)
+
+
+@st.composite
+def ray_row_sets(draw):
+    """Integer rows for ``_extreme_rays``, with repeated and zero rows, and
+    sets that miss a direction (a column of zeros) or lie on a line."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=8))
+    if rows and draw(st.booleans()):
+        rows = draw(st.permutations(rows + draw(st.lists(st.sampled_from(rows), min_size=1,
+                                                         max_size=3))))
+    kind = draw(st.sampled_from(("any", "flat", "line")))
+    if kind == "flat":
+        k = draw(st.integers(0, d - 1))
+        rows = [r[:k] + (0,) + r[k + 1:] for r in rows]
+    elif kind == "line" and rows:
+        rows = [tuple(c * x for x in rows[0])
+                for c in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5))]
+    return list(rows), d
+
+
+def ray_outcome(extreme_rays, rows, d):
+    try:
+        return extreme_rays(rows, d)
+    except (DegeneratePolytope, OutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePassStartCone:
+    """``_extreme_rays`` reads its basis and start rays off one Jordan
+    elimination of [R^T | I]; the two-pass reference reads them off the
+    transpose and then [B | I].  Both give the same rays, masks and errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ray_row_sets())
+    def test_matches_the_two_pass_start(self, case):
+        rows, d = case
+        assert ray_outcome(geom._extreme_rays, rows, d) == ray_outcome(two_pass_extreme_rays,
+                                                                       rows, d)
+
+    @pytest.mark.parametrize("name", sorted(INCIDENCE_CASES))
+    @pytest.mark.parametrize("budget", [None, 3])
+    def test_h_rows_match_within_and_past_the_budget(self, name, budget, monkeypatch):
+        h = INCIDENCE_CASES[name]
+        rows = [(*(x * a.denominator for x in l), a.numerator) for l, a in h.facets]
+        rows.append((0,) * h.dim + (1,))
+        if budget:
+            monkeypatch.setattr(geom, "MAX_RAYS", budget)
+        expected = ray_outcome(two_pass_extreme_rays, rows, h.dim + 1)
+        calls = []
+        bareiss = geom._bareiss
+        monkeypatch.setattr(geom, "_bareiss", lambda *a, **k: calls.append(k) or bareiss(*a, **k))
+        assert ray_outcome(geom._extreme_rays, rows, h.dim + 1) == expected
+        assert calls == [{"jordan": True}]
+        if budget and h.dim >= 3:   # at least 4 start rays
+            assert expected[0] is OutOfRange
+
+    def test_empty_and_non_spanning_rows_are_degenerate(self):
+        for rows, d in [([], 2), ([(1, 0), (2, 0), (-1, 0)], 2), ([(0, 0, 0)], 3)]:
+            with pytest.raises(DegeneratePolytope, match="do not span the space$"):
+                geom._extreme_rays(rows, d)
+
+
+class TestVerticesOnFirstRead:
+    """A ``VPolytope`` is its integer rows: ``vertices`` is made from them on
+    first read, each row over q = rows[0][-1], the least common denominator."""
+
+    @staticmethod
+    def values():
+        geom._vertices_of.cache_clear()
+        for n in range(2, 6):
+            yield seeded_cloud(n)
+        for n in (3, 4):
+            yield mixed_denominator_image(n)
+        for h in INCIDENCE_CASES.values():
+            yield geom.enumerate_vertices(h)
+
+    def test_vertices_are_the_rows_over_their_common_denominator(self):
+        seen = []
+        for v in self.values():
+            # the vertex cache hands an image of p1 back as p1 itself
+            assert "vertices" not in vars(v) or any(v is u for u in seen)
+            seen.append(v)
+            q = v.rows[0][-1]
+            assert v.vertices == tuple(tuple(F(x, q) for x in r[:-1]) for r in v.rows)
+            assert "vertices" in vars(v) and v.vertices is v.vertices
+            assert all(r[-1] == q for r in v.rows) and v.vertices == tuple(sorted(v.vertices))
+            assert q == math.lcm(*(x.denominator for p in v.vertices for x in p))

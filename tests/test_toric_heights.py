@@ -133,6 +133,21 @@ class TestGorenstein:
         with pytest.raises(NotAnticanonical):
             th.is_gorenstein(ToricLogFano(presets.weighted_p112_centered()))
 
+    def test_matches_the_all_integral_rule_on_seeded_polars(self):
+        # the polar {<p, x> >= -1 : p a vertex of Q} of a lattice polytope Q around
+        # the origin with primitive vertices: anticanonical, and integral iff reflexive
+        rng, answers = random.Random(4242), []
+        for n in (2, 3) * 100:
+            units = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+            cloud = units + [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)]
+            q = geom.VPolytope.from_points(n, cloud)
+            if any(math.gcd(*map(int, p)) != 1 for p in q.vertices):
+                continue
+            t = ToricLogFano(HPolytope(n, tuple((tuple(map(int, p)), 1) for p in q.vertices)))
+            answers.append(th.is_gorenstein(t))
+            assert answers[-1] == all(x.denominator == 1 for p in t.polytope.vertices for x in p)
+        assert len(answers) >= 40 and 0 < sum(answers) < len(answers)
+
 
 class TestReflexivePolygons:
     """The 16 reflexive polygons, each up to GL(2, Z) a lattice subpolygon of
@@ -171,6 +186,7 @@ class TestReflexivePolygons:
         assert sorted(2 * geom.volume(t.polytope) for t in pairs if th.is_smooth(t)) == [
             6, 7, 8, 8, 9]
         assert all(th.is_gorenstein(t) for t in pairs)
+        assert all(x.denominator == 1 for t in pairs for p in t.polytope.vertices for x in p)
         # five are centred: P^2, and four that meet the volume gap
         centred = sorted((2 * geom.volume(t.polytope), th.gap_check(t).verdict)
                          for t in pairs if th.is_k_semistable(t))
