@@ -162,7 +162,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], d: int) -> list[tuple[tuple[int
 
 class Facet(NamedTuple):
     normal: tuple[int, ...]
-    offset: Fraction
+    offset: Fraction | int
 
 
 def make_facet(normal: Sequence, offset) -> Facet:

@@ -1197,7 +1197,8 @@ class TestConstructorsCheckTheirInput:
 
 
 class TestIntegerMakeFacet:
-    """An all-``int`` normal is divided by its gcd directly; every other
+    """An all-``int`` normal is divided by its gcd directly, and keeps an
+    ``int`` or ``Fraction`` offset as given when the gcd is 1; every other
     normal, ``bool`` entries included, takes the general path.  Both give the
     same facet."""
 
