@@ -13,8 +13,8 @@ from fanokit import zeta
 from fanokit.zeta import ZetaHeightInput
 
 # building blocks
-print("zeta(-1, 1/2)   =", zeta.hurwitz_zeta(-1, 0.5).value, " (= 1/24)")
-print("zeta'(-1, 1)    =", zeta.hurwitz_zeta(-1, 1.0).derivative,
+print("zeta(-1, 1/2)   =", zeta.hurwitz_zeta(0.5).value, " (= 1/24)")
+print("zeta'(-1, 1)    =", zeta.hurwitz_zeta(1.0).derivative,
       " (= 1/12 - log A)")
 print("F(1) = -log A   =", zeta.f_value(1.0))
 

@@ -102,7 +102,12 @@ MAX_STABILITY_VERTICES = 10**5
 def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
     """The stability polytope of degree D on m hyperplanes of P^n; raises
     OutOfRange when n < 1, m < 0 or it has more than MAX_STABILITY_VERTICES
-    vertices."""
+    vertices.
+
+    The exact branch needs no check of its first vertex.  root = d^(1/n)
+    lies in (0, n+1], as 0 < d <= (n+1)^n, so the level C/(n+1) lies in
+    [0, 1).  The n+1 equal weights sum to C < n+1, none exceeds the mean
+    C/(n+1), and the degree is (n+1 - C)^n = root^n = d."""
     if n < 1:
         raise OutOfRange("n must be a positive integer")
     if m < 0:
@@ -147,8 +152,6 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
         if not rest > 0 or abs(n * math.log(rest) - log_d) > tol:
             raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d}")
     first = WeightVector(n, (weight,) * (n + 1) + (zero,) * (m - n - 1))
-    if exact and not (is_arrangement_semistable(first) and arrangement_degree(first) == d):
-        raise NumericalError(f"vertex {tuple(range(n + 1))} misses degree {d} or semistability")
     # every other vertex permutes the weights of the first one, so only it is checked
     verts = [first]
     for subset in itertools.islice(itertools.combinations(range(m), n + 1), 1, None):

@@ -254,7 +254,8 @@ def _cmd_p1_zeta_height(args, data) -> dict:
     out = rep.to_json()
     out["V"] = float(inp.v)
     out["branch"] = "fano" if inp.v > 0 else "continuation"
-    out["semistable_advisory"] = zeta.p1_weights_semistable(inp)
+    # answered only where 2 w_i <= sum(w), the n = 1 arrangement test: only w_i = 1 fails
+    out["semistable_advisory"] = all(w < 1 for w in inp.weights)
     return out
 
 

@@ -65,10 +65,6 @@ class InvalidDegree(InputError):
 
 # -- zeta -------------------------------------------------------------------
 
-class PoleAtOne(InputError):
-    """Hurwitz zeta evaluated at its pole s = 1."""
-
-
 class ZeroVolume(InputError):
     """Degree V = 2 - sum(w) vanishes; the height formula has no value."""
 

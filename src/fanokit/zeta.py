@@ -1,18 +1,19 @@
 """Hurwitz zeta machinery and the closed-form canonical height of the
 projective line with three weighted marked points.
 
-``hurwitz_zeta`` is the one Euler-Maclaurin routine: a single pass gives
-zeta(s, x), its s-derivative and an error bound on each, the certified
-Bernoulli tail remainder plus an accumulated rounding estimate.  Its one
-precision input is a target absolute error (default ``DEFAULT_TARGET``):
-the number of Bernoulli corrections is fixed, their coefficients B_2j/(2j)!
-and the tail's are computed once at import and the rest that depends on s
-alone once per s (``_pass_constants``), and the number of directly summed
-terms grows until the tail bound meets the target.  The height formula needs
-F(x) = zeta(-1, x) + zeta'(-1, x), evaluated once per distinct argument of a
-height.  Its domain, 2 w_i <= sum(w) for every i, is decided in integers
-before any F is evaluated, and on it the height is evaluated in real floats,
-past degree zero too (``p1_canonical_height`` has the proof).
+``hurwitz_zeta`` is the one Euler-Maclaurin routine, at the one s the
+heights read, s = -1: a single pass gives zeta(-1, x), its s-derivative and
+an error bound on each, the certified Bernoulli tail remainder plus an
+accumulated rounding estimate.  At s = -1 the value's tail is zero, so its
+bound is the rounding estimate alone.  Its one precision input is a target
+absolute error (default ``DEFAULT_TARGET``): the number of Bernoulli
+corrections is fixed, their coefficients and the tail's are computed once at
+import, and the number of directly summed terms grows until the tail bound
+meets the target.  The height formula needs F(x) = zeta(-1, x) +
+zeta'(-1, x), evaluated once per distinct argument of a height.  Its domain,
+2 w_i <= sum(w) for every i, is decided in integers before any F is
+evaluated, and on it the height is evaluated in real floats, past degree
+zero too (``p1_canonical_height`` has the proof).
 """
 from __future__ import annotations
 
@@ -23,15 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arrangements import WeightVector, is_arrangement_semistable
-from .errors import (
-    DomainError,
-    NonConvergence,
-    OutOfRange,
-    PoleAtOne,
-    ZeroVolume,
-)
-from .toric_heights import Convention, HeightReport
+from .errors import DomainError, NonConvergence, OutOfRange, ZeroVolume
+from .toric_heights import Convention, HeightReport, pn_height
 
 _EPS = sys.float_info.epsilon
 
@@ -63,7 +57,7 @@ _TAIL_COEFF = (abs(float(bernoulli_number(2 * _BERNOULLI_TERMS + 2)))
 
 
 class ZetaValue(NamedTuple):
-    """zeta(s, x), its s-derivative, and a certified bound on the error of each."""
+    """zeta(-1, x), its s-derivative, and a certified bound on the error of each."""
 
     value: float
     derivative: float
@@ -71,24 +65,20 @@ class ZetaValue(NamedTuple):
     derivative_error: float
 
 
-@lru_cache(maxsize=16)
-def _pass_constants(s: float) -> tuple:
-    """What an Euler-Maclaurin pass reads that depends on s alone, from the
-    (P, dP/ds) of P = s (s+1) ... (s+i-1), i = 1, 3, ..., 2M+1; safe at zeros of P."""
-    m, rising = _BERNOULLI_TERMS, []
-    p, dp = 1.0, 0.0
-    for i in range(2 * m + 1):
-        p, dp = p * (s + i), dp * (s + i) + p
-        if i % 2 == 0:
-            rising.append((p, dp))
-    return (-s, 1 - s, -s - 2 * m - 1, s - 1, 1 / (s - 1) ** 2, abs(p), abs(dp),
-            _TAIL_COEFF * abs(p), tuple((c * p, c, p, dp, -s - 2 * j + 1) for j, (c, (p, dp))
-                                        in enumerate(zip(_EM_COEFFS, rising), 1)))
+# At s = -1 the rising product P = s (s+1) ... (s+2j-2) of the j-th Bernoulli
+# term is 0 for j >= 2, with dP/ds = -(2j-3)!: past j = 1 a term adds
+# c_j a^(2-2j) dP/ds to the derivative alone, and the value's tail is zero.
+# The derivative's tail, from P of 2M+1 factors, is 2 |B_2M+2|/(2M+2)! (2M-1)! a^-2M.
+_C1 = _EM_COEFFS[0]
+_EM_DERIVATIVE_TERMS = tuple((c, -float(math.factorial(2 * j - 3)), 2.0 - 2 * j)
+                             for j, c in enumerate(_EM_COEFFS[1:], 2))
+_TAIL_DZ = 2 * _TAIL_COEFF * float(math.factorial(2 * _BERNOULLI_TERMS - 1))
+_TAIL_EXP = -2.0 * _BERNOULLI_TERMS
 
 
-def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValue:
-    """zeta(s, x) and d/ds zeta(s, x) for finite s != 1 and finite x >= 0 (x = 0 via
-    zeta(s, 1), the continuation value used throughout), from one
+def hurwitz_zeta(x: float, target: float = DEFAULT_TARGET) -> ZetaValue:
+    """zeta(-1, x) and d/ds zeta(s, x) at s = -1 for finite x >= 0 (x = 0 via
+    zeta(-1, 1), the continuation value used throughout), from one
     Euler-Maclaurin pass differentiated term by term whose certified tail
     meets the target absolute error."""
     if not 0 < target < math.inf:
@@ -96,51 +86,48 @@ def hurwitz_zeta(s: float, x: float, target: float = DEFAULT_TARGET) -> ZetaValu
     if x < 0:
         raise DomainError("x must be nonnegative")
     try:
-        s, x = float(s), float(x or 1.0)    # x = 0 is read as x = 1
+        x = float(x or 1.0)    # x = 0 is read as x = 1
     except OverflowError:
-        raise DomainError("s and x must be finite") from None
-    if not (math.isfinite(s) and math.isfinite(x)):
-        raise DomainError("s and x must be finite")
-    if s == 1:
-        raise PoleAtOne("zeta(s, x) has its pole at s = 1")
-    neg_s, one_s, tail_exp, s1, inv_s1_sq, abs_p, abs_dp, tail_p, terms = _pass_constants(s)
+        raise DomainError("x must be finite") from None
+    if not math.isfinite(x):
+        raise DomainError("x must be finite")
     log, n = math.log, _SHIFT
     while True:
         a = n + x
         la = log(a)
-        pw_tail = a ** tail_exp
-        err_z = tail_p * pw_tail
-        err_dz = 2 * _TAIL_COEFF * (abs_dp + abs_p * la) * pw_tail
-        if max(err_z, err_dz) <= target or n >= 1 << 14:
+        err_dz = _TAIL_DZ * a ** _TAIL_EXP
+        if err_dz <= target or n >= 1 << 14:
             break
         n *= 2
-    if max(err_z, err_dz) > target:
+    if err_dz > target:
         raise NonConvergence("Euler-Maclaurin tail bound above target")
 
     # the direct terms, then the integral, the half term and the Bernoulli terms
     z = dz = mag_z = mag_dz = 0.0
     for k in range(n):
         y = k + x
-        t = y ** neg_s
-        dt = -log(y) * t
+        dt = -log(y) * y
+        z += y
+        dz += dt
+        mag_z += y
+        mag_dz += abs(dt)
+    pa = a ** 2.0
+    th = 0.5 * a
+    for t, dt in [(-pa / 2, pa * (la / 2 - 0.25)), (th, -la * th), (-_C1, _C1 * (1 + la))]:
         z += t
         dz += dt
         mag_z += abs(t)
         mag_dz += abs(dt)
-    pa = a ** one_s
-    th = 0.5 * a ** neg_s
-    for t, dt in [(pa / s1, pa * (-la / s1 - inv_s1_sq)), (th, -la * th),
-                  *((cp * (pw := a ** e), c * pw * (dp - p * la)) for cp, c, p, dp, e in terms)]:
-        z += t
+    for c, dp, e in _EM_DERIVATIVE_TERMS:
+        dt = c * a ** e * dp
         dz += dt
-        mag_z += abs(t)
         mag_dz += abs(dt)
-    return ZetaValue(z, dz, err_z + 8 * _EPS * mag_z, err_dz + 8 * _EPS * mag_dz)
+    return ZetaValue(z, dz, 8 * _EPS * mag_z, err_dz + 8 * _EPS * mag_dz)
 
 
 def f_value(x: float, target: float = DEFAULT_TARGET) -> float:
     """F(x) = zeta(-1, x) + zeta'(-1, x) for x >= 0; F(0) = F(1)."""
-    z = hurwitz_zeta(-1.0, x, target)
+    z = hurwitz_zeta(x, target)
     return z.value + z.derivative
 
 
@@ -167,14 +154,6 @@ class ZetaHeightInput:
     @property
     def v(self) -> Fraction:
         return 2 - (self.w1 + self.w2 + self.w3)
-
-
-def p1_weights_semistable(inp: ZetaHeightInput) -> bool:
-    """Advisory flag: the n = 1 arrangement semistability test on the
-    weights.  A weight equal to 1 is not klt and never semistable."""
-    if any(w >= 1 for w in inp.weights):
-        return False
-    return is_arrangement_semistable(WeightVector(1, inp.weights))
 
 
 def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) -> HeightReport:
@@ -237,5 +216,5 @@ def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) ->
 
 def mabuchi_p1_constant() -> float:
     """Minimum of the arithmetic Mabuchi functional on integral models of
-    the projective line: -1 - log(pi) = -pn_height(1) / 2."""
-    return -1.0 - math.log(math.pi)
+    the projective line: -pn_height(1) / 2 = -1 - log(pi)."""
+    return -pn_height(1).value / 2

@@ -38,7 +38,6 @@ from fanokit.errors import (
     NonConvergence,
     NumericalError,
     OutOfRange,
-    PoleAtOne,
     UnboundedPolytope,
     ZeroVolume,
 )
@@ -551,14 +550,13 @@ def per_call_hurwitz_zeta(s: float, x: float, target: float = 1e-12) -> ZetaValu
         raise DomainError("x must be nonnegative")
     if x == 0:
         x = 1.0
+    s = float(s)    # finite and != 1
     try:
-        s, x = float(s), float(x)
+        x = float(x)
     except OverflowError:
-        raise DomainError("s and x must be finite") from None
-    if not (math.isfinite(s) and math.isfinite(x)):
-        raise DomainError("s and x must be finite")
-    if s == 1:
-        raise PoleAtOne("zeta(s, x) has its pole at s = 1")
+        raise DomainError("x must be finite") from None
+    if not math.isfinite(x):
+        raise DomainError("x must be finite")
     m, n = 8, 12
     tail_coeff = abs(float(bernoulli_number(2 * m + 2))) / math.factorial(2 * m + 2)
     p_tail, dp_tail = _rising_with_derivative(s, 2 * m + 1)

@@ -94,8 +94,8 @@ def test_every_library_name_is_referenced():
 UNREAD_FIELDS = {
     "SxResult.cutoff": "the exact cut (ROADMAP item 11)",
     "SxResult.direction": "the exact cut (ROADMAP item 11)",
-    "ZetaValue.error": "the height's error model (ROADMAP item 3); it bounds itself "
-                       "by 2t + 256 eps instead",
+    "ZetaValue.error": "the height's error model (ROADMAP item 3); at s = -1 it is the "
+                       "rounding term alone, and the height bounds itself by 2t + 256 eps",
     "ZetaValue.derivative_error": "the height's error model (ROADMAP item 3); it bounds "
                                   "itself by 2t + 256 eps instead",
 }

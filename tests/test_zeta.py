@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 
 from fanokit import toric_heights as th
 from fanokit import zeta
-from fanokit.errors import DomainError, OutOfRange, PoleAtOne, ZeroVolume
+from fanokit.errors import DomainError, OutOfRange, ZeroVolume
 from fanokit.zeta import ZetaHeightInput
 
 from helpers import complex_p1_canonical_height, per_call_hurwitz_zeta
@@ -35,48 +36,43 @@ def bernoulli2(x: float) -> float:
 class TestHurwitzZeta:
     def test_bernoulli_closed_form_at_negative_one(self):
         for x in (0.25, 0.5, 1.0, 1.5):
-            assert zeta.hurwitz_zeta(-1, x).value == pytest.approx(
+            assert zeta.hurwitz_zeta(x).value == pytest.approx(
                 -bernoulli2(x) / 2, abs=1e-12)
 
     def test_random_points_against_bernoulli_oracle(self):
         rng = random.Random(7)
         for _ in range(50):
             x = rng.uniform(1e-3, 2.0)
-            assert zeta.hurwitz_zeta(-1, x).value == pytest.approx(
+            assert zeta.hurwitz_zeta(x).value == pytest.approx(
                 -bernoulli2(x) / 2, abs=1e-10)
 
     def test_riemann_values(self):
-        assert zeta.hurwitz_zeta(-1, 1.0).value == pytest.approx(-1 / 12, abs=1e-13)
-        assert zeta.hurwitz_zeta(2, 1.0).value == pytest.approx(math.pi**2 / 6, abs=1e-12)
-
-    def test_pole(self):
-        with pytest.raises(PoleAtOne):
-            zeta.hurwitz_zeta(1, 0.5)
+        assert zeta.hurwitz_zeta(1.0).value == pytest.approx(-1 / 12, abs=1e-13)
 
     def test_infinite_target_rejected(self):
         with pytest.raises(OutOfRange):
-            zeta.hurwitz_zeta(-1, 0.5, math.inf)
+            zeta.hurwitz_zeta(0.5, math.inf)
 
     def test_negative_x_rejected(self):
         with pytest.raises(DomainError):
-            zeta.hurwitz_zeta(-1, -0.5)
+            zeta.hurwitz_zeta(-0.5)
 
     def test_deep_target_within_the_sum_ceiling(self):
         # 1e-70 is met below the 2^14 terms the direct sum may take; 1e-100 is
         # refused at once (tests/test_cli.py, TestFormerFailures)
-        assert zeta.hurwitz_zeta(-1, 0.5, 1e-70).value == pytest.approx(1 / 24, abs=1e-15)
+        assert zeta.hurwitz_zeta(0.5, 1e-70).value == pytest.approx(1 / 24, abs=1e-15)
 
     def test_recurrence(self):
-        for s in (-1.0, 2.0):
-            for k in range(1, 11):
-                x = k / 10
-                lhs = zeta.hurwitz_zeta(s, x, TIGHT).value
-                rhs = zeta.hurwitz_zeta(s, x + 1, TIGHT).value + x ** (-s)
-                assert lhs == pytest.approx(rhs, abs=1e-11)
+        # zeta(-1, x) = x + zeta(-1, x + 1)
+        for k in range(1, 11):
+            x = k / 10
+            lhs = zeta.hurwitz_zeta(x, TIGHT).value
+            rhs = zeta.hurwitz_zeta(x + 1, TIGHT).value + x
+            assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_reported_error_is_honest(self):
         for x in (0.25, 0.7, 1.3):
-            z = zeta.hurwitz_zeta(-1, x)
+            z = zeta.hurwitz_zeta(x)
             assert abs(z.value - (-bernoulli2(x) / 2)) <= z.error
 
 
@@ -90,32 +86,35 @@ def bits(call):
     return tuple(v.hex() if isinstance(v, float) else v for v in fields)
 
 
-class TestConstantsOnce:
-    """The pass with its Euler-Maclaurin constants built at import against
-    the per-call body that rebuilt them: every output bit for bit."""
+# the generic per-call pass at s = -1, called as zeta.hurwitz_zeta is
+per_call_at_minus_one = functools.partial(per_call_hurwitz_zeta, -1.0)
 
-    S_GRID = (-1.0, -1 - 1e-5, -1 + 1e-5, -0.5, 0.3, 2.0, 3.5)
+
+class TestConstantsOnce:
+    """The pass with its s = -1 Euler-Maclaurin constants built at import
+    against the per-call body that rebuilt them for a general s: every
+    output bit for bit."""
+
     TARGETS = (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-30, 1e-50)
 
     def test_pass_matches_the_per_call_body(self):
-        for s, k, target in itertools.product(self.S_GRID, range(97), self.TARGETS):
+        for k, target in itertools.product(range(97), self.TARGETS):
             x = k / 24
-            assert bits(lambda: zeta.hurwitz_zeta(s, x, target)) == \
-                bits(lambda: per_call_hurwitz_zeta(s, x, target)), (s, x, target)
+            assert bits(lambda: zeta.hurwitz_zeta(x, target)) == \
+                bits(lambda: per_call_at_minus_one(x, target)), (x, target)
 
     def test_guards_match_the_per_call_body(self):
-        for args in [(2.0, 0.5, 0.0), (2.0, 0.5, math.inf), (2.0, 0.5, -1.0), (2.0, -0.5),
-                     (1.0, 0.5), (1, 0.0), (-1.0, 0.5, 1e-100),
+        for args in [(0.5, 0.0), (0.5, math.inf), (0.5, -1.0), (-0.5,), (0.5, 1e-100),
                      # beyond the double range: float() overflows, refused as non-finite
-                     (10**400, 0.5), (-1.0, 10**400), (-1.0, F(10**400, 3))]:
+                     (10**400,), (F(10**400, 3),)]:
             got = bits(lambda: zeta.hurwitz_zeta(*args))
-            assert got == bits(lambda: per_call_hurwitz_zeta(*args))
+            assert got == bits(lambda: per_call_at_minus_one(*args))
             assert isinstance(got[0], type), args
 
     def test_heights_on_the_twelfths_grid(self, monkeypatch):
         grid = list(itertools.product([F(k, 12) for k in range(13)], repeat=3))
         new = [bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w))) for w in grid]
-        monkeypatch.setattr(zeta, "hurwitz_zeta", per_call_hurwitz_zeta)
+        monkeypatch.setattr(zeta, "hurwitz_zeta", per_call_at_minus_one)
         old = [bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w))) for w in grid]
         assert new == old
 
@@ -134,42 +133,21 @@ class TestConstantsOnce:
 
 
 class TestOneTablePerS:
-    """The pass that reads its s-only values from one cached table against
-    the per-call body: bit for bit where the heights call it, at s = -1."""
+    """The pass against the per-call body at s = -1: bit for bit where the
+    heights call it, and on the arguments it refuses."""
 
-    NON_FINITE = [(-1.0, math.inf), (math.nan, 0.5), (-1.0, math.nan),
-                  (math.inf, 0.5), (-math.inf, 0.5)]
-
-    @pytest.mark.parametrize("s, x", NON_FINITE)
-    def test_non_finite_arguments_are_refused(self, s, x):
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_arguments_are_refused(self, x):
         with pytest.raises(DomainError, match="finite"):
-            zeta.hurwitz_zeta(s, x)
-        assert bits(lambda: zeta.hurwitz_zeta(s, x)) == bits(lambda: per_call_hurwitz_zeta(s, x))
+            zeta.hurwitz_zeta(x)
+        assert bits(lambda: zeta.hurwitz_zeta(x)) == bits(lambda: per_call_at_minus_one(x))
 
     @pytest.mark.parametrize("target", [1e-6, 1e-8, 1e-10, 1e-12])
     def test_seeded_arguments_at_the_workload_targets(self, target):
         rng = random.Random(38)
         for x in (rng.uniform(0.0, 3.0) for _ in range(2000)):
-            assert bits(lambda: zeta.hurwitz_zeta(-1.0, x, target)) == \
-                bits(lambda: per_call_hurwitz_zeta(-1.0, x, target)), (x, target)
-
-    def test_signed_zeros_share_a_table(self):
-        # 0.0 == -0.0, so one key serves both; the pass must not tell them apart
-        for first, second in [(0.0, -0.0), (-0.0, 0.0)]:
-            zeta._pass_constants.cache_clear()
-            for s in (first, second):
-                for x in (0.0, 0.3, 1.7):
-                    assert bits(lambda: zeta.hurwitz_zeta(s, x)) == \
-                        bits(lambda: per_call_hurwitz_zeta(s, x)), (first, s, x)
-            assert zeta._pass_constants.cache_info().misses == 1
-
-    def test_table_is_built_once_over_the_twelfths_grid(self):
-        zeta._pass_constants.cache_clear()
-        for w in itertools.product([F(k, 12) for k in range(13)], repeat=3):
-            bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w)))
-        info = zeta._pass_constants.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        assert info.hits > 2000
+            assert bits(lambda: zeta.hurwitz_zeta(x, target)) == \
+                bits(lambda: per_call_at_minus_one(x, target)), (x, target)
 
 
 TWELFTHS = list(itertools.product([F(k, 12) for k in range(13)], repeat=3))
@@ -242,25 +220,26 @@ class TestExactDomain:
 
 class TestDerivative:
     def test_glaisher_value(self):
-        got = zeta.hurwitz_zeta(-1, 1.0).derivative
+        got = zeta.hurwitz_zeta(1.0).derivative
         assert got == pytest.approx(ZETA_PRIME_MINUS1_AT_1, abs=1e-8)
 
     def test_spot_references(self):
         for x, ref in ZETA_PRIME_REF.items():
-            assert zeta.hurwitz_zeta(-1, x).derivative == pytest.approx(
+            assert zeta.hurwitz_zeta(x).derivative == pytest.approx(
                 ref, abs=1e-10)
 
     def test_reported_error_is_honest(self):
         for x, ref in ZETA_PRIME_REF.items():
-            z = zeta.hurwitz_zeta(-1, x)
+            z = zeta.hurwitz_zeta(x)
             assert abs(z.derivative - ref) <= z.derivative_error
 
     def test_central_finite_difference(self):
+        # zeta(-1 +- h, x) off s = -1 from the per-call body, general in s
         h = 1e-5
         for x in (0.4, 1.0, 1.7):
-            fd = (zeta.hurwitz_zeta(-1 + h, x, TIGHT).value
-                  - zeta.hurwitz_zeta(-1 - h, x, TIGHT).value) / (2 * h)
-            assert zeta.hurwitz_zeta(-1, x).derivative == pytest.approx(
+            fd = (per_call_hurwitz_zeta(-1 + h, x, TIGHT).value
+                  - per_call_hurwitz_zeta(-1 - h, x, TIGHT).value) / (2 * h)
+            assert zeta.hurwitz_zeta(x).derivative == pytest.approx(
                 fd, abs=1e-6)
 
 
@@ -281,8 +260,8 @@ class TestF:
         # tightening the target by 10x moves outputs by less than the coarse error
         for exp in (8, 9, 10, 11):
             for x in (0.3, 0.9, 1.4):
-                a = zeta.hurwitz_zeta(-1, x, 10.0**-exp)
-                b = zeta.hurwitz_zeta(-1, x, 10.0**-(exp + 1))
+                a = zeta.hurwitz_zeta(x, 10.0**-exp)
+                b = zeta.hurwitz_zeta(x, 10.0**-(exp + 1))
                 assert abs(a.value - b.value) <= a.error
 
     def test_policy_validation(self):
@@ -290,7 +269,7 @@ class TestF:
         inp = ZetaHeightInput(F(1, 2), F(1, 3), F(1, 5))
         for target in (0.0, -1e-12, math.nan):
             with pytest.raises(OutOfRange):
-                zeta.hurwitz_zeta(-1, 0.5, target)
+                zeta.hurwitz_zeta(0.5, target)
             with pytest.raises(OutOfRange):
                 zeta.p1_canonical_height(inp, target)
 
@@ -346,9 +325,9 @@ class TestP1CanonicalHeight:
         original = zeta.hurwitz_zeta
         calls = []
 
-        def spy(s, x, target=zeta.DEFAULT_TARGET):
-            calls.append((s, x))
-            return original(s, x, target)
+        def spy(x, target=zeta.DEFAULT_TARGET):
+            calls.append(x)
+            return original(x, target)
 
         monkeypatch.setattr(zeta, "hurwitz_zeta", spy)
         zeta.p1_canonical_height(ZetaHeightInput(*weights))
@@ -358,10 +337,6 @@ class TestP1CanonicalHeight:
         with pytest.raises(ZeroVolume):
             zeta.p1_canonical_height(
                 ZetaHeightInput(F(1), F(1, 2), F(1, 2)))
-
-    def test_semistable_advisory_flag(self):
-        assert zeta.p1_weights_semistable(ZetaHeightInput(F(1, 2), F(1, 2), F(1, 2)))
-        assert not zeta.p1_weights_semistable(ZetaHeightInput(F(2, 3), F(1, 4), F(0)))
 
     def test_weight_validation(self):
         with pytest.raises(OutOfRange):
