@@ -103,14 +103,14 @@ def hurwitz_zeta(x: float, target: float = DEFAULT_TARGET) -> ZetaValue:
         raise NonConvergence("Euler-Maclaurin tail bound above target")
 
     # the direct terms, then the integral, the half term and the Bernoulli terms
-    z = dz = mag_z = mag_dz = 0.0
+    z = dz = mag_dz = 0.0
     for k in range(n):
         y = k + x
         dt = -log(y) * y
         z += y
         dz += dt
-        mag_z += y
         mag_dz += abs(dt)
+    mag_z = z    # the direct terms y are positive
     pa = a ** 2.0
     th = 0.5 * a
     for t, dt in [(-pa / 2, pa * (la / 2 - 0.25)), (th, -la * th), (-_C1, _C1 * (1 + la))]:
