@@ -138,6 +138,20 @@ class TestStabilityPolytope:
                     for v in sp.vertices]
         assert supports == sorted(supports)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exact_first_vertex_is_semistable_of_the_degree(self, n):
+        # every rational root k/4 in (0, n+1]: the vertex the exact branch
+        # no longer checks has weight sum C < n+1, is semistable and has degree d
+        for k in range(1, 4 * (n + 1) + 1):
+            d = F(k, 4) ** n
+            sp = arr.stability_polytope(n, n + 2, d)
+            assert sp.c_exact and 0 <= sp.c_value < n + 1, (n, d)
+            first = sp.vertices[0]
+            assert first.weights[:n + 1] == (sp.c_value / (n + 1),) * (n + 1)
+            assert first.total() == sp.c_value
+            assert arr.is_arrangement_semistable(first), (n, d)
+            assert arr.arrangement_degree(first) == d, (n, d)
+
     def test_irrational_root_branch(self):
         sp = arr.stability_polytope(2, 4, 2)
         assert not sp.c_exact

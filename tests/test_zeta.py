@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
 import random
@@ -131,16 +132,49 @@ class TestConstantsOnce:
         zeta.p1_canonical_height(ZetaHeightInput(F(9, 10), F(9, 10), F(9, 10)), 1e-8)
         assert calls == []
 
+    def test_no_factorial_over_the_twelfths_grid(self, monkeypatch):
+        # dP/ds = -(2j-3)! and the tail's 15! are read from import-time constants
+        calls = []
+        original = math.factorial
+
+        def spy(k):
+            calls.append(k)
+            return original(k)
+
+        monkeypatch.setattr(math, "factorial", spy)
+        for w in itertools.product([F(k, 12) for k in range(13)], repeat=3):
+            bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w)))
+        assert calls == []
+
 
 class TestOneTablePerS:
     """The pass against the per-call body at s = -1: bit for bit where the
     heights call it, and on the arguments it refuses."""
 
-    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    @pytest.mark.parametrize("x", [math.inf, math.nan, 10**400, F(10**400, 3)],
+                             ids=["inf", "nan", "int-beyond-double", "fraction-beyond-double"])
     def test_non_finite_arguments_are_refused(self, x):
         with pytest.raises(DomainError, match="finite"):
             zeta.hurwitz_zeta(x)
         assert bits(lambda: zeta.hurwitz_zeta(x)) == bits(lambda: per_call_at_minus_one(x))
+
+    def test_signed_zeros_are_read_as_one(self):
+        # 0.0 == -0.0 and both are read as x = 1; the pass must not tell them apart
+        one = bits(lambda: zeta.hurwitz_zeta(1.0))
+        for x in (0.0, -0.0):
+            for target in (1e-6, 1e-12):
+                assert bits(lambda: zeta.hurwitz_zeta(x, target)) == \
+                    bits(lambda: zeta.hurwitz_zeta(1.0, target)) == \
+                    bits(lambda: per_call_at_minus_one(x, target)), (x, target)
+        assert bits(lambda: zeta.hurwitz_zeta(-0.0)) == one
+
+    def test_signature_is_x_then_target(self):
+        # f_value and the bench tracer pass (x, target) positionally; s is no argument
+        params = inspect.signature(zeta.hurwitz_zeta).parameters
+        assert list(params) == ["x", "target"]
+        assert params["target"].default == zeta.DEFAULT_TARGET
+        with pytest.raises(TypeError):
+            zeta.hurwitz_zeta(-1.0, 0.5, 1e-12)
 
     @pytest.mark.parametrize("target", [1e-6, 1e-8, 1e-10, 1e-12])
     def test_seeded_arguments_at_the_workload_targets(self, target):
@@ -354,3 +388,9 @@ class TestMabuchiConstant:
 
     def test_idempotent(self):
         assert zeta.mabuchi_p1_constant() == zeta.mabuchi_p1_constant()
+
+    def test_bits_of_the_closed_form(self):
+        # read off pn_height(1), the constant keeps the bits of -1 - log(pi)
+        got = zeta.mabuchi_p1_constant()
+        assert got.hex() == "-0x1.128682473d0dep+1"
+        assert got == -1 - math.log(math.pi)
