@@ -16,7 +16,8 @@ from fanokit.zeta import ZetaHeightInput
 print("zeta(-1, 1/2)   =", zeta.hurwitz_zeta(0.5).value, " (= 1/24)")
 print("zeta'(-1, 1)    =", zeta.hurwitz_zeta(1.0).derivative,
       " (= 1/12 - log A)")
-print("F(1) = -log A   =", zeta.f_value(1.0))
+z = zeta.hurwitz_zeta(1.0)
+print("F(1) = -log A   =", z.value + z.derivative)
 
 # the unweighted case recovers the Fubini-Study height of P^1
 rep = zeta.p1_canonical_height(ZetaHeightInput(F(0), F(0), F(0)))

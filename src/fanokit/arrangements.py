@@ -113,7 +113,7 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
     if m < 0:
         raise OutOfRange("m must be a nonnegative integer")
     d = Fraction(degree)
-    # d <= (n+1)^n in logarithms, n capped as in check_lead_range; the power is
+    # d <= (n+1)^n in logarithms, n capped as in universal_height_bound; the power is
     # formed only when the two logarithms lie within 1 of each other
     gap = min(n, 2**53) * math.log(n + 1) - _log_fraction(d) if d > 0 else -math.inf
     if not (gap > 1 or (gap >= -1 and d <= (n + 1) ** n)):

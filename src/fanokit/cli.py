@@ -26,12 +26,7 @@ from . import presets
 from . import sx_optimizer as sx
 from . import toric_heights as toric
 from . import zeta
-from .errors import (
-    FanokitError,
-    InputError,
-    MismatchBeyondTolerance,
-    NumericalError,
-)
+from .errors import FanokitError, InputError, NumericalError
 
 
 def _load_input(args) -> dict | None:
@@ -330,7 +325,7 @@ def _cmd_reproduce_paper(args, data) -> dict:
     all_pass = all(r["pass"] for r in rows)
     payload = {"rows": rows, "all_pass": all_pass}
     if not all_pass:
-        raise MismatchBeyondTolerance(jsonio.dumps(payload))
+        raise NumericalError(jsonio.dumps(payload))
     return payload
 
 

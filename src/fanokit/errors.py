@@ -76,8 +76,3 @@ class DomainError(InputError):
 class NonConvergence(NumericalError):
     """An iterative solve failed to bracket or converge."""
 
-
-# -- CLI --------------------------------------------------------------------
-
-class MismatchBeyondTolerance(NumericalError):
-    """A reproduction row differs from the reference value beyond tolerance."""

@@ -179,22 +179,13 @@ def _log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def check_lead_range(n: int, v: Fraction) -> None:
-    """OutOfRange when n >= 1, v > 0 and the lead (n+1)!/2 * v of a toric
-    height lies clearly beyond the double range: its logarithm, from lgamma
-    with no factorial, more than 1 above log(DBL_MAX).  A case nearer the
-    boundary is left to the exact test; n is capped at 2^53, which only
-    lowers the logarithm, so that it converts to a float."""
-    if n >= 1 and v > 0 and (math.lgamma(min(n, 2**53) + 2) - math.log(2) + _log_fraction(v)
-                             > math.log(sys.float_info.max) + 1):
-        raise OutOfRange("result exceeds the double-precision range")
-
-
 def _toric_height(n: int, v: Fraction, log_c: float, convention: Convention,
                   formula: str) -> HeightReport:
     """(n+1)!/2 * v * log(C / v) at poly-volume v; abs_error scales with
-    |log C| + |log v|, so it also covers a difference that cancels; v > 0."""
-    check_lead_range(n, v)   # before the factorial (n+1)!
+    |log C| + |log v|, so it also covers a difference that cancels; v > 0.
+    The P^n family needs no check of the lead: n passed ``_check_pn_n`` in
+    ``pn_poly_volume`` and v <= v_0, so the lead is at most (n+1)^{n+1}/2,
+    whose logarithm lies at least 0.79 below log(DBL_MAX)."""
     lead = _to_float(Fraction(math.factorial(n + 1), 2) * v)
     log_v = _log_fraction(v)
     return HeightReport(lead * (log_c - log_v), convention, formula,
@@ -202,12 +193,18 @@ def _toric_height(n: int, v: Fraction, log_c: float, convention: Convention,
 
 
 def universal_height_bound(n: int, v: Fraction) -> HeightReport:
-    """Universal bound (n+1)!/2 * v * log((2 pi^2)^n / v) at poly-volume v."""
+    """Universal bound (n+1)!/2 * v * log((2 pi^2)^n / v) at poly-volume v.
+    OutOfRange, before (n+1)! and n * log(2 pi^2), which overflows at n = 10^400,
+    when the lead's logarithm, from lgamma with n capped at 2^53 (which only
+    lowers it), is more than 1 above log(DBL_MAX); a case nearer the boundary
+    is left to the exact test."""
     if n < 1:
         raise OutOfRange("n must be a positive integer")
     if v <= 0:
         raise NonpositiveVolume("anticanonical volume must be positive")
-    check_lead_range(n, v)   # before n * log(2 pi^2), which overflows a float at n = 10^400
+    if (math.lgamma(min(n, 2**53) + 2) - math.log(2) + _log_fraction(v)
+            > math.log(sys.float_info.max) + 1):
+        raise OutOfRange("result exceeds the double-precision range")
     return _toric_height(n, v, n * math.log(2 * math.pi**2),
                          Convention.BOUND_ON_HEIGHT, "universal_toric_bound")
 

@@ -10,7 +10,9 @@ absolute error (default ``DEFAULT_TARGET``): the number of Bernoulli
 corrections is fixed, their coefficients and the tail's are computed once at
 import, and the number of directly summed terms grows until the tail bound
 meets the target.  The height formula needs F(x) = zeta(-1, x) +
-zeta'(-1, x), evaluated once per distinct argument of a height.  Its domain,
+zeta'(-1, x), evaluated once per distinct argument of a height, and bounds
+each F by max(2t + 256 eps, pass bound) at target t; the pass bound,
+error + derivative_error, is the larger only below t = 5.5e-13.  Its domain,
 2 w_i <= sum(w) for every i, is decided in integers before any F is
 evaluated, and on it the height is evaluated in real floats, past degree
 zero too (``p1_canonical_height`` has the proof).
@@ -49,11 +51,6 @@ DEFAULT_TARGET = 1e-12
 # N directly summed terms (doubled until the tail meets the target), M Bernoulli terms
 _SHIFT = 12
 _BERNOULLI_TERMS = 8
-# B_2j / (2j)! for j = 1..M, and |B_2M+2| / (2M+2)! of the certified tail
-_EM_COEFFS = tuple(float(bernoulli_number(2 * j)) / math.factorial(2 * j)
-                   for j in range(1, _BERNOULLI_TERMS + 1))
-_TAIL_COEFF = (abs(float(bernoulli_number(2 * _BERNOULLI_TERMS + 2)))
-               / math.factorial(2 * _BERNOULLI_TERMS + 2))
 
 
 class ZetaValue(NamedTuple):
@@ -66,13 +63,16 @@ class ZetaValue(NamedTuple):
 
 
 # At s = -1 the rising product P = s (s+1) ... (s+2j-2) of the j-th Bernoulli
-# term is 0 for j >= 2, with dP/ds = -(2j-3)!: past j = 1 a term adds
-# c_j a^(2-2j) dP/ds to the derivative alone, and the value's tail is zero.
+# term c_j = B_2j/(2j)! is 0 for j >= 2, with dP/ds = -(2j-3)!: past j = 1 a term
+# adds c_j a^(2-2j) dP/ds to the derivative alone, and the value's tail is zero.
 # The derivative's tail, from P of 2M+1 factors, is 2 |B_2M+2|/(2M+2)! (2M-1)! a^-2M.
-_C1 = _EM_COEFFS[0]
-_EM_DERIVATIVE_TERMS = tuple((c, -float(math.factorial(2 * j - 3)), 2.0 - 2 * j)
-                             for j, c in enumerate(_EM_COEFFS[1:], 2))
-_TAIL_DZ = 2 * _TAIL_COEFF * float(math.factorial(2 * _BERNOULLI_TERMS - 1))
+_C1 = float(bernoulli_number(2)) / math.factorial(2)
+_EM_DERIVATIVE_TERMS = tuple((float(bernoulli_number(2 * j)) / math.factorial(2 * j),
+                              -float(math.factorial(2 * j - 3)), 2.0 - 2 * j)
+                             for j in range(2, _BERNOULLI_TERMS + 1))
+_TAIL_DZ = (2 * (abs(float(bernoulli_number(2 * _BERNOULLI_TERMS + 2)))
+                 / math.factorial(2 * _BERNOULLI_TERMS + 2))
+            * float(math.factorial(2 * _BERNOULLI_TERMS - 1)))
 _TAIL_EXP = -2.0 * _BERNOULLI_TERMS
 
 
@@ -125,12 +125,6 @@ def hurwitz_zeta(x: float, target: float = DEFAULT_TARGET) -> ZetaValue:
     return ZetaValue(z, dz, 8 * _EPS * mag_z, err_dz + 8 * _EPS * mag_dz)
 
 
-def f_value(x: float, target: float = DEFAULT_TARGET) -> float:
-    """F(x) = zeta(-1, x) + zeta'(-1, x) for x >= 0; F(0) = F(1)."""
-    z = hurwitz_zeta(x, target)
-    return z.value + z.derivative
-
-
 @dataclass(frozen=True)
 class ZetaHeightInput:
     """Three marked-point weights on P^1; V = 2 - sum(w) is the degree of
@@ -172,7 +166,8 @@ def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) ->
     The one negative argument left, V/2 when V < 0, enters by the shift
     F(x) = F(x+1) + x - x Log x, whose imaginary part -pi V/2 cancels against
     -(1/2) Log(V/2): -pi/2 + pi (V/2)/V = 0.  So the height is the sum of the
-    real parts (log|x| for Log x); for V < 0 on the continuation branch.
+    real parts (log|x| for Log x); for V < 0 on the continuation branch.  Each F
+    is bounded by max(2t + 256 eps, error + derivative_error of its pass) at target t.
     """
     (n1, d1), (n2, d2), (n3, d3) = (w.as_integer_ratio() for w in inp.weights)
     parts = (n1 * d2 * d3, n2 * d1 * d3, n3 * d1 * d2)
@@ -185,21 +180,23 @@ def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) ->
         raise ZeroVolume("V = 2 - sum(w) must be nonzero")
     h = v / 2
 
-    # F on [0, inf), keyed on the argument hurwitz_zeta sees: one pass each
-    memo: dict[float, float] = {}
+    # F on [0, inf) and its bound, keyed on the argument hurwitz_zeta sees: one pass each
+    memo: dict[float, tuple[float, float]] = {}
 
     def f(x: float) -> tuple[float, float]:
         # F continued to x >= -1/2 (real part below 0), and its error bound
         y = (x if x >= 0 else x + 1.0) or 1.0    # F(0) = F(1)
         if y not in memo:
-            memo[y] = f_value(y, target)
-        # both summands honor the target; rounding contributes ~1e2 eps
-        err = 2 * target + 256 * _EPS
+            z = hurwitz_zeta(y, target)
+            # both summands honor the target and rounding is ~1e2 eps, unless the pass says more
+            memo[y] = (z.value + z.derivative,
+                       max(2 * target + 256 * _EPS, z.error + z.derivative_error))
+        fy, err = memo[y]
         if x >= 0:
-            return memo[y], err
+            return fy, err
         # the shift zeta(s,x) = x^{-s} + zeta(s,x+1) and its s-derivative at s = -1
         log_x = math.log(-x)
-        return memo[y] + x - x * log_x, err + 8 * _EPS * abs(x) * (1 + math.hypot(log_x, math.pi))
+        return fy + x - x * log_x, err + 8 * _EPS * abs(x) * (1 + math.hypot(log_x, math.pi))
 
     total = err = 0.0
     for a, b in [(0.0, h)] + [(float(w), float(w) + h) for w in inp.weights]:

@@ -892,8 +892,6 @@ OPERATION_COVERAGE = [
      ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),
     ("fanokit.zeta", "hurwitz_zeta",
      ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),
-    ("fanokit.zeta", "f_value",
-     ["p1-zeta-height", "--json", '{"weights": ["1/2", "1/2", "0"]}']),
     ("fanokit.zeta", "mabuchi_p1_constant", ["reproduce-paper"]),
     ("fanokit.arrangements", "hypersimplex_decomposition",
      ["arrangement-bound", "--json", '{"n": 1, "weights": ["1/2", "1/2", "1/2"]}']),

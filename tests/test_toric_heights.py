@@ -371,6 +371,14 @@ class TestToricFamilyHeight:
             fam = th.pn_family_height(n, th.pn_poly_volume(n), self.RAW, "family")
             assert fam.value == pytest.approx(th.pn_height(n).value, rel=1e-13)
 
+    def test_answers_at_every_n_pn_height_answers(self):
+        # no range check before the lead: it is at most (n+1)^{n+1}/2 < DBL_MAX
+        for n in range(1, 142):
+            fam = th.pn_family_height(n, th.pn_poly_volume(n), self.RAW, "family")
+            assert fam.value == pytest.approx(th.pn_height(n).value, rel=1e-13), n
+        with pytest.raises(OutOfRange, match="double-precision range"):
+            th.pn_family_height(142, th.pn_poly_volume(142), self.RAW, "family")
+
     def test_range(self):
         for n in (1, 2, 5):
             v0 = th.pn_poly_volume(n)

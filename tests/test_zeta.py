@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from fanokit import toric_heights as th
@@ -169,7 +170,7 @@ class TestOneTablePerS:
         assert bits(lambda: zeta.hurwitz_zeta(-0.0)) == one
 
     def test_signature_is_x_then_target(self):
-        # f_value and the bench tracer pass (x, target) positionally; s is no argument
+        # the height and the bench tracer pass (x, target) positionally; s is no argument
         params = inspect.signature(zeta.hurwitz_zeta).parameters
         assert list(params) == ["x", "target"]
         assert params["target"].default == zeta.DEFAULT_TARGET
@@ -230,7 +231,9 @@ class TestExactDomain:
             return False
         return sum(w) != 2
 
-    @pytest.mark.parametrize("target", TARGETS)
+    # the complex reference charges each F 2t + 256 eps, which the height's bound
+    # takes at every target from 5.5e-13 up
+    @pytest.mark.parametrize("target", [1e-6, 1e-8, 1e-10, 1e-12])
     def test_twelfths_refused_off_the_locus_and_bit_identical_on_it(self, target):
         grid = [w for w in TWELFTHS if self.answered(w, target)]
         assert len(grid) == 1014
@@ -250,6 +253,73 @@ class TestExactDomain:
                 ref = complex_p1_canonical_height(inp, target)
                 assert got.abs_error == ref.abs_error, w
                 assert abs(got.value - ref.value) <= 4 * math.ulp(ref.value), w
+
+
+@functools.lru_cache(maxsize=None)
+def mp_big_f(x: F):
+    """F(x) in mpmath, continued below 0 by zeta(s, x) = x^-s + zeta(s, x + 1); F(0) = F(1)."""
+    xm = mpmath.mpf(x.numerator) / x.denominator
+    if x < 0:
+        return mp_big_f(x + 1) + xm - xm * mpmath.log(mpmath.mpc(xm))
+    xm = xm or mpmath.mpf(1)
+    return mpmath.mpc(mpmath.zeta(-1, xm) + mpmath.zeta(-1, xm, 1))
+
+
+def mp_p1_height(w):
+    """The height formula in complex mpmath at 60 digits, every F from mpmath.zeta."""
+    with mpmath.workdps(60):
+        v = 2 - sum(w)
+        h = v / 2
+        total = sum((mp_big_f(b) - mp_big_f(a)) + (mp_big_f(1 - b) - mp_big_f(1 - a))
+                    for a, b in [(F(0), h)] + [(wi, wi + h) for wi in w])
+        vm = mpmath.mpf(v.numerator) / v.denominator
+        bracket = (1 + mpmath.log(mpmath.pi) - mpmath.log(mpmath.mpc(vm / 2))) / 2 - total / vm
+        return (2 * vm * bracket).real
+
+
+def assert_bound_covers_mpmath(w, target):
+    rep = zeta.p1_canonical_height(ZetaHeightInput(*w), target)
+    ref = mp_p1_height(w)
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(rep.value) - ref) <= rep.abs_error, \
+            (w, target, rep, mpmath.nstr(ref, 20))
+
+
+class TestBoundCoversTheValue:
+    """Below a target of 5.5e-13 the passes' own bounds, which grow with their
+    direct terms, outgrow 2t + 256 eps; the height's abs_error takes them."""
+
+    TARGETS = (1e-13, 1e-14, 1e-20, 1e-30, 1e-50, 1e-70)
+
+    @staticmethod
+    def seeded_on_the_locus(count):
+        rng = random.Random(44)
+        triples = []
+        while len(triples) < count:
+            w = tuple(F(rng.randint(0, 997), 997) for _ in range(3))
+            if not off_domain(w) and sum(w) != 2:
+                triples.append(w)
+        return triples
+
+    @pytest.mark.parametrize("target", [1e-30, 1e-50, 1e-70])
+    def test_one_third_one_quarter_one_fifth(self, target):
+        # 1.6e-4 off at 1e-70 with the bound 2t + 256 eps per F, 1.8e-12 in all
+        assert_bound_covers_mpmath((F(1, 3), F(1, 4), F(1, 5)), target)
+
+    @pytest.mark.parametrize("k", range(len(TARGETS)), ids=[str(t) for t in TARGETS])
+    def test_seeded_997ths(self, k):
+        # ten triples per target, sixty in all
+        for w in self.seeded_on_the_locus(10 * len(self.TARGETS))[k::len(self.TARGETS)]:
+            assert_bound_covers_mpmath(w, self.TARGETS[k])
+
+    def test_pass_bound_is_the_larger_only_below_5_5e_13(self):
+        # the arguments a height reads lie in [0, 3/2]; from a target of 1.2e-19 up a
+        # pass sums 12 direct terms, so its bound is the same at every such target
+        grid = [k / 4096 for k in range(3 * 2048 + 1)]
+        for target, larger in [(1e-6, False), (1e-12, False), (5.5e-13, False), (1e-13, True)]:
+            fixed = 2 * target + 256 * 2.0**-52
+            passes = [zeta.hurwitz_zeta(x, target) for x in grid]
+            assert any(z.error + z.derivative_error > fixed for z in passes) == larger, target
 
 
 class TestDerivative:
@@ -277,18 +347,23 @@ class TestDerivative:
                 fd, abs=1e-6)
 
 
+def big_f(x: float, target: float = zeta.DEFAULT_TARGET) -> float:
+    """F(x) = zeta(-1, x) + zeta'(-1, x), summed as the height sums it."""
+    z = zeta.hurwitz_zeta(x, target)
+    return z.value + z.derivative
+
+
 class TestF:
     def test_f_at_one(self):
-        assert zeta.f_value(1.0) == pytest.approx(F_AT_1, abs=1e-10)
+        assert big_f(1.0) == pytest.approx(F_AT_1, abs=1e-10)
 
     def test_f_zero_equals_f_one(self):
-        assert zeta.f_value(0.0) == zeta.f_value(1.0)
+        assert big_f(0.0) == big_f(1.0)
 
     def test_stability_across_policies(self):
         for k in range(1, 10):
             x = k / 10
-            assert zeta.f_value(x, 1e-10) == pytest.approx(
-                zeta.f_value(x, 1e-13), abs=1e-9)
+            assert big_f(x, 1e-10) == pytest.approx(big_f(x, 1e-13), abs=1e-9)
 
     def test_policy_convergence_monotone(self):
         # tightening the target by 10x moves outputs by less than the coarse error
