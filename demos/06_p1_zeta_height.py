@@ -12,7 +12,8 @@ from fanokit import toric_heights as th
 from fanokit import zeta
 from fanokit.zeta import ZetaHeightInput
 
-# building blocks
+# building blocks: zeta(-1, x) in closed form and zeta'(-1, x) from one power
+# series, each within a few eps (1/12 - log A = -0.1654211437004509292...)
 print("zeta(-1, 1/2)   =", zeta.hurwitz_zeta(0.5).value, " (= 1/24)")
 print("zeta'(-1, 1)    =", zeta.hurwitz_zeta(1.0).derivative,
       " (= 1/12 - log A)")

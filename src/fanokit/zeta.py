@@ -1,19 +1,24 @@
-"""Hurwitz zeta machinery and the closed-form canonical height of the
+"""Hurwitz zeta at s = -1 and the closed-form canonical height of the
 projective line with three weighted marked points.
 
-``hurwitz_zeta`` is the one Euler-Maclaurin routine, at the one s the
-heights read, s = -1: a single pass gives zeta(-1, x), its s-derivative and
-an error bound on each, the certified Bernoulli tail remainder plus an
-accumulated rounding estimate.  At s = -1 the value's tail is zero, so its
-bound is the rounding estimate alone.  Its one precision input is a target
-absolute error (default ``DEFAULT_TARGET``): the number of Bernoulli
-corrections is fixed, their coefficients and the tail's are computed once at
-import, and the number of directly summed terms grows until the tail bound
-meets the target.  The height formula needs F(x) = zeta(-1, x) +
-zeta'(-1, x), evaluated once per distinct argument of a height, and bounds
-each F by max(2t + 256 eps, pass bound) at target t; the pass bound,
-error + derivative_error, is the larger only below t = 5.5e-13.  Its domain,
-2 w_i <= sum(w) for every i, is decided in integers before any F is
+``hurwitz_zeta(x, target)`` gives zeta(-1, x) = -(x^2 - x + 1/6)/2 and, for
+0 <= x <= 2, zeta'(-1, x) from one series.  Its x-derivative is log Gamma(x)
++ x - 1/2 - log(2 pi)/2; with log Gamma(3/2 + u) expanded (Abramowitz-Stegun
+6.4) and integrated term by term, T_k = zeta(k, 3/2) = (2^k - 1) zeta(k) - 2^k:
+
+  zeta'(-1, 3/2 + u) = zeta'(-1, 3/2) + (1 - 3/2 log 2) u
+      + (3 - gamma - 2 log 2)/2 u^2 + sum_{k >= 2} (-1)^k T_k u^(k+1) / (k (k+1)),
+
+summed at |u| <= 1/2, on [0, 1) after zeta'(-1, x) = zeta'(-1, x + 1) - x log x.
+The coefficients, Euler's gamma and zeta'(-1, 3/2) come from one table of
+zeta(k) in integers (P. Borwein, CMS Conf. Proc. 27, 2000), built on first
+use.  Each error bound is the series' tail plus the rounding of a fixed
+operation count, a few eps; the target is checked and moves no bit.
+
+The height formula needs F(x) = zeta(-1, x) + zeta'(-1, x), evaluated once
+per distinct argument of a height, and bounds each F by max(2t + 256 eps,
+error + derivative_error) at target t, which is 2t + 256 eps at every t.  Its
+domain, 2 w_i <= sum(w) for every i, is decided in integers before any F is
 evaluated, and on it the height is evaluated in real floats, past degree
 zero too (``p1_canonical_height`` has the proof).
 """
@@ -23,34 +28,15 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .errors import DomainError, NonConvergence, OutOfRange, ZeroVolume
+from .errors import DomainError, OutOfRange, ZeroVolume
 from .toric_heights import Convention, HeightReport, pn_height
 
 _EPS = sys.float_info.epsilon
 
-
-@lru_cache(maxsize=None)
-def bernoulli_number(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (B_1 = -1/2 convention)."""
-    if m == 0:
-        return Fraction(1)
-    if m == 1:
-        return Fraction(-1, 2)
-    if m % 2:
-        return Fraction(0)
-    acc = Fraction(0)
-    for k in range(m):
-        acc += math.comb(m + 1, k) * bernoulli_number(k)
-    return -acc / (m + 1)
-
-
 DEFAULT_TARGET = 1e-12
-# N directly summed terms (doubled until the tail meets the target), M Bernoulli terms
-_SHIFT = 12
-_BERNOULLI_TERMS = 8
 
 
 class ZetaValue(NamedTuple):
@@ -62,25 +48,58 @@ class ZetaValue(NamedTuple):
     derivative_error: float
 
 
-# At s = -1 the rising product P = s (s+1) ... (s+2j-2) of the j-th Bernoulli
-# term c_j = B_2j/(2j)! is 0 for j >= 2, with dP/ds = -(2j-3)!: past j = 1 a term
-# adds c_j a^(2-2j) dP/ds to the derivative alone, and the value's tail is zero.
-# The derivative's tail, from P of 2M+1 factors, is 2 |B_2M+2|/(2M+2)! (2M-1)! a^-2M.
-_C1 = float(bernoulli_number(2)) / math.factorial(2)
-_EM_DERIVATIVE_TERMS = tuple((float(bernoulli_number(2 * j)) / math.factorial(2 * j),
-                              -float(math.factorial(2 * j - 3)), 2.0 - 2 * j)
-                             for j in range(2, _BERNOULLI_TERMS + 1))
-_TAIL_DZ = (2 * (abs(float(bernoulli_number(2 * _BERNOULLI_TERMS + 2)))
-                 / math.factorial(2 * _BERNOULLI_TERMS + 2))
-            * float(math.factorial(2 * _BERNOULLI_TERMS - 1)))
-_TAIL_EXP = -2.0 * _BERNOULLI_TERMS
+# the table's fixed-point scale and its last k
+_BITS, _ZETA_KMAX = 128, 40
+
+
+def _zeta_table() -> dict[int, int]:
+    """zeta(k) 2^_BITS within 2^8, k = 2.._ZETA_KMAX, by Borwein's algorithm 2:
+    (1 - 2^(1-k)) zeta(k) = sum_{j<n} (-1)^j (1 - d_j/d_n) / (j+1)^k, d_j = n
+    sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!); the n terms lose 2 units each, and
+    n = 56 leaves Borwein's error 3 (3 + sqrt 8)^-n / (1 - 2^(1-k)) below 2^-138."""
+    n, d = 56, [0]
+    for i in range(n + 1):
+        d.append(d[-1] + n * math.factorial(n + i - 1) * 4**i
+                 // (math.factorial(n - i) * math.factorial(2 * i)))
+    weights = [(-1) ** j * (((d[-1] - d[j + 1]) << _BITS) // d[-1]) for j in range(n)]
+    return {k: (sum(c // (j + 1) ** k for j, c in enumerate(weights)) << (k - 1))
+            // ((1 << (k - 1)) - 1) for k in range(2, _ZETA_KMAX + 1)}
+
+
+@lru_cache(maxsize=None)
+def _series() -> tuple[tuple[float, ...], float]:
+    """The coefficients of zeta'(-1, 3/2 + u) in u, highest degree first, each
+    the double nearest its fixed-point value, and a bound on the error of their
+    Horner sum at |u| <= 1/2; built once, on first use."""
+    one, z = 1 << _BITS, _zeta_table()
+    log2 = sum((2 * one) // ((2 * j + 1) * 3 ** (2 * j + 1)) for j in range(60))  # 2 atanh(1/3)
+    t = {k: ((1 << k) - 1) * zk - (one << k) for k, zk in z.items()}
+    s = sum((zk - one - (one >> k)) // k for k, zk in z.items())
+    a1 = one - 3 * log2 // 2
+    a2 = (3 * one // 2 - log2 + s) // 2
+    # at x = 1, zeta'(-1) = a0 + Q(-1/2) with Q the series less a0, and the
+    # multiplication formula and the shift give a0 = -13/24 log 2 - zeta'(-1)/2
+    q = a2 // 4 - a1 // 2 - sum(tk // (k * (k + 1) << (k + 1)) for k, tk in t.items())
+    a0 = -13 * log2 // 36 - q // 3
+    # past a last term K, T_k <= T_(K+1) (2/3)^(k-K-1), so the tail at |u| <= 1/2 is
+    # at most 3/2 T_(K+1) 2^-(K+2) / ((K+1)(K+2)); K is the first that puts it below 2^-60
+    k = 2
+    while (tail := 3 * t[k + 1] / (2 * (k + 1) * (k + 2) << (k + 2 + _BITS))) > 2.0**-60:
+        k += 1
+    coeffs = tuple((-1) ** j * t[j] / (j * (j + 1) << _BITS) for j in range(k, 1, -1))
+    coeffs += (a2 / one, a1 / one, a0 / one)
+    # Horner's degree-i term carries at most (2i+1) u + u for its own rounding
+    # (Higham 2002, eq. 5.3), u = eps/2; the rounding of u = x - 1/2 below
+    # x = 1/4, within 2^-55, moves zeta'(-1, x + 1) by 0.6 of that at most
+    rounding = 1.01 * _EPS * sum((i + 1) * abs(c) / 2**i for i, c in enumerate(coeffs[::-1]))
+    return coeffs, tail + rounding + 2.0**-56
 
 
 def hurwitz_zeta(x: float, target: float = DEFAULT_TARGET) -> ZetaValue:
-    """zeta(-1, x) and d/ds zeta(s, x) at s = -1 for finite x >= 0 (x = 0 via
-    zeta(-1, 1), the continuation value used throughout), from one
-    Euler-Maclaurin pass differentiated term by term whose certified tail
-    meets the target absolute error."""
+    """zeta(-1, x) and d/ds zeta(s, x) at s = -1 for finite 0 <= x <= 2 (x = 0
+    via zeta(-1, 1), the continuation value used throughout), each with a
+    certified error bound, the same at every positive finite target.  An x
+    above 2 is refused (OutOfRange)."""
     if not 0 < target < math.inf:
         raise OutOfRange("target must be positive and finite")
     if x < 0:
@@ -91,38 +110,18 @@ def hurwitz_zeta(x: float, target: float = DEFAULT_TARGET) -> ZetaValue:
         raise DomainError("x must be finite") from None
     if not math.isfinite(x):
         raise DomainError("x must be finite")
-    log, n = math.log, _SHIFT
-    while True:
-        a = n + x
-        la = log(a)
-        err_dz = _TAIL_DZ * a ** _TAIL_EXP
-        if err_dz <= target or n >= 1 << 14:
-            break
-        n *= 2
-    if err_dz > target:
-        raise NonConvergence("Euler-Maclaurin tail bound above target")
-
-    # the direct terms, then the integral, the half term and the Bernoulli terms
-    z = dz = mag_dz = 0.0
-    for k in range(n):
-        y = k + x
-        dt = -log(y) * y
-        z += y
-        dz += dt
-        mag_dz += abs(dt)
-    mag_z = z    # the direct terms y are positive
-    pa = a ** 2.0
-    th = 0.5 * a
-    for t, dt in [(-pa / 2, pa * (la / 2 - 0.25)), (th, -la * th), (-_C1, _C1 * (1 + la))]:
-        z += t
-        dz += dt
-        mag_z += abs(t)
-        mag_dz += abs(dt)
-    for c, dp, e in _EM_DERIVATIVE_TERMS:
-        dt = c * a ** e * dp
-        dz += dt
-        mag_dz += abs(dt)
-    return ZetaValue(z, dz, 8 * _EPS * mag_z, err_dz + 8 * _EPS * mag_dz)
+    if x > 2:
+        raise OutOfRange("x must be at most 2")
+    coeffs, dz_err = _series()
+    u = x - 1.5 if x >= 1 else x - 0.5
+    dz = 0.0
+    for c in coeffs:
+        dz = dz * u + c
+    if x < 1:
+        t = x * math.log(x)
+        dz -= t
+        dz_err += _EPS * (2 * abs(t) + abs(dz))
+    return ZetaValue((x - x * x - 1 / 6) / 2, dz, _EPS * (x * x + x + 1 / 6), dz_err)
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ class ZetaHeightInput:
     def weights(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.w1, self.w2, self.w3)
 
-    @property
+    @cached_property
     def v(self) -> Fraction:
         return 2 - (self.w1 + self.w2 + self.w3)
 
@@ -188,7 +187,7 @@ def p1_canonical_height(inp: ZetaHeightInput, target: float = DEFAULT_TARGET) ->
         y = (x if x >= 0 else x + 1.0) or 1.0    # F(0) = F(1)
         if y not in memo:
             z = hurwitz_zeta(y, target)
-            # both summands honor the target and rounding is ~1e2 eps, unless the pass says more
+            # each summand errs by a few eps; the charge keeps the target's 2t + 256 eps
             memo[y] = (z.value + z.derivative,
                        max(2 * target + 256 * _EPS, z.error + z.derivative_error))
         fy, err = memo[y]

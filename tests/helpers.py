@@ -13,7 +13,7 @@ generation, the simplex difference (a Delta_n - 1) \\
 (b Delta_n - 1) and its closed-form barycenter, lattice subpolygons and a
 GL(2, Z) normal form, a floating-point half-space clipper used to
 sample candidate cuts independently of the exact kernel, the Hurwitz zeta
-pass that rebuilds its Euler-Maclaurin constants on every call, the
+by an Euler-Maclaurin pass general in s, with its own Bernoulli numbers, the
 three-point P^1 height in complex floats, the P^n
 height with H_n summed term by term in ``Fraction``, and the
 hypersimplex peeling in ``Fraction`` arithmetic."""
@@ -25,6 +25,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -35,14 +36,13 @@ from fanokit.errors import (
     DegeneratePolytope,
     DomainError,
     EmptyIntersection,
-    NonConvergence,
     NumericalError,
     OutOfRange,
     UnboundedPolytope,
     ZeroVolume,
 )
 from fanokit.toric_heights import Convention, HeightReport, _check_pn_n, _ulp_error
-from fanokit.zeta import ZetaValue, bernoulli_number
+from fanokit.zeta import ZetaValue
 
 
 def dot(u, v) -> Fraction:
@@ -532,6 +532,25 @@ class FloatClipper:
         return float(tetra.sum()), moment
 
 
+@lru_cache(maxsize=None)
+def bernoulli_number(m: int) -> Fraction:
+    """Exact Bernoulli number B_m (B_1 = -1/2 convention)."""
+    if m == 0:
+        return Fraction(1)
+    if m == 1:
+        return Fraction(-1, 2)
+    if m % 2:
+        return Fraction(0)
+    acc = Fraction(0)
+    for k in range(m):
+        acc += math.comb(m + 1, k) * bernoulli_number(k)
+    return -acc / (m + 1)
+
+
+class NonConvergence(NumericalError):
+    """The Euler-Maclaurin tail bound stays above the target within 2^14 direct terms."""
+
+
 def _rising_with_derivative(s: float, m: int) -> tuple[float, float]:
     """(P, dP/ds) for P = s (s+1) ... (s+m-1); safe at zeros of P."""
     p, dp = 1.0, 0.0
@@ -541,7 +560,8 @@ def _rising_with_derivative(s: float, m: int) -> tuple[float, float]:
 
 
 def per_call_hurwitz_zeta(s: float, x: float, target: float = 1e-12) -> ZetaValue:
-    """Reference for ``zeta.hurwitz_zeta``: the same Euler-Maclaurin pass,
+    """Reference for ``zeta.hurwitz_zeta``, general in s: one Euler-Maclaurin
+    pass with 8 Bernoulli corrections whose certified tail meets the target,
     which converts the Bernoulli numbers, forms the factorials and reruns
     each rising product on every call, and adds through a closure."""
     if not 0 < target < math.inf:

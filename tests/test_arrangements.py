@@ -417,6 +417,44 @@ class TestIntegerPeel:
         assert kinds == {arr.ToricReduction, NotSemistable, NotFano}
 
 
+class TestPeelAtScale:
+    """The heap-kept peel against the sorting peel of the Fraction oracle on
+    larger points with many ties, and on many weights within a second."""
+
+    @staticmethod
+    def tied_point(rng: random.Random, m: int, k: int) -> list[F]:
+        # entries in steps of 1/den, most from three shared levels, pushed to sum k
+        den = rng.choice([3, 5, 12, 60])
+        levels = [F(rng.randint(0, den), den) for _ in range(3)]
+        mu = [rng.choice(levels) if rng.random() < 0.6 else F(rng.randint(0, den), den)
+              for _ in range(m)]
+        while sum(mu) != k:
+            i = rng.randrange(m)
+            mu[i] = min(F(1), max(F(0), mu[i] + k - sum(mu)))
+        return mu
+
+    def test_seeded_tied_points(self):
+        rng = random.Random(46)
+        for _ in range(150):
+            m = rng.randint(8, 40)
+            k = rng.randint(1, m)
+            TestIntegerPeel.check(self.tied_point(rng, m, k), k)
+
+    def test_equal_weights(self):
+        for m, k in [(200, 2), (301, 3), (150, 143)]:
+            TestIntegerPeel.check([F(k, m)] * m, k)
+
+    @pytest.mark.parametrize("n, m", [(1, 8000), (141, 8000)])
+    def test_many_equal_weights_within_a_second(self, n, m):
+        # a sort of all m entries per peel took 10.7 s for 8,000 weights at n = 1
+        w = WeightVector(n, (F(n + F(1, 2), m),) * m)
+        start = time.perf_counter()
+        red = arr.reduce_to_toric(w)
+        assert time.perf_counter() - start < 1.0
+        assert sum(c for _, c in red.decomposition) == 1
+        assert all(len(support) == n + 1 for support, _ in red.decomposition)
+
+
 class TestUncheckedVertices:
     """stability_polytope checks its first vertex and builds the others,
     its permutations, without WeightVector's checks."""

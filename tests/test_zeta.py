@@ -3,12 +3,17 @@ import functools
 import inspect
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from fanokit import jsonio
 from fanokit import toric_heights as th
 from fanokit import zeta
 from fanokit.errors import DomainError, OutOfRange, ZeroVolume
@@ -59,11 +64,6 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             zeta.hurwitz_zeta(-0.5)
 
-    def test_deep_target_within_the_sum_ceiling(self):
-        # 1e-70 is met below the 2^14 terms the direct sum may take; 1e-100 is
-        # refused at once (tests/test_cli.py, TestFormerFailures)
-        assert zeta.hurwitz_zeta(0.5, 1e-70).value == pytest.approx(1 / 24, abs=1e-15)
-
     def test_recurrence(self):
         # zeta(-1, x) = x + zeta(-1, x + 1)
         for k in range(1, 11):
@@ -88,76 +88,14 @@ def bits(call):
     return tuple(v.hex() if isinstance(v, float) else v for v in fields)
 
 
-# the generic per-call pass at s = -1, called as zeta.hurwitz_zeta is
-per_call_at_minus_one = functools.partial(per_call_hurwitz_zeta, -1.0)
-
-
-class TestConstantsOnce:
-    """The pass with its s = -1 Euler-Maclaurin constants built at import
-    against the per-call body that rebuilt them for a general s: every
-    output bit for bit."""
-
-    TARGETS = (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-30, 1e-50)
-
-    def test_pass_matches_the_per_call_body(self):
-        for k, target in itertools.product(range(97), self.TARGETS):
-            x = k / 24
-            assert bits(lambda: zeta.hurwitz_zeta(x, target)) == \
-                bits(lambda: per_call_at_minus_one(x, target)), (x, target)
-
-    def test_guards_match_the_per_call_body(self):
-        for args in [(0.5, 0.0), (0.5, math.inf), (0.5, -1.0), (-0.5,), (0.5, 1e-100),
-                     # beyond the double range: float() overflows, refused as non-finite
-                     (10**400,), (F(10**400, 3),)]:
-            got = bits(lambda: zeta.hurwitz_zeta(*args))
-            assert got == bits(lambda: per_call_at_minus_one(*args))
-            assert isinstance(got[0], type), args
-
-    def test_heights_on_the_twelfths_grid(self, monkeypatch):
-        grid = list(itertools.product([F(k, 12) for k in range(13)], repeat=3))
-        new = [bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w))) for w in grid]
-        monkeypatch.setattr(zeta, "hurwitz_zeta", per_call_at_minus_one)
-        old = [bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w))) for w in grid]
-        assert new == old
-
-    def test_no_bernoulli_number_after_import(self, monkeypatch):
-        calls = []
-        original = zeta.bernoulli_number
-
-        def spy(m):
-            calls.append(m)
-            return original(m)
-
-        monkeypatch.setattr(zeta, "bernoulli_number", spy)
-        zeta.p1_canonical_height(ZetaHeightInput(F(1, 2), F(1, 3), F(1, 5)))
-        zeta.p1_canonical_height(ZetaHeightInput(F(9, 10), F(9, 10), F(9, 10)), 1e-8)
-        assert calls == []
-
-    def test_no_factorial_over_the_twelfths_grid(self, monkeypatch):
-        # dP/ds = -(2j-3)! and the tail's 15! are read from import-time constants
-        calls = []
-        original = math.factorial
-
-        def spy(k):
-            calls.append(k)
-            return original(k)
-
-        monkeypatch.setattr(math, "factorial", spy)
-        for w in itertools.product([F(k, 12) for k in range(13)], repeat=3):
-            bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w)))
-        assert calls == []
-
-
 class TestOneTablePerS:
-    """The pass against the per-call body at s = -1: bit for bit where the
-    heights call it, and on the arguments it refuses."""
+    """The arguments the series refuses, and the ones it reads as another."""
 
     @pytest.mark.parametrize("x", [math.inf, math.nan, 10**400, F(10**400, 3)],
                              ids=["inf", "nan", "int-beyond-double", "fraction-beyond-double"])
     def test_non_finite_arguments_are_refused(self, x):
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(DomainError, match="^x must be finite$"):
             zeta.hurwitz_zeta(x)
-        assert bits(lambda: zeta.hurwitz_zeta(x)) == bits(lambda: per_call_at_minus_one(x))
 
     def test_signed_zeros_are_read_as_one(self):
         # 0.0 == -0.0 and both are read as x = 1; the pass must not tell them apart
@@ -165,9 +103,14 @@ class TestOneTablePerS:
         for x in (0.0, -0.0):
             for target in (1e-6, 1e-12):
                 assert bits(lambda: zeta.hurwitz_zeta(x, target)) == \
-                    bits(lambda: zeta.hurwitz_zeta(1.0, target)) == \
-                    bits(lambda: per_call_at_minus_one(x, target)), (x, target)
+                    bits(lambda: zeta.hurwitz_zeta(1.0, target)), (x, target)
         assert bits(lambda: zeta.hurwitz_zeta(-0.0)) == one
+
+    @pytest.mark.parametrize("x", [2.0000000000000004, 3, F(5, 2), 1e300],
+                             ids=["next-double", "int", "fraction", "1e300"])
+    def test_x_above_two_is_refused(self, x):
+        with pytest.raises(OutOfRange, match="^x must be at most 2$"):
+            zeta.hurwitz_zeta(x)
 
     def test_signature_is_x_then_target(self):
         # the height and the bench tracer pass (x, target) positionally; s is no argument
@@ -176,13 +119,6 @@ class TestOneTablePerS:
         assert params["target"].default == zeta.DEFAULT_TARGET
         with pytest.raises(TypeError):
             zeta.hurwitz_zeta(-1.0, 0.5, 1e-12)
-
-    @pytest.mark.parametrize("target", [1e-6, 1e-8, 1e-10, 1e-12])
-    def test_seeded_arguments_at_the_workload_targets(self, target):
-        rng = random.Random(38)
-        for x in (rng.uniform(0.0, 3.0) for _ in range(2000)):
-            assert bits(lambda: zeta.hurwitz_zeta(x, target)) == \
-                bits(lambda: per_call_at_minus_one(x, target)), (x, target)
 
 
 TWELFTHS = list(itertools.product([F(k, 12) for k in range(13)], repeat=3))
@@ -286,8 +222,7 @@ def assert_bound_covers_mpmath(w, target):
 
 
 class TestBoundCoversTheValue:
-    """Below a target of 5.5e-13 the passes' own bounds, which grow with their
-    direct terms, outgrow 2t + 256 eps; the height's abs_error takes them."""
+    """The height's abs_error covers its value at every target, down to 1e-70."""
 
     TARGETS = (1e-13, 1e-14, 1e-20, 1e-30, 1e-50, 1e-70)
 
@@ -312,14 +247,118 @@ class TestBoundCoversTheValue:
         for w in self.seeded_on_the_locus(10 * len(self.TARGETS))[k::len(self.TARGETS)]:
             assert_bound_covers_mpmath(w, self.TARGETS[k])
 
-    def test_pass_bound_is_the_larger_only_below_5_5e_13(self):
-        # the arguments a height reads lie in [0, 3/2]; from a target of 1.2e-19 up a
-        # pass sums 12 direct terms, so its bound is the same at every such target
-        grid = [k / 4096 for k in range(3 * 2048 + 1)]
-        for target, larger in [(1e-6, False), (1e-12, False), (5.5e-13, False), (1e-13, True)]:
-            fixed = 2 * target + 256 * 2.0**-52
-            passes = [zeta.hurwitz_zeta(x, target) for x in grid]
-            assert any(z.error + z.derivative_error > fixed for z in passes) == larger, target
+    def test_fixed_charge_is_the_larger_at_every_target(self):
+        # the bound of one evaluation is the same at every target and below
+        # 256 eps on all of [0, 2], so each F is charged 2t + 256 eps
+        grid = [k / 4096 for k in range(2 * 4096 + 1)]
+        assert max(z.error + z.derivative_error
+                   for z in map(zeta.hurwitz_zeta, grid)) < 256 * 2.0**-52
+
+
+def mp_at(x):
+    """zeta(-1, x) and zeta'(-1, x) in mpmath at 60 digits; x = 0 is read as 1."""
+    with mpmath.workdps(60):
+        xm = mpmath.mpf(x) or mpmath.mpf(1)
+        return mpmath.zeta(-1, xm), mpmath.zeta(-1, xm, 1)
+
+
+class TestSeries:
+    """zeta(-1, x) in closed form and zeta'(-1, x) from one power series on a
+    zeta(k) table, against mpmath at 60 digits."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0, 1.5, 2.0]
+
+    def test_both_within_their_bounds(self):
+        rng = random.Random(46)
+        for x in [rng.uniform(0.0, 2.0) for _ in range(300)] + self.SPECIAL:
+            z = zeta.hurwitz_zeta(x)
+            value, derivative = mp_at(x)
+            with mpmath.workdps(60):
+                assert abs(mpmath.mpf(z.value) - value) <= z.error, (x, z)
+                assert abs(mpmath.mpf(z.derivative) - derivative) <= z.derivative_error, (x, z)
+            assert z.derivative_error < 2e-15, (x, z)
+
+    def test_every_target_gets_the_same_bits(self):
+        # the target is checked, and moves nothing: a tighter one is never worse
+        for x in (0.0, 1e-6, 0.3, 1.0, 1.7, 2.0):
+            assert len({bits(lambda: zeta.hurwitz_zeta(x, t))
+                        for t in (1.0, 1e-6, 1e-12, 1e-14, 1e-70, 1e-300)}) == 1, x
+
+    def test_table_against_mpmath(self):
+        with mpmath.workdps(60):
+            for k, zk in zeta._zeta_table().items():
+                assert abs(zk - mpmath.zeta(k) * 2**zeta._BITS) <= 2**8, k
+
+    def test_coefficients_are_the_nearest_doubles(self):
+        coeffs, _ = zeta._series()
+        with mpmath.workdps(60):
+            log2 = mpmath.log(2)
+            lead = [float(mpmath.zeta(-1, 1.5, 1)), float(1 - 3 * log2 / 2),
+                    float((3 - mpmath.euler - 2 * log2) / 2)]
+            rest = [float((-1)**k * mpmath.zeta(k, 1.5) / (k * (k + 1)))
+                    for k in range(2, len(coeffs) - 1)]
+        assert coeffs[::-1] == tuple(lead + rest)
+
+    def test_table_is_built_once_on_first_use(self, monkeypatch):
+        # importing builds nothing, so a process that answers no height pays nothing
+        src = str(Path(zeta.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", "from fanokit import zeta; "
+                              "print(zeta._series.cache_info().currsize)"],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "0\n"
+        calls = []
+        original = zeta._zeta_table
+
+        def spy():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(zeta, "_zeta_table", spy)
+        zeta._series.cache_clear()
+        for w in TWELFTHS[::7]:
+            bits(lambda: zeta.p1_canonical_height(ZetaHeightInput(*w)))
+        assert len(calls) == 1
+
+
+def seeded_97ths(count):
+    """count weight triples in 97ths on each branch, on the locus; every F argument
+    is a multiple of 1/194, so the mpmath reference evaluates few distinct F."""
+    rng = random.Random(46)
+    fano, continuation = [], []
+    while len(fano) < count or len(continuation) < count:
+        w = tuple(F(rng.randint(0, 97), 97) for _ in range(3))
+        branch = fano if sum(w) < 2 else continuation
+        if not off_domain(w) and sum(w) != 2 and len(branch) < count:
+            branch.append(w)
+    return fano + continuation
+
+
+class TestPrintedDigits:
+    """Every 12-digit value p1-zeta-height prints is mpmath's correctly
+    rounded one, and abs_error covers the value at every target."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(w, mp_p1_height(w)) for w in seeded_97ths(300)]
+
+    def test_default_target_prints_the_correctly_rounded_value(self, cases):
+        wrong = []
+        for w, ref in cases:
+            printed = jsonio.round_float(zeta.p1_canonical_height(ZetaHeightInput(*w)).value)
+            with mpmath.workdps(60):
+                if printed != float(mpmath.nstr(ref, 12)):
+                    wrong.append((w, printed, mpmath.nstr(ref, 15)))
+        assert wrong == []
+
+    def test_bound_covers_the_value_at_every_target(self, cases):
+        for w, ref in cases:
+            reps = [zeta.p1_canonical_height(ZetaHeightInput(*w), t)
+                    for t in (1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14)]
+            assert len({rep.value for rep in reps}) == 1, w
+            with mpmath.workdps(60):
+                for rep in reps:
+                    assert abs(mpmath.mpf(rep.value) - ref) <= rep.abs_error, (w, rep)
 
 
 class TestDerivative:
