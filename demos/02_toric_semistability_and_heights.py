@@ -33,8 +33,9 @@ for t in (F(1, 4), F(1, 2), F(3, 4), F(1)):
     rep = th.scaled_divisor_height(2, t)
     print(f"  t = {t}: h = {rep.value:12.6f}")
 
-# Every toric log Fano height obeys the universal volume bound.
-bound = th.universal_height_bound(2, th.pn_poly_volume(2))
+# Every toric log Fano height obeys the universal volume bound; the P^2
+# moment polytope has volume 3^2 / 2!.
+bound = th.universal_height_bound(2, F(9, 2))
 print(f"\nuniversal bound at the P^2 volume: {bound.value:.6f}"
       f"  >=  pn_height(2) = {th.pn_height(2).value:.6f}")
 

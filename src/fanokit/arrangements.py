@@ -20,7 +20,8 @@ from .errors import (
     NumericalError,
     OutOfRange,
 )
-from .toric_heights import Convention, HeightReport, _log_fraction, _to_float, pn_family_height
+from .toric_heights import (Convention, HeightReport, _check_pn_n, _log_fraction, _to_float,
+                            pn_family_height)
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,18 @@ def stability_polytope(n: int, m: int, degree) -> StabilityPolytope:
 
 
 def arrangement_height_bound(w: WeightVector) -> HeightReport:
-    """Explicit height bound for a K-semistable arrangement:
+    """Explicit height bound for a K-semistable arrangement, the P^n divisor family
+    at equal degree, lambda = arrangement_degree(w) / (n+1)^n (pn_height at w = 0):
 
-        h / (n+1)! <= (1/2) v log( (n+1)^n e^{2 a_n} / (n! v) ),
+        h <= (1/2) (n+1)^{n+1} lambda (2 a_n - log lambda).
 
-    with v the polytope-volume convention arrangement_degree(w)/n!: the P^n
-    divisor family at equal degree, so equal to pn_height at w = 0.
-    """
+    Refused for semistability, then Fano, then the family's range of n, which is
+    checked before the degree, a power that grows with n, is formed."""
     if not is_arrangement_semistable(w):
         raise NotSemistable("weights fail the semistability inequality")
-    return pn_family_height(w.n, arrangement_degree(w) / math.factorial(w.n),
+    if w.total() < w.n + 1:   # else arrangement_degree raises NotFano
+        _check_pn_n(w.n)
+    return pn_family_height(w.n, arrangement_degree(w) / (w.n + 1) ** w.n,
                             Convention.BOUND_ON_HEIGHT, "arrangement_bound")
 
 

@@ -137,7 +137,7 @@ def _cmd_pn_height(args, data) -> dict:
     rep = toric.pn_height(args.n)
     out = rep.to_json()
     out["n"] = args.n
-    out["a_n"] = toric.a_n_constant(args.n, rep)
+    out["a_n"] = toric.a_n_constant(args.n)
     return out
 
 

@@ -6,8 +6,8 @@ The absolute canonical height of such a hypersurface is never claimed;
 everything is expressed as a correction relative to the unit-coefficient
 (Fermat) case or as a bound relative to the P^n height, which is all the
 closed-form chain provides.  Each bound is one ``HeightReport``; the Fermat
-cover bound is the P^n divisor family of ``toric_heights`` at volume
-lambda * v_0.  The reduction delta 2 * correction, the chain through the
+cover bound is the P^n divisor family of ``toric_heights`` at its volume
+ratio lambda.  The reduction delta 2 * correction, the chain through the
 Fermat bound and the cover degree d^{n+1} are left to the caller.
 """
 from __future__ import annotations
@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .arrangements import WeightVector
 from .errors import InputError, OutOfRange
-from .toric_heights import (Convention, HeightReport, _ulp_error, pn_family_height,
-                            pn_height, pn_poly_volume)
+from .toric_heights import (Convention, HeightReport, _check_pn_n, _ulp_error,
+                            pn_family_height, pn_height)
 
 
 @dataclass(frozen=True)
@@ -88,18 +88,17 @@ def lambda_ratio(n: int, d: int) -> Fraction:
     return Fraction(d * (n + 2 - d) ** n, (n + 1) ** n)
 
 
-def fermat_height_bound(n: int, d: int, height: HeightReport | None = None) -> HeightReport:
+def fermat_height_bound(n: int, d: int) -> HeightReport:
     """Bound for the degree-d Fermat hypersurface, with lambda = lambda_ratio(n, d):
 
         h_can(X) <= lambda pn_height(n) - (1/2) (n+1)! v_X log(lambda),
 
-    with v_X = d (n+2-d)^n / n! in polytope-volume units; this is exactly
-    the P^n divisor family at volume lambda * v_0 and reduces to pn_height
-    at d = 1.  Equality iff lambda = 1 (the conic n = 1, d = 2 has lambda = 1:
-    it is the line re-embedded).  ``height`` is pn_height(n) when the caller
-    holds it already."""
-    return pn_family_height(n, lambda_ratio(n, d) * pn_poly_volume(n),
-                            Convention.BOUND_ON_HEIGHT, "fermat_cover_bound", height)
+    with v_X = d (n+2-d)^n / n! in polytope-volume units: the P^n divisor family
+    at lambda, formed once n passes its check, so pn_height at lambda = 1 (d = 1,
+    and the conic n = 1, d = 2: the line re-embedded), where equality holds."""
+    _check_pn_n(n)
+    return pn_family_height(n, lambda_ratio(n, d), Convention.BOUND_ON_HEIGHT,
+                            "fermat_cover_bound")
 
 
 @dataclass(frozen=True)
@@ -127,4 +126,4 @@ def diagonal_theorem_bound(spec: DiagonalHypersurfaceSpec) -> DiagonalBound:
     err = base.abs_error + _ulp_error(abs(corr) + abs(value))
     report = HeightReport(value, Convention.BOUND_ON_HEIGHT,
                           "diagonal_hypersurface_bound", err)
-    return DiagonalBound(report, corr, spec.d >= 2, fermat_height_bound(spec.n, spec.d, base))
+    return DiagonalBound(report, corr, spec.d >= 2, fermat_height_bound(spec.n, spec.d))

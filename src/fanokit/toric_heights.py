@@ -6,18 +6,20 @@ is built; every test below reads its vertices and facets, and the volume,
 moment and vertex cones (``v.cones``) the polytope computes once and keeps.
 No value here copies them: a caller that reports the cones reads ``v.cones``.
 
-Two volume conventions occur, and each function names the one it takes:
+Three volume conventions occur, and each function names the one it takes:
 
 * ``degree``       -- (-(K_X + Delta))^n, from ``log_fano_degree``;
 * ``poly_volume``  -- degree / n!, the Euclidean volume of the moment polytope,
-  which every height below takes.
+  which the universal bound takes;
+* ``ratio``        -- lambda = v / v_0 in (0, 1], v_0 that of P^n, which the P^n family takes.
 
 Heights are evaluated in double precision.  The rational part of each
 formula is computed exactly and only the final transcendental combination is
 floating point, so the reported ``abs_error`` is a few ulps.  Every height of
-the toric family, (n+1)!/2 * v * log(C / v) at poly-volume v, is one
-evaluation with one error model: the scaled-divisor, universal, arrangement
-and Fermat bounds differ only in C and in their range checks.
+the P^n divisor family is one evaluation with one error model,
+``pn_family_height`` at its ratio lambda: pn_height is its lambda = 1 member,
+and the scaled-divisor, arrangement and Fermat heights differ only in lambda
+and in their range checks.
 """
 from __future__ import annotations
 
@@ -139,65 +141,67 @@ def is_pn_polytope(v: VPolytope) -> bool:
 
 def _check_pn_n(n: int) -> None:
     """OutOfRange unless 1 <= n <= 142, where the lead (n+1)^{n+1}/2 of
-    pn_height(n) is a finite double; decided in logarithms, which lie at
-    least 0.79 from log(DBL_MAX) at every n, before any work that grows with n.
-    The height itself leaves the double range at n = 142, which
-    ``HeightReport`` refuses."""
+    pn_height(n), the largest of its family, is a finite double; decided in
+    logarithms, which lie at least 0.79 from log(DBL_MAX) at every n, before any
+    work that grows with n.  The height itself leaves the double range at
+    n = 142, which ``HeightReport`` refuses."""
     if n < 1:
         raise OutOfRange("n must be a positive integer")
     if (n + 1) * math.log(n + 1) - math.log(2) > math.log(sys.float_info.max):
         raise OutOfRange("result exceeds the double-precision range")
 
 
-def pn_height(n: int) -> HeightReport:
-    """Height of projective n-space over Z with the volume-normalized
-    Fubini-Study metric, H_n = sum 1/k taken as one integer sum over lcm(1..n):
-
-        (1/2) (n+1)^{n+1} ( (n+1) H_n - n + log(pi^n / n!) ).
-    """
+def _pn_constants(n: int) -> tuple[float, float]:
+    """r = (n+1) H_n - n, from one integer sum over lcm(1..n) and a correctly
+    rounded int / int quotient, and l = log(pi^n / n!), once n passes ``_check_pn_n``."""
     _check_pn_n(n)
     lcm = math.lcm(*range(1, n + 1))
-    harmonic = Fraction(sum(lcm // k for k in range(1, n + 1)), lcm)
-    lead = Fraction((n + 1) ** (n + 1), 2)
-    rational_part = (n + 1) * harmonic - n
-    log_part = n * math.log(math.pi) - math.log(math.factorial(n))
-    lead_f = float(lead)
-    value = lead_f * (float(rational_part) + log_part)
-    # the lead is scaled first: lead_f * (...) overflows from n = 141 on
-    err = _ulp_error(lead_f) * (abs(float(rational_part)) + abs(log_part))
-    return HeightReport(value, Convention.RAW_HEIGHT, "pn_fubini_study", err)
+    harmonic = sum(lcm // k for k in range(1, n + 1))
+    return (((n + 1) * harmonic - n * lcm) / lcm,
+            n * math.log(math.pi) - math.log(math.factorial(n)))
 
 
-def a_n_constant(n: int, height: HeightReport | None = None) -> float:
-    """Normalized P^n height pn_height(n) / (n+1)^{n+1}, read off ``height`` if given;
-    2 a_n = f(n) = (n+1) H_n - n + log(pi^n / n!) > 1, as f(1) = 1 + log pi and
+def pn_family_height(n: int, ratio: Fraction, convention: Convention,
+                     formula: str) -> HeightReport:
+    """The divisor family on P^n at volume ratio lambda = v / v_0 in (0, 1]:
+
+        h = (1/2) (n+1)^{n+1} lambda (r + l - log lambda),  r + l = 2 a_n,
+
+    the lead exact until rounded, at most (n+1)^{n+1}/2, a finite double; abs_error
+    scales with |r| + |l| + |log lambda|, so it also covers a difference that cancels."""
+    if not 0 < ratio <= 1:
+        raise OutOfRange("volume ratio must satisfy 0 < lambda <= 1")
+    r, l = _pn_constants(n)
+    lead = float(Fraction((n + 1) ** (n + 1), 2) * ratio)
+    log_ratio = _log_fraction(ratio)
+    return HeightReport(lead * (r + l - log_ratio), convention, formula,
+                        _ulp_error(lead) * (abs(r) + abs(l) + abs(log_ratio)))
+
+
+def pn_height(n: int) -> HeightReport:
+    """Height of projective n-space over Z with the volume-normalized Fubini-Study
+    metric, (1/2) (n+1)^{n+1} ((n+1) H_n - n + log(pi^n / n!)): the family at lambda = 1."""
+    return pn_family_height(n, 1, Convention.RAW_HEIGHT, "pn_fubini_study")
+
+
+def a_n_constant(n: int) -> float:
+    """Normalized P^n height a_n = pn_height(n) / (n+1)^{n+1} = f(n) / 2;
+    f(n) = (n+1) H_n - n + log(pi^n / n!) > 1, as f(1) = 1 + log pi and
     f(n+1) - f(n) = H_{n+1} + log pi - log(n+1) > 0, since H_{n+1} > log(n+1)."""
-    return (height or pn_height(n)).value / (n + 1) ** (n + 1)
+    r, l = _pn_constants(n)
+    return (r + l) / 2
 
 
 def _log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _toric_height(n: int, v: Fraction, log_c: float, convention: Convention,
-                  formula: str) -> HeightReport:
-    """(n+1)!/2 * v * log(C / v) at poly-volume v; abs_error scales with
-    |log C| + |log v|, so it also covers a difference that cancels; v > 0.
-    The P^n family needs no check of the lead: n passed ``_check_pn_n`` in
-    ``pn_poly_volume`` and v <= v_0, so the lead is at most (n+1)^{n+1}/2,
-    whose logarithm lies at least 0.79 below log(DBL_MAX)."""
-    lead = _to_float(Fraction(math.factorial(n + 1), 2) * v)
-    log_v = _log_fraction(v)
-    return HeightReport(lead * (log_c - log_v), convention, formula,
-                        _ulp_error(lead) * (abs(log_c) + abs(log_v)))
-
-
 def universal_height_bound(n: int, v: Fraction) -> HeightReport:
-    """Universal bound (n+1)!/2 * v * log((2 pi^2)^n / v) at poly-volume v.
-    OutOfRange, before (n+1)! and n * log(2 pi^2), which overflows at n = 10^400,
-    when the lead's logarithm, from lgamma with n capped at 2^53 (which only
-    lowers it), is more than 1 above log(DBL_MAX); a case nearer the boundary
-    is left to the exact test."""
+    """Universal bound (n+1)!/2 * v * log(C / v), C = (2 pi^2)^n, at poly-volume v,
+    abs_error as in ``pn_family_height``.  OutOfRange, before (n+1)! and n * log(2 pi^2),
+    which overflows at n = 10^400, when the lead's logarithm, from lgamma with n capped
+    at 2^53 (which only lowers it), is more than 1 above log(DBL_MAX); a case nearer
+    the boundary is left to the exact test."""
     if n < 1:
         raise OutOfRange("n must be a positive integer")
     if v <= 0:
@@ -205,42 +209,21 @@ def universal_height_bound(n: int, v: Fraction) -> HeightReport:
     if (math.lgamma(min(n, 2**53) + 2) - math.log(2) + _log_fraction(v)
             > math.log(sys.float_info.max) + 1):
         raise OutOfRange("result exceeds the double-precision range")
-    return _toric_height(n, v, n * math.log(2 * math.pi**2),
-                         Convention.BOUND_ON_HEIGHT, "universal_toric_bound")
-
-
-def pn_poly_volume(n: int) -> Fraction:
-    """v_0 = (n+1)^n / n!, the poly-volume of P^n; every caller goes on to
-    pn_height(n), so it refuses the same n."""
-    _check_pn_n(n)
-    return Fraction((n + 1) ** n, math.factorial(n))
-
-
-def pn_family_height(n: int, v: Fraction, convention: Convention, formula: str,
-                     height: HeightReport | None = None) -> HeightReport:
-    """The divisor family on P^n at poly-volume v, equal to pn_height(n) at v_0:
-
-        h / (n+1)! = (1/2) v log(v_0 e^{2 a_n} / v),  0 < v <= v_0 = pn_poly_volume(n),
-
-    with a_n read off ``height`` = pn_height(n) if given.
-    """
-    v0 = pn_poly_volume(n)
-    if not 0 < v <= v0:
-        raise OutOfRange("volume must satisfy 0 < v <= (n+1)^n / n!")
-    return _toric_height(n, v, 2 * a_n_constant(n, height) + _log_fraction(v0),
-                         convention, formula)
+    log_c, log_v = n * math.log(2 * math.pi**2), _log_fraction(v)
+    lead = _to_float(Fraction(math.factorial(n + 1), 2) * v)
+    return HeightReport(lead * (log_c - log_v), Convention.BOUND_ON_HEIGHT,
+                        "universal_toric_bound", _ulp_error(lead) * (abs(log_c) + abs(log_v)))
 
 
 def scaled_divisor_height(n: int, t) -> HeightReport:
     """Height of (P^n_Z, (1-t) D_0) for the standard toric anticanonical D_0,
     with the volume-normalized Kaehler-Einstein metric: the P^n family at
-    v_t = t^n v_0.
-    """
+    lambda = t^n, a power formed only once n has passed its check."""
     t = Fraction(t)
     if not 0 < t <= 1:
         raise OutOfRange("t must lie in (0, 1]")
-    return pn_family_height(n, pn_poly_volume(n) * t**n, Convention.RAW_HEIGHT,
-                            "scaled_divisor_family")
+    _check_pn_n(n)
+    return pn_family_height(n, t**n, Convention.RAW_HEIGHT, "scaled_divisor_family")
 
 
 # -- gap check -------------------------------------------------------------------

@@ -222,6 +222,28 @@ class TestHeightBound:
         with pytest.raises(NotSemistable):
             arr.arrangement_height_bound(WeightVector(1, (F(2, 3), F(1, 4), F(0))))
 
+    def test_answers_at_n_142_below_the_double_range(self):
+        # degree (1/2)^142: a small bound, though pn_height(142) leaves the double range
+        w = WeightVector(142, (F(285, 4000),) * 2000)
+        assert arr.arrangement_height_bound(w).value == pytest.approx(1.346983745e-38, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [200000, 10**6])
+    def test_refuses_a_large_n_before_the_degree(self, n):
+        # the degree (n+1)^n alone takes about 0.6 s at n = 200000, 10 s at 10^6
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="double-precision range"):
+            arr.arrangement_height_bound(WeightVector(n, (F(0),)))
+        assert time.perf_counter() - start < 1
+
+    def test_refusal_order_semistable_fano_range(self):
+        # n = 143 is past the family's range; the other two refusals come first
+        with pytest.raises(NotSemistable):
+            arr.arrangement_height_bound(WeightVector(143, (F(1, 2),)))
+        with pytest.raises(NotFano):
+            arr.arrangement_height_bound(WeightVector(143, (F(24, 25),) * 150))
+        with pytest.raises(OutOfRange, match="double-precision range"):
+            arr.arrangement_height_bound(WeightVector(143, (F(24, 25),) * 149))
+
 
 class TestReduceToToric:
     def test_zero_weights(self):

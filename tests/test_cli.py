@@ -679,7 +679,7 @@ class TestToricFamilyOutput:
         count(th, "pn_height")
         code, _, _ = run_cli(["diagonal", "--json", DIAGONAL_CUBIC], capsys)
         assert code == 0
-        # the Fermat bound reads a_n off the theorem bound's pn_height report
+        # the theorem bound's pn_height; the Fermat bound evaluates the family itself
         assert calls == {"fermat_height_bound": 1, "pn_height": 1}
 
     def test_pn_height_evaluates_the_height_once(self, capsys, monkeypatch):
@@ -1073,6 +1073,10 @@ class TestFormerFailures:
     @pytest.mark.parametrize("argv", [
         ["pn-height", "--n", "200000"],
         ["scaled-height", "--n", "200000", "--t", "1"],
+        ["scaled-height", "--n", "200000", "--t", "1/2"],
+        # refused before the degree (n+1 - sum w)^n and n!, which took 23 s
+        ["arrangement-bound", "--json", '{"n": 200000, "weights": ["0"]}'],
+        ["arrangement-bound", "--json", '{"n": 1000000, "weights": ["0"]}'],
         # refused before the exact n! and (n+1)!, which take seconds at n = 10^6
         ["universal-bound", "--n", "1000000", "--volume", "1"],
         ["universal-bound", "--n", str(10**400), "--volume", "1"],
@@ -1090,6 +1094,20 @@ class TestFormerFailures:
         result = run_cli(["universal-bound", "--n", "1000000", "--volume", "0"], capsys)
         assert time.perf_counter() - start < 1.0
         assert result == (1, "", "fanokit: input error: anticanonical volume must be positive\n")
+
+    @pytest.mark.parametrize("argv, value", [
+        # 2,000 weights summing to 285/2: degree 2^-142; the CLI also lists
+        # the weights' decomposition
+        (["arrangement-bound", "--json",
+          json.dumps({"n": 142, "weights": ["285/4000"] * 2000})], 1.346983745e-38),
+        (["scaled-height", "--n", "142", "--t", "1/2"], 5.06191346533e267),
+    ])
+    def test_family_answers_at_n_142_below_the_double_range(self, argv, value, capsys):
+        # refused while the family went through pn_height(142), which leaves the range
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report["value"] == value and 0 < report["abs_error"] < 1e-13 * value
 
     def test_pn_height_range_edge_unchanged(self, capsys):
         assert run_cli(["pn-height", "--n", "140"], capsys) == (0, PN_HEIGHT_140_OUT, "")

@@ -217,9 +217,9 @@ DIGESTS = {
     'pn-height --n 142':
         '8e01cf3311b352f18f5fad51e4b3f7dbbcec9a24b8af9bc9d3225e3534cea80a',
     'scaled-height --n 3 --t 1/2':
-        'e838e2e1a3dce77baa97b5c746e95b4ea87607bccc501673e42acc0eda56240f',
+        '29bda1666fa4b5278c19ff078f7f667661a96bef6f3400bbc7d8566c4a701722',
     'scaled-height --n 8 --t 7/12':
-        'bfea7ee17742133ec8183715f6c95a09178a2d75e38e5adc37ef53dc0deaf8a0',
+        '53cc6f23335bbf7a017e8788aacf707c013fd92f3435423bc8d41b894b9875c5',
     'universal-bound --n 3 --volume 31/3':
         '286ea7cd439fe3afdfe27d9fed5615e5253fc9cec92118e40b1191731c7960ae',
     'stability-polytope --n 2 --m 4 --degree 4':
@@ -231,11 +231,11 @@ DIGESTS = {
     'arrangement-bound --json \'{"n": 3, "weights": ["1/2", "1/2", "1/2", "1/2", "1/2"]}\'':
         '1260b9d4bd9194c19f1288c55fc019a902dfb04442a36fe7e39d998b3c1fea89',
     'diagonal --json \'{"n": 2, "d": 3, "a": [1, 1, 1, 8]}\' --det-t 2.0':
-        '440e500477e624de4da4b8b3a0ef9f2473dc08a54bd62541ad50851af6478180',
+        '69ed857880baa7b81ef68b169a13620c5b7cbb9c27d8762ff83f67565104700d',
     'diagonal --json \'{"n": 1, "d": 2, "a": [1, 1, 1]}\'':
-        'a1e33865fe52240ea20105499c706e8e46b6d37c94c632a5d50ac845e4b99499',
+        '56f3d35b88a2d2f115fa894e6093c03b1ef3416b6ac79a450079848b82cb99cb',
     'diagonal --json \'{"n": 3, "d": 1, "a": [2, -3, 5, 7, 11]}\'':
-        'a949cafdb36f02147576edf6c2604070424c42c61ba102406387d1fe28407980',
+        'f0a82ccb860cf311d865f6983319d0407fa414549ccb504076741b4a3886ab90',
     'diagonal --json \'{"n": 4, "d": 5, "a": [-9, 2, 3, 5, 7, 1]}\'':
         'd7eb44d4049a7563244b87dce00799d427abd42fb7b1df5e7c4e2ab00a8359bd',
     shlex.join(["diagonal", "--json", DIAGONAL_BEYOND_DOUBLE]):

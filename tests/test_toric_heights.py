@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from fanokit import geometry as geom
+from fanokit import hypersurfaces as hyp
 from fanokit import presets
 from fanokit import toric_heights as th
 from fanokit.errors import (
@@ -337,56 +338,81 @@ class TestScaledDivisorHeight:
 
 
 class TestToricFamilyHeight:
-    """The P^n divisor family, (n+1)!/2 v log(v_0 e^{2 a_n} / v)."""
+    """The P^n divisor family at volume ratio lambda, (1/2)(n+1)^{n+1} lambda (2 a_n - log lambda)."""
 
     RAW = th.Convention.RAW_HEIGHT
 
     def test_v_equals_b(self):
-        # at v = v_0 the logarithm is 2 a_n alone
+        # at lambda = 1 the logarithm is 2 a_n alone
         for n in range(1, 5):
-            v0 = th.pn_poly_volume(n)
-            rep = th.pn_family_height(n, v0, self.RAW, "family")
+            rep = th.pn_family_height(n, F(1), self.RAW, "family")
             assert rep.value == pytest.approx(
-                math.factorial(n + 1) * float(v0) * th.a_n_constant(n), rel=1e-13)
+                (n + 1) ** (n + 1) * th.a_n_constant(n), rel=1e-13)
             assert rep.formula == "family" and rep.convention is self.RAW
 
     def test_matches_scaled_divisor(self):
         rng = random.Random(3)
         for n in (1, 2, 3):
-            v0 = th.pn_poly_volume(n)
             for _ in range(5):
                 t = F(rng.randint(1, 99), 100)
-                fam = th.pn_family_height(n, t**n * v0, self.RAW, "scaled_divisor_family")
+                fam = th.pn_family_height(n, t**n, self.RAW, "scaled_divisor_family")
                 assert fam == th.scaled_divisor_height(n, t)
 
     def test_n1_example(self):
+        # poly-volume 1 on P^1, whose moment polytope has volume 2
         a1 = th.a_n_constant(1)
-        rep = th.pn_family_height(1, F(1), self.RAW, "family")
+        rep = th.pn_family_height(1, F(1, 2), self.RAW, "family")
         assert rep.value == pytest.approx(math.log(2 * math.exp(2 * a1)), abs=1e-12)
         assert rep.value == pytest.approx(
             th.scaled_divisor_height(1, F(1, 2)).value, rel=1e-12)
 
     def test_anchor_identity(self):
         for n in range(1, 7):
-            fam = th.pn_family_height(n, th.pn_poly_volume(n), self.RAW, "family")
+            fam = th.pn_family_height(n, F(1), self.RAW, "family")
             assert fam.value == pytest.approx(th.pn_height(n).value, rel=1e-13)
 
     def test_answers_at_every_n_pn_height_answers(self):
         # no range check before the lead: it is at most (n+1)^{n+1}/2 < DBL_MAX
         for n in range(1, 142):
-            fam = th.pn_family_height(n, th.pn_poly_volume(n), self.RAW, "family")
+            fam = th.pn_family_height(n, F(1), self.RAW, "family")
             assert fam.value == pytest.approx(th.pn_height(n).value, rel=1e-13), n
         with pytest.raises(OutOfRange, match="double-precision range"):
-            th.pn_family_height(142, th.pn_poly_volume(142), self.RAW, "family")
+            th.pn_family_height(142, F(1), self.RAW, "family")
 
     def test_range(self):
         for n in (1, 2, 5):
-            v0 = th.pn_poly_volume(n)
-            for v in (v0 + F(1, 10**6), 2 * v0, F(0), -v0):
+            for ratio in (1 + F(1, 10**6), F(2), F(0), F(-1)):
                 with pytest.raises(OutOfRange):
-                    th.pn_family_height(n, v, self.RAW, "family")
+                    th.pn_family_height(n, ratio, self.RAW, "family")
         with pytest.raises(OutOfRange):
             th.pn_family_height(0, F(1, 2), self.RAW, "family")
+
+    def test_lambda_one_is_pn_height_bit_for_bit(self):
+        # the Fermat bound at d = 1 and the conic (n = 1, d = 2) have lambda = 1 too
+        for n in range(1, 142):
+            ref = th.pn_height(n)
+            reps = [th.pn_family_height(n, 1, self.RAW, "family"), hyp.fermat_height_bound(n, 1)]
+            if n == 1:
+                reps.append(hyp.fermat_height_bound(1, 2))
+            for rep in reps:
+                assert (rep.value.hex(), rep.abs_error.hex()) == \
+                    (ref.value.hex(), ref.abs_error.hex()), (n, rep)
+
+    def test_answers_at_n_142_below_the_double_range(self):
+        # the lead (n+1)^{n+1} lambda / 2 is finite at every lambda; only lambda
+        # near 1 leaves the double range, which HeightReport refuses
+        rep = th.scaled_divisor_height(142, F(1, 2))
+        assert rep.value == pytest.approx(5.06191346533e267, rel=1e-11)
+        with pytest.raises(OutOfRange, match="double-precision range"):
+            th.scaled_divisor_height(142, F(1))
+
+    @pytest.mark.parametrize("t", [F(1, 2), F(7, 12), F(999999, 1000000)])
+    def test_refuses_a_large_n_before_the_power(self, t):
+        # t^n has about n log2(q) bits: the check on n comes first
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="double-precision range"):
+            th.scaled_divisor_height(200000, t)
+        assert time.perf_counter() - start < 1
 
 
 class TestGapCheck:
